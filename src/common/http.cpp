@@ -279,59 +279,12 @@ const char* status_reason(int status) {
     case 405: return "Method Not Allowed";
     case 408: return "Request Timeout";
     case 409: return "Conflict";
-    case 410: return "Gone";
     case 413: return "Payload Too Large";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
     case 503: return "Service Unavailable";
     default: return "Unknown";
   }
-}
-
-// --- Trace context -----------------------------------------------------------
-
-std::string TraceContext::header_value() const {
-  return format("%016llx-%016llx", static_cast<unsigned long long>(trace_id),
-                static_cast<unsigned long long>(span_id));
-}
-
-bool TraceContext::parse(std::string_view value, TraceContext* out) {
-  const auto parse_hex16 = [](std::string_view hex, u64* parsed) {
-    if (hex.size() != 16) return false;
-    u64 result = 0;
-    for (char c : hex) {
-      u64 digit = 0;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<u64>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<u64>(c - 'a' + 10);
-      } else {
-        return false;
-      }
-      result = (result << 4) | digit;
-    }
-    *parsed = result;
-    return true;
-  };
-  const std::string_view trimmed = trim(value);
-  const usize dash = trimmed.find('-');
-  if (dash == std::string_view::npos) return false;
-  u64 trace_id = 0;
-  u64 span_id = 0;
-  if (!parse_hex16(trimmed.substr(0, dash), &trace_id) ||
-      !parse_hex16(trimmed.substr(dash + 1), &span_id) || trace_id == 0) {
-    return false;
-  }
-  out->trace_id = trace_id;
-  out->span_id = span_id;
-  return true;
-}
-
-TraceContext trace_context_of(const Request& request) {
-  TraceContext context;
-  const auto it = request.headers.find(kTraceHeaderKey);
-  if (it != request.headers.end()) TraceContext::parse(it->second, &context);
-  return context;
 }
 
 // --- Server ------------------------------------------------------------------

@@ -66,33 +66,6 @@ struct Response {
 /// emits; "Unknown" otherwise.
 const char* status_reason(int status);
 
-/// Distributed trace context carried on the X-Reese-Trace header
-/// (DESIGN.md §17). The fleet coordinator mints one trace id per campaign
-/// and a fresh span id per shard attempt; every coordinator→worker request
-/// carries "X-Reese-Trace: <trace-16hex>-<span-16hex>", and workers tag
-/// the jobs it creates (job status/progress JSON, structured log events)
-/// with the inherited pair. trace_id 0 means "no context".
-struct TraceContext {
-  u64 trace_id = 0;  ///< one per fleet campaign
-  u64 span_id = 0;   ///< one per shard dispatch attempt
-
-  bool valid() const { return trace_id != 0; }
-  /// "<16 hex>-<16 hex>" (lower-case, zero-padded).
-  std::string header_value() const;
-  /// Parse a header_value() string. False (out untouched) on malformed
-  /// input.
-  static bool parse(std::string_view value, TraceContext* out);
-};
-
-/// Header name as sent on the wire, and its lower-cased key as it appears
-/// in Request::headers after parsing.
-inline constexpr const char* kTraceHeader = "X-Reese-Trace";
-inline constexpr const char* kTraceHeaderKey = "x-reese-trace";
-
-/// The trace context on a parsed request; invalid (trace_id 0) when the
-/// header is absent or malformed.
-TraceContext trace_context_of(const Request& request);
-
 class Server {
  public:
   using Handler = std::function<Response(const Request&)>;

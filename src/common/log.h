@@ -6,7 +6,7 @@
 // JSON object per line, so `grep '"kind":"worker_dead"'` and log shippers
 // both work on the same stream. Each event carries a timestamp, a level, a
 // machine-matchable `kind`, a human message and arbitrary typed fields
-// (trace/span context, worker addresses, shard indices, ...).
+// (job ids, worker addresses, shard indices, ...).
 //
 // Determinism and observability contracts:
 //   * the wall clock is injected (set_clock) so tests can byte-compare

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <string_view>
 
 #include "common/diag.h"
 #include "common/strutil.h"
@@ -252,67 +249,6 @@ std::vector<Sample> Registry::snapshot() const {
   return samples;
 }
 
-bool Registry::merge_from(const std::vector<Sample>& samples,
-                          const Labels& extra, std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-  for (const Sample& sample : samples) {
-    // Compose the target label set: extra labels append, but an extra name
-    // the sample already carries replaces in place (the federator owns the
-    // worker identity; keeping the position keeps series identity stable).
-    Labels labels = sample.labels;
-    for (const auto& [extra_name, extra_value] : extra) {
-      bool replaced = false;
-      for (auto& [name, value] : labels) {
-        if (name == extra_name) {
-          value = extra_value;
-          replaced = true;
-          break;
-        }
-      }
-      if (!replaced) labels.emplace_back(extra_name, extra_value);
-    }
-    switch (sample.type) {
-      case MetricType::kCounter: {
-        Counter* target = counter(sample.name, labels, sample.help);
-        if (target == nullptr) {
-          return fail("cannot merge counter " + sample.name +
-                      " (invalid name/labels or type conflict)");
-        }
-        const double value = sample.value < 0.0 ? 0.0 : sample.value;
-        target->inc(static_cast<u64>(std::llround(value)));
-        break;
-      }
-      case MetricType::kGauge: {
-        Gauge* target = gauge(sample.name, labels, sample.help);
-        if (target == nullptr) {
-          return fail("cannot merge gauge " + sample.name +
-                      " (invalid name/labels or type conflict)");
-        }
-        target->set(sample.value);
-        break;
-      }
-      case MetricType::kHistogram: {
-        HistogramMetric* target =
-            histogram(sample.name, sample.bounds, labels, sample.help);
-        if (target == nullptr) {
-          return fail("cannot merge histogram " + sample.name +
-                      " (type conflict or bucket-bounds mismatch)");
-        }
-        const usize bucket_count = sample.bounds.size() + 1;
-        for (usize i = 0; i < sample.buckets.size() && i < bucket_count; ++i) {
-          target->add_bucket(i, sample.buckets[i], 0.0);
-        }
-        target->add_bucket(0, 0, sample.sum);
-        break;
-      }
-    }
-  }
-  return true;
-}
-
 std::string Registry::prometheus() const {
   const std::vector<Sample> samples = snapshot();
   std::string out;
@@ -385,286 +321,6 @@ std::string Registry::json() const {
   }
   out += "  ]\n}\n";
   return out;
-}
-
-namespace {
-
-/// Inverse of json_escape (common/diag.h) for label values.
-bool unescape_label_value(std::string_view in, std::string* out) {
-  out->clear();
-  for (usize i = 0; i < in.size(); ++i) {
-    const char c = in[i];
-    if (c != '\\') {
-      *out += c;
-      continue;
-    }
-    if (i + 1 >= in.size()) return false;
-    const char escape = in[++i];
-    switch (escape) {
-      case '"': *out += '"'; break;
-      case '\\': *out += '\\'; break;
-      case 'n': *out += '\n'; break;
-      case 't': *out += '\t'; break;
-      case 'r': *out += '\r'; break;
-      case 'u': {
-        if (i + 4 >= in.size()) return false;
-        unsigned value = 0;
-        for (usize d = 1; d <= 4; ++d) {
-          const char hex = in[i + d];
-          value <<= 4;
-          if (hex >= '0' && hex <= '9') {
-            value |= static_cast<unsigned>(hex - '0');
-          } else if (hex >= 'a' && hex <= 'f') {
-            value |= static_cast<unsigned>(hex - 'a' + 10);
-          } else if (hex >= 'A' && hex <= 'F') {
-            value |= static_cast<unsigned>(hex - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        if (value > 0xFF) return false;  // our escaper emits \u00XX only
-        *out += static_cast<char>(value);
-        i += 4;
-        break;
-      }
-      default: return false;
-    }
-  }
-  return true;
-}
-
-/// Parse `{a="b",c="d"}`; advances *pos past the closing brace.
-bool parse_label_block(std::string_view line, usize* pos, Labels* labels,
-                       std::string* message) {
-  usize i = *pos + 1;  // past '{'
-  while (i < line.size() && line[i] != '}') {
-    const usize eq = line.find('=', i);
-    if (eq == std::string_view::npos || eq + 1 >= line.size() ||
-        line[eq + 1] != '"') {
-      *message = "malformed label block";
-      return false;
-    }
-    const std::string name(line.substr(i, eq - i));
-    usize value_end = eq + 2;
-    while (value_end < line.size() &&
-           (line[value_end] != '"' || line[value_end - 1] == '\\')) {
-      ++value_end;
-    }
-    if (value_end >= line.size()) {
-      *message = "unterminated label value";
-      return false;
-    }
-    std::string value;
-    if (!unescape_label_value(line.substr(eq + 2, value_end - eq - 2),
-                              &value)) {
-      *message = "bad escape in label value";
-      return false;
-    }
-    labels->emplace_back(name, std::move(value));
-    i = value_end + 1;
-    if (i < line.size() && line[i] == ',') ++i;
-  }
-  if (i >= line.size()) {
-    *message = "unterminated label block";
-    return false;
-  }
-  *pos = i + 1;
-  return true;
-}
-
-}  // namespace
-
-bool parse_prometheus(std::string_view text, std::vector<Sample>* out,
-                      std::string* error) {
-  const auto fail = [error](usize line_number, const std::string& message) {
-    if (error != nullptr) {
-      *error = format("prometheus line %zu: %s", line_number, message.c_str());
-    }
-    return false;
-  };
-
-  std::vector<std::pair<std::string, MetricType>> types;
-  std::vector<std::pair<std::string, std::string>> helps;
-  const auto type_of = [&types](const std::string& name) -> const MetricType* {
-    for (const auto& [family, type] : types) {
-      if (family == name) return &type;
-    }
-    return nullptr;
-  };
-  const auto help_of = [&helps](const std::string& name) {
-    for (const auto& [family, help] : helps) {
-      if (family == name) return help;
-    }
-    return std::string();
-  };
-
-  // Histogram families reassemble from their _bucket/_sum/_count series;
-  // cumulative bucket counts convert back to Sample's per-bucket counts at
-  // the end.
-  struct HistogramBuild {
-    Sample sample;
-    std::vector<std::pair<double, u64>> cumulative;  ///< (le, count) in order
-  };
-  std::vector<HistogramBuild> histogram_builds;
-
-  usize line_number = 0;
-  for (std::string_view raw_line : split(text, '\n')) {
-    ++line_number;
-    const std::string_view line = trim(raw_line);
-    if (line.empty()) continue;
-    if (starts_with(line, "# HELP ")) {
-      const std::string_view rest = line.substr(7);
-      const usize space = rest.find(' ');
-      if (space == std::string_view::npos) {
-        return fail(line_number, "malformed # HELP");
-      }
-      helps.emplace_back(std::string(rest.substr(0, space)),
-                         std::string(rest.substr(space + 1)));
-      continue;
-    }
-    if (starts_with(line, "# TYPE ")) {
-      const std::string_view rest = line.substr(7);
-      const usize space = rest.find(' ');
-      if (space == std::string_view::npos) {
-        return fail(line_number, "malformed # TYPE");
-      }
-      const std::string_view type_token = rest.substr(space + 1);
-      MetricType type;
-      if (type_token == "counter") {
-        type = MetricType::kCounter;
-      } else if (type_token == "gauge") {
-        type = MetricType::kGauge;
-      } else if (type_token == "histogram") {
-        type = MetricType::kHistogram;
-      } else {
-        return fail(line_number,
-                    "unknown metric type \"" + std::string(type_token) + "\"");
-      }
-      types.emplace_back(std::string(rest.substr(0, space)), type);
-      continue;
-    }
-    if (line[0] == '#') continue;  // other comments are legal, ignored
-
-    // Sample line: name[{labels}] value
-    usize pos = 0;
-    while (pos < line.size() && line[pos] != '{' && line[pos] != ' ') ++pos;
-    const std::string series_name(line.substr(0, pos));
-    Labels labels;
-    if (pos < line.size() && line[pos] == '{') {
-      std::string message;
-      if (!parse_label_block(line, &pos, &labels, &message)) {
-        return fail(line_number, message);
-      }
-    }
-    const std::string_view value_token = trim(line.substr(pos));
-    if (value_token.empty()) return fail(line_number, "missing sample value");
-    const std::string value_string(value_token);
-    char* end = nullptr;
-    const double value = std::strtod(value_string.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return fail(line_number, "bad sample value \"" + value_string + "\"");
-    }
-
-    // Resolve the family: a direct # TYPE match, or a histogram series
-    // suffix whose stripped family is a declared histogram.
-    const MetricType* type = type_of(series_name);
-    if (type != nullptr && *type != MetricType::kHistogram) {
-      Sample sample;
-      sample.name = series_name;
-      sample.type = *type;
-      sample.help = help_of(series_name);
-      sample.labels = std::move(labels);
-      sample.value = value;
-      out->push_back(std::move(sample));
-      continue;
-    }
-    std::string family;
-    std::string_view role;
-    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
-      if (ends_with(series_name, suffix)) {
-        const std::string candidate = series_name.substr(
-            0, series_name.size() - std::char_traits<char>::length(suffix));
-        const MetricType* candidate_type = type_of(candidate);
-        if (candidate_type != nullptr &&
-            *candidate_type == MetricType::kHistogram) {
-          family = candidate;
-          role = std::string_view(suffix).substr(1);
-          break;
-        }
-      }
-    }
-    if (family.empty()) {
-      return fail(line_number,
-                  "series " + series_name + " has no # TYPE declaration");
-    }
-
-    double le = 0.0;
-    if (role == "bucket") {
-      bool found = false;
-      for (usize l = 0; l < labels.size(); ++l) {
-        if (labels[l].first == "le") {
-          const std::string& le_value = labels[l].second;
-          le = le_value == "+Inf"
-                   ? std::numeric_limits<double>::infinity()
-                   : std::strtod(le_value.c_str(), nullptr);
-          labels.erase(labels.begin() + static_cast<std::ptrdiff_t>(l));
-          found = true;
-          break;
-        }
-      }
-      if (!found) return fail(line_number, "histogram bucket without le");
-    }
-    HistogramBuild* build = nullptr;
-    for (HistogramBuild& candidate : histogram_builds) {
-      if (candidate.sample.name == family &&
-          candidate.sample.labels == labels) {
-        build = &candidate;
-        break;
-      }
-    }
-    if (build == nullptr) {
-      histogram_builds.emplace_back();
-      build = &histogram_builds.back();
-      build->sample.name = family;
-      build->sample.type = MetricType::kHistogram;
-      build->sample.help = help_of(family);
-      build->sample.labels = labels;
-    }
-    if (role == "bucket") {
-      build->cumulative.emplace_back(
-          le, static_cast<u64>(std::llround(value < 0.0 ? 0.0 : value)));
-    } else if (role == "sum") {
-      build->sample.sum = value;
-    } else {
-      build->sample.count =
-          static_cast<u64>(std::llround(value < 0.0 ? 0.0 : value));
-    }
-  }
-
-  for (HistogramBuild& build : histogram_builds) {
-    if (build.cumulative.empty() ||
-        !std::isinf(build.cumulative.back().first)) {
-      if (error != nullptr) {
-        *error = "histogram " + build.sample.name + " lacks a +Inf bucket";
-      }
-      return false;
-    }
-    u64 previous = 0;
-    for (const auto& [bound, cumulative] : build.cumulative) {
-      if (cumulative < previous) {
-        if (error != nullptr) {
-          *error = "histogram " + build.sample.name +
-                   " has non-monotonic cumulative buckets";
-        }
-        return false;
-      }
-      if (!std::isinf(bound)) build.sample.bounds.push_back(bound);
-      build.sample.buckets.push_back(cumulative - previous);
-      previous = cumulative;
-    }
-    out->push_back(std::move(build.sample));
-  }
-  return true;
 }
 
 }  // namespace reese::metrics

@@ -26,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -142,26 +141,6 @@ class Registry {
   /// Consistent point-in-time view, sorted by (name, labels).
   std::vector<Sample> snapshot() const;
 
-  /// Federation merge (DESIGN.md §17): fold `samples` (typically another
-  /// registry's snapshot, or parse_prometheus of a scraped /v1/metrics
-  /// body) into this registry with `extra` labels appended to every
-  /// series. Semantics per type:
-  ///   * counters add their value to the target series (merging N workers
-  ///     with distinct `extra` labels keeps them separate; merging the
-  ///     same source twice sums — counter semantics);
-  ///   * gauges set the target (per-worker labels keep workers apart, a
-  ///     re-merge takes the latest value);
-  ///   * histograms require identical bounds and add per-bucket counts
-  ///     and the sum.
-  /// Label collision rule: when a sample already carries one of the
-  /// `extra` label names, the extra value wins (the federator owns the
-  /// worker identity) — the sample's own value is replaced in place, so
-  /// label order (part of series identity) is unchanged. Stops at the
-  /// first sample that cannot be merged (invalid name, type conflict,
-  /// histogram bounds mismatch) and returns false with a diagnostic.
-  bool merge_from(const std::vector<Sample>& samples, const Labels& extra,
-                  std::string* error = nullptr);
-
   /// Prometheus text exposition format (version 0.0.4): one # HELP/# TYPE
   /// header per family, then one line per label set (histograms expand to
   /// _bucket/_sum/_count series).
@@ -189,16 +168,5 @@ class Registry {
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;
 };
-
-/// Parse the subset of the Prometheus text exposition format that
-/// Registry::prometheus() emits back into samples — the inverse the fleet
-/// coordinator needs to federate scraped worker metrics (DESIGN.md §17).
-/// Histogram families (# TYPE ... histogram) are reassembled from their
-/// _bucket/_sum/_count series, with cumulative buckets converted back to
-/// the per-bucket counts Sample carries. A registry rebuilt via
-/// merge_from(parsed, {}) re-exports byte-identical text. False with a
-/// diagnostic on any line that does not fit the emitted grammar.
-bool parse_prometheus(std::string_view text, std::vector<Sample>* out,
-                      std::string* error);
 
 }  // namespace reese::metrics

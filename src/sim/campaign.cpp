@@ -850,7 +850,6 @@ std::vector<CampaignSpec> split_campaign_spec(const CampaignSpec& resolved,
     shard.cancel = nullptr;
     shard.progress = nullptr;
     shard.metrics = nullptr;
-    shard.shard_progress = nullptr;
     out.push_back(std::move(shard));
     begin += count;
   }

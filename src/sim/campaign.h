@@ -110,10 +110,6 @@ struct CampaignSpec {
   /// reese_injector_strikes_total{site=,outcome=} breakdown). Must outlive
   /// the run.
   metrics::Registry* metrics = nullptr;
-  /// Optional per-shard progress callback, honoured only by the fleet
-  /// coordinator (run_fleet_campaign); single-node run_campaign never
-  /// invokes it. See ShardProgressUpdate in sim/progress.h.
-  ShardProgressFn shard_progress;
   /// Checkpoint policy (DESIGN.md §14). Campaign cells persist at whole-
   /// cell granularity only: each finished cell writes its CampaignCell to
   /// a ".done" record in `dir`, and with `resume` those cells are skipped

@@ -1,12 +1,10 @@
 #include "sim/fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -20,9 +18,6 @@
 namespace reese::sim::fleet {
 
 namespace {
-
-constexpr int kFleetPid = 1;
-constexpr u32 kCoordinatorTid = 0;
 
 log::Logger& logger_of(const FleetConfig& config) {
   return config.logger != nullptr ? *config.logger : log::global();
@@ -47,112 +42,6 @@ std::string worker_name(const Worker& worker) {
   return format("%s:%u", worker.host.c_str(), worker.port);
 }
 
-/// Fleet-timeline emitter (DESIGN.md §17): the campaign's wall-clock
-/// story as Chrome trace_event JSON on one "reese-fleet" process —
-/// coordinator on tid 0, one track per worker, dispatch/run/merge X
-/// slices per shard attempt, a flow arrow from each dispatch to its
-/// merge, instants for probe failures, worker deaths and re-dispatches.
-/// Timestamps are microseconds of real time since construction (unlike
-/// ChromeTraceTracer's simulated-cycle clock). Thread-safe: coordinator
-/// worker threads emit concurrently.
-class FleetTracer {
- public:
-  FleetTracer(core::TraceSink* sink, u64 trace_id)
-      : sink_(sink),
-        trace_id_(trace_id),
-        epoch_(std::chrono::steady_clock::now()) {
-    emit(format("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                "\"tid\":0,\"args\":{\"name\":\"reese-fleet\"}}",
-                kFleetPid));
-    thread_name(kCoordinatorTid, "coordinator");
-  }
-  ~FleetTracer() { finish(); }
-
-  FleetTracer(const FleetTracer&) = delete;
-  FleetTracer& operator=(const FleetTracer&) = delete;
-
-  u64 trace_id() const { return trace_id_; }
-
-  void thread_name(u32 tid, const std::string& name) {
-    emit(format("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
-                "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",
-                kFleetPid, tid, json_escape(name).c_str()));
-  }
-
-  /// Microseconds of real time since the campaign started.
-  u64 now_us() const {
-    const auto elapsed = std::chrono::steady_clock::now() - epoch_;
-    return static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count());
-  }
-
-  void slice(u32 tid, const std::string& name, u64 begin_us, u64 end_us,
-             const std::string& args_json) {
-    const u64 duration = end_us >= begin_us ? end_us - begin_us : 0;
-    emit(format("{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%u,"
-                "\"ts\":%llu,\"dur\":%llu,\"args\":%s}",
-                json_escape(name).c_str(), kFleetPid, tid,
-                static_cast<unsigned long long>(begin_us),
-                static_cast<unsigned long long>(duration),
-                args_json.c_str()));
-  }
-
-  void instant(u32 tid, const char* name, u64 ts_us,
-               const std::string& args_json) {
-    emit(format("{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,"
-                "\"tid\":%u,\"ts\":%llu,\"args\":%s}",
-                name, kFleetPid, tid,
-                static_cast<unsigned long long>(ts_us), args_json.c_str()));
-  }
-
-  /// One dispatch→merge arrow. Start and finish are emitted together (the
-  /// start retroactively at the dispatch timestamp), so every flow in the
-  /// document balances even when a worker dies mid-shard — a dead attempt
-  /// simply has no arrow.
-  void flow(u32 tid, u64 start_us, u64 finish_us, u64 flow_id) {
-    emit(format("{\"name\":\"dispatch-to-merge\",\"cat\":\"fleet\","
-                "\"ph\":\"s\",\"pid\":%d,\"tid\":%u,\"ts\":%llu,"
-                "\"id\":%llu}",
-                kFleetPid, tid, static_cast<unsigned long long>(start_us),
-                static_cast<unsigned long long>(flow_id)));
-    emit(format("{\"name\":\"dispatch-to-merge\",\"cat\":\"fleet\","
-                "\"ph\":\"f\",\"bp\":\"e\",\"pid\":%d,\"tid\":%u,"
-                "\"ts\":%llu,\"id\":%llu}",
-                kFleetPid, tid,
-                static_cast<unsigned long long>(
-                    std::max(start_us, finish_us)),
-                static_cast<unsigned long long>(flow_id)));
-  }
-
-  void finish() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (finished_) return;
-    finished_ = true;
-    sink_->write("\n]}\n");
-  }
-
- private:
-  void emit(const std::string& event_json) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (finished_) return;
-    if (first_) {
-      sink_->write("{\"traceEvents\": [\n");
-      first_ = false;
-    } else {
-      sink_->write(",\n");
-    }
-    sink_->write(event_json);
-  }
-
-  core::TraceSink* sink_;
-  u64 trace_id_;
-  std::chrono::steady_clock::time_point epoch_;
-  std::mutex mutex_;
-  bool first_ = true;
-  bool finished_ = false;
-};
-
 /// Shared dispatch state: one shard queue, one merge target. Worker
 /// threads block on `cv` for pending shards (a dead worker's shard comes
 /// *back* onto the queue, so survivors must wake up for it).
@@ -170,16 +59,8 @@ struct Dispatch {
   u64 cells_total = 0;
   u64 committed = 0;
   CampaignMatrix merged;
-
-  // Observability plumbing (DESIGN.md §17). next_span and
-  // dispatch_counts are guarded by `mutex`; logger/tracer are themselves
-  // thread-safe.
-  log::Logger* logger = nullptr;
-  FleetTracer* tracer = nullptr;
-  u64 trace_id = 0;
-  u64 next_span = 1;
   std::vector<u32> dispatch_counts;  ///< attempts so far, per shard
-  std::vector<u64> shard_cell_totals;  ///< const after setup
+  log::Logger* logger = nullptr;     ///< thread-safe itself
 
   void fail(const std::string& message) {
     if (!fatal) {
@@ -192,44 +73,22 @@ struct Dispatch {
   }
 };
 
-/// Per-attempt identity: which shard, which try, which span. Minted under
-/// the dispatch mutex when a worker thread claims a shard.
+/// Which shard, which try. Minted under the dispatch mutex when a worker
+/// thread claims a shard.
 struct Attempt {
   usize shard_index = 0;
   u32 number = 0;  ///< 1-based dispatch count for this shard
-  u64 span = 0;
 };
-
-std::string trace_header_value(u64 trace_id, u64 span) {
-  http::TraceContext context;
-  context.trace_id = trace_id;
-  context.span_id = span;
-  return context.header_value();
-}
 
 /// Standard structured-log fields tying an event to a shard attempt.
 std::vector<log::Field> attempt_fields(const Worker& worker,
                                        const CampaignSpec& shard,
-                                       const Attempt& attempt,
-                                       u64 trace_id) {
+                                       const Attempt& attempt) {
   return {log::field("worker", worker_name(worker)),
           log::field("shard", static_cast<u64>(attempt.shard_index)),
           log::field("replica_begin", shard.replica_begin),
           log::field("replicas", shard.replicas),
-          log::field("attempt", attempt.number),
-          log::field("trace", trace_header_value(trace_id, attempt.span)),
-          log::field("span", attempt.span)};
-}
-
-/// args payload shared by the timeline slices of one shard attempt.
-std::string slice_args(const Worker& worker, const Attempt& attempt,
-                       u64 trace_id) {
-  return format("{\"shard\": %zu, \"span\": %llu, \"trace\": \"%s\", "
-                "\"worker\": \"%s\"}",
-                attempt.shard_index,
-                static_cast<unsigned long long>(attempt.span),
-                trace_header_value(trace_id, attempt.span).c_str(),
-                json_escape(worker_name(worker)).c_str());
+          log::field("attempt", attempt.number)};
 }
 
 enum class ShardOutcome {
@@ -240,61 +99,31 @@ enum class ShardOutcome {
   kCancelled,   ///< spec.cancel fired
 };
 
-ShardOutcome run_shard(http::Client* client, const Worker& worker, u32 tid,
+ShardOutcome run_shard(http::Client* client, const Worker& worker,
                        const FleetConfig& config,
                        const CampaignSpec& resolved,
                        const CampaignSpec& shard, const Attempt& attempt,
-                       Dispatch* dispatch,
-                       const std::function<bool()>& cancel) {
+                       Dispatch* dispatch) {
   const u64 jitter_seed =
       SplitMix64(resolved.seed ^ (static_cast<u64>(shard.replica_begin) + 1))
           .next();
-  http::RequestOptions request_options =
+  const http::RequestOptions request_options =
       wire_options(config, config.request_deadline_s, jitter_seed);
-  // Every request of this attempt carries the campaign trace id and the
-  // attempt's span id; the worker tags its job and log events with them.
-  request_options.headers.push_back(
-      {http::kTraceHeader,
-       trace_header_value(dispatch->trace_id, attempt.span)});
-
   const std::string shard_label =
       format("r[%u,%u)", shard.replica_begin,
              shard.replica_begin + shard.replicas);
-  const u64 shard_cells = dispatch->shard_cell_totals[attempt.shard_index];
-
-  // Per-shard rollup to CampaignSpec::shard_progress (the service folds
-  // these into GET /v1/jobs/<id>/progress).
-  const auto report = [&](const char* state, u64 cells_done, u64 committed,
-                          double kips) {
-    if (!resolved.shard_progress) return;
-    ShardProgressUpdate update;
-    update.shard_index = attempt.shard_index;
-    update.replica_begin = shard.replica_begin;
-    update.replicas = shard.replicas;
-    update.state = state;
-    update.worker = worker_name(worker);
-    update.cells_done = cells_done;
-    update.cells_total = shard_cells;
-    update.committed = committed;
-    update.kips = kips;
-    update.dispatches = attempt.number;
-    resolved.shard_progress(update);
-  };
 
   const auto fatal = [&](const std::string& message) {
     {
       std::lock_guard<std::mutex> lock(dispatch->mutex);
       dispatch->fail(message);
     }
-    dispatch->logger->error(
-        "campaign_failed", message,
-        attempt_fields(worker, shard, attempt, dispatch->trace_id));
+    dispatch->logger->error("campaign_failed", message,
+                            attempt_fields(worker, shard, attempt));
     return ShardOutcome::kFatal;
   };
 
   // Submit the shard.
-  FleetTracer* tracer = dispatch->tracer;
-  const u64 t_dispatch_begin = tracer != nullptr ? tracer->now_us() : 0;
   const std::string body =
       campaign_spec_json(shard, config.shard_timeout_s);
   http::Response response =
@@ -316,73 +145,48 @@ ShardOutcome run_shard(http::Client* client, const Worker& worker, u32 tid,
   const u64 job_id = id_value->uint_value;
   const std::string job_path = format("/v1/jobs/%llu",
                                       static_cast<unsigned long long>(job_id));
-  const u64 t_dispatch_end = tracer != nullptr ? tracer->now_us() : 0;
-  if (tracer != nullptr) {
-    tracer->slice(tid, "dispatch " + shard_label, t_dispatch_begin,
-                  t_dispatch_end,
-                  slice_args(worker, attempt, dispatch->trace_id));
-  }
   dispatch->logger->info(
       "shard_dispatch",
       format("shard %s dispatched to %s as job %llu", shard_label.c_str(),
              worker_name(worker).c_str(),
              static_cast<unsigned long long>(job_id)),
-      attempt_fields(worker, shard, attempt, dispatch->trace_id));
-  report("dispatched", 0, 0, 0.0);
+      attempt_fields(worker, shard, attempt));
 
-  // Poll the job's progress until it reaches a terminal state; each poll
-  // carries the live per-shard numbers up into the coordinator's rollup.
+  // Poll the job's status document until it reaches a terminal state.
   while (true) {
-    if (cancel && cancel()) {
+    if (resolved.cancel && resolved.cancel()) {
       std::lock_guard<std::mutex> lock(dispatch->mutex);
       dispatch->cancelled = true;
       return ShardOutcome::kCancelled;
     }
-    response =
-        client->request("GET", job_path + "/progress", "", request_options);
+    response = client->request("GET", job_path, "", request_options);
     if (response.status == 0) return ShardOutcome::kWorkerDead;
-    if (response.status == 404 || response.status == 410) {
+    if (response.status == 404) {
       // The worker restarted (fresh job table) or pruned the job: it is
       // alive, it just lost our work — resubmit the shard.
       return ShardOutcome::kRequeue;
     }
     if (response.status != 200) {
-      return fatal(format("worker %s: job %llu progress fetch failed: %d",
+      return fatal(format("worker %s: job %llu status fetch failed: %d",
                           worker_name(worker).c_str(),
                           static_cast<unsigned long long>(job_id),
                           response.status));
     }
-    Result<json::Value> progress = json::parse_json(response.body);
+    Result<json::Value> status = json::parse_json(response.body);
     const json::Value* state =
-        progress.ok() ? progress.value().find("state") : nullptr;
+        status.ok() ? status.value().find("state") : nullptr;
     if (state == nullptr || !state->is_string()) {
-      return fatal(format("worker %s returned an unparseable job progress",
+      return fatal(format("worker %s returned an unparseable job status",
                           worker_name(worker).c_str()));
     }
-    const auto number_field = [&](const char* key) -> double {
-      const json::Value* value = progress.value().find(key);
-      return value != nullptr && value->is_number() ? value->number : 0.0;
-    };
-    report("running", static_cast<u64>(number_field("cells_done")),
-           static_cast<u64>(number_field("committed")),
-           number_field("kips"));
     if (state->string == "done") break;
     if (state->string == "failed" || state->string == "timeout") {
       // Deterministic on re-dispatch too (same cells, same budget): abort
       // with the worker's diagnosis instead of looping the fleet on it.
-      // The error detail lives on the status document, not the progress
-      // rollup — fetch it for the diagnostic.
-      std::string detail;
-      const http::Response status_response =
-          client->request("GET", job_path, "", request_options);
-      if (status_response.status == 200) {
-        Result<json::Value> status = json::parse_json(status_response.body);
-        const json::Value* job_error =
-            status.ok() ? status.value().find("error") : nullptr;
-        if (job_error != nullptr && job_error->is_string()) {
-          detail = job_error->string;
-        }
-      }
+      const json::Value* job_error = status.value().find("error");
+      const std::string detail =
+          job_error != nullptr && job_error->is_string() ? job_error->string
+                                                         : "";
       return fatal(format("worker %s: shard %s ended in state %s%s%s",
                           worker_name(worker).c_str(), shard_label.c_str(),
                           state->string.c_str(), detail.empty() ? "" : ": ",
@@ -391,24 +195,13 @@ ShardOutcome run_shard(http::Client* client, const Worker& worker, u32 tid,
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         config.poll_interval_ms > 0.0 ? config.poll_interval_ms : 50.0));
   }
-  const u64 t_run_end = tracer != nullptr ? tracer->now_us() : 0;
-  if (tracer != nullptr) {
-    tracer->slice(tid, "run " + shard_label, t_dispatch_end, t_run_end,
-                  slice_args(worker, attempt, dispatch->trace_id));
-  }
 
   // Fetch the lossless per-cell matrix and merge it.
-  http::RequestOptions fetch_options =
-      wire_options(config, config.fetch_deadline_s, jitter_seed);
-  fetch_options.headers.push_back(
-      {http::kTraceHeader,
-       trace_header_value(dispatch->trace_id, attempt.span)});
-  response = client->request("GET", job_path + "/result?format=cells", "",
-                             fetch_options);
+  response = client->request(
+      "GET", job_path + "/result?format=cells", "",
+      wire_options(config, config.fetch_deadline_s, jitter_seed));
   if (response.status == 0) return ShardOutcome::kWorkerDead;
-  if (response.status == 404 || response.status == 410) {
-    return ShardOutcome::kRequeue;
-  }
+  if (response.status == 404) return ShardOutcome::kRequeue;
   if (response.status != 200) {
     return fatal(format("worker %s: shard result fetch failed: %d",
                         worker_name(worker).c_str(), response.status));
@@ -441,28 +234,17 @@ ShardOutcome run_shard(http::Client* client, const Worker& worker, u32 tid,
     dispatch->cells_done += shard_cells_merged;
     dispatch->committed += shard_committed;
   }
-  const u64 t_merge_end = tracer != nullptr ? tracer->now_us() : 0;
-  if (tracer != nullptr) {
-    tracer->slice(tid, "merge " + shard_label, t_run_end, t_merge_end,
-                  slice_args(worker, attempt, dispatch->trace_id));
-    tracer->flow(tid, t_dispatch_end, t_run_end, attempt.span);
-  }
-  {
-    std::vector<log::Field> fields =
-        attempt_fields(worker, shard, attempt, dispatch->trace_id);
-    fields.push_back(log::field("cells", shard_cells_merged));
-    fields.push_back(log::field("committed", shard_committed));
-    dispatch->logger->info(
-        "shard_merged",
-        format("shard %s merged from %s", shard_label.c_str(),
-               worker_name(worker).c_str()),
-        fields);
-  }
-  report("merged", shard_cells_merged, shard_committed, 0.0);
+  std::vector<log::Field> fields = attempt_fields(worker, shard, attempt);
+  fields.push_back(log::field("cells", shard_cells_merged));
+  fields.push_back(log::field("committed", shard_committed));
+  dispatch->logger->info("shard_merged",
+                         format("shard %s merged from %s", shard_label.c_str(),
+                                worker_name(worker).c_str()),
+                         fields);
   return ShardOutcome::kDone;
 }
 
-void worker_loop(const FleetConfig& config, const Worker& worker, u32 tid,
+void worker_loop(const FleetConfig& config, const Worker& worker,
                  const CampaignSpec& resolved,
                  const std::vector<CampaignSpec>& shards,
                  Dispatch* dispatch) {
@@ -480,13 +262,11 @@ void worker_loop(const FleetConfig& config, const Worker& worker, u32 tid,
       attempt.shard_index = dispatch->pending.front();
       dispatch->pending.pop_front();
       attempt.number = ++dispatch->dispatch_counts[attempt.shard_index];
-      attempt.span = dispatch->next_span++;
     }
     const CampaignSpec& shard = shards[attempt.shard_index];
 
-    const ShardOutcome outcome =
-        run_shard(&client, worker, tid, config, resolved, shard, attempt,
-                  dispatch, resolved.cancel);
+    const ShardOutcome outcome = run_shard(&client, worker, config, resolved,
+                                           shard, attempt, dispatch);
     switch (outcome) {
       case ShardOutcome::kDone: {
         u64 done = 0;
@@ -511,24 +291,7 @@ void worker_loop(const FleetConfig& config, const Worker& worker, u32 tid,
             "shard_redispatch",
             format("worker %s lost job for shard %zu; re-dispatching",
                    worker_name(worker).c_str(), attempt.shard_index),
-            attempt_fields(worker, shard, attempt, dispatch->trace_id));
-        if (dispatch->tracer != nullptr) {
-          dispatch->tracer->instant(
-              kCoordinatorTid, "re-dispatch", dispatch->tracer->now_us(),
-              slice_args(worker, attempt, dispatch->trace_id));
-        }
-        if (resolved.shard_progress) {
-          ShardProgressUpdate update;
-          update.shard_index = attempt.shard_index;
-          update.replica_begin = shard.replica_begin;
-          update.replicas = shard.replicas;
-          update.state = "re-dispatched";
-          update.worker = worker_name(worker);
-          update.cells_total =
-              dispatch->shard_cell_totals[attempt.shard_index];
-          update.dispatches = attempt.number;
-          resolved.shard_progress(update);
-        }
+            attempt_fields(worker, shard, attempt));
         dispatch->cv.notify_all();
         break;
       }
@@ -547,28 +310,7 @@ void worker_loop(const FleetConfig& config, const Worker& worker, u32 tid,
             "worker_dead",
             format("worker %s unreachable; re-dispatching shard %zu",
                    worker_name(worker).c_str(), attempt.shard_index),
-            attempt_fields(worker, shard, attempt, dispatch->trace_id));
-        if (dispatch->tracer != nullptr) {
-          const u64 now = dispatch->tracer->now_us();
-          dispatch->tracer->instant(
-              tid, "worker-dead", now,
-              slice_args(worker, attempt, dispatch->trace_id));
-          dispatch->tracer->instant(
-              kCoordinatorTid, "re-dispatch", now,
-              slice_args(worker, attempt, dispatch->trace_id));
-        }
-        if (resolved.shard_progress) {
-          ShardProgressUpdate update;
-          update.shard_index = attempt.shard_index;
-          update.replica_begin = shard.replica_begin;
-          update.replicas = shard.replicas;
-          update.state = "re-dispatched";
-          update.worker = worker_name(worker);
-          update.cells_total =
-              dispatch->shard_cell_totals[attempt.shard_index];
-          update.dispatches = attempt.number;
-          resolved.shard_progress(update);
-        }
+            attempt_fields(worker, shard, attempt));
         dispatch->cv.notify_all();
         return;
       }
@@ -578,18 +320,6 @@ void worker_loop(const FleetConfig& config, const Worker& worker, u32 tid,
         return;
     }
   }
-}
-
-/// Nonzero campaign trace id: the configured one, or minted from the
-/// campaign seed and a process-wide counter so two campaigns in one
-/// coordinator process never collide.
-u64 mint_trace_id(const FleetConfig& config, u64 seed) {
-  if (config.trace_id != 0) return config.trace_id;
-  static std::atomic<u64> campaign_counter{0};
-  const u64 nonce =
-      campaign_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  u64 trace_id = SplitMix64(seed ^ (nonce * 0x9E3779B97F4A7C15ull)).next();
-  return trace_id != 0 ? trace_id : 1;
 }
 
 }  // namespace
@@ -692,44 +422,6 @@ bool probe_worker(const Worker& worker, const FleetConfig& config,
   return false;
 }
 
-bool collect_fleet_metrics(const FleetConfig& config, metrics::Registry* out,
-                           std::string* error) {
-  for (const Worker& worker : config.workers) {
-    const std::string name = worker_name(worker);
-    metrics::Gauge* up = out->gauge(
-        "reese_fleet_worker_up", {{"worker", name}},
-        "1 when the worker answered the last federation scrape");
-    http::RequestOptions options;
-    options.deadline_s = config.request_deadline_s;
-    if (!config.auth_token.empty()) {
-      options.headers.push_back(
-          {"Authorization", "Bearer " + config.auth_token});
-    }
-    const http::Response response = http::request(
-        worker.host, worker.port, "GET", "/v1/metrics", "", options);
-    if (response.status != 200) {
-      if (up != nullptr) up->set(0.0);
-      continue;
-    }
-    if (up != nullptr) up->set(1.0);
-    std::vector<metrics::Sample> samples;
-    std::string detail;
-    if (!metrics::parse_prometheus(response.body, &samples, &detail)) {
-      if (error != nullptr) {
-        *error = format("worker %s: %s", name.c_str(), detail.c_str());
-      }
-      return false;
-    }
-    if (!out->merge_from(samples, {{"worker", name}}, &detail)) {
-      if (error != nullptr) {
-        *error = format("worker %s: %s", name.c_str(), detail.c_str());
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string campaign_spec_json(const CampaignSpec& shard, double timeout_s) {
   // Every field is the *resolved* value: a worker must not re-resolve
   // defaults (and must never see quick=true, which would clamp the shard
@@ -785,27 +477,6 @@ bool run_fleet_campaign(const FleetConfig& config, const CampaignSpec& spec,
     }
   }
 
-  // Fleet timeline (DESIGN.md §17): an injected sink wins, else the
-  // --fleet-trace-out path. A path that cannot be opened degrades to "no
-  // timeline" with a logged error — tracing is observability, not
-  // campaign correctness.
-  const u64 trace_id = mint_trace_id(config, resolved.seed);
-  std::unique_ptr<core::FileTraceSink> file_sink;
-  core::TraceSink* sink = config.trace_sink;
-  if (sink == nullptr && !config.trace_path.empty()) {
-    file_sink = std::make_unique<core::FileTraceSink>(config.trace_path);
-    if (file_sink->ok()) {
-      sink = file_sink.get();
-    } else {
-      logger.error("trace_open_failed",
-                   "cannot open fleet trace file " + config.trace_path,
-                   {log::field("path", config.trace_path)});
-      file_sink.reset();
-    }
-  }
-  std::unique_ptr<FleetTracer> tracer;
-  if (sink != nullptr) tracer = std::make_unique<FleetTracer>(sink, trace_id);
-
   std::vector<Worker> alive;
   for (const Worker& worker : config.workers) {
     int attempts = 0;
@@ -816,23 +487,10 @@ bool run_fleet_campaign(const FleetConfig& config, const CampaignSpec& spec,
                   format("worker %s failed its health probe after %d attempts",
                          worker_name(worker).c_str(), attempts),
                   {log::field("worker", worker_name(worker)),
-                   log::field("attempts", attempts),
-                   log::field("trace", trace_header_value(trace_id, 0))});
-      if (tracer != nullptr) {
-        tracer->instant(kCoordinatorTid, "probe-failure", tracer->now_us(),
-                        format("{\"worker\": \"%s\", \"attempts\": %d}",
-                               json_escape(worker_name(worker)).c_str(),
-                               attempts));
-      }
+                   log::field("attempts", attempts)});
     }
   }
   if (alive.empty()) return fail("no reachable workers");
-  if (tracer != nullptr) {
-    for (usize w = 0; w < alive.size(); ++w) {
-      tracer->thread_name(static_cast<u32>(w) + 1,
-                          "worker " + worker_name(alive[w]));
-    }
-  }
 
   const usize shard_target =
       std::min<usize>(resolved.replicas,
@@ -847,16 +505,8 @@ bool run_fleet_campaign(const FleetConfig& config, const CampaignSpec& spec,
   dispatch.cells_total = static_cast<u64>(resolved.variants.size()) *
                          resolved.workloads.size() * resolved.replicas;
   dispatch.merged = make_campaign_matrix(resolved);
-  dispatch.logger = &logger;
-  dispatch.tracer = tracer.get();
-  dispatch.trace_id = trace_id;
   dispatch.dispatch_counts.assign(shards.size(), 0);
-  const u64 cells_per_replica = static_cast<u64>(resolved.variants.size()) *
-                                resolved.workloads.size();
-  dispatch.shard_cell_totals.reserve(shards.size());
-  for (const CampaignSpec& shard : shards) {
-    dispatch.shard_cell_totals.push_back(cells_per_replica * shard.replicas);
-  }
+  dispatch.logger = &logger;
 
   logger.info(
       "campaign_start",
@@ -865,29 +515,15 @@ bool run_fleet_campaign(const FleetConfig& config, const CampaignSpec& spec,
       {log::field("workers", static_cast<u64>(alive.size())),
        log::field("shards", static_cast<u64>(shards.size())),
        log::field("replicas", resolved.replicas),
-       log::field("cells", dispatch.cells_total),
-       log::field("trace", trace_header_value(trace_id, 0))});
-  if (resolved.shard_progress) {
-    for (usize s = 0; s < shards.size(); ++s) {
-      ShardProgressUpdate update;
-      update.shard_index = s;
-      update.replica_begin = shards[s].replica_begin;
-      update.replicas = shards[s].replicas;
-      update.state = "queued";
-      update.cells_total = dispatch.shard_cell_totals[s];
-      resolved.shard_progress(update);
-    }
-  }
+       log::field("cells", dispatch.cells_total)});
 
   std::vector<std::thread> threads;
   threads.reserve(alive.size());
-  for (usize w = 0; w < alive.size(); ++w) {
-    threads.emplace_back(worker_loop, std::cref(config), std::cref(alive[w]),
-                         static_cast<u32>(w) + 1, std::cref(resolved),
-                         std::cref(shards), &dispatch);
+  for (const Worker& worker : alive) {
+    threads.emplace_back(worker_loop, std::cref(config), std::cref(worker),
+                         std::cref(resolved), std::cref(shards), &dispatch);
   }
   for (std::thread& thread : threads) thread.join();
-  if (tracer != nullptr) tracer->finish();
 
   if (dispatch.fatal) {
     if (error != nullptr) *error = dispatch.error;
@@ -902,8 +538,7 @@ bool run_fleet_campaign(const FleetConfig& config, const CampaignSpec& spec,
                      static_cast<unsigned long long>(dispatch.cells_done)),
               {log::field("cells", dispatch.cells_done),
                log::field("committed", dispatch.committed),
-               log::field("cancelled", dispatch.cancelled),
-               log::field("trace", trace_header_value(trace_id, 0))});
+               log::field("cancelled", dispatch.cancelled)});
   return true;
 }
 

@@ -29,21 +29,15 @@
 // campaign seed and global cell coordinates), so worker death changes
 // wall-clock time, never results.
 //
-// Observability (DESIGN.md §17): the coordinator mints one trace id per
-// campaign and a fresh span id per shard dispatch; every worker request
-// carries them on X-Reese-Trace, lifecycle events go to the structured
-// log (common/log.h), per-shard state flows up through
-// CampaignSpec::shard_progress, and an optional Chrome-trace sink gets a
-// fleet timeline (one track per worker, dispatch/run/merge slices, flow
-// arrows dispatch→merge, instants for probe failures, worker deaths and
-// re-dispatches).
+// Observability (DESIGN.md §17): lifecycle events (dispatch, merge,
+// re-dispatch, worker death, probe failures) go to the structured log
+// (common/log.h).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/log.h"
-#include "core/chrome_trace.h"
 #include "sim/campaign.h"
 
 namespace reese::sim::fleet {
@@ -84,15 +78,6 @@ struct FleetConfig {
   double poll_interval_ms = 50.0;   ///< job-state poll cadence
   /// Structured event log target; nullptr = log::global().
   log::Logger* logger = nullptr;
-  /// Fleet-timeline Chrome trace: a sink takes precedence over a path
-  /// (tests inject a StringTraceSink); a non-empty path opens a
-  /// FileTraceSink for the campaign (--fleet-trace-out). Both empty =
-  /// no timeline.
-  core::TraceSink* trace_sink = nullptr;
-  std::string trace_path;
-  /// Campaign trace id; 0 = minted from the campaign seed and a
-  /// process-wide campaign counter (always nonzero).
-  u64 trace_id = 0;
 };
 
 /// True when the worker answers /v1/healthz. Probes the worker up to
@@ -104,16 +89,6 @@ struct FleetConfig {
 /// attempts were made.
 bool probe_worker(const Worker& worker, const FleetConfig& config,
                   int* attempts = nullptr);
-
-/// Metrics federation (DESIGN.md §17): scrape every configured worker's
-/// /v1/metrics, parse_prometheus the body and merge_from it into `out`
-/// with a {worker="host:port"} label, plus a reese_fleet_worker_up gauge
-/// per worker (1 = answered this scrape). An unreachable worker is
-/// reported down, not an error; false only when a reachable worker's
-/// body cannot be parsed or merged. Deterministic: the merged registry's
-/// prometheus() text is byte-identical across scrape orders.
-bool collect_fleet_metrics(const FleetConfig& config, metrics::Registry* out,
-                           std::string* error);
 
 /// The JSON body POSTed to a worker for one shard (exposed for tests:
 /// the wire spec must carry resolved values and the shard's

@@ -6,17 +6,14 @@
 #include "common/diag.h"
 #include "common/json.h"
 #include "common/strutil.h"
+#include "sim/simulator.h"
 #include "workloads/workload.h"
 
 namespace reese::sim {
 
 namespace {
 
-/// Pruned-id memory bound (see SimulationService::pruned_ids_).
-constexpr usize kMaxPrunedIds = 4096;
-
-/// The bearer token on a request, or "" when absent/malformed. Doubles as
-/// the tenant identity for quota accounting.
+/// The bearer token on a request, or "" when absent/malformed.
 std::string request_token(const http::Request& request) {
   const auto it = request.headers.find("authorization");
   if (it == request.headers.end()) return "";
@@ -218,7 +215,6 @@ ServiceStats SimulationService::stats() const {
   stats.timeouts = timeouts_;
   stats.failed = failed_;
   stats.rejected_queue_full = rejected_queue_full_;
-  stats.rejected_quota = rejected_quota_;
   stats.total_committed = total_committed_;
   stats.total_wall_seconds = total_wall_seconds_;
   return stats;
@@ -249,10 +245,6 @@ http::Response SimulationService::handle(const http::Request& request) {
   if (path == "/v1/metrics") {
     if (request.method != "GET") return error_response(405, "use GET");
     return metrics_response();
-  }
-  if (path == "/v1/fleet/metrics") {
-    if (request.method != "GET") return error_response(405, "use GET");
-    return fleet_metrics_response();
   }
   if (path == "/v1/experiments" || path == "/v1/campaigns") {
     if (request.method != "POST") return error_response(405, "use POST");
@@ -285,9 +277,6 @@ std::string SimulationService::job_status_json(const Job& job) {
                 job.is_campaign ? "campaign" : "experiment");
   out += format("  \"state\": \"%s\",\n", job_state_name(job.state));
   out += format("  \"timeout_s\": %g,\n", job.timeout_s);
-  if (job.trace.valid()) {
-    out += format("  \"trace\": \"%s\",\n", job.trace.header_value().c_str());
-  }
   if (job.state == JobState::kFailed) {
     out += format("  \"error\": \"%s\",\n", json_escape(job.error).c_str());
   }
@@ -352,7 +341,9 @@ http::Response SimulationService::submit(const http::Request& request,
     if (!parse_u64_field(body, "replica_begin", &replica_begin, &error)) {
       return error_response(400, error);
     }
-    if (replica_begin + replicas > 1'000'000'000) {
+    // Subtract, not add: replica_begin is an exact u64 from the parser, so
+    // replica_begin + replicas can wrap past the bound near 2^64.
+    if (replica_begin > 1'000'000'000 - replicas) {
       return error_response(
           400, "\"replica_begin\" + \"replicas\" must not exceed 1000000000");
     }
@@ -375,15 +366,12 @@ http::Response SimulationService::submit(const http::Request& request,
         spec.variants.push_back(std::move(variant));
       }
     }
-    const usize variant_count =
-        spec.variants.empty() ? standard_campaign_variants().size()
-                              : spec.variants.size();
-    const usize workload_count =
-        spec.workloads.empty() ? workloads::spec_like_names().size()
-                               : spec.workloads.size();
-    cells = variant_count * workload_count *
-            (spec.quick ? 1 : spec.replicas);
-    instructions = spec.instructions;
+    // The caps apply to what run_campaign will run: an omitted
+    // "instructions" or "variants" resolves to the campaign defaults.
+    const CampaignSpec resolved = resolve_campaign_defaults(spec);
+    cells = static_cast<u64>(resolved.variants.size()) *
+            resolved.workloads.size() * resolved.replicas;
+    instructions = resolved.instructions;
     workload_names = spec.workloads;
     job.campaign_spec = std::move(spec);
   } else {
@@ -436,7 +424,9 @@ http::Response SimulationService::submit(const http::Request& request,
         spec.workloads.empty() ? workloads::spec_like_names().size()
                                : spec.workloads.size();
     cells = workload_count * model_count * (1 + spec.extra_seeds.size());
-    instructions = spec.instructions;
+    // run_experiment runs an omitted "instructions" at the default budget.
+    instructions = spec.instructions != 0 ? spec.instructions
+                                          : default_instruction_budget();
     workload_names = spec.workloads;
     job.experiment_spec = std::move(spec);
   }
@@ -458,32 +448,9 @@ http::Response SimulationService::submit(const http::Request& request,
                     static_cast<unsigned long long>(config_.max_cells)));
   }
 
-  job.tenant = request_token(request);
-  // A coordinator dispatching this job tags it with its campaign trace and
-  // the shard attempt's span (X-Reese-Trace); the pair rides along on
-  // status/progress JSON and every lifecycle log event.
-  job.trace = http::trace_context_of(request);
-
   u64 id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (config_.tenant_max_active > 0) {
-      u32 active = 0;
-      for (const auto& [jid, entry] : jobs_) {
-        (void)jid;
-        if (entry.tenant == job.tenant &&
-            (entry.state == JobState::kQueued ||
-             entry.state == JobState::kRunning)) {
-          ++active;
-        }
-      }
-      if (active >= config_.tenant_max_active) {
-        ++rejected_quota_;
-        return error_response(
-            429, format("tenant quota exceeded (%u active jobs; cap %u)",
-                        active, config_.tenant_max_active));
-      }
-    }
     id = next_id_++;
     job.id = id;
     job.submitted_at = std::chrono::steady_clock::now();
@@ -493,8 +460,7 @@ http::Response SimulationService::submit(const http::Request& request,
     // window (ids are monotonic, so map order is submission order) —
     // preferring jobs whose result a client already fetched. A
     // never-fetched result is evicted only when fetched ones cannot cover
-    // the excess; its id is remembered so a later fetch gets 410 Gone
-    // instead of the 404 an id never issued gets.
+    // the excess.
     usize finished = 0;
     for (const auto& [jid, entry] : jobs_) {
       (void)jid;
@@ -510,10 +476,6 @@ http::Response SimulationService::submit(const http::Request& request,
         const bool is_finished = entry.state != JobState::kQueued &&
                                  entry.state != JobState::kRunning;
         if (is_finished && (entry.fetched || !fetched_only)) {
-          if (pruned_ids_.size() >= kMaxPrunedIds) {
-            pruned_ids_.erase(pruned_ids_.begin());
-          }
-          pruned_ids_.insert(it->first);
           it = jobs_.erase(it);
           --finished;
         } else {
@@ -535,19 +497,10 @@ http::Response SimulationService::submit(const http::Request& request,
                                  queue_.capacity()));
   }
 
-  {
-    std::vector<log::Field> fields = {
-        log::field("id", id),
-        log::field("kind", is_campaign ? "campaign" : "experiment")};
-    const http::TraceContext trace = http::trace_context_of(request);
-    if (trace.valid()) {
-      fields.push_back(log::field("trace", trace.header_value()));
-    }
-    logger_->info("job_submitted",
-                  format("job %llu accepted",
-                         static_cast<unsigned long long>(id)),
-                  fields);
-  }
+  logger_->info("job_submitted",
+                format("job %llu accepted", static_cast<unsigned long long>(id)),
+                {log::field("id", id),
+                 log::field("kind", is_campaign ? "campaign" : "experiment")});
 
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
@@ -561,14 +514,14 @@ http::Response SimulationService::submit(const http::Request& request,
 http::Response SimulationService::job_status(u64 id) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return missing_job(id);
+  if (it == jobs_.end()) return error_response(404, "no such job");
   return json_response(200, job_status_json(it->second));
 }
 
 http::Response SimulationService::job_progress(u64 id) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return missing_job(id);
+  if (it == jobs_.end()) return error_response(404, "no such job");
   const Job& job = it->second;
 
   // Elapsed wall time: frozen at the recorded duration once the job
@@ -583,75 +536,31 @@ http::Response SimulationService::job_progress(u64 id) {
   }
   // Committed count: the live max-merged progress number until the final
   // tally lands (the final tally includes cells the callback never saw,
-  // e.g. when the run was cancelled mid-cell). Coordinator jobs add the
-  // per-shard rollup — each entry is itself max-merged, so the sums are
-  // monotonic even across re-dispatch.
-  u64 shard_cells_done = 0;
-  u64 shard_cells_total = 0;
-  u64 shard_committed = 0;
-  for (const ShardProgressUpdate& shard : job.shards) {
-    shard_cells_done += shard.cells_done;
-    shard_cells_total += shard.cells_total;
-    shard_committed += shard.committed;
-  }
-  const u64 cells_done = std::max(job.cells_done, shard_cells_done);
-  const u64 cells_total = std::max(job.cells_total, shard_cells_total);
-  const u64 committed = std::max(
-      std::max(job.progress_committed, job.committed), shard_committed);
+  // e.g. when the run was cancelled mid-cell).
+  const u64 committed = std::max(job.progress_committed, job.committed);
   const double kips =
       elapsed_s > 0.0 ? committed / elapsed_s / 1000.0 : 0.0;
 
   std::string out = "{\n";
   out += format("  \"id\": %llu,\n", static_cast<unsigned long long>(job.id));
   out += format("  \"state\": \"%s\",\n", job_state_name(job.state));
-  if (job.trace.valid()) {
-    out += format("  \"trace\": \"%s\",\n", job.trace.header_value().c_str());
-  }
   out += format("  \"cells_done\": %llu,\n",
-                static_cast<unsigned long long>(cells_done));
+                static_cast<unsigned long long>(job.cells_done));
   out += format("  \"cells_total\": %llu,\n",
-                static_cast<unsigned long long>(cells_total));
+                static_cast<unsigned long long>(job.cells_total));
   out += format("  \"committed\": %llu,\n",
                 static_cast<unsigned long long>(committed));
-  if (!job.shards.empty()) {
-    out += "  \"shards\": [\n";
-    for (usize s = 0; s < job.shards.size(); ++s) {
-      const ShardProgressUpdate& shard = job.shards[s];
-      out += format(
-          "    {\"shard\": %zu, \"replica_begin\": %u, \"replicas\": %u, "
-          "\"state\": \"%s\", \"worker\": \"%s\", \"cells_done\": %llu, "
-          "\"cells_total\": %llu, \"committed\": %llu, \"kips\": %.3f, "
-          "\"dispatches\": %u}%s\n",
-          s, shard.replica_begin, shard.replicas, shard.state,
-          json_escape(shard.worker).c_str(),
-          static_cast<unsigned long long>(shard.cells_done),
-          static_cast<unsigned long long>(shard.cells_total),
-          static_cast<unsigned long long>(shard.committed), shard.kips,
-          shard.dispatches, s + 1 < job.shards.size() ? "," : "");
-    }
-    out += "  ],\n";
-  }
   out += format("  \"elapsed_s\": %.6f,\n", elapsed_s);
   out += format("  \"kips\": %.3f\n", kips);
   out += "}\n";
   return json_response(200, out);
 }
 
-http::Response SimulationService::missing_job(u64 id) {
-  // Caller holds mutex_. A pruned id gets a distinct 410 so a client can
-  // tell "your result existed but aged out" from "you never submitted
-  // this" — re-submission is the right reaction to the former only.
-  return pruned_ids_.count(id) != 0
-             ? error_response(410,
-                              "job result pruned by the retention window")
-             : error_response(404, "no such job");
-}
-
 http::Response SimulationService::job_result(u64 id,
                                              const http::Request& request) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return missing_job(id);
+  if (it == jobs_.end()) return error_response(404, "no such job");
   Job& job = it->second;
   switch (job.state) {
     case JobState::kQueued:
@@ -718,8 +627,6 @@ http::Response SimulationService::stats_response() {
                 static_cast<unsigned long long>(stats.failed));
   out += format("  \"rejected_queue_full\": %llu,\n",
                 static_cast<unsigned long long>(stats.rejected_queue_full));
-  out += format("  \"rejected_quota\": %llu,\n",
-                static_cast<unsigned long long>(stats.rejected_quota));
   out += format("  \"total_committed_instructions\": %llu,\n",
                 static_cast<unsigned long long>(stats.total_committed));
   out += format("  \"total_wall_seconds\": %.6f,\n",
@@ -753,8 +660,6 @@ void export_service_stats(metrics::Registry* registry,
               "Jobs finished in state failed");
   set_counter("reese_service_rejected_queue_full_total",
               stats.rejected_queue_full, "Submits refused with 429");
-  set_counter("reese_service_rejected_quota_total", stats.rejected_quota,
-              "Submits refused by the per-tenant active-job cap");
   set_counter("reese_service_committed_instructions_total",
               stats.total_committed,
               "Instructions committed across finished jobs");
@@ -777,27 +682,9 @@ http::Response SimulationService::metrics_response() {
                         registry_.prometheus()};
 }
 
-http::Response SimulationService::fleet_metrics_response() {
-  // Federation (DESIGN.md §17): a fresh registry per scrape, filled by the
-  // coordinator's collector — merged worker series never pollute this
-  // daemon's own registry_, and a worker joining/leaving between scrapes
-  // is reflected immediately.
-  if (!config_.fleet_collector) {
-    return error_response(404, "not a fleet coordinator");
-  }
-  metrics::Registry federated;
-  std::string error;
-  if (!config_.fleet_collector(&federated, &error)) {
-    return error_response(502, "federation scrape failed: " + error);
-  }
-  return http::Response{200, "text/plain; version=0.0.4",
-                        federated.prometheus()};
-}
-
 void SimulationService::run_job(u64 id) {
   bool is_campaign = false;
   double timeout_s = 0.0;
-  http::TraceContext trace;
   ExperimentSpec experiment_spec;
   CampaignSpec campaign_spec;
   {
@@ -809,7 +696,6 @@ void SimulationService::run_job(u64 id) {
     job.started_at = std::chrono::steady_clock::now();
     is_campaign = job.is_campaign;
     timeout_s = job.timeout_s;
-    trace = job.trace;
     if (is_campaign) {
       campaign_spec = *job.campaign_spec;
     } else {
@@ -821,9 +707,6 @@ void SimulationService::run_job(u64 id) {
     std::vector<log::Field> fields = {
         log::field("id", id),
         log::field("kind", is_campaign ? "campaign" : "experiment")};
-    if (trace.valid()) {
-      fields.push_back(log::field("trace", trace.header_value()));
-    }
     for (log::Field& field : extra) fields.push_back(std::move(field));
     return fields;
   };
@@ -863,31 +746,6 @@ void SimulationService::run_job(u64 id) {
     campaign_spec.cancel = expired;
     campaign_spec.progress = progress;
     campaign_spec.metrics = &registry_;
-    // Per-shard rollup (fleet coordinator only; run_campaign ignores the
-    // hook and split_campaign_spec strips it from wire shards). Max-merge
-    // keeps each shard's numbers monotonic across re-dispatch: a fresh
-    // attempt restarting at zero cells must not drag the rollup backwards.
-    campaign_spec.shard_progress =
-        [this, id](const ShardProgressUpdate& update) {
-          std::lock_guard<std::mutex> lock(mutex_);
-          const auto it = jobs_.find(id);
-          if (it == jobs_.end()) return;
-          Job& job = it->second;
-          if (job.shards.size() <= update.shard_index) {
-            job.shards.resize(update.shard_index + 1);
-          }
-          ShardProgressUpdate& entry = job.shards[update.shard_index];
-          entry.shard_index = update.shard_index;
-          entry.replica_begin = update.replica_begin;
-          entry.replicas = update.replicas;
-          if (update.cells_total != 0) entry.cells_total = update.cells_total;
-          entry.cells_done = std::max(entry.cells_done, update.cells_done);
-          entry.committed = std::max(entry.committed, update.committed);
-          entry.dispatches = std::max(entry.dispatches, update.dispatches);
-          entry.state = update.state;
-          if (!update.worker.empty()) entry.worker = update.worker;
-          if (update.kips > 0.0) entry.kips = update.kips;
-        };
     if (config_.campaign_runner) {
       // Coordinator mode: the fleet dispatcher executes the campaign on
       // worker daemons (sim/fleet.h) under the same cancel/progress hooks.

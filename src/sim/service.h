@@ -38,7 +38,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -71,28 +70,18 @@ struct ServiceConfig {
   double default_timeout_s = 300.0;
   double max_timeout_s = 3600.0;
   /// Bearer tokens accepted on every endpoint except /v1/healthz. Empty =
-  /// open service (no Authorization header required). Each token doubles
-  /// as a tenant identity for the quota below.
+  /// open service (no Authorization header required).
   std::vector<std::string> auth_tokens;
-  /// Queued+running jobs one tenant (= one token; one anonymous tenant
-  /// when auth is off) may hold; a submit beyond it is a 429 so one tenant
-  /// fanning a million-replica spec cannot starve the fleet. 0 = no cap.
-  u32 tenant_max_active = 0;
   /// Retained finished jobs; beyond this the oldest finished jobs are
-  /// pruned at submit time, preferring jobs whose result was fetched.
+  /// pruned at submit time, preferring jobs whose result was fetched. A
+  /// pruned id answers 404 like any unknown id.
   usize max_retained_jobs = 256;
   /// Campaign executor override: the fleet coordinator (sim/fleet.h) plugs
   /// in here so campaign jobs dispatch to workers instead of running
-  /// locally. Must honor the spec's cancel/progress/shard_progress hooks;
-  /// returns false with a diagnostic to fail the job. Experiments always
-  /// run locally.
+  /// locally. Must honor the spec's cancel/progress hooks; returns false
+  /// with a diagnostic to fail the job. Experiments always run locally.
   std::function<bool(const CampaignSpec&, CampaignResult*, std::string*)>
       campaign_runner;
-  /// Metrics federation source behind GET /v1/fleet/metrics (DESIGN.md
-  /// §17): fills a fresh registry with every worker's merged series. The
-  /// coordinator plugs collect_fleet_metrics in here; without it the
-  /// endpoint answers 404. Returns false with a diagnostic → 502.
-  std::function<bool(metrics::Registry*, std::string*)> fleet_collector;
   /// Structured event log for job lifecycle events; nullptr =
   /// log::global(). The service attaches its metrics registry to the
   /// logger for the reese_fleet_events_total counter.
@@ -112,7 +101,6 @@ struct ServiceStats {
   u64 timeouts = 0;
   u64 failed = 0;
   u64 rejected_queue_full = 0;
-  u64 rejected_quota = 0;      ///< submits refused by the per-tenant cap
   u64 total_committed = 0;     ///< instructions across finished jobs
   double total_wall_seconds = 0.0;  ///< execution time across finished jobs
   /// Cumulative simulation throughput: thousands of committed
@@ -154,7 +142,6 @@ class SimulationService {
     u64 id = 0;
     bool is_campaign = false;
     JobState state = JobState::kQueued;
-    std::string tenant;    ///< auth token that submitted it ("" = anonymous)
     bool fetched = false;  ///< a client has seen the terminal state
     std::string error;     ///< for kFailed
     double timeout_s = 0.0;
@@ -168,14 +155,6 @@ class SimulationService {
     u64 cells_done = 0;
     u64 cells_total = 0;
     u64 progress_committed = 0;
-    /// Trace context inherited from the X-Reese-Trace request header
-    /// (invalid when absent); echoed on status/progress JSON and log
-    /// events.
-    http::TraceContext trace;
-    /// Per-shard rollup for coordinator jobs, max-merged from the fleet's
-    /// ShardProgressFn so cells_done/committed/dispatches stay monotonic
-    /// across re-dispatch. Empty for locally-run jobs.
-    std::vector<ShardProgressUpdate> shards;
     // Exactly one of these is engaged, matching is_campaign.
     std::optional<ExperimentSpec> experiment_spec;
     std::optional<CampaignSpec> campaign_spec;
@@ -184,14 +163,11 @@ class SimulationService {
   };
 
   http::Response submit(const http::Request& request, bool is_campaign);
-  /// 410 for a pruned id, 404 otherwise (caller holds mutex_).
-  http::Response missing_job(u64 id);
   http::Response job_status(u64 id);
   http::Response job_progress(u64 id);
   http::Response job_result(u64 id, const http::Request& request);
   http::Response stats_response();
   http::Response metrics_response();
-  http::Response fleet_metrics_response();
   void run_job(u64 id);
   std::string job_status_json(const Job& job);
 
@@ -205,12 +181,6 @@ class SimulationService {
   u64 timeouts_ = 0;
   u64 failed_ = 0;
   u64 rejected_queue_full_ = 0;
-  u64 rejected_quota_ = 0;
-  /// Ids of finished jobs evicted by retention pruning: their result fetch
-  /// answers 410 Gone, distinct from 404 for an id never issued. Bounded
-  /// (oldest ids fall off — a sufficiently ancient pruned id degrades to
-  /// 404, which is the best a bounded daemon can promise).
-  std::set<u64> pruned_ids_;
   u64 total_committed_ = 0;
   double total_wall_seconds_ = 0.0;
   /// Daemon-wide registry behind GET /v1/metrics. Grid runners bump its

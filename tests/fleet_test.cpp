@@ -18,16 +18,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "common/metrics.h"
-#include "core/chrome_trace.h"
 
 #include "common/http.h"
 #include "common/strutil.h"
@@ -399,24 +393,27 @@ TEST(Fleet, SurvivesAWorkerDeathMidCampaignByteIdentically) {
   EXPECT_GT(survivor.service.stats().submitted, 2u);
 }
 
-TEST(Fleet, FailsWhenEveryWorkerIsDead) {
-  sim::fleet::FleetConfig config;
-  // A port from the ephemeral range with nothing listening: grab one with
-  // a bound-then-closed socket.
+/// An ephemeral loopback port with nothing listening: bind, read back the
+/// assigned port, close.
+u16 closed_loopback_port() {
   const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(probe, 0);
+  EXPECT_GE(probe, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+  EXPECT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len),
+  EXPECT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len),
             0);
-  const u16 dead_port = ntohs(addr.sin_port);
+  const u16 port = ntohs(addr.sin_port);
   ::close(probe);
+  return port;
+}
 
-  config.workers = {{"127.0.0.1", dead_port}};
+TEST(Fleet, FailsWhenEveryWorkerIsDead) {
+  sim::fleet::FleetConfig config;
+  config.workers = {{"127.0.0.1", closed_loopback_port()}};
   config.max_retries = 0;
   config.backoff_ms = 1.0;
   config.probe_deadline_s = 1.0;
@@ -463,36 +460,27 @@ TEST(Fleet, RejectsSpecsThatCannotTravelTheWire) {
   EXPECT_NE(error.find("program"), std::string::npos) << error;
 }
 
+TEST(Fleet, AFailedShardAbortsWithTheWorkersDiagnosis) {
+  // The coordinator reads a failed shard's state and "error" from the
+  // status document it polls; a failure is deterministic, so it aborts
+  // the campaign with the worker's message instead of re-dispatching.
+  sim::ServiceConfig failing;
+  failing.campaign_runner = [](const CampaignSpec&, CampaignResult*,
+                               std::string* error) {
+    *error = "boom";
+    return false;
+  };
+  WorkerDaemon worker(failing);
+  CampaignResult result;
+  std::string error;
+  EXPECT_FALSE(sim::fleet::run_fleet_campaign(fleet_config({&worker}),
+                                              small_spec(), &result, &error));
+  EXPECT_NE(error.find("ended in state failed"), std::string::npos) << error;
+  EXPECT_NE(error.find("boom"), std::string::npos) << error;
+}
+
 // ---------------------------------------------------------------------------
-// Observability (DESIGN.md §17): probe resilience, trace propagation,
-// metrics federation and the per-shard progress rollup.
-
-/// An ephemeral loopback port with nothing listening: bind, read back the
-/// assigned port, close.
-u16 closed_loopback_port() {
-  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(probe, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  const u16 port = ntohs(addr.sin_port);
-  ::close(probe);
-  return port;
-}
-
-usize count_substrings(const std::string& haystack, const std::string& needle) {
-  usize count = 0;
-  for (usize at = haystack.find(needle); at != std::string::npos;
-       at = haystack.find(needle, at + needle.size())) {
-    ++count;
-  }
-  return count;
-}
+// Probe resilience (DESIGN.md §17).
 
 TEST(Fleet, ProbeRidesOutTransientRefusalsBeforeDeclaringDeath) {
   // Regression: the transport layer only retries refused connects and
@@ -531,239 +519,6 @@ TEST(Fleet, ProbeRidesOutTransientRefusalsBeforeDeclaringDeath) {
   server.request_stop();
   http::request("127.0.0.1", server.port(), "GET", "/wake");
   serve_thread.join();
-}
-
-TEST(Fleet, TraceContextReachesEveryWorkerRequestAndTheTimeline) {
-  // A worker daemon wrapped so every X-Reese-Trace header is captured.
-  sim::SimulationService service{sim::ServiceConfig{}};
-  std::mutex seen_mutex;
-  std::vector<std::string> seen;
-  http::Server server([&](const http::Request& request) {
-    const auto it = request.headers.find(http::kTraceHeaderKey);
-    if (it != request.headers.end()) {
-      std::lock_guard<std::mutex> lock(seen_mutex);
-      seen.push_back(it->second);
-    }
-    return service.handle(request);
-  });
-  ASSERT_TRUE(server.listen("127.0.0.1", 0));
-  std::thread serve_thread([&server] { server.serve(); });
-
-  sim::fleet::FleetConfig config;
-  config.workers = {{"127.0.0.1", server.port()}};
-  config.max_retries = 1;
-  config.backoff_ms = 5.0;
-  config.backoff_max_ms = 20.0;
-  config.poll_interval_ms = 5.0;
-  config.probe_deadline_s = 2.0;
-  core::StringTraceSink sink;
-  config.trace_sink = &sink;
-
-  CampaignResult result;
-  std::string error;
-  ASSERT_TRUE(sim::fleet::run_fleet_campaign(config, small_spec(), &result,
-                                             &error))
-      << error;
-
-  server.request_stop();
-  http::request("127.0.0.1", server.port(), "GET", "/wake");
-  serve_thread.join();
-  service.drain();
-
-  // Every worker request carried the campaign's single trace id, and each
-  // shard attempt travelled under its own span.
-  ASSERT_FALSE(seen.empty());
-  std::set<std::string> trace_ids;
-  std::set<std::string> spans;
-  for (const std::string& value : seen) {
-    http::TraceContext context;
-    ASSERT_TRUE(http::TraceContext::parse(value, &context)) << value;
-    trace_ids.insert(value.substr(0, 16));
-    spans.insert(value.substr(17));
-  }
-  EXPECT_EQ(trace_ids.size(), 1u) << "one campaign = one trace id";
-  EXPECT_GE(spans.size(), 2u) << "each shard attempt mints a fresh span";
-
-  // The timeline names the fleet process and carries the full slice
-  // anatomy with balanced flow arrows.
-  const std::string trace = sink.str();
-  EXPECT_NE(trace.find("reese-fleet"), std::string::npos);
-  EXPECT_NE(trace.find("\"coordinator\""), std::string::npos);
-  EXPECT_NE(trace.find("dispatch r["), std::string::npos);
-  EXPECT_NE(trace.find("run r["), std::string::npos);
-  EXPECT_NE(trace.find("merge r["), std::string::npos);
-  EXPECT_NE(trace.find("dispatch-to-merge"), std::string::npos);
-  EXPECT_EQ(count_substrings(trace, "\"ph\":\"s\""),
-            count_substrings(trace, "\"ph\":\"f\""))
-      << "every flow start needs a finish";
-}
-
-TEST(Fleet, FederatedMetricsAreDeterministicAndReportDeadWorkers) {
-  WorkerDaemon alpha;
-  WorkerDaemon beta;
-  const u16 dead_port = closed_loopback_port();
-
-  sim::fleet::FleetConfig config;
-  config.workers = {alpha.address(), beta.address(),
-                    {"127.0.0.1", dead_port}};
-  config.request_deadline_s = 2.0;
-
-  metrics::Registry first;
-  metrics::Registry second;
-  std::string error;
-  ASSERT_TRUE(sim::fleet::collect_fleet_metrics(config, &first, &error))
-      << error;
-  ASSERT_TRUE(sim::fleet::collect_fleet_metrics(config, &second, &error))
-      << error;
-  const std::string text = first.prometheus();
-  EXPECT_EQ(text, second.prometheus())
-      << "idle fleet scrapes must be byte-identical";
-
-  // Liveness gauges: reachable workers up, the dead one down — and the
-  // dead worker is a gauge, not a federation error.
-  EXPECT_NE(text.find(format("reese_fleet_worker_up{worker=\"127.0.0.1:%u\"}"
-                             " 1",
-                             alpha.address().port)),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find(format("reese_fleet_worker_up{worker=\"127.0.0.1:%u\"}"
-                             " 0",
-                             dead_port)),
-            std::string::npos)
-      << text;
-
-  // Every live worker's series survive under its own worker label.
-  EXPECT_NE(text.find(format("worker=\"127.0.0.1:%u\"",
-                             beta.address().port)),
-            std::string::npos);
-
-  // Two live workers federate a subset of what three would: the merged
-  // export only grows with the fleet.
-  sim::fleet::FleetConfig smaller = config;
-  smaller.workers = {alpha.address(), beta.address()};
-  metrics::Registry pair;
-  ASSERT_TRUE(sim::fleet::collect_fleet_metrics(smaller, &pair, &error))
-      << error;
-  EXPECT_LT(pair.prometheus().size(), text.size());
-  EXPECT_EQ(pair.size() + 1, first.size())
-      << "the third worker only adds its up gauge while idle";
-}
-
-TEST(Fleet, ShardProgressRollupIsMonotonicAcrossRedispatch) {
-  // A campaign runner that replays a worker death: the shard reports 5
-  // cells done, is re-dispatched (fresh attempt restarts at zero), then
-  // finishes elsewhere. The service's rollup must never move backwards.
-  std::promise<void> regressed;
-  std::promise<void> resume;
-  sim::ServiceConfig config;
-  config.workers = 1;
-  config.campaign_runner = [&](const CampaignSpec& spec,
-                               CampaignResult* result, std::string* error) {
-    (void)error;
-    sim::ShardProgressUpdate update;
-    update.shard_index = 0;
-    update.replica_begin = 0;
-    update.replicas = 5;
-    update.cells_total = 10;
-    update.state = "dispatched";
-    update.worker = "a:1";
-    update.dispatches = 1;
-    spec.shard_progress(update);
-    update.state = "running";
-    update.cells_done = 5;
-    update.committed = 500;
-    update.kips = 12.5;
-    spec.shard_progress(update);
-    // The worker dies; the re-dispatch announcement carries zeros.
-    update.state = "re-dispatched";
-    update.worker.clear();
-    update.cells_done = 0;
-    update.committed = 0;
-    update.kips = 0.0;
-    update.dispatches = 2;
-    spec.shard_progress(update);
-    regressed.set_value();
-    resume.get_future().wait();
-    update.state = "running";
-    update.worker = "b:2";
-    update.cells_done = 3;
-    spec.shard_progress(update);
-    update.state = "merged";
-    update.cells_done = 10;
-    update.committed = 1200;
-    spec.shard_progress(update);
-    *result = run_campaign(spec);
-    return true;
-  };
-  sim::SimulationService service(config);
-
-  http::Request submit;
-  submit.method = "POST";
-  submit.path = "/v1/campaigns";
-  submit.body = R"({"variants": ["baseline"], "workloads": ["gcc"],)"
-                R"( "replicas": 2, "instructions": 2000, "seed": 7,)"
-                R"( "jobs": 1})";
-  ASSERT_EQ(service.handle(submit).status, 202);
-
-  http::Request progress;
-  progress.method = "GET";
-  progress.path = "/v1/jobs/1/progress";
-
-  // Mid-regression snapshot: the re-dispatch is visible, the counters are
-  // not — cells_done holds at the pre-death maximum.
-  regressed.get_future().wait();
-  std::string body = service.handle(progress).body;
-  EXPECT_NE(body.find("\"state\": \"re-dispatched\""), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("\"cells_done\": 5"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"dispatches\": 2"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"worker\": \"a:1\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"kips\": 12.500"), std::string::npos) << body;
-
-  resume.set_value();
-  service.drain();
-
-  body = service.handle(progress).body;
-  EXPECT_NE(body.find("\"state\": \"merged\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"cells_done\": 10"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"worker\": \"b:2\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"dispatches\": 2"), std::string::npos) << body;
-}
-
-TEST(Fleet, WorkerEchoesAnInheritedTraceOnStatusAndProgress) {
-  sim::SimulationService service{sim::ServiceConfig{}};
-  const std::string context = "00000000deadbeef-0000000000000001";
-
-  http::Request submit;
-  submit.method = "POST";
-  submit.path = "/v1/campaigns";
-  submit.headers[http::kTraceHeaderKey] = context;
-  submit.body = R"({"variants": ["baseline"], "workloads": ["gcc"],)"
-                R"( "replicas": 1, "instructions": 2000, "jobs": 1})";
-  const http::Response accepted = service.handle(submit);
-  ASSERT_EQ(accepted.status, 202);
-  EXPECT_NE(accepted.body.find("\"trace\": \"" + context + "\""),
-            std::string::npos)
-      << accepted.body;
-
-  service.drain();
-  for (const char* path : {"/v1/jobs/1", "/v1/jobs/1/progress"}) {
-    http::Request get;
-    get.method = "GET";
-    get.path = path;
-    const http::Response response = service.handle(get);
-    ASSERT_EQ(response.status, 200) << path;
-    EXPECT_NE(response.body.find("\"trace\": \"" + context + "\""),
-              std::string::npos)
-        << path << ": " << response.body;
-  }
-
-  // No header, no trace field: the echo is strictly inherited.
-  http::Request bare = submit;
-  bare.headers.clear();
-  const http::Response second = service.handle(bare);
-  ASSERT_EQ(second.status, 202);
-  EXPECT_EQ(second.body.find("\"trace\""), std::string::npos) << second.body;
 }
 
 // ---------------------------------------------------------------------------

@@ -210,180 +210,6 @@ TEST(Metrics, JsonSerializationRoundTrips) {
   EXPECT_EQ(histogram.find("buckets")->array[1].uint_value, 1u);
 }
 
-// ---------------------------------------------------------------------------
-// Federation: merge_from + parse_prometheus (DESIGN.md §17). The
-// coordinator scrapes every worker's /v1/metrics, parses the text back to
-// samples and folds them into one registry with a worker label; these
-// tests pin the merge semantics that make the federated export correct
-// and deterministic.
-
-/// A snapshot shaped like a worker's scrape: counter, gauge, histogram.
-std::vector<metrics::Sample> worker_snapshot(u64 jobs, double depth,
-                                             double latency) {
-  Registry registry;
-  registry.counter("reese_test_jobs_total", {{"kind", "campaign"}},
-                   "Jobs run")->inc(jobs);
-  registry.gauge("reese_test_depth", {}, "Queue depth")->set(depth);
-  registry.histogram("reese_test_latency", {1.0, 8.0}, {}, "Latency")
-      ->observe(latency);
-  return registry.snapshot();
-}
-
-TEST(Metrics, MergeFromSumsCountersAndSetsGauges) {
-  Registry target;
-  std::string error;
-  const std::vector<metrics::Sample> scrape = worker_snapshot(5, 3.0, 0.5);
-  ASSERT_TRUE(target.merge_from(scrape, {}, &error)) << error;
-  ASSERT_TRUE(target.merge_from(scrape, {}, &error)) << error;
-  const std::vector<metrics::Sample> merged = target.snapshot();
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_DOUBLE_EQ(merged[1].value, 10.0) << "counters must sum on re-merge";
-  EXPECT_DOUBLE_EQ(merged[0].value, 3.0) << "gauges must set, not sum";
-  EXPECT_EQ(merged[2].count, 2u) << "histogram counts add per bucket";
-  EXPECT_DOUBLE_EQ(merged[2].sum, 1.0);
-  ASSERT_EQ(merged[2].buckets.size(), 3u);
-  EXPECT_EQ(merged[2].buckets[0], 2u);
-}
-
-TEST(Metrics, MergeFromKeepsWorkersApartViaExtraLabels) {
-  Registry target;
-  std::string error;
-  ASSERT_TRUE(target.merge_from(worker_snapshot(5, 3.0, 0.5),
-                                {{"worker", "a:1"}}, &error))
-      << error;
-  ASSERT_TRUE(target.merge_from(worker_snapshot(2, 7.0, 9.0),
-                                {{"worker", "b:2"}}, &error))
-      << error;
-  const std::string text = target.prometheus();
-  EXPECT_NE(text.find("reese_test_jobs_total{kind=\"campaign\","
-                      "worker=\"a:1\"} 5"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("reese_test_jobs_total{kind=\"campaign\","
-                      "worker=\"b:2\"} 2"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("reese_test_depth{worker=\"a:1\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("reese_test_depth{worker=\"b:2\"} 7"),
-            std::string::npos);
-}
-
-TEST(Metrics, MergeFromExtraLabelWinsACollisionInPlace) {
-  // A sample that already carries the federator's label name: the extra
-  // value replaces it without reordering the label set (order is series
-  // identity).
-  Registry source;
-  source.counter("reese_test_events_total",
-                 {{"worker", "self"}, {"kind", "squash"}})
-      ->inc(4);
-  Registry target;
-  std::string error;
-  ASSERT_TRUE(target.merge_from(source.snapshot(), {{"worker", "a:1"}},
-                                &error))
-      << error;
-  const std::vector<metrics::Sample> merged = target.snapshot();
-  ASSERT_EQ(merged.size(), 1u);
-  ASSERT_EQ(merged[0].labels.size(), 2u);
-  EXPECT_EQ(merged[0].labels[0].first, "worker");
-  EXPECT_EQ(merged[0].labels[0].second, "a:1") << "extra value must win";
-  EXPECT_EQ(merged[0].labels[1].first, "kind");
-}
-
-TEST(Metrics, MergeFromRejectsUnmergeableSamples) {
-  Registry target;
-  target.gauge("reese_test_shape");
-  std::string error;
-
-  // Type conflict: the name is already a gauge here.
-  Registry counters;
-  counters.counter("reese_test_shape_total");
-  ASSERT_TRUE(target.merge_from(counters.snapshot(), {}, &error));
-  metrics::Sample clash;
-  clash.name = "reese_test_shape";
-  clash.type = metrics::MetricType::kCounter;
-  EXPECT_FALSE(target.merge_from({clash}, {}, &error));
-  EXPECT_FALSE(error.empty());
-
-  // Histogram bounds mismatch: refused, not silently misbinned.
-  Registry narrow;
-  narrow.histogram("reese_test_hist", {1.0, 2.0})->observe(1.5);
-  Registry wide;
-  wide.histogram("reese_test_hist", {1.0, 4.0})->observe(1.5);
-  Registry fed;
-  ASSERT_TRUE(fed.merge_from(narrow.snapshot(), {}, &error)) << error;
-  EXPECT_FALSE(fed.merge_from(wide.snapshot(), {}, &error));
-  EXPECT_NE(error.find("bounds"), std::string::npos) << error;
-}
-
-TEST(Metrics, FederatedExportIsOrderInvariantAndDeterministic) {
-  // The byte-compare the fleet test leans on: merging workers in any
-  // order renders the same exposition text, because snapshot() sorts by
-  // (name, labels).
-  const std::vector<metrics::Sample> w1 = worker_snapshot(5, 3.0, 0.5);
-  const std::vector<metrics::Sample> w2 = worker_snapshot(2, 7.0, 9.0);
-  std::string error;
-  Registry forward;
-  ASSERT_TRUE(forward.merge_from(w1, {{"worker", "a:1"}}, &error));
-  ASSERT_TRUE(forward.merge_from(w2, {{"worker", "b:2"}}, &error));
-  Registry reverse;
-  ASSERT_TRUE(reverse.merge_from(w2, {{"worker", "b:2"}}, &error));
-  ASSERT_TRUE(reverse.merge_from(w1, {{"worker", "a:1"}}, &error));
-  EXPECT_EQ(forward.prometheus(), reverse.prometheus());
-  EXPECT_EQ(forward.json(), reverse.json());
-}
-
-TEST(Metrics, ParsePrometheusRoundTripsByteIdentically) {
-  Registry original;
-  original.counter("reese_test_jobs_total", {{"kind", "experiment"}},
-                   "Jobs run")->inc(5);
-  original.counter("reese_test_jobs_total", {{"kind", "campaign"}})->inc(2);
-  original.gauge("reese_test_depth", {}, "Queue depth")->set(3.5);
-  metrics::HistogramMetric* histogram = original.histogram(
-      "reese_test_latency", {1.0, 8.0}, {{"path", "p"}}, "Latency");
-  histogram->observe(0.5);
-  histogram->observe(2.0);
-  histogram->observe(99.0);
-  // Label values that exercise the escaping path both directions.
-  original.counter("reese_test_odd_total",
-                   {{"msg", "a \"quoted\"\nline\\done"}})->inc(1);
-
-  const std::string text = original.prometheus();
-  std::vector<metrics::Sample> parsed;
-  std::string error;
-  ASSERT_TRUE(metrics::parse_prometheus(text, &parsed, &error)) << error;
-  Registry rebuilt;
-  ASSERT_TRUE(rebuilt.merge_from(parsed, {}, &error)) << error;
-  EXPECT_EQ(rebuilt.prometheus(), text)
-      << "parse -> merge must invert prometheus() byte for byte";
-}
-
-TEST(Metrics, ParsePrometheusRejectsWhatItCannotRepresent) {
-  std::vector<metrics::Sample> parsed;
-  std::string error;
-  // A histogram whose cumulative buckets decrease is corrupt.
-  EXPECT_FALSE(metrics::parse_prometheus(
-      "# TYPE reese_test_h histogram\n"
-      "reese_test_h_bucket{le=\"1\"} 5\n"
-      "reese_test_h_bucket{le=\"+Inf\"} 3\n"
-      "reese_test_h_sum 1\n"
-      "reese_test_h_count 3\n",
-      &parsed, &error));
-  EXPECT_FALSE(error.empty());
-  // A histogram without its +Inf bucket cannot be reassembled.
-  EXPECT_FALSE(metrics::parse_prometheus(
-      "# TYPE reese_test_h histogram\n"
-      "reese_test_h_bucket{le=\"1\"} 5\n"
-      "reese_test_h_sum 1\n"
-      "reese_test_h_count 5\n",
-      &parsed, &error));
-  // A line that is not "name{labels} value".
-  EXPECT_FALSE(metrics::parse_prometheus("what even is this\n", &parsed,
-                                         &error));
-  EXPECT_FALSE(metrics::parse_prometheus("reese_test_x not_a_number\n",
-                                         &parsed, &error));
-}
-
 TEST(Metrics, SnapshotIsSortedAndComplete) {
   Registry registry;
   registry.gauge("reese_test_z");

@@ -8,6 +8,7 @@
 //  * the shipped binaries: reesed on an ephemeral port driven by
 //    reese_client (submit → wait → result), then a SIGTERM drain that must
 //    exit 0. Binary paths arrive via REESE_REESED_BIN / REESE_CLIENT_BIN.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/http.h"
 #include "common/json.h"
@@ -126,6 +128,8 @@ TEST(Service, RejectsInvalidSpecsWith400) {
       R"({"replicas": 0})",
       R"({"replicas": 100000})",  // replica bound and cell cap
       R"({"models": ["reese"]})",  // experiment-only key
+      // replica_begin + replicas would wrap past the bound near 2^64.
+      R"({"replica_begin": 18446744073709551615})",
   };
   for (const char* spec : bad_campaigns) {
     const http::Response response =
@@ -133,6 +137,30 @@ TEST(Service, RejectsInvalidSpecsWith400) {
     EXPECT_EQ(response.status, 400) << spec << " -> " << response.body;
     EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
   }
+}
+
+TEST(Service, OmittedInstructionsCountAgainstTheCap) {
+  // "{}" runs at the default budget (1M per experiment cell, 60k per
+  // campaign cell), which is over this cap. A zero default timeout keeps
+  // a wrongly admitted job from simulating anything.
+  ServiceConfig config;
+  config.workers = 1;
+  config.max_instructions = 50'000;
+  config.default_timeout_s = 0.0;
+  SimulationService service(config);
+  for (const char* endpoint : {"/v1/experiments", "/v1/campaigns"}) {
+    const http::Response response =
+        service.handle(make_request("POST", endpoint, "{}"));
+    EXPECT_EQ(response.status, 400) << endpoint << " -> " << response.body;
+  }
+  // An explicit budget within the cap is still admitted.
+  submit_ok(&service, "/v1/experiments",
+            R"({"workloads": ["gcc"], "models": ["baseline"],
+                "instructions": 50000})");
+  submit_ok(&service, "/v1/campaigns",
+            R"({"workloads": ["gcc"], "variants": ["baseline"],
+                "replicas": 1, "instructions": 50000})");
+  service.drain();
 }
 
 TEST(Service, ExperimentMatchesDirectRunByteForByte) {
@@ -275,44 +303,7 @@ TEST(Service, BearerTokenGatesEverythingButHealthz) {
   EXPECT_EQ(service.handle(right).status, 200);
 }
 
-TEST(Service, TenantQuotaRejectsTheGreedyTenantOnly) {
-  ServiceConfig config;
-  config.workers = 1;
-  config.queue_capacity = 8;
-  config.auth_tokens = {"greedy", "modest"};
-  config.tenant_max_active = 1;
-  SimulationService service(config);
-
-  const std::string slow_spec =
-      R"({"workloads": ["gcc"], "models": ["baseline"],
-          "instructions": 3000000})";
-  http::Request submit = make_request("POST", "/v1/experiments", slow_spec);
-  submit.headers["authorization"] = "Bearer greedy";
-  EXPECT_EQ(service.handle(submit).status, 202);
-
-  // Same tenant, second active job: over quota.
-  const http::Response over = service.handle(submit);
-  EXPECT_EQ(over.status, 429) << over.body;
-  EXPECT_NE(over.body.find("quota"), std::string::npos) << over.body;
-  EXPECT_EQ(service.stats().rejected_quota, 1u);
-
-  // A different tenant is not punished for the greedy one.
-  submit.headers["authorization"] = "Bearer modest";
-  EXPECT_EQ(service.handle(submit).status, 202);
-
-  service.drain();
-  // Finished jobs stop counting against the quota.
-  submit.headers["authorization"] = "Bearer greedy";
-  const std::string quick_spec =
-      R"({"workloads": ["gcc"], "models": ["baseline"],
-          "instructions": 1000})";
-  http::Request again = make_request("POST", "/v1/experiments", quick_spec);
-  again.headers["authorization"] = "Bearer greedy";
-  EXPECT_EQ(service.handle(again).status, 202);
-  service.drain();
-}
-
-TEST(Service, PruningPrefersFetchedResultsAndAnswers410) {
+TEST(Service, PruningPrefersFetchedResults) {
   ServiceConfig config;
   config.workers = 1;
   config.max_retained_jobs = 2;
@@ -336,15 +327,13 @@ TEST(Service, PruningPrefersFetchedResultsAndAnswers410) {
   const std::string job4 = submit_ok(&service, "/v1/experiments", spec);
   EXPECT_EQ(wait_for_job(&service, job4), "done");
 
+  // A pruned id answers 404, like an id the service never issued.
   const http::Response pruned = service.handle(result_request(job2));
-  EXPECT_EQ(pruned.status, 410) << pruned.body;
+  EXPECT_EQ(pruned.status, 404) << pruned.body;
   EXPECT_TRUE(JsonChecker(pruned.body).valid()) << pruned.body;
   EXPECT_EQ(service.handle(result_request(job1)).status, 200)
       << "never-fetched result was pruned while a fetched one existed";
   EXPECT_EQ(service.handle(result_request(job3)).status, 200);
-  // An id the service never issued stays a plain 404.
-  EXPECT_EQ(service.handle(make_request("GET", "/v1/jobs/99/result")).status,
-            404);
 }
 
 TEST(Service, ResultFormatCellsRoundTripsTheCampaignMatrix) {
@@ -654,6 +643,42 @@ int run_client(int port, const std::string& args, std::string* output) {
   }
   const int status = pclose(stream);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Run reesed with `args` on an ephemeral port, output discarded; the exit
+/// status, or -1 if it is still running after a few seconds (it is then
+/// killed).
+int reesed_exit_status(const std::vector<std::string>& args) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    const int null_fd = open("/dev/null", O_WRONLY);
+    dup2(null_fd, STDOUT_FILENO);
+    dup2(null_fd, STDERR_FILENO);
+    std::vector<const char*> argv = {"reesed", "--port", "0"};
+    for (const std::string& arg : args) argv.push_back(arg.c_str());
+    argv.push_back(nullptr);
+    execv(REESE_REESED_BIN, const_cast<char* const*>(argv.data()));
+    _exit(127);
+  }
+  if (pid < 0) return -1;
+  int status = 0;
+  for (int i = 0; i < 500; ++i) {
+    if (waitpid(pid, &status, WNOHANG) == pid) {
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  kill(pid, SIGKILL);
+  waitpid(pid, &status, 0);
+  return -1;
+}
+
+TEST(ReesedBinary, RejectsADefaultTimeoutOutsideTheSpecRange) {
+  // Every spec without "timeout_s" would inherit the default and be
+  // refused, so a bad default is a startup error (exit 2).
+  for (const char* value : {"7200", "-1", "abc", ""}) {
+    EXPECT_EQ(reesed_exit_status({"--timeout-s", value}), 2) << value;
+  }
 }
 
 TEST(ReesedBinary, ClientDrivesExperimentAndCampaignThenSigtermDrains) {

@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
 """doc_check: keep the docs honest about the CLI surface.
 
-Three checks, all gating in CI (.github/workflows/ci.yml "docs" job):
+Four checks, all gating in CI (.github/workflows/ci.yml "docs" job):
 
 1. Flag coverage — every `--flag` string literal that a binary under
    bench/ or tools/ actually parses must be mentioned in README.md or
    EXPERIMENTS.md. Removing a flag's documentation (or documenting a flag
    that was renamed in code only) fails the build.
 
-2. Schema coverage — every report schema literal ("reese-*-vN") a bench
+2. Flag existence — every flag-table row (`| `--name ...`) in README.md
+   or EXPERIMENTS.md must name a flag that some .cpp under bench/, tools/,
+   examples/ or src/ parses: a "--name" literal or a FlagSet
+   get_*("name", ...) call. A row left behind by a deleted flag fails.
+
+3. Schema coverage — every report schema literal ("reese-*-vN") a bench
    emits must be mentioned in README.md or EXPERIMENTS.md, so a new or
    renamed report format cannot ship undocumented.
 
-3. Link integrity — every intra-repo markdown link in the top-level *.md
+4. Link integrity — every intra-repo markdown link in the top-level *.md
    files and docs referenced from them must point at a file that exists.
 
 Usage: python3 tools/doc_check.py [repo_root]
-Exit status 0 when both checks pass, 1 otherwise.
+Exit status 0 when every check passes, 1 otherwise.
 """
 
 import os
@@ -27,6 +32,15 @@ import sys
 # A flag "counts" when the source compares or documents it as an argument:
 # string literals like "--jobs" / "--jobs=..." in bench/*.cpp, tools/*.cpp.
 FLAG_LITERAL = re.compile(r'"(--[a-z][a-z0-9-]*)=?"')
+
+# A FlagSet getter reading a flag, e.g. flags.get_string("trace-out", "").
+FLAGSET_GETTER = re.compile(r'\bget_[a-z0-9]+\(\s*"([a-z][a-z0-9-]*)"')
+
+# A flag-table row in the docs: | `--name ARG` | default | meaning |
+FLAG_TABLE_ROW = re.compile(r"^\| `(--[a-z][a-z0-9-]*)", re.MULTILINE)
+
+# Docs whose flag tables and mentions are checked.
+FLAG_DOCS = ("README.md", "EXPERIMENTS.md")
 
 # A report schema "counts" when a bench emits it as a JSON string literal,
 # e.g. \"schema\": \"reese-cavf-v1\" in bench/*.cpp.
@@ -57,6 +71,37 @@ def collect_flags(repo_root):
     return {flag: sorted(sources) for flag, sources in flags.items()}
 
 
+def collect_parsed_flags(repo_root):
+    """Every flag that some .cpp under bench/, tools/, examples/ or src/
+    parses, as a "--name" literal or a FlagSet get_*("name", ...) call."""
+    parsed = set()
+    for subdir in ("bench", "tools", "examples", "src"):
+        for root, _dirs, names in os.walk(os.path.join(repo_root, subdir)):
+            for name in names:
+                if not name.endswith(".cpp"):
+                    continue
+                with open(os.path.join(root, name), encoding="utf-8") as handle:
+                    text = handle.read()
+                parsed.update(FLAG_LITERAL.findall(text))
+                parsed.update("--" + flag
+                              for flag in FLAGSET_GETTER.findall(text))
+    return parsed
+
+
+def check_flag_rows(repo_root):
+    parsed = collect_parsed_flags(repo_root)
+    errors = []
+    for name in FLAG_DOCS:
+        with open(os.path.join(repo_root, name), encoding="utf-8") as handle:
+            text = handle.read()
+        for flag in FLAG_TABLE_ROW.findall(text):
+            if flag not in parsed:
+                errors.append(
+                    f"{name}: flag-table row {flag} names a flag that no .cpp "
+                    f"under bench/, tools/, examples/ or src/ parses")
+    return errors
+
+
 def collect_schemas(repo_root):
     """Map report schema -> sorted list of bench sources that emit it."""
     schemas = {}
@@ -75,8 +120,7 @@ def collect_schemas(repo_root):
 
 
 def check_flag_coverage(repo_root):
-    doc_paths = [os.path.join(repo_root, name)
-                 for name in ("README.md", "EXPERIMENTS.md")]
+    doc_paths = [os.path.join(repo_root, name) for name in FLAG_DOCS]
     documented = ""
     for path in doc_paths:
         with open(path, encoding="utf-8") as handle:
@@ -135,13 +179,14 @@ def check_links(repo_root):
 def main():
     repo_root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    errors = check_flag_coverage(repo_root) + check_links(repo_root)
+    errors = (check_flag_coverage(repo_root) + check_flag_rows(repo_root) +
+              check_links(repo_root))
     for error in errors:
         print(f"doc_check: {error}", file=sys.stderr)
     if errors:
         print(f"doc_check: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("doc_check: ok (flags documented, links resolve)")
+    print("doc_check: ok (flags documented and parsed, links resolve)")
     return 0
 
 

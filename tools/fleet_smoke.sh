@@ -3,19 +3,18 @@
 # processes (DESIGN.md §15, §17). A campaign fanned across two worker
 # reesed daemons — one of which is SIGKILLed mid-run — must:
 #   * complete and render json + csv byte-identical to a single-node run;
-#   * narrate the death as a structured log event ("kind": "worker_dead")
-#     in the coordinator's --log-file;
-#   * emit a fleet timeline (--fleet-trace-out) that passes
-#     tools/trace_check.py;
-#   * keep the per-shard progress rollup monotonic while shards re-dispatch;
-#   * answer /v1/fleet/metrics with a deterministic federated export.
+#   * survive the SIGKILL by re-dispatching the dead worker's shard;
+#   * narrate the run as structured log events in the coordinator's
+#     --log-file ("kind": "worker_dead" for the death), with nothing on
+#     its stderr;
+#   * report a monotonic cells_done on GET /v1/jobs/<id>/progress while
+#     shards re-dispatch.
 #
 # Usage: tools/fleet_smoke.sh [BUILD_DIR]   (default: build)
 #
 # Exits non-zero on any divergence. CI runs this as the gating
-# `fleet-smoke` job and uploads BUILD_DIR/fleet-smoke-artifacts (logs,
-# trace, metrics, progress samples); it also works locally after a normal
-# build.
+# `fleet-smoke` job and uploads BUILD_DIR/fleet-smoke-artifacts (logs and
+# progress samples); it also works locally after a normal build.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -31,10 +30,9 @@ PIDS=()
 cleanup() {
   for pid in ${PIDS[@]+"${PIDS[@]}"}; do kill "$pid" 2>/dev/null || true; done
   wait 2>/dev/null || true
-  # Keep the observability artifacts (CI uploads them) even on failure.
+  # Keep the logs and progress samples (CI uploads them) even on failure.
   mkdir -p "$ARTIFACTS"
-  cp "$WORK"/*.log "$WORK"/*.err "$WORK"/fleet_trace.json \
-     "$WORK"/fleet_metrics*.txt "$WORK"/progress_samples.jsonl \
+  cp "$WORK"/*.log "$WORK"/*.err "$WORK"/progress_samples.jsonl \
      "$ARTIFACTS"/ 2>/dev/null || true
   rm -rf "$WORK"
 }
@@ -79,14 +77,13 @@ start_daemon worker2 --workers 2
 W2_PORT=$DAEMON_PORT
 start_daemon coordinator --coordinator \
     --worker "127.0.0.1:$W1_PORT" --worker "127.0.0.1:$W2_PORT" \
-    --shards-per-worker 3 \
-    --fleet-trace-out "$WORK/fleet_trace.json"
+    --shards-per-worker 3
 CO_PORT=$DAEMON_PORT
 
 id=$("$CLIENT" --port "$CO_PORT" submit-campaign "$WORK/spec.json")
 
-# Sample the per-shard progress rollup while the campaign runs; the
-# monotonicity check below proves re-dispatch never drags it backwards.
+# Sample the job's progress while the campaign runs; the monotonicity
+# check below proves re-dispatch never drags cells_done backwards.
 ( while "$CLIENT" --port "$CO_PORT" progress "$id" \
         >> "$WORK/progress_samples.jsonl" 2>/dev/null; do
     sleep 0.1
@@ -97,11 +94,6 @@ PIDS+=("$SAMPLER_PID")
 sleep 0.3
 kill -9 "$W1_PID"
 echo "   killed worker 1 (pid $W1_PID) mid-campaign"
-
-# Federated metrics answer mid-campaign, not just at rest.
-"$CLIENT" --port "$CO_PORT" fleet-metrics > "$WORK/fleet_metrics_midrun.txt"
-grep -q "^reese_fleet_worker_up" "$WORK/fleet_metrics_midrun.txt" || {
-  echo "fleet_smoke: mid-run federation lacks worker_up gauges" >&2; exit 1; }
 
 state=$("$CLIENT" --port "$CO_PORT" wait "$id" --poll-ms 50)
 [[ "$state" == "done" ]] || {
@@ -129,45 +121,33 @@ done
   echo "fleet_smoke: coordinator wrote to stderr:" >&2
   cat "$WORK/coordinator.err" >&2; exit 1; }
 
-echo "== fleet timeline validates"
-python3 tools/trace_check.py "$WORK/fleet_trace.json"
-
-echo "== progress rollup is monotonic"
+echo "== progress is monotonic"
 python3 - "$WORK/progress_samples.jsonl" <<'PY'
 import json, sys
+# The samples are pretty-printed JSON documents back to back.
+text = open(sys.argv[1]).read()
+decoder = json.JSONDecoder()
 last = -1
 samples = 0
-for line in open(sys.argv[1]):
-    line = line.strip()
-    if not line:
-        continue
+pos = 0
+while True:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    if pos >= len(text):
+        break
     try:
-        doc = json.loads(line)
+        doc, pos = decoder.raw_decode(text, pos)
     except json.JSONDecodeError:
-        continue  # sampler raced daemon shutdown; partial line
+        break  # sampler raced daemon shutdown; partial document
     samples += 1
-    done = doc.get("cells_done", 0)
+    done = doc["cells_done"]
     if done < last:
         sys.exit(f"progress went backwards: {done} after {last}")
     last = done
-    for shard in doc.get("shards", []):
-        if shard["state"] not in ("queued", "dispatched", "running",
-                                  "re-dispatched", "merged"):
-            sys.exit(f"unknown shard state {shard['state']!r}")
+if samples == 0:
+    sys.exit("no progress samples were taken")
 print(f"   {samples} samples, cells_done peaked at {last}")
 PY
-
-echo "== federated metrics are deterministic at rest"
-"$CLIENT" --port "$CO_PORT" fleet-metrics > "$WORK/fleet_metrics_a.txt"
-"$CLIENT" --port "$CO_PORT" fleet-metrics > "$WORK/fleet_metrics_b.txt"
-cmp "$WORK/fleet_metrics_a.txt" "$WORK/fleet_metrics_b.txt" || {
-  echo "fleet_smoke: back-to-back federated scrapes diverged" >&2; exit 1; }
-grep -q "reese_fleet_worker_up{worker=\"127.0.0.1:$W1_PORT\"} 0" \
-  "$WORK/fleet_metrics_a.txt" || {
-  echo "fleet_smoke: dead worker not reported down in federation" >&2
-  exit 1; }
-grep -q "worker=\"127.0.0.1:$W2_PORT\"" "$WORK/fleet_metrics_a.txt" || {
-  echo "fleet_smoke: surviving worker missing from federation" >&2; exit 1; }
 
 cmp "$WORK/fleet.json" "$WORK/single.json" || {
   echo "fleet_smoke: json diverged from the single-node run" >&2; exit 1; }

@@ -29,17 +29,13 @@
 //                                   ?format=cells — the binary per-cell
 //                                   campaign matrix the coordinator merges)
 //   metrics                         GET /v1/metrics (Prometheus text)
-//   fleet-metrics                   GET /v1/fleet/metrics — the
-//                                   coordinator's federated view of every
-//                                   worker's metrics, one "worker" label
-//                                   per daemon (DESIGN.md §17)
 //
 // SPEC.json may be "-" to read the spec from stdin. `wait` exits 0 for
 // state "done", 3 for "timeout", 4 for "failed". `result` on a job that
 // timed out surfaces the server's 408; a job pruned by the daemon's
-// retention window surfaces its 410. With --retries, `wait` rides out a
-// daemon restart between polls instead of failing on the first refused
-// connect.
+// retention window answers 404 like any unknown id. With --retries, `wait`
+// rides out a daemon restart between polls instead of failing on the
+// first refused connect.
 #include <unistd.h>
 
 #include <cstdio>
@@ -136,20 +132,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: reese_client [--host ADDR] [--port N] [--token TOK] "
                  "[--retries N] [--retry-backoff-ms MS] "
-                 "health|stats|metrics|fleet-metrics|submit-experiment|"
+                 "health|stats|metrics|submit-experiment|"
                  "submit-campaign|status|progress|wait|result ...\n");
     return 2;
   }
   const std::string command = argv[i++];
   const u16 port16 = static_cast<u16>(port);
 
-  if (command == "health" || command == "stats" || command == "metrics" ||
-      command == "fleet-metrics") {
+  if (command == "health" || command == "stats" || command == "metrics") {
     const std::string path = command == "health"  ? "/v1/healthz"
                              : command == "stats" ? "/v1/stats"
-                             : command == "fleet-metrics"
-                                 ? "/v1/fleet/metrics"
-                                 : "/v1/metrics";
+                                                  : "/v1/metrics";
     const http::Response response =
         http::request(host, port16, "GET", path, "", options);
     if (response.status == 0) return fail_transport(response);

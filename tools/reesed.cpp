@@ -13,18 +13,16 @@
 // §15): campaign specs shard along the replica axis, shards dispatch over
 // keep-alive HTTP, dead workers' shards re-dispatch to survivors, and the
 // merged result is byte-identical to a single-node run. Experiments still
-// run locally. Coordinators additionally federate worker metrics behind
-// GET /v1/fleet/metrics and can emit a fleet-timeline Chrome trace
-// (DESIGN.md §17).
+// run locally.
 //
 // Usage: reesed [--host ADDR] [--port N] [--workers N] [--queue-capacity N]
 //               [--grid-jobs N] [--max-instructions N] [--max-cells N]
 //               [--timeout-s SECONDS] [--auth-token TOK]...
-//               [--tenant-max-active N] [--retain-jobs N]
+//               [--retain-jobs N]
 //               [--log-file PATH] [--log-level LEVEL]
 //               [--coordinator] [--worker HOST:PORT]...
 //               [--workers-file PATH] [--fleet-token TOK]
-//               [--shards-per-worker N] [--fleet-trace-out PATH]
+//               [--shards-per-worker N]
 //
 //   --host ADDR            bind address (default 127.0.0.1)
 //   --port N               TCP port; 0 picks an ephemeral port (default 8642)
@@ -36,15 +34,14 @@
 //   --max-cells N          grid-size cap (workloads × models × seeds); in
 //                          coordinator mode the effective cap is this times
 //                          the fleet size
-//   --timeout-s SECONDS    default per-job wall-clock timeout (default 300)
-//   --auth-token TOK       require this bearer token (repeatable; each token
-//                          is one tenant). Without the flag the service is
-//                          open. /v1/healthz never requires a token.
-//   --tenant-max-active N  queued+running jobs one tenant may hold; beyond
-//                          it submits get 429 (default 0 = unlimited)
+//   --timeout-s SECONDS    default per-job wall-clock timeout, in [0, 3600]
+//                          (default 300)
+//   --auth-token TOK       require this bearer token (repeatable). Without
+//                          the flag the service is open. /v1/healthz never
+//                          requires a token.
 //   --retain-jobs N        finished jobs kept for result fetches; pruning
 //                          prefers already-fetched results, and a pruned id
-//                          answers 410 Gone (default 256)
+//                          answers 404 like any unknown id (default 256)
 //   --log-file PATH        append structured JSON-lines events to PATH
 //                          instead of stderr (DESIGN.md §17)
 //   --log-level LEVEL      drop events below LEVEL: debug, info, warn or
@@ -58,9 +55,6 @@
 //   --shards-per-worker N  campaign shards per worker; >1 shrinks the unit
 //                          of re-dispatched work after a worker death
 //                          (default 2)
-//   --fleet-trace-out PATH write each fleet campaign's timeline as Chrome
-//                          trace JSON to PATH (coordinator only; validate
-//                          with tools/trace_check.py)
 //
 // Prints exactly one "reesed: listening on HOST:PORT" line once the socket
 // is bound (tests parse it to discover the ephemeral port); everything
@@ -153,12 +147,19 @@ int main(int argc, char** argv) {
       config.max_cells =
           static_cast<u64>(std::strtoull(next_value(), nullptr, 10));
     } else if (std::strcmp(arg, "--timeout-s") == 0) {
-      config.default_timeout_s = std::atof(next_value());
+      // Every spec that omits "timeout_s" gets this value, so one the
+      // service would refuse must fail here, not as a 400 on each submit.
+      const char* value = next_value();
+      char* end = nullptr;
+      const double timeout_s = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !(timeout_s >= 0.0) ||
+          timeout_s > config.max_timeout_s) {
+        config_error(format("--timeout-s must be a number in [0, %g], got %s",
+                            config.max_timeout_s, value));
+      }
+      config.default_timeout_s = timeout_s;
     } else if (std::strcmp(arg, "--auth-token") == 0) {
       config.auth_tokens.push_back(next_value());
-    } else if (std::strcmp(arg, "--tenant-max-active") == 0) {
-      config.tenant_max_active =
-          static_cast<u32>(std::strtoul(next_value(), nullptr, 10));
     } else if (std::strcmp(arg, "--retain-jobs") == 0) {
       config.max_retained_jobs =
           static_cast<usize>(std::strtoull(next_value(), nullptr, 10));
@@ -188,8 +189,6 @@ int main(int argc, char** argv) {
         config_error("--shards-per-worker must be >= 1");
       }
       fleet.shards_per_worker = static_cast<u32>(value);
-    } else if (std::strcmp(arg, "--fleet-trace-out") == 0) {
-      fleet.trace_path = next_value();
     } else {
       config_error(format("unknown argument %s", arg));
     }
@@ -204,9 +203,6 @@ int main(int argc, char** argv) {
   if (!coordinator && !fleet.workers.empty()) {
     config_error("--worker/--workers-file need --coordinator");
   }
-  if (!coordinator && !fleet.trace_path.empty()) {
-    config_error("--fleet-trace-out needs --coordinator");
-  }
 
   if (coordinator) {
     // A fleet of N workers really can run N times the cell budget; the
@@ -216,10 +212,6 @@ int main(int argc, char** argv) {
                                      sim::CampaignResult* result,
                                      std::string* error) {
       return sim::fleet::run_fleet_campaign(fleet, spec, result, error);
-    };
-    config.fleet_collector = [fleet](metrics::Registry* registry,
-                                     std::string* error) {
-      return sim::fleet::collect_fleet_metrics(fleet, registry, error);
     };
     log::global().info(
         "coordinator_start",

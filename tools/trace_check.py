@@ -1,33 +1,21 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace_event JSON file emitted by ChromeTraceTracer
-or the fleet coordinator's FleetTracer (sim/fleet.cpp).
+(core/chrome_trace.h).
 
 Usage: trace_check.py TRACE.json [TRACE.json ...]
 
 Checks that the file is loadable by Perfetto / chrome://tracing and that it
-keeps the invariants DESIGN.md §12 (pipeline traces) and §17 (fleet
-timelines) promise. Common to both modes:
+keeps the invariants DESIGN.md §12 promises:
 
   * top level is {"traceEvents": [...]};
   * every event has a name, a known phase, and integer pid/tid;
   * duration events ("X") carry ts >= 0 and dur >= 0;
   * every flow start ("s") has a matching finish ("f") with the same id,
     and the finish never happens before the start;
-  * instant events ("i") are restricted to the documented names.
-
-Pipeline mode (the default):
-
+  * instant events ("i") are restricted to the documented names;
   * the P-stream and R-stream thread_name metadata events are present;
   * R-stream slices never begin before the matching P-stream slice's start
     (an R-execution cannot precede its own dispatch).
-
-Fleet mode (detected by process_name metadata == "reese-fleet"):
-
-  * tid 0 is named "coordinator" and every tid that carries events has a
-    thread_name;
-  * slices carry args.span (the shard attempt's span id), and the run /
-    merge slices of an attempt never begin before its dispatch slice;
-  * instants are probe-failure / re-dispatch / worker-dead.
 
 Exit status: 0 when every file passes, 1 on any violation, 2 on usage or
 unreadable input. Independent of the simulator build — CI can run it on an
@@ -39,10 +27,8 @@ import sys
 
 KNOWN_PHASES = {"X", "M", "i", "s", "f"}
 KNOWN_INSTANTS = {"squash", "error-detected"}
-KNOWN_FLEET_INSTANTS = {"probe-failure", "re-dispatch", "worker-dead"}
 P_STREAM_TID = 0
 R_STREAM_TID = 1
-COORDINATOR_TID = 0
 
 
 def fail(path, index, message):
@@ -66,24 +52,12 @@ def check_file(path):
         print(f"trace_check: {path}: traceEvents must be an array")
         return False
 
-    fleet = any(
-        isinstance(e, dict)
-        and e.get("ph") == "M"
-        and e.get("name") == "process_name"
-        and e.get("args", {}).get("name") == "reese-fleet"
-        for e in events
-    )
-    known_instants = KNOWN_FLEET_INSTANTS if fleet else KNOWN_INSTANTS
-
     ok = True
     thread_names = {}
-    event_tids = set()  # non-metadata tids seen
     flow_starts = {}  # id -> ts
     flow_finishes = {}  # id -> ts
     p_slice_start = {}  # seq -> ts of the P-stream slice
     r_slices = []  # (index, seq, ts)
-    dispatch_start = {}  # fleet: span -> ts of the dispatch slice
-    follower_slices = []  # fleet: (index, span, ts) of run/merge slices
 
     for index, event in enumerate(events):
         if not isinstance(event, dict):
@@ -103,7 +77,6 @@ def check_file(path):
             if event["name"] == "thread_name":
                 thread_names[event.get("tid")] = event.get("args", {}).get("name")
             continue
-        event_tids.add(event.get("tid"))
 
         ts = event.get("ts")
         if not isinstance(ts, int) or ts < 0:
@@ -116,28 +89,19 @@ def check_file(path):
                 ok = fail(path, index, "duration event without dur >= 0")
                 continue
             args = event.get("args", {})
-            if fleet:
-                span = args.get("span")
-                if span is None:
-                    ok = fail(path, index, "fleet slice without args.span")
-                elif event["name"].startswith("dispatch "):
-                    dispatch_start[span] = ts
-                else:
-                    follower_slices.append((index, span, ts))
+            seq = args.get("seq")
+            if seq is None:
+                ok = fail(path, index, "slice without args.seq")
             else:
-                seq = args.get("seq")
-                if seq is None:
-                    ok = fail(path, index, "slice without args.seq")
-                else:
-                    # Wrong-path entries may reuse a true-path seq, so slices
-                    # are matched on (seq, spec).
-                    slice_key = (seq, bool(args.get("spec")))
-                    if event["tid"] == P_STREAM_TID:
-                        p_slice_start[slice_key] = ts
-                    elif event["tid"] == R_STREAM_TID:
-                        r_slices.append((index, slice_key, ts))
+                # Wrong-path entries may reuse a true-path seq, so slices
+                # are matched on (seq, spec).
+                slice_key = (seq, bool(args.get("spec")))
+                if event["tid"] == P_STREAM_TID:
+                    p_slice_start[slice_key] = ts
+                elif event["tid"] == R_STREAM_TID:
+                    r_slices.append((index, slice_key, ts))
         elif phase == "i":
-            if event["name"] not in known_instants:
+            if event["name"] not in KNOWN_INSTANTS:
                 ok = fail(path, index, f"unknown instant {event['name']!r}")
         elif phase == "s":
             flow_id = event.get("id")
@@ -156,28 +120,12 @@ def check_file(path):
             else:
                 flow_finishes[flow_id] = ts
 
-    if fleet:
-        if thread_names.get(COORDINATOR_TID) != "coordinator":
-            print(f"trace_check: {path}: fleet trace must name tid 0 "
-                  f"\"coordinator\" (got {thread_names})")
-            ok = False
-        unnamed = sorted(t for t in event_tids if t not in thread_names)
-        if unnamed:
-            print(f"trace_check: {path}: fleet tids {unnamed} carry events "
-                  f"but have no thread_name metadata")
-            ok = False
-        for index, span, ts in follower_slices:
-            if span in dispatch_start and ts < dispatch_start[span]:
-                ok = fail(path, index,
-                          f"slice for span {span} starts at {ts}, before "
-                          f"its dispatch slice at {dispatch_start[span]}")
-    else:
-        if thread_names.get(P_STREAM_TID) != "P-stream" or (
-            thread_names.get(R_STREAM_TID) != "R-stream"
-        ):
-            print(f"trace_check: {path}: missing P-stream/R-stream thread_name "
-                  f"metadata (got {thread_names})")
-            ok = False
+    if thread_names.get(P_STREAM_TID) != "P-stream" or (
+        thread_names.get(R_STREAM_TID) != "R-stream"
+    ):
+        print(f"trace_check: {path}: missing P-stream/R-stream thread_name "
+              f"metadata (got {thread_names})")
+        ok = False
 
     for flow_id, ts in flow_starts.items():
         if flow_id not in flow_finishes:
@@ -203,8 +151,7 @@ def check_file(path):
     if ok:
         slices = sum(1 for e in events
                      if isinstance(e, dict) and e.get("ph") == "X")
-        mode = "fleet" if fleet else "pipeline"
-        print(f"trace_check: {path}: OK ({mode}, {len(events)} events, "
+        print(f"trace_check: {path}: OK ({len(events)} events, "
               f"{slices} slices, {len(flow_starts)} flows)")
     return ok
 
