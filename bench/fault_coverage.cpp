@@ -65,9 +65,6 @@ int main(int argc, char** argv) {
       out_path = next_value();
     } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
       spec.checkpoint.dir = next_value();
-    } else if (std::strcmp(arg, "--checkpoint-interval") == 0) {
-      spec.checkpoint.interval =
-          static_cast<u64>(std::atoll(next_value()));
     } else if (std::strcmp(arg, "--resume-from") == 0) {
       spec.checkpoint.dir = next_value();
       spec.checkpoint.resume = true;

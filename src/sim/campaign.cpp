@@ -34,8 +34,9 @@ void accumulate_stratum(StratumCount* stratum, const faults::FaultRecord& r) {
 }
 
 // Campaign cells checkpoint at whole-cell granularity: a ".done" record
-// holds the finished CampaignCell, bound to the budget/rate/cell-seed so a
-// record from a differently-shaped campaign is ignored and the cell
+// holds the finished CampaignCell, bound to the budget/rate/cell-seed and
+// the cell's snapshot_fingerprint (workload name + variant configuration)
+// so a record from a differently-shaped campaign is ignored and the cell
 // re-runs (see CampaignSpec::checkpoint).
 constexpr u32 kCampaignCellTag = 0x43414D50;    // "CAMP"
 // Wire form of a whole (shard) matrix: identity fields + every cell.
@@ -133,12 +134,14 @@ bool get_campaign_cell(SnapshotReader* reader, CampaignCell* cell) {
 }
 
 void save_campaign_cell(const std::string& path, u64 instructions,
-                        double rate, u64 cell_seed, const CampaignCell& cell) {
+                        double rate, u64 cell_seed, u64 fingerprint,
+                        const CampaignCell& cell) {
   SnapshotWriter writer;
   writer.put_section(kCampaignCellTag);
   writer.put_u64(instructions);
   writer.put_f64(rate);
   writer.put_u64(cell_seed);
+  writer.put_u64(fingerprint);
   put_campaign_cell(&writer, cell);
   std::string error;
   if (!writer.write_file(path, kSnapshotFormatVersion, &error)) {
@@ -147,13 +150,15 @@ void save_campaign_cell(const std::string& path, u64 instructions,
 }
 
 bool load_campaign_cell(const std::string& path, u64 instructions,
-                        double rate, u64 cell_seed, CampaignCell* cell) {
+                        double rate, u64 cell_seed, u64 fingerprint,
+                        CampaignCell* cell) {
   SnapshotReader reader;
   if (!reader.open_file(path, kSnapshotFormatVersion)) return false;
   if (!reader.expect_section(kCampaignCellTag)) return false;
   if (reader.get_u64() != instructions) return false;
   if (reader.get_f64() != rate) return false;
   if (reader.get_u64() != cell_seed) return false;
+  if (reader.get_u64() != fingerprint) return false;
   CampaignCell loaded;
   if (!get_campaign_cell(&reader, &loaded)) return false;
   if (!reader.ok() || !reader.at_end()) return false;
@@ -641,15 +646,18 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     };
 
     std::string done_path;
+    u64 fingerprint = 0;
     if (!ckpt.dir.empty()) {
       done_path =
           ckpt.dir + "/" +
           format("campaign-v%zu-w%zu-r%zu.done", job.variant_index,
                  job.workload_index, global_replica);
+      fingerprint = snapshot_fingerprint(spec.workloads[job.workload_index],
+                                         variant.config);
     }
     if (ckpt.resume && !done_path.empty() &&
         load_campaign_cell(done_path, spec.instructions, spec.rate, cell_seed,
-                           &cell)) {
+                           fingerprint, &cell)) {
       account_cell(cell.committed);
       return;
     }
@@ -809,7 +817,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
 
     if (!done_path.empty()) {
       save_campaign_cell(done_path, spec.instructions, spec.rate, cell_seed,
-                         cell);
+                         fingerprint, cell);
     }
 
     account_cell(sim_result.committed);
@@ -995,7 +1003,8 @@ bool place_shard(const CampaignSpec& resolved, const CampaignWire& shard,
                        shard.replica_begin,
                        shard.replica_begin + shard_replicas,
                        resolved.replica_begin,
-                       resolved.replica_begin + resolved.replicas));
+                       static_cast<usize>(resolved.replica_begin +
+                                          resolved.replicas)));
   }
   if (merged->cells.size() != resolved.variants.size() ||
       (merged->cells.size() > 0 &&

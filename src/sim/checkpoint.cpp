@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/snapshot.h"
+#include "common/strutil.h"
 
 namespace reese::sim {
 
@@ -24,17 +25,24 @@ bool file_exists(const std::string& path) {
 }
 
 /// Reads the value of "--flag VALUE" or "--flag=VALUE" at argv[i]; returns
-/// nullptr when argv[i] is not `flag`.
+/// nullptr when argv[i] is not `flag`. A missing or empty value exits 2.
 const char* flag_value(int argc, char** argv, int* i, const char* flag) {
   const char* arg = argv[*i];
   const usize flag_len = std::strlen(flag);
   if (std::strncmp(arg, flag, flag_len) != 0) return nullptr;
-  if (arg[flag_len] == '=') return arg + flag_len + 1;
-  if (arg[flag_len] == '\0' && *i + 1 < argc) {
-    ++*i;
-    return argv[*i];
+  const char* value = nullptr;
+  if (arg[flag_len] == '=') {
+    value = arg + flag_len + 1;
+  } else if (arg[flag_len] != '\0') {
+    return nullptr;
+  } else if (*i + 1 < argc) {
+    value = argv[++*i];
   }
-  return nullptr;
+  if (value == nullptr || *value == '\0') {
+    std::fprintf(stderr, "reese: %s needs a value\n", flag);
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
@@ -116,8 +124,15 @@ void parse_checkpoint_flags(int argc, char** argv) {
       options.dir = value;
     } else if (const char* value =
                    flag_value(argc, argv, &i, "--checkpoint-interval")) {
-      const long long parsed = std::atoll(value);
-      options.interval = parsed > 0 ? static_cast<u64>(parsed) : 0;
+      i64 parsed = 0;
+      if (!parse_int(value, &parsed) || parsed < 0) {
+        std::fprintf(stderr,
+                     "reese: --checkpoint-interval needs a non-negative "
+                     "instruction count, got '%s'\n",
+                     value);
+        std::exit(2);
+      }
+      options.interval = static_cast<u64>(parsed);
     } else if (const char* value =
                    flag_value(argc, argv, &i, "--resume-from")) {
       options.dir = value;

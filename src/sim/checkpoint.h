@@ -61,7 +61,9 @@ const CheckpointOptions& default_checkpoint();
 /// Scan argv for "--checkpoint-dir PATH", "--checkpoint-interval N" and
 /// "--resume-from PATH" ("--flag=value" also accepted) and install the
 /// result via set_default_checkpoint. --resume-from implies the directory
-/// and resume=true. Unrelated arguments are left for the caller.
+/// and resume=true. A missing value or an interval that is not a
+/// non-negative integer prints a message and exits 2. Unrelated arguments
+/// are left for the caller.
 void parse_checkpoint_flags(int argc, char** argv);
 
 /// Resumable Simulator::run. When `resume` and `path` exists, restores it

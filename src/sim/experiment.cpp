@@ -229,17 +229,19 @@ void maybe_write_csv(const ExperimentResult& result) {
 u32 g_default_jobs = 0;
 
 // One finished grid cell persisted as a ".done" record so a resumed grid
-// skips the cell outright. The record is bound to the budget and workload
-// seed: a record from a differently-shaped run is ignored (the cell simply
+// skips the cell outright. The record is bound to the budget, the workload
+// seed and the cell's snapshot_fingerprint (workload name + configuration):
+// a record from a differently-shaped run is ignored (the cell simply
 // re-runs), never misused.
 constexpr u32 kCellRecordTag = 0x43454C4C;  // "CELL"
 
 void save_cell_record(const std::string& path, u64 instructions, u64 seed,
-                      const ExperimentCell& cell) {
+                      u64 fingerprint, const ExperimentCell& cell) {
   SnapshotWriter writer;
   writer.put_section(kCellRecordTag);
   writer.put_u64(instructions);
   writer.put_u64(seed);
+  writer.put_u64(fingerprint);
   writer.put_u32(static_cast<u32>(cell.stop));
   writer.put_f64(cell.ipc);
   writer.put_u64(cell.cycles);
@@ -251,12 +253,13 @@ void save_cell_record(const std::string& path, u64 instructions, u64 seed,
 }
 
 bool load_cell_record(const std::string& path, u64 instructions, u64 seed,
-                      ExperimentCell* cell) {
+                      u64 fingerprint, ExperimentCell* cell) {
   SnapshotReader reader;
   if (!reader.open_file(path, kSnapshotFormatVersion)) return false;
   if (!reader.expect_section(kCellRecordTag)) return false;
   if (reader.get_u64() != instructions) return false;
   if (reader.get_u64() != seed) return false;
+  if (reader.get_u64() != fingerprint) return false;
   ExperimentCell loaded;
   loaded.stop = static_cast<core::StopReason>(reader.get_u32());
   loaded.ipc = reader.get_f64();
@@ -386,17 +389,22 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
       }
     };
 
+    const std::string& workload_name = spec.workloads[job.workload_index];
+    const core::CoreConfig config =
+        apply_model(spec.base, spec.models[job.model_index]);
     // Cell checkpoint files: "<slug>-wW-mM-sS.done" holds a finished
     // cell's result, "<...>.snap" a mid-cell pipeline snapshot.
     std::string cell_base;
+    u64 fingerprint = 0;
     if (!ckpt.dir.empty()) {
       cell_base = ckpt.dir + "/" + slugify(spec.title) +
                   format("-w%zu-m%zu-s%zu", job.workload_index,
                          job.model_index, job.seed_index);
+      fingerprint = snapshot_fingerprint(workload_name, config);
     }
     if (ckpt.resume && !cell_base.empty() &&
         load_cell_record(cell_base + ".done", spec.instructions,
-                         seeds[job.seed_index], &cell)) {
+                         seeds[job.seed_index], fingerprint, &cell)) {
       account_cell(cell.committed);
       return;
     }
@@ -404,15 +412,13 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     workloads::WorkloadOptions options;
     options.seed = seeds[job.seed_index];
     options.iterations = 0;  // run forever; budget bounds the simulation
-    auto workload = workloads::make_workload(spec.workloads[job.workload_index],
-                                             options);
+    auto workload = workloads::make_workload(workload_name, options);
     if (!workload.ok()) {
       std::fprintf(stderr, "experiment: %s\n",
                    workload.error().to_string().c_str());
       std::exit(1);
     }
-    Simulator simulator(std::move(workload).value(),
-                        apply_model(spec.base, spec.models[job.model_index]));
+    Simulator simulator(std::move(workload).value(), config);
     SimResult sim_result;
     if (!cell_base.empty()) {
       std::string error;
@@ -430,7 +436,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
       std::fprintf(stderr,
                    "experiment: %s/%s stopped early (%s) after %llu insts, "
                    "%llu cycles\n",
-                   spec.workloads[job.workload_index].c_str(),
+                   workload_name.c_str(),
                    model_name(spec.models[job.model_index]),
                    core::stop_reason_name(sim_result.stop),
                    static_cast<unsigned long long>(sim_result.committed),
@@ -449,7 +455,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     cell.stop = sim_result.stop;
     if (!cell_base.empty()) {
       save_cell_record(cell_base + ".done", spec.instructions,
-                       seeds[job.seed_index], cell);
+                       seeds[job.seed_index], fingerprint, cell);
       std::remove((cell_base + ".snap").c_str());
     }
 

@@ -162,6 +162,25 @@ TEST(SnapshotTest, ExperimentGridResumesUnderJobs) {
   fs::remove_all(dir);
 }
 
+TEST(SnapshotTest, ExperimentRecordFromAnotherConfigIsRerun) {
+  // Record names carry only the title and cell indices, so a record left
+  // by a run on other hardware must be refused by its fingerprint.
+  const std::string dir = temp_path("grid_config");
+  fs::remove_all(dir);
+  ExperimentSpec spec = grid_spec(2);
+  spec.checkpoint.dir = dir;
+  run_experiment(spec);
+
+  spec.base.ruu_size = 64;
+  spec.base.lsq_size = 32;
+  ExperimentSpec fresh = spec;
+  fresh.checkpoint = {};
+  const ExperimentResult reference = run_experiment(fresh);
+  spec.checkpoint.resume = true;
+  EXPECT_EQ(reference.cells, run_experiment(spec).cells);
+  fs::remove_all(dir);
+}
+
 CampaignSpec campaign_spec(u32 jobs) {
   CampaignSpec spec;
   spec.workloads = {"gcc"};
@@ -196,6 +215,54 @@ TEST(SnapshotTest, CampaignResumesToIdenticalMatrix) {
   const CampaignResult resumed = run_campaign(spec);
   EXPECT_EQ(reference.matrix, resumed.matrix);
   fs::remove_all(dir);
+}
+
+TEST(SnapshotTest, CampaignRecordFromAnotherConfigIsRerun) {
+  // Campaign record names and cell seeds come from indices alone, so two
+  // campaigns sharing a directory must tell their records apart by the
+  // fingerprint.
+  const std::string dir = temp_path("campaign_config");
+  fs::remove_all(dir);
+  CampaignSpec spec = campaign_spec(2);
+  spec.checkpoint.dir = dir;
+  run_campaign(spec);
+
+  spec.variants = standard_campaign_variants();
+  for (CampaignVariant& variant : spec.variants) {
+    variant.config.ruu_size = 64;
+    variant.config.lsq_size = 32;
+  }
+  CampaignSpec fresh = spec;
+  fresh.checkpoint = {};
+  const CampaignResult reference = run_campaign(fresh);
+  spec.checkpoint.resume = true;
+  EXPECT_EQ(reference.matrix, run_campaign(spec).matrix);
+  fs::remove_all(dir);
+}
+
+TEST(SnapshotTest, CheckpointFlagsRejectBadValues) {
+  const auto parse = [](std::vector<std::string> args) {
+    args.insert(args.begin(), "bench");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    parse_checkpoint_flags(static_cast<int>(argv.size()), argv.data());
+  };
+  for (const char* bad : {"1e7", "abc", "-5", ""}) {
+    EXPECT_EXIT(parse({"--checkpoint-interval", bad}),
+                ::testing::ExitedWithCode(2), "--checkpoint-interval")
+        << bad;
+  }
+  for (const char* flag :
+       {"--checkpoint-interval", "--checkpoint-dir", "--resume-from"}) {
+    EXPECT_EXIT(parse({flag}), ::testing::ExitedWithCode(2), "needs a value")
+        << flag;
+  }
+
+  parse({"--checkpoint-interval=10000000", "--resume-from", "ckpt"});
+  EXPECT_EQ(default_checkpoint().interval, 10'000'000u);
+  EXPECT_EQ(default_checkpoint().dir, "ckpt");
+  EXPECT_TRUE(default_checkpoint().resume);
+  set_default_checkpoint(CheckpointOptions{});
 }
 
 TEST(SnapshotTest, CorruptSnapshotIsRejected) {

@@ -21,14 +21,15 @@ Auto-detects the report kind:
     per-component detection/AVF with Wilson bounds. Exits 1 when any
     site's detection rate drops by more than --threshold percentage
     points, or a site that had zero SDC gains some.
-  * BENCH_overnight.json (bench/overnight_bench, schema
-    reese-overnight-v1): per-figure average IPC at paper scale. Exits 1
-    when any figure/model average drops by more than --threshold percent.
+  * BENCH_overnight.json (bench/reese_figs --out, schema
+    reese-overnight-v1): per-figure average IPC, at paper scale under the
+    `overnight` target. Exits 1 when any figure/model average drops by
+    more than --threshold percent.
 
 --validate checks a single report's shape against its schema (currently
 reese-overnight-v1) without comparing anything; exits 2 on a malformed
-report. CI uses this to gate the artifact upload on well-formedness while
-keeping the overnight numbers themselves non-gating.
+report. The CI `figures` job uses this to gate the artifact upload on
+well-formedness; the figure numbers themselves are not gated.
 
 --markdown PATH appends a GitHub-flavoured markdown rendition of the same
 table to PATH (use $GITHUB_STEP_SUMMARY in CI to surface the diff on the

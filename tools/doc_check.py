@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """doc_check: keep the docs honest about the CLI surface.
 
-Four checks, all gating in CI (.github/workflows/ci.yml "docs" job):
+Five checks, all gating in CI (.github/workflows/ci.yml "docs" job):
 
 1. Flag coverage — every `--flag` string literal that a binary under
    bench/ or tools/ actually parses must be mentioned in README.md or
@@ -19,6 +19,11 @@ Four checks, all gating in CI (.github/workflows/ci.yml "docs" job):
 
 4. Link integrity — every intra-repo markdown link in the top-level *.md
    files and docs referenced from them must point at a file that exists.
+
+5. Bench targets — every `bench/<name>` without a file extension in
+   README.md, EXPERIMENTS.md, DESIGN.md or the verify skill must name an
+   executable that bench/CMakeLists.txt defines. A reference to a deleted
+   or renamed bench binary fails.
 
 Usage: python3 tools/doc_check.py [repo_root]
 Exit status 0 when every check passes, 1 otherwise.
@@ -51,6 +56,19 @@ MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 # External or intra-page targets that are not files on disk.
 NON_FILE_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+# A bench binary named in prose or a command line, e.g. `bench/reese_figs`
+# or ./build/bench/perf_kips; bench/reese_figs.cpp (a file) and bench/cpp/
+# (a directory) are not binaries.
+BENCH_BINARY = re.compile(r"(?<![\w-])bench/(\w+)(?![\w/-]|\.\w)")
+
+# Executables bench/CMakeLists.txt defines: reese_bench(name) and
+# add_executable(name ...).
+BENCH_EXECUTABLE = re.compile(r"\b(?:reese_bench|add_executable)\((\w+)")
+
+# Docs whose bench binary names are checked.
+BENCH_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md",
+              os.path.join(".claude", "skills", "verify", "SKILL.md"))
 
 
 def collect_flags(repo_root):
@@ -176,17 +194,37 @@ def check_links(repo_root):
     return errors
 
 
+def check_bench_binaries(repo_root):
+    with open(os.path.join(repo_root, "bench", "CMakeLists.txt"),
+              encoding="utf-8") as handle:
+        defined = set(BENCH_EXECUTABLE.findall(handle.read()))
+    errors = []
+    for name in BENCH_DOCS:
+        path = os.path.join(repo_root, name)
+        if not os.path.isfile(path):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                for binary in BENCH_BINARY.findall(line):
+                    if binary not in defined:
+                        errors.append(
+                            f"{name}:{number}: bench/{binary} is not an "
+                            f"executable bench/CMakeLists.txt defines")
+    return errors
+
+
 def main():
     repo_root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     errors = (check_flag_coverage(repo_root) + check_flag_rows(repo_root) +
-              check_links(repo_root))
+              check_links(repo_root) + check_bench_binaries(repo_root))
     for error in errors:
         print(f"doc_check: {error}", file=sys.stderr)
     if errors:
         print(f"doc_check: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("doc_check: ok (flags documented and parsed, links resolve)")
+    print("doc_check: ok (flags documented and parsed, links resolve, "
+          "bench binaries exist)")
     return 0
 
 
