@@ -15,6 +15,8 @@
 //   -width N           fetch/decode/issue/commit width
 //   -ports N           memory ports
 //   -rqueue N          R-stream Queue entries
+//                      (-ruu takes 2..4096, -lsq/-width/-ports/-rqueue
+//                      1..4096; out of range exits 2 naming the flag)
 //   -kreexec N         re-execute 1 of every N instructions
 //   -early 0|1         early release (default 1)
 //   -minsep N          enforced minimum P->R separation
@@ -63,6 +65,27 @@ bool pick_predictor(const std::string& name, branch::PredictorKind* out) {
   return false;
 }
 
+/// Upper bound of every core geometry flag: keeps the u32 cast from
+/// wrapping and the per-slot allocations bounded.
+constexpr u64 kMaxGeometry = 4096;
+
+/// Read geometry flag `name` into `*value` (whose current value is the
+/// default), accepting [min, kMaxGeometry]. Out of range: a message naming
+/// the flag, and false.
+bool read_geometry(const FlagSet& flags, const char* name, u64 min,
+                   u32* value) {
+  const u64 read = flags.get_u64(name, *value);
+  if (read < min || read > kMaxGeometry) {
+    std::fprintf(stderr, "flag -%s: must be in [%llu, %llu], got %llu\n",
+                 name, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(kMaxGeometry),
+                 static_cast<unsigned long long>(read));
+    return false;
+  }
+  *value = static_cast<u32>(read);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,14 +111,15 @@ int main(int argc, char** argv) {
   }
 
   core::CoreConfig config = core::starting_config();
-  config.ruu_size = static_cast<u32>(flags.get_u64("ruu", config.ruu_size));
-  config.lsq_size = static_cast<u32>(flags.get_u64("lsq", config.lsq_size));
-  const u32 width =
-      static_cast<u32>(flags.get_u64("width", config.issue_width));
+  u32 width = config.issue_width;
+  if (!read_geometry(flags, "ruu", 2, &config.ruu_size) ||
+      !read_geometry(flags, "lsq", 1, &config.lsq_size) ||
+      !read_geometry(flags, "width", 1, &width) ||
+      !read_geometry(flags, "ports", 1, &config.mem_port_count)) {
+    return 2;
+  }
   config.fetch_width = config.decode_width = width;
   config.issue_width = config.commit_width = width;
-  config.mem_port_count =
-      static_cast<u32>(flags.get_u64("ports", config.mem_port_count));
   if (flags.has("pred")) {
     if (!pick_predictor(flags.get_string("pred", "gshare"),
                         &config.predictor)) {
@@ -107,8 +131,9 @@ int main(int argc, char** argv) {
     config = core::with_reese(
         config, static_cast<u32>(flags.get_u64("spare_alus", 0)),
         static_cast<u32>(flags.get_u64("spare_mults", 0)));
-    config.reese.rqueue_size =
-        static_cast<u32>(flags.get_u64("rqueue", config.reese.rqueue_size));
+    if (!read_geometry(flags, "rqueue", 1, &config.reese.rqueue_size)) {
+      return 2;
+    }
     config.reese.reexec_interval =
         static_cast<u32>(flags.get_u64("kreexec", 1));
     config.reese.early_release = flags.get_bool("early", true);

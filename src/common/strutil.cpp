@@ -93,7 +93,8 @@ bool parse_int(std::string_view s, i64* out) {
 
   if (negative) {
     if (magnitude > (u64{1} << 63)) return false;
-    *out = -static_cast<i64>(magnitude);
+    // Negate in u64: -static_cast<i64>(2^63) would overflow for INT64_MIN.
+    *out = static_cast<i64>(0 - magnitude);
   } else {
     if (magnitude > static_cast<u64>(INT64_MAX)) return false;
     *out = static_cast<i64>(magnitude);

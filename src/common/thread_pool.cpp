@@ -104,6 +104,9 @@ void ThreadPool::worker_loop() {
       });
       if (stop_) return;
       seen_generation = generation_;
+      // The caller may have run the whole batch and cleared fn_ before
+      // this worker woke; there is nothing left to share.
+      if (fn_ == nullptr) continue;
       ++active_;
     }
     run_share();

@@ -32,9 +32,7 @@ void Pipeline::franklin_first_completion(u32 slot_index) {
     if (!ref_alive(consumer.ref)) continue;
     RuuEntry& waiter = ruu_[consumer.ref.slot];
     waiter.dep_ready[consumer.operand] = true;
-    if (waiter.deps_ready()) {
-      unissued_mask_ |= ruu_mask_bit(consumer.ref.slot);
-    }
+    if (waiter.deps_ready()) mark_ready(consumer.ref.slot);
   }
   entry.consumers.clear();
 
@@ -78,7 +76,7 @@ void Pipeline::franklin_first_completion(u32 slot_index) {
 
   // Re-arm for the duplicate execution; the entry re-enters the issue scan.
   entry.issued = false;
-  unissued_mask_ |= ruu_mask_bit(slot_index);
+  mark_ready(slot_index);
 }
 
 bool Pipeline::franklin_issue_second(u32 slot_index) {
@@ -110,7 +108,7 @@ bool Pipeline::franklin_issue_second(u32 slot_index) {
   }
 
   entry.issued = true;
-  unissued_mask_ &= ~ruu_mask_bit(slot_index);
+  clear_ready(slot_index);
   stats_.separation.add(now_ - entry.issue_cycle);
   schedule_p_event(complete_at, RuuRef{slot_index, entry.gen});
   trace(TraceKind::kRIssue, entry.seq, entry.pc, entry.inst, entry.spec);

@@ -75,13 +75,13 @@ Pipeline::Pipeline(const isa::Program& program, const CoreConfig& config)
     gshare_ = gshare.get();
     direction_ = std::move(gshare);
   }
-  ruu_mask_scan_ = config_.ruu_size <= 64;
   // occupancy_pct >= watermark  <=>  100*size >= watermark*capacity
   //                             <=>  size >= ceil(watermark*capacity/100).
   rpriority_min_count_ = static_cast<u32>(
       (u64{config_.reese.priority_watermark_pct} * rqueue_.capacity() + 99) /
       100);
   ruu_.resize(config_.ruu_size);
+  ready_.assign(std::max<u32>(1, (config_.ruu_size + 63) / 64), 0);
   lsq_.resize(config_.lsq_size);
   cv_.assign(kCvSize, RuuRef{});
   spec_cv_.assign(kCvSize, RuuRef{});
@@ -393,8 +393,8 @@ void Pipeline::stage_dispatch() {
     }
     link_dependencies(&entry, slot_index);
     // Ready at dispatch → straight into the issue scan; otherwise the
-    // producer's completion wakes it into the mask (see complete_entry).
-    if (entry.deps_ready()) unissued_mask_ |= ruu_mask_bit(slot_index);
+    // producer's completion wakes it into the ready list (complete_entry).
+    if (entry.deps_ready()) mark_ready(slot_index);
 
     ++stats_.dispatched;
     if (entry.spec) ++stats_.wrongpath_dispatched;
@@ -429,7 +429,6 @@ void Pipeline::stage_dispatch() {
 
 Pipeline::LoadPlan Pipeline::plan_load(u32 ruu_slot) {
   const RuuEntry& load = ruu_[ruu_slot];
-  if (!load.dep_ready[0]) return LoadPlan::kBlocked;
   const Addr load_begin = load.mem_addr;
   const Addr load_end = load_begin + load.inst.info().mem_bytes;
 
@@ -478,32 +477,26 @@ void Pipeline::stage_issue() {
     reese_issue(&budget);
   }
 
-  // P-stream issue: program order over the RUU, visiting only the slots
-  // that actually await issue (unissued_mask_). A window full of in-flight
-  // instructions costs two count-trailing-zeros loops instead of a walk
-  // over the multi-cache-line entries. The two chunks (slots >= head, then
-  // slots < head) reproduce ring program order exactly.
-  if (ruu_mask_scan_) {
-    if (budget > 0 && unissued_mask_ != 0) {
-      const u64 head_low_bits = ruu_mask_bit(ruu_head_) - 1;
-      const u64 chunks[2] = {unissued_mask_ & ~head_low_bits,
-                             unissued_mask_ & head_low_bits};
-      for (u64 chunk : chunks) {
-        while (chunk != 0 && budget > 0) {
-          const u32 slot_index = static_cast<u32>(__builtin_ctzll(chunk));
-          chunk &= chunk - 1;
-          try_issue_slot(slot_index, &budget);
-        }
-      }
-    }
-  } else {
-    // ruu_size > 64: position walk (no in-tree config takes this path).
-    for (u32 position = 0; position < ruu_count_ && budget > 0; ++position) {
-      const u32 slot_index = ruu_index_at(position);
-      const RuuEntry& entry = ruu_[slot_index];
-      if (!entry.valid || entry.issued || entry.completed) continue;
+  // P-stream issue: visit only the ready slots, in ring program order —
+  // the head word's bits at and above the head, the words after it, the
+  // words before it, then the head word's bits below the head. Issue only
+  // clears bits of slots already visited (wakeups happen at writeback), so
+  // reading each word as the scan reaches it sees this cycle's snapshot.
+  const u32 words = static_cast<u32>(ready_.size());
+  const u32 head_word = ruu_head_ / 64;
+  const u64 below_head = (u64{1} << (ruu_head_ % 64)) - 1;
+  u32 word = head_word;
+  for (u32 step = 0; step <= words && budget > 0; ++step) {
+    u64 bits = ready_[word];
+    if (step == 0) bits &= ~below_head;
+    if (step == words) bits &= below_head;
+    while (bits != 0 && budget > 0) {
+      const u32 slot_index =
+          word * 64 + static_cast<u32>(__builtin_ctzll(bits));
+      bits &= bits - 1;
       try_issue_slot(slot_index, &budget);
     }
+    if (++word == words) word = 0;
   }
 
   if (reese_scheme && !r_priority) reese_issue(&budget);
@@ -512,10 +505,9 @@ void Pipeline::stage_issue() {
 }
 
 void Pipeline::try_issue_slot(u32 slot_index, u32* budget) {
-  // Via the mask scan the entry is always operand-ready; via the >64-RUU
-  // fallback walk it may not be — the deps_ready checks below cover both.
   RuuEntry& entry = ruu_[slot_index];
-  assert(entry.valid && !entry.issued && !entry.completed);
+  assert(entry.valid && !entry.issued && !entry.completed &&
+         entry.deps_ready() && "ready list holds an unready slot");
 
   if (entry.first_done) {
     // Franklin scheme: the duplicate execution competes for leftover
@@ -542,21 +534,19 @@ void Pipeline::try_issue_slot(u32 slot_index, u32* budget) {
       }
     }
   } else if (exec_class == ExecClass::kStore) {
-    // Address generation + store-buffer write; both operands must be
-    // ready. The cache write happens at commit.
-    if (!entry.deps_ready()) return;
+    // Address generation + store-buffer write; the cache write happens at
+    // commit.
     complete_at = now_ + 1;
   } else if (exec_class == ExecClass::kNone) {
     complete_at = now_ + 1;
   } else {
-    if (!entry.deps_ready()) return;
     const OpTiming timing = op_timing(exec_class, config_);
     if (!fu_pool_.try_acquire(timing.fu, now_, timing.issue_latency)) return;
     complete_at = now_ + timing.result_latency;
   }
 
   entry.issued = true;
-  unissued_mask_ &= ~ruu_mask_bit(slot_index);
+  clear_ready(slot_index);
   entry.issue_cycle = now_;
   schedule_p_event(complete_at, RuuRef{slot_index, entry.gen});
   trace(TraceKind::kIssue, entry.seq, entry.pc, entry.inst, entry.spec);
@@ -631,9 +621,7 @@ void Pipeline::complete_entry(u32 slot_index) {
     waiter.dep_ready[consumer.operand] = true;
     // Both operands ready: the waiter re-enters the issue scan. (A waiter
     // with a pending dependency can never have issued or completed.)
-    if (waiter.deps_ready()) {
-      unissued_mask_ |= ruu_mask_bit(consumer.ref.slot);
-    }
+    if (waiter.deps_ready()) mark_ready(consumer.ref.slot);
   }
   entry.consumers.clear();
 
@@ -685,7 +673,7 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
     victim.valid = false;
     ++victim.gen;
     victim.consumers.clear();
-    unissued_mask_ &= ~ruu_mask_bit(tail_slot);
+    clear_ready(tail_slot);
     --ruu_count_;
   }
 
@@ -726,7 +714,7 @@ void Pipeline::free_ruu_head() {
   head.valid = false;
   ++head.gen;
   head.consumers.clear();
-  unissued_mask_ &= ~ruu_mask_bit(ruu_head_);
+  clear_ready(ruu_head_);
   ruu_head_ = ruu_next(ruu_head_);
   --ruu_count_;
 }

@@ -403,13 +403,14 @@ class Pipeline {
     if (index >= config_.lsq_size) index -= config_.lsq_size;
     return index;
   }
-  /// unissued_mask_ bit for an RUU slot. The &63 keeps the shift defined
-  /// even when ruu_size > 64 (the mask is maintained but not scanned then).
-  static u64 ruu_mask_bit(u32 slot_index) {
-    return u64{1} << (slot_index & 63);
+  void mark_ready(u32 slot_index) {
+    ready_[slot_index / 64] |= u64{1} << (slot_index % 64);
   }
-  /// Attempt P-stream issue of one awaiting RUU slot; decrements `*budget`
-  /// on success. Shared by the mask scan and the fallback position walk.
+  void clear_ready(u32 slot_index) {
+    ready_[slot_index / 64] &= ~(u64{1} << (slot_index % 64));
+  }
+  /// Attempt P-stream issue of one ready RUU slot; decrements `*budget`
+  /// on success.
   void try_issue_slot(u32 slot_index, u32* budget);
   /// R-stream instructions re-enter the pipeline through the scheduler
   /// (§5.1: they "proceed through the SimpleScalar pipeline"), so while in
@@ -485,17 +486,17 @@ class Pipeline {
   /// is the entry's current LSQ position (see plan_load).
   u64 lsq_ticket_head_ = 0;
 
-  /// One bit per RUU slot that is valid, unissued, and operand-ready
-  /// (`valid && !issued && !completed && deps_ready()`) — a ready list.
-  /// stage_issue scans these bits in program order instead of walking the
-  /// multi-cache-line entries of a mostly in-flight or dependency-blocked
-  /// window. Maintained at dispatch (set when ready), consumer wakeup
-  /// (set when the last operand arrives), issue (clear), squash/free
-  /// (clear), and Franklin first completion (set again — the duplicate
-  /// execution re-enters the scan). Only used when ruu_size <= 64 (every
-  /// in-tree config); larger windows fall back to the position walk.
-  u64 unissued_mask_ = 0;
-  bool ruu_mask_scan_ = true;  ///< config_.ruu_size <= 64
+  /// Ready list: one bit per RUU slot that is valid, unissued, and
+  /// operand-ready (`valid && !issued && !completed && deps_ready()`), in
+  /// ceil(ruu_size / 64) words — at least one, so the scan never indexes an
+  /// empty array if a Release build is handed ruu_size 0 (the constructor's
+  /// assert is compiled out there). stage_issue scans these bits in ring
+  /// program order instead of walking the multi-cache-line entries of a
+  /// mostly in-flight or dependency-blocked window. Maintained at dispatch
+  /// (set when ready), consumer wakeup (set when the last operand arrives),
+  /// issue (clear), squash/free (clear), and Franklin first completion (set
+  /// again — the duplicate execution re-enters the scan).
+  std::vector<u64> ready_;
 
   // Create-vectors: architectural register -> in-flight producer. cv_ is
   // the true-path map; spec_cv_ is its wrong-path shadow (copied on spec

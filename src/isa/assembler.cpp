@@ -146,7 +146,10 @@ class Assembler {
     // Try lui(+addi): covers all values representable as
     // sext19(hi) << 14 + sext14(lo), i.e. signed 33-bit values.
     const i64 lo = sign_extend(static_cast<u64>(value), kImm14Bits);
-    const i64 hi = (value - lo) >> 14;
+    // Subtract in u64: value - lo overflows i64 near INT64_MAX, where the
+    // wrapped hi is out of 19-bit range just as the true one is.
+    const i64 hi =
+        static_cast<i64>(static_cast<u64>(value) - static_cast<u64>(lo)) >> 14;
     if (fits_signed(hi, kImm19Bits)) {
       seq.push_back({Opcode::kLui, rd, 0, 0, hi});
       if (lo != 0) seq.push_back({Opcode::kAddi, rd, rd, 0, lo});

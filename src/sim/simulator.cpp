@@ -1,10 +1,34 @@
 #include "sim/simulator.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 
+#include "common/strutil.h"
+
 namespace reese::sim {
+
+namespace {
+
+/// Environment variable `name` as a positive integer, or 0 when it is unset
+/// or empty. Any other value ("1e5", "100k", "-3") is ignored with one
+/// warning per process that names the variable; reesed reads these per
+/// job, so a bad value never exits.
+u64 env_positive(const char* name, std::atomic<bool>* warned) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return 0;
+  i64 value = 0;
+  if (parse_int(env, &value) && value > 0) return static_cast<u64>(value);
+  if (!warned->exchange(true)) {
+    std::fprintf(stderr,
+                 "reese: ignoring %s=\"%s\": not a positive integer\n", name,
+                 env);
+  }
+  return 0;
+}
+
+}  // namespace
 
 Simulator::Simulator(workloads::Workload workload,
                      const core::CoreConfig& config)
@@ -23,9 +47,9 @@ SimResult Simulator::run(u64 instructions) {
 }
 
 Cycle default_cycle_limit(u64 instructions) {
-  if (const char* env = std::getenv("REESE_SIM_CYCLE_LIMIT")) {
-    const long long value = std::atoll(env);
-    if (value > 0) return static_cast<Cycle>(value);
+  static std::atomic<bool> warned{false};
+  if (const u64 limit = env_positive("REESE_SIM_CYCLE_LIMIT", &warned)) {
+    return limit;
   }
   constexpr Cycle kMaxCycle = std::numeric_limits<Cycle>::max();
   if (instructions > kMaxCycle / 64) {
@@ -40,9 +64,9 @@ Cycle default_cycle_limit(u64 instructions) {
 }
 
 u64 default_instruction_budget() {
-  if (const char* env = std::getenv("REESE_SIM_INSTR")) {
-    const long long value = std::atoll(env);
-    if (value > 0) return static_cast<u64>(value);
+  static std::atomic<bool> warned{false};
+  if (const u64 budget = env_positive("REESE_SIM_INSTR", &warned)) {
+    return budget;
   }
   // Smallest budget at which the figures' per-model overhead converges:
   // at 1M every bar of fig2 is within 0.3pp of a 10M reference run, while

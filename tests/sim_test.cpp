@@ -165,7 +165,23 @@ TEST(Budget, EnvOverride) {
   EXPECT_EQ(default_instruction_budget(), 1'000'000u);
   setenv("REESE_SIM_INSTR", "12345", 1);
   EXPECT_EQ(default_instruction_budget(), 12'345u);
+  // Not a positive integer: ignored with a warning naming the variable,
+  // never cut down to its leading digits.
+  setenv("REESE_SIM_INSTR", "1e5", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(default_instruction_budget(), 1'000'000u);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("REESE_SIM_INSTR"),
+            std::string::npos);
+  setenv("REESE_SIM_INSTR", "100k", 1);
+  EXPECT_EQ(default_instruction_budget(), 1'000'000u);
   unsetenv("REESE_SIM_INSTR");
+
+  EXPECT_EQ(default_cycle_limit(1000), 64'000u);
+  setenv("REESE_SIM_CYCLE_LIMIT", "5e6", 1);
+  EXPECT_EQ(default_cycle_limit(1000), 64'000u);
+  setenv("REESE_SIM_CYCLE_LIMIT", "5000000", 1);
+  EXPECT_EQ(default_cycle_limit(1000), 5'000'000u);
+  unsetenv("REESE_SIM_CYCLE_LIMIT");
 }
 
 }  // namespace
