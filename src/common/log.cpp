@@ -24,27 +24,11 @@ std::string quoted(std::string_view value) {
 
 const char* level_name(Level level) {
   switch (level) {
-    case Level::kDebug: return "debug";
     case Level::kInfo: return "info";
     case Level::kWarn: return "warn";
     case Level::kError: return "error";
   }
   return "?";
-}
-
-bool level_from_name(std::string_view name, Level* out) {
-  if (name == "debug") {
-    *out = Level::kDebug;
-  } else if (name == "info") {
-    *out = Level::kInfo;
-  } else if (name == "warn") {
-    *out = Level::kWarn;
-  } else if (name == "error") {
-    *out = Level::kError;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 Field field(std::string key, std::string_view value) {
@@ -79,16 +63,6 @@ Field field(std::string key, bool value) {
 
 Logger::~Logger() {
   if (file_ != nullptr) std::fclose(file_);
-}
-
-void Logger::set_level(Level level) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  level_ = level;
-}
-
-Level Logger::level() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return level_;
 }
 
 bool Logger::open_file(const std::string& path) {
@@ -128,7 +102,6 @@ void Logger::set_capture(std::string* capture) {
 void Logger::log(Level level, std::string_view kind, std::string_view message,
                  const std::vector<Field>& fields) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (level < level_) return;
   const double ts = clock_ ? clock_() : wall_clock_now();
   std::string line = format("{\"ts\": %.6f, \"level\": \"%s\", ", ts,
                             level_name(level));

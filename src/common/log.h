@@ -17,8 +17,8 @@
 //   * emission is mutex-serialized — events from concurrent worker threads
 //     never interleave within a line.
 //
-// The process-wide instance behind reesed's --log-file / --log-level flags
-// is log::global(); components accept a Logger* (nullptr = global) so tests
+// The process-wide instance behind reesed's --log-file flag is
+// log::global(); components accept a Logger* (nullptr = global) so tests
 // can capture events in isolation.
 #pragma once
 
@@ -34,13 +34,10 @@
 
 namespace reese::log {
 
-enum class Level : u8 { kDebug = 0, kInfo, kWarn, kError };
+enum class Level : u8 { kInfo, kWarn, kError };
 
-/// "debug" / "info" / "warn" / "error".
+/// "info" / "warn" / "error".
 const char* level_name(Level level);
-
-/// Parse a level_name() string (the --log-level flag). False on unknown.
-bool level_from_name(std::string_view name, Level* out);
 
 /// One key plus a pre-rendered JSON value. Build with the field()
 /// overloads; the free-form string overload escapes, the numeric ones
@@ -71,10 +68,6 @@ class Logger {
   Logger(const Logger&) = delete;
   Logger& operator=(const Logger&) = delete;
 
-  /// Events below this level are dropped (default kInfo).
-  void set_level(Level level);
-  Level level() const;
-
   /// Append events to `path` instead of stderr (the --log-file flag).
   /// False (and the sink unchanged) when the file cannot be opened.
   bool open_file(const std::string& path);
@@ -92,10 +85,6 @@ class Logger {
   void log(Level level, std::string_view kind, std::string_view message,
            const std::vector<Field>& fields = {});
 
-  void debug(std::string_view kind, std::string_view message,
-             const std::vector<Field>& fields = {}) {
-    log(Level::kDebug, kind, message, fields);
-  }
   void info(std::string_view kind, std::string_view message,
             const std::vector<Field>& fields = {}) {
     log(Level::kInfo, kind, message, fields);
@@ -109,7 +98,7 @@ class Logger {
     log(Level::kError, kind, message, fields);
   }
 
-  /// Events actually written (post level filter); tests assert on it.
+  /// Events written so far; tests assert on it.
   u64 events_written() const;
 
   /// Capture emitted lines into a string instead of a FILE* (tests).
@@ -120,13 +109,12 @@ class Logger {
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;  ///< owned; nullptr = stderr
   std::string* capture_ = nullptr;
-  Level level_ = Level::kInfo;
   Clock clock_;
   metrics::Registry* registry_ = nullptr;
   u64 events_written_ = 0;
 };
 
-/// The process-wide logger (reesed's --log-file/--log-level target).
+/// The process-wide logger (reesed's --log-file target).
 Logger& global();
 
 }  // namespace reese::log

@@ -86,9 +86,10 @@ bool parse_int(std::string_view s, i64* out) {
       return false;
     }
     if (digit >= base) return false;
-    const u64 next = magnitude * static_cast<u64>(base) + static_cast<u64>(digit);
-    if (next < magnitude) return false;  // overflow
-    magnitude = next;
+    const u64 b = static_cast<u64>(base);
+    const u64 d = static_cast<u64>(digit);
+    if (magnitude > (UINT64_MAX - d) / b) return false;  // overflow
+    magnitude = magnitude * b + d;
   }
 
   if (negative) {

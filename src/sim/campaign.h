@@ -1,5 +1,5 @@
 // Fault-injection campaign runner: the robustness analogue of the
-// experiment grid (sim/experiment.h) and the perf harness (sim/perf.h).
+// experiment grid (sim/experiment.h).
 //
 // A campaign fans (variant × workload × seed-replica) cells across the
 // thread pool. Every cell is one independent simulation: it builds its own

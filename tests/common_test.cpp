@@ -347,6 +347,10 @@ TEST(StrUtil, ParseIntBounds) {
   EXPECT_EQ(v, INT64_MIN);
   EXPECT_FALSE(parse_int("9223372036854775808", &v));
   EXPECT_FALSE(parse_int("99999999999999999999999", &v));
+  // 2767011611056432742 * 10 wraps u64 to a value above the multiplicand
+  // and below INT64_MAX, so a check of the wrapped result misses it.
+  EXPECT_FALSE(parse_int("27670116110564327420", &v));
+  EXPECT_FALSE(parse_int("0x1ffffffffffffffff", &v));
 }
 
 TEST(StrUtil, ParseIntTrimsWhitespace) {

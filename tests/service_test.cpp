@@ -3,11 +3,12 @@
 //    wall-clock timeouts (408) and stats — driven in-process via handle();
 //  * results fetched through the service are byte-identical to a direct
 //    run_experiment/run_campaign with the same spec;
-//  * every JSON body the service emits round-trips through JsonChecker;
+//  * every JSON body the service emits parses with json::parse_json;
 //  * the HTTP layer over a real loopback socket (http::Server + client);
 //  * the shipped binaries: reesed on an ephemeral port driven by
 //    reese_client (submit → wait → result), then a SIGTERM drain that must
-//    exit 0. Binary paths arrive via REESE_REESED_BIN / REESE_CLIENT_BIN.
+//    exit 0; both refuse malformed numeric flags with exit 2. Binary paths
+//    arrive via REESE_REESED_BIN / REESE_CLIENT_BIN.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/http.h"
@@ -29,7 +31,6 @@
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/service.h"
-#include "json_checker.h"
 
 namespace reese {
 namespace {
@@ -59,7 +60,7 @@ std::string submit_ok(SimulationService* service, const std::string& endpoint,
   const http::Response response =
       service->handle(make_request("POST", endpoint, spec));
   EXPECT_EQ(response.status, 202) << response.body;
-  EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+  EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   const Result<json::Value> parsed = json::parse_json(response.body);
   EXPECT_TRUE(parsed.ok());
   const json::Value* id = parsed.value().find("id");
@@ -75,7 +76,7 @@ std::string wait_for_job(SimulationService* service,
     const http::Response response =
         service->handle(make_request("GET", id_path));
     EXPECT_EQ(response.status, 200) << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
     const Result<json::Value> parsed = json::parse_json(response.body);
     EXPECT_TRUE(parsed.ok());
     const std::string state = parsed.value().find("state")->string;
@@ -118,7 +119,7 @@ TEST(Service, RejectsInvalidSpecsWith400) {
     const http::Response response =
         service.handle(make_request("POST", "/v1/experiments", spec));
     EXPECT_EQ(response.status, 400) << spec << " -> " << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   }
 
   const char* bad_campaigns[] = {
@@ -135,7 +136,7 @@ TEST(Service, RejectsInvalidSpecsWith400) {
     const http::Response response =
         service.handle(make_request("POST", "/v1/campaigns", spec));
     EXPECT_EQ(response.status, 400) << spec << " -> " << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   }
 }
 
@@ -179,7 +180,7 @@ TEST(Service, ExperimentMatchesDirectRunByteForByte) {
   EXPECT_EQ(csv.content_type, "text/csv");
   const http::Response json_body = service.handle(result_request(id_path));
   ASSERT_EQ(json_body.status, 200);
-  EXPECT_TRUE(JsonChecker(json_body.body).valid()) << json_body.body;
+  EXPECT_TRUE(json::parse_json(json_body.body).ok()) << json_body.body;
 
   // The same spec run directly must serialize identically: the service
   // adds queueing and timeouts around the grid, never inside it.
@@ -207,7 +208,7 @@ TEST(Service, CampaignMatchesDirectRunByteForByte) {
 
   const http::Response json_body = service.handle(result_request(id_path));
   ASSERT_EQ(json_body.status, 200);
-  EXPECT_TRUE(JsonChecker(json_body.body).valid()) << json_body.body;
+  EXPECT_TRUE(json::parse_json(json_body.body).ok()) << json_body.body;
   const http::Response csv = service.handle(result_request(id_path, "csv"));
   ASSERT_EQ(csv.status, 200);
 
@@ -236,7 +237,7 @@ TEST(Service, TimedOutJobAnswers408) {
   EXPECT_EQ(wait_for_job(&service, id_path), "timeout");
   const http::Response response = service.handle(result_request(id_path));
   EXPECT_EQ(response.status, 408);
-  EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+  EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   EXPECT_EQ(service.stats().timeouts, 1u);
 }
 
@@ -267,7 +268,7 @@ TEST(Service, FullQueueAnswers429) {
   const http::Response refused =
       service.handle(make_request("POST", "/v1/experiments", quick_spec));
   EXPECT_EQ(refused.status, 429) << refused.body;
-  EXPECT_TRUE(JsonChecker(refused.body).valid()) << refused.body;
+  EXPECT_TRUE(json::parse_json(refused.body).ok()) << refused.body;
   EXPECT_EQ(service.stats().rejected_queue_full, 1u);
 
   service.drain();
@@ -290,7 +291,7 @@ TEST(Service, BearerTokenGatesEverythingButHealthz) {
   const http::Response denied =
       service.handle(make_request("GET", "/v1/stats"));
   EXPECT_EQ(denied.status, 401) << denied.body;
-  EXPECT_TRUE(JsonChecker(denied.body).valid()) << denied.body;
+  EXPECT_TRUE(json::parse_json(denied.body).ok()) << denied.body;
 
   http::Request wrong = make_request("GET", "/v1/stats");
   wrong.headers["authorization"] = "Bearer nope";
@@ -330,7 +331,7 @@ TEST(Service, PruningPrefersFetchedResults) {
   // A pruned id answers 404, like an id the service never issued.
   const http::Response pruned = service.handle(result_request(job2));
   EXPECT_EQ(pruned.status, 404) << pruned.body;
-  EXPECT_TRUE(JsonChecker(pruned.body).valid()) << pruned.body;
+  EXPECT_TRUE(json::parse_json(pruned.body).ok()) << pruned.body;
   EXPECT_EQ(service.handle(result_request(job1)).status, 200)
       << "never-fetched result was pruned while a fetched one existed";
   EXPECT_EQ(service.handle(result_request(job3)).status, 200);
@@ -421,7 +422,7 @@ TEST(Service, StatsBodyIsValidJson) {
   const http::Response response =
       service.handle(make_request("GET", "/v1/stats"));
   ASSERT_EQ(response.status, 200);
-  EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+  EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   const Result<json::Value> parsed = json::parse_json(response.body);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().find("queue_depth")->uint_value, 0u);
@@ -495,7 +496,7 @@ TEST(Service, ProgressEndpointTracksAJobToCompletion) {
     const http::Response response =
         service.handle(make_request("GET", id_path + "/progress"));
     ASSERT_EQ(response.status, 200) << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
     const Result<json::Value> parsed = json::parse_json(response.body);
     ASSERT_TRUE(parsed.ok());
     const json::Value& body = parsed.value();
@@ -569,7 +570,7 @@ TEST(HttpLoopback, ServesServiceEndpoints) {
   const http::Response health =
       http::request("127.0.0.1", server.port(), "GET", "/v1/healthz");
   EXPECT_EQ(health.status, 200) << health.body;
-  EXPECT_TRUE(JsonChecker(health.body).valid());
+  EXPECT_TRUE(json::parse_json(health.body).ok());
 
   const http::Response bad = http::request(
       "127.0.0.1", server.port(), "POST", "/v1/experiments", "{oops");
@@ -596,21 +597,19 @@ struct Daemon {
   FILE* stdout_stream = nullptr;
 };
 
-/// Fork reesed (on an ephemeral port by default; a restart reuses a fixed
-/// one); parse the port from its first stdout line
-/// ("reesed: listening on 127.0.0.1:PORT").
-Daemon start_reesed(int port = 0) {
+/// Fork reesed on an ephemeral port; parse the port from its first stdout
+/// line ("reesed: listening on 127.0.0.1:PORT").
+Daemon start_reesed() {
   Daemon daemon;
   int out_pipe[2];
   if (pipe(out_pipe) != 0) return daemon;
-  const std::string port_arg = format("%d", port);
   const pid_t pid = fork();
   if (pid == 0) {
     dup2(out_pipe[1], STDOUT_FILENO);
     close(out_pipe[0]);
     close(out_pipe[1]);
-    execl(REESE_REESED_BIN, "reesed", "--port", port_arg.c_str(), "--workers",
-          "1", static_cast<char*>(nullptr));
+    execl(REESE_REESED_BIN, "reesed", "--port", "0", "--workers", "1",
+          static_cast<char*>(nullptr));
     _exit(127);
   }
   close(out_pipe[1]);
@@ -681,13 +680,37 @@ TEST(ReesedBinary, RejectsADefaultTimeoutOutsideTheSpecRange) {
   }
 }
 
+TEST(ReesedBinary, RejectsMalformedNumericFlags) {
+  // A daemon started on a misread number looks healthy (an ephemeral port,
+  // a queue or cap of 0, a prefix of the value, a count wrapped to fit a
+  // u32), so each of these must be a startup error instead.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--port", "abc"},
+      {"--port", "0.5"},
+      {"--workers", "abc"},
+      {"--grid-jobs", "2x"},
+      {"--queue-capacity", "abc"},
+      {"--queue-capacity", "0"},
+      {"--queue-capacity", "-1"},
+      {"--queue-capacity", "4294967296"},
+      {"--max-instructions", "abc"},
+      {"--max-cells", "abc"},
+      {"--max-cells", "4294967296"},
+      {"--retain-jobs", "abc"},
+      {"--shards-per-worker", "2x"},
+  };
+  for (const auto& [flag, value] : cases) {
+    EXPECT_EQ(reesed_exit_status({flag, value}), 2) << flag << " " << value;
+  }
+}
+
 TEST(ReesedBinary, ClientDrivesExperimentAndCampaignThenSigtermDrains) {
   Daemon daemon = start_reesed();
   ASSERT_GT(daemon.pid, 0);
   ASSERT_GT(daemon.port, 0) << "could not parse the listening port";
 
   std::string output;
-  ASSERT_EQ(run_client(daemon.port, "health", &output), 0) << output;
+  ASSERT_EQ(run_client(daemon.port, "stats", &output), 0) << output;
 
   const std::string dir = testing::TempDir();
   const std::string espec_path = dir + "/reese_espec.json";
@@ -745,65 +768,46 @@ TEST(ReesedBinary, ClientDrivesExperimentAndCampaignThenSigtermDrains) {
   if (daemon.stdout_stream != nullptr) fclose(daemon.stdout_stream);
 }
 
-TEST(ReesedBinary, ClientRetriesRideOutADaemonKillAndRestart) {
-  // The flaky-fan-out regression: a daemon dies (SIGKILL — no drain, no
-  // goodbye) and comes back on the same port. A client started during the
-  // outage with --retries must bridge it instead of failing on the first
-  // refused connect; without --retries that first connect is a hard error.
-  Daemon first = start_reesed();
-  ASSERT_GT(first.pid, 0);
-  ASSERT_GT(first.port, 0);
-  const int port = first.port;
-  ASSERT_EQ(kill(first.pid, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(waitpid(first.pid, &status, 0), first.pid);
-  if (first.stdout_stream != nullptr) fclose(first.stdout_stream);
+TEST(ReesedBinary, ClientRejectsMalformedNumbersAndFailsOnADeadDaemon) {
+  Daemon daemon = start_reesed();
+  ASSERT_GT(daemon.pid, 0);
+  ASSERT_GT(daemon.port, 0) << "could not parse the listening port";
 
-  const std::string spec_path = testing::TempDir() + "/reese_restart.json";
+  // Read as its numeric prefix, this port would reach the live daemon.
+  std::string output;
+  EXPECT_EQ(run_client(daemon.port, format("--port %dx stats", daemon.port),
+                       &output),
+            2);
+
+  const std::string spec_path = testing::TempDir() + "/reese_poll.json";
   {
     std::ofstream spec(spec_path);
-    spec << R"({"workloads": ["gcc"], "quick": true, "instructions": 5000})";
+    spec << R"({"workloads": ["gcc"], "models": ["baseline"],
+                "instructions": 5000})";
   }
-
-  // No retries: the dead daemon is an immediate transport failure.
-  std::string output;
-  EXPECT_NE(run_client(port, "submit-campaign " + spec_path, &output), 0);
-
-  // With retries: submit while the port is dark, restart the daemon
-  // mid-backoff, and the queued attempts land on the new incarnation.
-  std::string retried_id;
-  int retried_rc = -1;
-  std::thread client_thread([&] {
-    retried_rc = run_client(
-        port,
-        "--retries 12 --retry-backoff-ms 40 submit-campaign " + spec_path,
-        &retried_id);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  Daemon second = start_reesed(port);
-  ASSERT_GT(second.pid, 0);
-  ASSERT_EQ(second.port, port);
-  client_thread.join();
-  ASSERT_EQ(retried_rc, 0) << retried_id;
-  const std::string job_id = std::string(trim(retried_id));
-  ASSERT_FALSE(job_id.empty());
-
-  ASSERT_EQ(run_client(port, "--retries 4 wait " + job_id, &output), 0)
+  ASSERT_EQ(run_client(daemon.port, "submit-experiment " + spec_path,
+                       &output),
+            0)
       << output;
+  const std::string job_id = std::string(trim(output));
+  // Read as a prefix or clamped to 1 ms, these would poll to "done".
+  for (const char* value : {"abc", "5x", "0"}) {
+    EXPECT_EQ(run_client(daemon.port,
+                         "wait " + job_id + " --poll-ms " + value, &output),
+              2)
+        << value;
+  }
+  ASSERT_EQ(run_client(daemon.port, "wait " + job_id + " --poll-ms 5",
+                       &output),
+            0);
   EXPECT_EQ(trim(output), "done");
-  ASSERT_EQ(run_client(port, "result " + job_id, &output), 0);
-  sim::CampaignSpec direct;
-  direct.workloads = {"gcc"};
-  direct.quick = true;
-  direct.instructions = 5000;
-  direct.jobs = 1;
-  EXPECT_EQ(output, sim::run_campaign(direct).json());
 
-  ASSERT_EQ(kill(second.pid, SIGTERM), 0);
-  ASSERT_EQ(waitpid(second.pid, &status, 0), second.pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  if (second.stdout_stream != nullptr) fclose(second.stdout_stream);
+  // A SIGKILLed daemon (no drain): the refused connect is a hard error.
+  ASSERT_EQ(kill(daemon.pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(daemon.pid, &status, 0), daemon.pid);
+  if (daemon.stdout_stream != nullptr) fclose(daemon.stdout_stream);
+  EXPECT_NE(run_client(daemon.port, "stats", &output), 0);
 }
 
 #endif  // REESE_REESED_BIN && REESE_CLIENT_BIN

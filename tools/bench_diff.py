@@ -5,9 +5,6 @@ Usage: bench_diff.py BEFORE.json AFTER.json [--threshold PCT] [--markdown PATH]
        bench_diff.py REPORT.json --validate
 
 Auto-detects the report kind:
-  * BENCH_perf.json (bench/perf_kips): per-workload kIPS table with the
-    relative change, plus aggregate and grid-speedup deltas. Exits 1 when
-    any workload regresses by more than --threshold percent (default 10).
   * BENCH_fault.json (bench/fault_coverage, schema
     reese-fault-campaign-v1): per-variant coverage with Wilson bounds.
     Exits 1 when any variant's coverage drops by more than --threshold
@@ -35,7 +32,9 @@ well-formedness; the figure numbers themselves are not gated.
 table to PATH (use $GITHUB_STEP_SUMMARY in CI to surface the diff on the
 workflow run page, or a scratch file to post as a PR comment).
 
-Exits 2 on malformed or mismatched input.
+Exits 2 on malformed or mismatched input, or on a report of unknown kind.
+Host throughput is not diffed here: perfbench/run.py (BENCHMARK.json) is
+the throughput benchmark.
 """
 
 import argparse
@@ -91,8 +90,6 @@ def report_kind(report):
         return "cavf"
     if report.get("schema") == "reese-overnight-v1":
         return "overnight"
-    if "aggregate_kips" in report or "workloads" in report:
-        return "perf"
     return "unknown"
 
 
@@ -185,81 +182,6 @@ def diff_overnight(before, after, threshold, md):
                    f"{change:+.1f}%{flag} |")
             if change < -threshold:
                 regressions.append((f"{name}/{model}", change))
-
-    for name, change in regressions:
-        print(f"bench_diff: REGRESSION {name}: {change:+.1f}% "
-              f"(threshold -{threshold}%)", file=sys.stderr)
-    md.add()
-    if regressions:
-        md.add(f"**{len(regressions)} regression(s)** beyond the "
-               f"-{threshold}% threshold.")
-    else:
-        md.add(f"No regressions beyond the -{threshold}% threshold.")
-    return 1 if regressions else 0
-
-
-def diff_perf(before, after, threshold, md):
-    before_kips = {w["workload"]: w["median_kips"]
-                   for w in before.get("workloads", [])}
-    after_kips = {w["workload"]: w["median_kips"]
-                  for w in after.get("workloads", [])}
-
-    if before.get("instructions") != after.get("instructions"):
-        print(f"bench_diff: warning: instruction budgets differ "
-              f"({before.get('instructions')} vs {after.get('instructions')}); "
-              f"kIPS are still comparable but cache behaviour may not be",
-              file=sys.stderr)
-
-    b_sha = before.get("git_sha", "")
-    a_sha = after.get("git_sha", "")
-    if b_sha or a_sha:
-        print(f"baseline @ {b_sha or '(unanchored)'} -> "
-              f"after @ {a_sha or '(unanchored)'}")
-
-    md.add("### Simulator throughput (perf_kips)")
-    md.add()
-    if b_sha or a_sha:
-        md.add(f"Baseline commit: `{b_sha or '(unanchored)'}` → "
-               f"`{a_sha or '(unanchored)'}`")
-        md.add()
-    md.add("| workload | before (kIPS) | after (kIPS) | change |")
-    md.add("|---|---:|---:|---:|")
-    print(f"{'workload':<12}{'before':>12}{'after':>12}{'change':>10}")
-    regressions = []
-    for name in sorted(set(before_kips) | set(after_kips)):
-        b = before_kips.get(name)
-        a = after_kips.get(name)
-        if b is None or a is None:
-            side = "before" if b is None else "after"
-            print(f"{name:<12}{'(missing in ' + side + ')':>34}")
-            md.add(f"| {name} | (missing in {side}) | | |")
-            continue
-        change = pct_change(b, a)
-        print(f"{name:<12}{b:>12.1f}{a:>12.1f}{change:>+9.1f}%")
-        flag = " :warning:" if change < -threshold else ""
-        md.add(f"| {name} | {b:.1f} | {a:.1f} | {change:+.1f}%{flag} |")
-        if change < -threshold:
-            regressions.append((name, change))
-
-    b_agg = before.get("aggregate_kips", 0.0)
-    a_agg = after.get("aggregate_kips", 0.0)
-    print(f"{'aggregate':<12}{b_agg:>12.1f}{a_agg:>12.1f}"
-          f"{pct_change(b_agg, a_agg):>+9.1f}%")
-    md.add(f"| **aggregate** | {b_agg:.1f} | {a_agg:.1f} | "
-           f"{pct_change(b_agg, a_agg):+.1f}% |")
-
-    b_grid = before.get("grid", {})
-    a_grid = after.get("grid", {})
-    if b_grid and a_grid:
-        print(f"grid speedup {b_grid.get('speedup', 0):.2f}x "
-              f"({b_grid.get('jobs', '?')} jobs) -> "
-              f"{a_grid.get('speedup', 0):.2f}x "
-              f"({a_grid.get('jobs', '?')} jobs)")
-        md.add()
-        md.add(f"Grid speedup: {b_grid.get('speedup', 0):.2f}x "
-               f"({b_grid.get('jobs', '?')} jobs) → "
-               f"{a_grid.get('speedup', 0):.2f}x "
-               f"({a_grid.get('jobs', '?')} jobs)")
 
     for name, change in regressions:
         print(f"bench_diff: REGRESSION {name}: {change:+.1f}% "
@@ -454,8 +376,9 @@ def main():
                         help="schema-check a single report instead of "
                              "diffing two (currently reese-overnight-v1)")
     parser.add_argument("--threshold", type=float, default=10.0,
-                        help="regression threshold: percent kIPS drop (perf) "
-                             "or coverage percentage points (fault); "
+                        help="regression threshold: percent average-IPC "
+                             "drop (overnight) or percentage points of "
+                             "coverage (fault) or detection (cavf); "
                              "default 10")
     parser.add_argument("--rho-threshold", type=float, default=0.15,
                         help="regression threshold for avf reports: absolute "
@@ -502,10 +425,8 @@ def main():
         status = diff_avf(before, after, args.rho_threshold, md)
     elif kinds[0] == "cavf":
         status = diff_cavf(before, after, args.threshold, md)
-    elif kinds[0] == "overnight":
-        status = diff_overnight(before, after, args.threshold, md)
     else:
-        status = diff_perf(before, after, args.threshold, md)
+        status = diff_overnight(before, after, args.threshold, md)
     md.flush()
     sys.exit(status)
 

@@ -58,8 +58,8 @@ MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 NON_FILE_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 # A bench binary named in prose or a command line, e.g. `bench/reese_figs`
-# or ./build/bench/perf_kips; bench/reese_figs.cpp (a file) and bench/cpp/
-# (a directory) are not binaries.
+# or ./build/bench/fault_coverage; bench/reese_figs.cpp (a file) and
+# bench/cpp/ (a directory) are not binaries.
 BENCH_BINARY = re.compile(r"(?<![\w-])bench/(\w+)(?![\w/-]|\.\w)")
 
 # Executables bench/CMakeLists.txt defines: reese_bench(name) and

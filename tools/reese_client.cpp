@@ -4,38 +4,28 @@
 // its result — without hand-writing HTTP. Exit status 0 only when the
 // server answered the command with a 2xx.
 //
-// Usage: reese_client [--host ADDR] [--port N] [--token TOK] [--retries N]
-//                     [--retry-backoff-ms MS] <command> [args]
+// Usage: reese_client [--host ADDR] [--port N] [--token TOK] <command> [args]
 //
+//   --port N                daemon port, in [1, 65535] (default 8642)
 //   --token TOK             send "Authorization: Bearer TOK" on every
 //                           request (daemons started with --auth-token)
-//   --retries N             retry transport failures and 429 backpressure
-//                           up to N times with exponential backoff +
-//                           jitter (default 0: fail fast, exact call
-//                           counts for tests)
-//   --retry-backoff-ms MS   first retry delay (default 100, doubling up
-//                           to 2000)
 //
-//   health                          GET /v1/healthz
 //   stats                           GET /v1/stats
 //   submit-experiment SPEC.json     POST /v1/experiments; prints the job id
 //   submit-campaign SPEC.json       POST /v1/campaigns; prints the job id
-//   status ID                       GET /v1/jobs/ID
 //   progress ID                     GET /v1/jobs/ID/progress — live cells
 //                                   done/total, committed instructions, kIPS
-//   wait ID [--poll-ms N]           poll status until the job leaves
+//   wait ID [--poll-ms N]           poll status every N ms, N in [1, 60000]
+//                                   (default 50), until the job leaves
 //                                   queued/running; prints the final state
-//   result ID [--csv|--cells]       GET /v1/jobs/ID/result (?format=csv or
-//                                   ?format=cells — the binary per-cell
-//                                   campaign matrix the coordinator merges)
+//   result ID [--csv]               GET /v1/jobs/ID/result (?format=csv)
 //   metrics                         GET /v1/metrics (Prometheus text)
 //
 // SPEC.json may be "-" to read the spec from stdin. `wait` exits 0 for
 // state "done", 3 for "timeout", 4 for "failed". `result` on a job that
 // timed out surfaces the server's 408; a job pruned by the daemon's
-// retention window answers 404 like any unknown id. With --retries, `wait`
-// rides out a daemon restart between polls instead of failing on the
-// first refused connect.
+// retention window answers 404 like any unknown id. A --port or --poll-ms
+// value that is not an integer in its range exits 2.
 #include <unistd.h>
 
 #include <cstdio>
@@ -48,6 +38,7 @@
 
 #include "common/http.h"
 #include "common/json.h"
+#include "common/strutil.h"
 
 using namespace reese;
 
@@ -89,16 +80,28 @@ int fail_transport(const http::Response& response) {
   return 1;
 }
 
-/// Body to stdout, binary-safe (?format=cells is an octet stream).
+/// Body to stdout, byte for byte.
 void print_body(const http::Response& response) {
   std::fwrite(response.body.data(), 1, response.body.size(), stdout);
+}
+
+/// `value` as an integer in [lo, hi]; anything else exits 2 naming `flag`.
+int int_flag(const char* flag, const char* value, int lo, int hi) {
+  i64 parsed = 0;
+  if (!parse_int(value, &parsed) || parsed < lo || parsed > hi) {
+    std::fprintf(stderr,
+                 "reese_client: %s must be an integer in [%d, %d], got %s\n",
+                 flag, lo, hi, value);
+    std::exit(2);
+  }
+  return static_cast<int>(parsed);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = 8642;
+  u16 port = 8642;
   http::RequestOptions options;
 
   int i = 1;
@@ -114,37 +117,27 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--host") == 0) {
       host = next_value();
     } else if (std::strcmp(arg, "--port") == 0) {
-      port = std::atoi(next_value());
+      port = static_cast<u16>(int_flag(arg, next_value(), 1, 65535));
     } else if (std::strcmp(arg, "--token") == 0) {
       options.headers.push_back(
           {"Authorization", std::string("Bearer ") + next_value()});
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      options.max_retries = std::atoi(next_value());
-      if (options.max_retries < 0) options.max_retries = 0;
-    } else if (std::strcmp(arg, "--retry-backoff-ms") == 0) {
-      options.backoff_ms = std::atof(next_value());
-      if (options.backoff_ms < 1.0) options.backoff_ms = 1.0;
     } else {
       break;  // first non-flag argument is the command
     }
   }
-  if (i >= argc || port < 1 || port > 65535) {
+  if (i >= argc) {
     std::fprintf(stderr,
                  "usage: reese_client [--host ADDR] [--port N] [--token TOK] "
-                 "[--retries N] [--retry-backoff-ms MS] "
-                 "health|stats|metrics|submit-experiment|"
-                 "submit-campaign|status|progress|wait|result ...\n");
+                 "stats|metrics|submit-experiment|submit-campaign|progress|"
+                 "wait|result ...\n");
     return 2;
   }
   const std::string command = argv[i++];
-  const u16 port16 = static_cast<u16>(port);
 
-  if (command == "health" || command == "stats" || command == "metrics") {
-    const std::string path = command == "health"  ? "/v1/healthz"
-                             : command == "stats" ? "/v1/stats"
-                                                  : "/v1/metrics";
+  if (command == "stats" || command == "metrics") {
+    const std::string path = command == "stats" ? "/v1/stats" : "/v1/metrics";
     const http::Response response =
-        http::request(host, port16, "GET", path, "", options);
+        http::request(host, port, "GET", path, "", options);
     if (response.status == 0) return fail_transport(response);
     print_body(response);
     return response.status == 200 ? 0 : 1;
@@ -162,7 +155,7 @@ int main(int argc, char** argv) {
                                  ? "/v1/experiments"
                                  : "/v1/campaigns";
     const http::Response response =
-        http::request(host, port16, "POST", path, spec, options);
+        http::request(host, port, "POST", path, spec, options);
     if (response.status == 0) return fail_transport(response);
     if (response.status != 202) {
       std::fprintf(stderr, "reese_client: submit failed (%d): %s",
@@ -174,8 +167,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "status" || command == "progress" || command == "wait" ||
-      command == "result") {
+  if (command == "progress" || command == "wait" || command == "result") {
     if (i >= argc) {
       std::fprintf(stderr, "reese_client: %s needs a job id\n",
                    command.c_str());
@@ -183,11 +175,9 @@ int main(int argc, char** argv) {
     }
     const std::string id = argv[i++];
 
-    if (command == "status" || command == "progress") {
-      const std::string path = "/v1/jobs/" + id +
-                               (command == "progress" ? "/progress" : "");
-      const http::Response response =
-          http::request(host, port16, "GET", path, "", options);
+    if (command == "progress") {
+      const http::Response response = http::request(
+          host, port, "GET", "/v1/jobs/" + id + "/progress", "", options);
       if (response.status == 0) return fail_transport(response);
       print_body(response);
       return response.status == 200 ? 0 : 1;
@@ -200,12 +190,11 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "reese_client: --poll-ms needs a value\n");
           return 2;
         }
-        poll_ms = std::atoi(argv[i + 1]);
-        if (poll_ms < 1) poll_ms = 1;
+        poll_ms = int_flag("--poll-ms", argv[i + 1], 1, 60000);
       }
       for (;;) {
         const http::Response response =
-            http::request(host, port16, "GET", "/v1/jobs/" + id, "", options);
+            http::request(host, port, "GET", "/v1/jobs/" + id, "", options);
         if (response.status == 0) return fail_transport(response);
         if (response.status != 200) {
           std::fprintf(stderr, "reese_client: status %d: %s",
@@ -227,11 +216,9 @@ int main(int argc, char** argv) {
     std::string path = "/v1/jobs/" + id + "/result";
     if (i < argc && std::strcmp(argv[i], "--csv") == 0) {
       path += "?format=csv";
-    } else if (i < argc && std::strcmp(argv[i], "--cells") == 0) {
-      path += "?format=cells";
     }
     const http::Response response =
-        http::request(host, port16, "GET", path, "", options);
+        http::request(host, port, "GET", path, "", options);
     if (response.status == 0) return fail_transport(response);
     if (response.status != 200) {
       std::fprintf(stderr, "reese_client: status %d: %s", response.status,

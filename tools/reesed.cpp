@@ -19,42 +19,48 @@
 //               [--grid-jobs N] [--max-instructions N] [--max-cells N]
 //               [--timeout-s SECONDS] [--auth-token TOK]...
 //               [--retain-jobs N]
-//               [--log-file PATH] [--log-level LEVEL]
+//               [--log-file PATH]
 //               [--coordinator] [--worker HOST:PORT]...
 //               [--workers-file PATH] [--fleet-token TOK]
 //               [--shards-per-worker N]
 //
 //   --host ADDR            bind address (default 127.0.0.1)
-//   --port N               TCP port; 0 picks an ephemeral port (default 8642)
+//   --port N               TCP port in [0, 65535]; 0 picks an ephemeral
+//                          port (default 8642)
 //   --workers N            concurrent jobs (default 2)
-//   --queue-capacity N     waiting jobs before submits get 429 (default 16)
+//   --queue-capacity N     waiting jobs before submits get 429, in
+//                          [1, 2^32-1] (default 16)
 //   --grid-jobs N          grid workers per job when a spec omits "jobs"
 //                          (default 1)
-//   --max-instructions N   per-cell budget cap; larger specs are a 400
-//   --max-cells N          grid-size cap (workloads × models × seeds); in
-//                          coordinator mode the effective cap is this times
-//                          the fleet size
+//   --max-instructions N   per-cell budget cap, in [1, 2^63-1]; larger
+//                          specs are a 400
+//   --max-cells N          grid-size cap (workloads × models × seeds), in
+//                          [1, 2^32-1]; in coordinator mode the effective
+//                          cap is this times the fleet size
 //   --timeout-s SECONDS    default per-job wall-clock timeout, in [0, 3600]
 //                          (default 300)
 //   --auth-token TOK       require this bearer token (repeatable). Without
 //                          the flag the service is open. /v1/healthz never
 //                          requires a token.
-//   --retain-jobs N        finished jobs kept for result fetches; pruning
-//                          prefers already-fetched results, and a pruned id
-//                          answers 404 like any unknown id (default 256)
+//   --retain-jobs N        finished jobs kept for result fetches, in
+//                          [1, 2^63-1]; pruning prefers already-fetched
+//                          results, and a pruned id answers 404 like any
+//                          unknown id (default 256)
 //   --log-file PATH        append structured JSON-lines events to PATH
 //                          instead of stderr (DESIGN.md §17)
-//   --log-level LEVEL      drop events below LEVEL: debug, info, warn or
-//                          error (default info)
 //   --coordinator          dispatch campaign jobs to the worker fleet
 //   --worker HOST:PORT     add a fleet worker (repeatable)
 //   --workers-file PATH    read workers, one HOST:PORT per line ('#'
 //                          comments and blank lines skipped)
 //   --fleet-token TOK      bearer token sent to workers (when they run with
 //                          --auth-token)
-//   --shards-per-worker N  campaign shards per worker; >1 shrinks the unit
-//                          of re-dispatched work after a worker death
-//                          (default 2)
+//   --shards-per-worker N  campaign shards per worker, in [1, 2^32-1]; >1
+//                          shrinks the unit of re-dispatched work after a
+//                          worker death (default 2)
+//
+// An integer flag whose value is not an integer in its range exits 2;
+// --workers and --grid-jobs take any integer and fall back to hardware
+// concurrency outside [1, 1024] (sanitize_job_count).
 //
 // Prints exactly one "reesed: listening on HOST:PORT" line once the socket
 // is bound (tests parse it to discover the ephemeral port); everything
@@ -62,6 +68,7 @@
 // SIGINT stop the accept loop, drain the admitted jobs, log final stats
 // and exit 0.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,31 +97,37 @@ void handle_signal(int) {
   std::exit(2);
 }
 
+/// `value` as an integer in [lo, hi]; anything else exits 2 naming `flag`.
+i64 int_flag(const char* flag, const char* value, i64 lo = INT64_MIN,
+             i64 hi = INT64_MAX) {
+  i64 parsed = 0;
+  if (!parse_int(value, &parsed)) {
+    config_error(format("%s must be an integer, got %s", flag, value));
+  }
+  if (parsed < lo || parsed > hi) {
+    config_error(format("%s must be in [%lld, %lld], got %s", flag,
+                        static_cast<long long>(lo), static_cast<long long>(hi),
+                        value));
+  }
+  return parsed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The log sink and level apply before any other flag is parsed, so a
-  // bad --worker on the same command line already lands in the right
-  // place (a pre-scan: flag order must not matter).
+  // The log sink applies before any other flag is parsed, so a bad
+  // --worker on the same command line already lands in the right place
+  // (a pre-scan: flag order must not matter).
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--log-file") == 0) {
-      if (!log::global().open_file(argv[i + 1])) {
-        // open_file leaves the sink on stderr, so this event is visible.
-        config_error(format("cannot open log file %s", argv[i + 1]));
-      }
-    } else if (std::strcmp(argv[i], "--log-level") == 0) {
-      log::Level level;
-      if (!log::level_from_name(argv[i + 1], &level)) {
-        config_error(format("--log-level must be debug, info, warn or "
-                            "error, got %s",
-                            argv[i + 1]));
-      }
-      log::global().set_level(level);
+    if (std::strcmp(argv[i], "--log-file") == 0 &&
+        !log::global().open_file(argv[i + 1])) {
+      // open_file leaves the sink on stderr, so this event is visible.
+      config_error(format("cannot open log file %s", argv[i + 1]));
     }
   }
 
   std::string host = "127.0.0.1";
-  int port = 8642;
+  u16 port = 8642;
   sim::ServiceConfig config;
   sim::fleet::FleetConfig fleet;
   bool coordinator = false;
@@ -130,22 +143,22 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--host") == 0) {
       host = next_value();
     } else if (std::strcmp(arg, "--port") == 0) {
-      port = std::atoi(next_value());
+      port = static_cast<u16>(int_flag(arg, next_value(), 0, 65535));
     } else if (std::strcmp(arg, "--workers") == 0) {
-      config.workers = sanitize_job_count(
-          std::strtol(next_value(), nullptr, 10), "--workers");
+      config.workers = sanitize_job_count(int_flag(arg, next_value()), arg);
     } else if (std::strcmp(arg, "--queue-capacity") == 0) {
       config.queue_capacity =
-          static_cast<u32>(std::strtoul(next_value(), nullptr, 10));
+          static_cast<u32>(int_flag(arg, next_value(), 1, UINT32_MAX));
     } else if (std::strcmp(arg, "--grid-jobs") == 0) {
-      config.grid_jobs = sanitize_job_count(
-          std::strtol(next_value(), nullptr, 10), "--grid-jobs");
+      config.grid_jobs = sanitize_job_count(int_flag(arg, next_value()), arg);
     } else if (std::strcmp(arg, "--max-instructions") == 0) {
       config.max_instructions =
-          static_cast<u64>(std::strtoull(next_value(), nullptr, 10));
+          static_cast<u64>(int_flag(arg, next_value(), 1));
     } else if (std::strcmp(arg, "--max-cells") == 0) {
+      // At most 2^32-1, so coordinator mode's multiply by the fleet size
+      // cannot wrap.
       config.max_cells =
-          static_cast<u64>(std::strtoull(next_value(), nullptr, 10));
+          static_cast<u64>(int_flag(arg, next_value(), 1, UINT32_MAX));
     } else if (std::strcmp(arg, "--timeout-s") == 0) {
       // Every spec that omits "timeout_s" gets this value, so one the
       // service would refuse must fail here, not as a 400 on each submit.
@@ -162,9 +175,8 @@ int main(int argc, char** argv) {
       config.auth_tokens.push_back(next_value());
     } else if (std::strcmp(arg, "--retain-jobs") == 0) {
       config.max_retained_jobs =
-          static_cast<usize>(std::strtoull(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--log-file") == 0 ||
-               std::strcmp(arg, "--log-level") == 0) {
+          static_cast<usize>(int_flag(arg, next_value(), 1));
+    } else if (std::strcmp(arg, "--log-file") == 0) {
       next_value();  // applied by the pre-scan above
     } else if (std::strcmp(arg, "--coordinator") == 0) {
       coordinator = true;
@@ -184,17 +196,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--fleet-token") == 0) {
       fleet.auth_token = next_value();
     } else if (std::strcmp(arg, "--shards-per-worker") == 0) {
-      const long value = std::strtol(next_value(), nullptr, 10);
-      if (value < 1) {
-        config_error("--shards-per-worker must be >= 1");
-      }
-      fleet.shards_per_worker = static_cast<u32>(value);
+      fleet.shards_per_worker =
+          static_cast<u32>(int_flag(arg, next_value(), 1, UINT32_MAX));
     } else {
       config_error(format("unknown argument %s", arg));
     }
-  }
-  if (port < 0 || port > 65535) {
-    config_error(format("--port %d is not in [0, 65535]", port));
   }
   if (coordinator && fleet.workers.empty()) {
     config_error("--coordinator needs at least one --worker (or a "
@@ -225,7 +231,7 @@ int main(int argc, char** argv) {
       [&service](const http::Request& request) {
         return service.handle(request);
       });
-  if (!server.listen(host, static_cast<u16>(port))) return 1;
+  if (!server.listen(host, port)) return 1;
   g_server = &server;
   std::signal(SIGTERM, handle_signal);
   std::signal(SIGINT, handle_signal);
