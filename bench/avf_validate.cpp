@@ -23,12 +23,18 @@
 //
 //   --quick       CI mode: 64 replicas per cell instead of 256
 //   --jobs N      worker threads (default: auto; REESE_JOBS honoured)
-//   --min-rho R   per-program pass threshold on rho_window (default 0.6)
+//   --replicas N  seed replicas per cell, in [1, 10^6] (default 256)
+//   --rate R      per-instruction injection probability, in (0, 1]
+//                 (default 0.02)
+//   --seed S      campaign seed, in [0, 2^63-1] (default 0xAFF01DEA)
+//   --min-rho R   per-program pass threshold on rho_window, in [-1, 1]
+//                 (default 0.6)
 //   --out PATH    report path (default: BENCH_avf.json in the CWD)
 //
 // With no positional programs, every examples/srv/*.srv under the source
 // tree is used. Exit status 1 when a program fails to assemble, the
-// report cannot be written, or fewer than two programs pass.
+// report cannot be written, or fewer than two programs pass; 2 when a
+// flag is unknown or its value is malformed or out of range.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +47,7 @@
 
 #include "analysis/vuln.h"
 #include "common/diag.h"
+#include "common/flags.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
 #include "isa/assembler.h"
@@ -50,6 +57,8 @@ using namespace reese;
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr const char* kTool = "avf_validate";
 
 struct ProgramReport {
   std::string name;
@@ -99,15 +108,18 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(std::strtol(next_value(), nullptr, 10));
+      spec.jobs = sanitize_job_count(int_flag_value(kTool, arg, next_value()));
     } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas = static_cast<u32>(std::atoi(next_value()));
+      spec.replicas =
+          static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
+                                          1'000'000));
     } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = std::atof(next_value());
+      spec.rate = double_flag_value(kTool, arg, next_value(), 0.0, 1.0,
+                                    /*exclude_lo=*/true);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
+      spec.seed = static_cast<u64>(int_flag_value(kTool, arg, next_value(), 0));
     } else if (std::strcmp(arg, "--min-rho") == 0) {
-      min_rho = std::atof(next_value());
+      min_rho = double_flag_value(kTool, arg, next_value(), -1.0, 1.0);
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = next_value();
     } else if (arg[0] == '-') {

@@ -27,14 +27,19 @@
 //                      [--instructions N] [--rate R] [--seed S]
 //                      [--out PATH] [--skip-xval]
 //
-//   --quick          CI mode: 1 replica, 20k instructions per cell
-//   --jobs N         worker threads (default: auto; REESE_JOBS honoured)
-//   --rate R         per-cycle strike probability (default 5e-3)
-//   --out PATH       report path (default: BENCH_cavf.json in the CWD)
-//   --skip-xval      skip the srv-vuln cross-validation campaign
+//   --quick           CI mode: 1 replica, 20k instructions per cell
+//   --jobs N          worker threads (default: auto; REESE_JOBS honoured)
+//   --replicas N      seed replicas per cell, in [1, 10^6] (default 8)
+//   --instructions N  per-cell budget, in [1, 2^63-1] (default 60k)
+//   --rate R          per-cycle strike probability, in (0, 1]
+//                     (default 5e-3)
+//   --seed S          campaign seed, in [0, 2^63-1] (default 0xCAFC0DE5)
+//   --out PATH        report path (default: BENCH_cavf.json in the CWD)
+//   --skip-xval       skip the srv-vuln cross-validation campaign
 //
 // Output: reese-cavf-v1 JSON. Exit 1 when a gate fails or the report
-// cannot be written.
+// cannot be written; 2 when a flag is unknown or its value is malformed
+// or out of range.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +52,7 @@
 
 #include "analysis/vuln.h"
 #include "common/diag.h"
+#include "common/flags.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
 #include "isa/assembler.h"
@@ -56,6 +62,8 @@ using namespace reese;
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr const char* kTool = "component_avf";
 
 struct SiteRow {
   std::string label;
@@ -162,16 +170,19 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(std::strtol(next_value(), nullptr, 10));
+      spec.jobs = sanitize_job_count(int_flag_value(kTool, arg, next_value()));
     } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas = static_cast<u32>(std::atoi(next_value()));
+      spec.replicas =
+          static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
+                                          1'000'000));
     } else if (std::strcmp(arg, "--instructions") == 0) {
       spec.instructions =
-          static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
+          static_cast<u64>(int_flag_value(kTool, arg, next_value(), 1));
     } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = std::atof(next_value());
+      spec.rate = double_flag_value(kTool, arg, next_value(), 0.0, 1.0,
+                                    /*exclude_lo=*/true);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
+      spec.seed = static_cast<u64>(int_flag_value(kTool, arg, next_value(), 0));
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = next_value();
     } else if (std::strcmp(arg, "--skip-xval") == 0) {
@@ -187,7 +198,7 @@ int main(int argc, char** argv) {
   if (spec.instructions == 0) spec.instructions = quick ? 20'000 : 60'000;
 
   // One reference row (the classic result-flip model, via the same label
-  // machinery the service/fleet wire uses) + the seven component sites
+  // machinery a service spec uses) + the seven component sites
   // under REESE + the baseline rows that ground-truth the sites REESE
   // cannot see at all.
   const std::vector<std::string> labels = {

@@ -18,23 +18,35 @@
 //                       [--instructions N] [--rate R] [--seed S]
 //                       [--out PATH] [--checkpoint-dir D] [--resume-from D]
 //
-//   --quick       CI mode: 1 replica, 20k-instruction cells (≈10³ injections)
-//   --jobs N      worker threads (default: auto; also -jobs/--jobs=/REESE_JOBS)
-//   --out PATH    report path (default: BENCH_fault.json in the CWD)
+//   --quick           CI mode: 1 replica, 20k-instruction cells (≈10³
+//                     injections)
+//   --jobs N          worker threads (default: auto; REESE_JOBS honoured)
+//   --replicas N      seed replicas per cell, in [1, 10^6] (default 12)
+//   --instructions N  per-cell budget, in [1, 2^63-1] (default 60k)
+//   --rate R          per-instruction injection probability, in (0, 1]
+//                     (default 5e-3)
+//   --seed S          campaign seed, in [0, 2^63-1] (default 0xFA17C0DE)
+//   --out PATH        report path (default: BENCH_fault.json in the CWD)
 //   --checkpoint-dir D   write per-cell ".done" records into D
 //   --resume-from D      skip cells already recorded in D (implies dir)
 //
 // Exit status 1 when a coverage expectation fails (a full-re-execution
-// REESE variant escaped a fault, or the baseline "detected" one).
+// REESE variant escaped a fault, or the baseline "detected" one); 2 when a
+// flag is unknown or its value is malformed or out of range.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "common/thread_pool.h"
 #include "sim/campaign.h"
 
 using namespace reese;
+
+namespace {
+constexpr const char* kTool = "fault_coverage";
+}  // namespace
 
 int main(int argc, char** argv) {
   sim::CampaignSpec spec;
@@ -52,15 +64,19 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--quick") == 0) {
       spec.quick = true;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(std::strtol(next_value(), nullptr, 10));
+      spec.jobs = sanitize_job_count(int_flag_value(kTool, arg, next_value()));
     } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas = static_cast<u32>(std::atoi(next_value()));
+      spec.replicas =
+          static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
+                                          1'000'000));
     } else if (std::strcmp(arg, "--instructions") == 0) {
-      spec.instructions = static_cast<u64>(std::atoll(next_value()));
+      spec.instructions =
+          static_cast<u64>(int_flag_value(kTool, arg, next_value(), 1));
     } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = std::atof(next_value());
+      spec.rate = double_flag_value(kTool, arg, next_value(), 0.0, 1.0,
+                                    /*exclude_lo=*/true);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
+      spec.seed = static_cast<u64>(int_flag_value(kTool, arg, next_value(), 0));
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = next_value();
     } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {

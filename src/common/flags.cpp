@@ -106,9 +106,8 @@ u64 FlagSet::get_u64(const std::string& name, u64 def) const {
 double FlagSet::get_double(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  double v = 0.0;
+  if (!parse_double(it->second, &v)) {
     std::fprintf(stderr, "flag -%s: '%s' is not a number\n", name.c_str(),
                  it->second.c_str());
     std::exit(2);
@@ -121,6 +120,36 @@ bool FlagSet::get_bool(const std::string& name, bool def) const {
   if (it == values_.end()) return def;
   const std::string v = to_lower(it->second);
   return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+i64 int_flag_value(const char* tool, const char* flag, const char* value,
+                   i64 lo, i64 hi) {
+  i64 parsed = 0;
+  if (parse_int(value, &parsed) && parsed >= lo && parsed <= hi) {
+    return parsed;
+  }
+  if (lo == INT64_MIN && hi == INT64_MAX) {
+    std::fprintf(stderr, "%s: %s must be an integer, got %s\n", tool, flag,
+                 value);
+  } else {
+    std::fprintf(stderr, "%s: %s must be an integer in [%lld, %lld], got %s\n",
+                 tool, flag, static_cast<long long>(lo),
+                 static_cast<long long>(hi), value);
+  }
+  std::exit(2);
+}
+
+double double_flag_value(const char* tool, const char* flag,
+                         const char* value, double lo, double hi,
+                         bool exclude_lo) {
+  double parsed = 0.0;
+  if (parse_double(value, &parsed) &&
+      (exclude_lo ? parsed > lo : parsed >= lo) && parsed <= hi) {
+    return parsed;
+  }
+  std::fprintf(stderr, "%s: %s must be a number in %c%g, %g], got %s\n", tool,
+               flag, exclude_lo ? '(' : '[', lo, hi, value);
+  std::exit(2);
 }
 
 }  // namespace reese

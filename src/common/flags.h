@@ -1,8 +1,10 @@
 // Tiny command-line flag parser used by the example CLI and the bench
 // harnesses. Supports "-name value" and "-name:value" in the SimpleScalar
-// style, plus "--name=value".
+// style, plus "--name=value". The free functions below check one numeric
+// value for CLIs that walk argv themselves.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,5 +44,18 @@ class FlagSet {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// `value`, given to command-line flag `flag` of program `tool`, as an
+/// integer in [lo, hi] (parse_int syntax: decimal, 0x or 0b). Anything else
+/// is a usage error: one stderr line naming the tool and the flag, then
+/// exit 2. A value read as its numeric prefix would run something else.
+i64 int_flag_value(const char* tool, const char* flag, const char* value,
+                   i64 lo = INT64_MIN, i64 hi = INT64_MAX);
+
+/// As int_flag_value, for a finite number in [lo, hi]; with `exclude_lo`
+/// the range is (lo, hi].
+double double_flag_value(const char* tool, const char* flag,
+                         const char* value, double lo, double hi,
+                         bool exclude_lo = false);
 
 }  // namespace reese

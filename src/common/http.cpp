@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/rng.h"
 #include "common/strutil.h"
 
 namespace reese::http {
@@ -27,9 +26,7 @@ namespace {
 constexpr usize kMaxHeaderBytes = 64 * 1024;
 constexpr usize kMaxBodyBytes = 4 * 1024 * 1024;
 // Responses the *client* is willing to buffer. Much larger than the
-// request-body cap: a coordinator fetching a shard's serialized
-// CampaignMatrix (?format=cells) pulls per-cell strata for thousands of
-// cells in one response.
+// request-body cap: a result fetch carries a whole report in one response.
 constexpr usize kMaxResponseBytes = 256 * 1024 * 1024;
 constexpr int kRecvTimeoutSeconds = 10;
 /// Concurrent connection threads the server will run; connection number
@@ -680,50 +677,17 @@ Response Client::attempt(const std::string& method, const std::string& path,
   return response;
 }
 
-Response Client::with_retries(const std::string& method,
-                              const std::string& path, const std::string& body,
-                              const RequestOptions& options,
-                              bool close_after) {
-  Response response = attempt(method, path, body, options, close_after);
-  if (options.max_retries <= 0) return response;
-
-  SplitMix64 jitter(options.jitter_seed != 0
-                        ? options.jitter_seed
-                        : static_cast<u64>(
-                              Clock::now().time_since_epoch().count()));
-  double delay_ms = options.backoff_ms > 0.0 ? options.backoff_ms : 100.0;
-  for (int retry = 0; retry < options.max_retries; ++retry) {
-    const bool transient =
-        response.status == 0 ||
-        (response.status == 429 && options.retry_on_429);
-    if (!transient) return response;
-    // Exponential backoff with uniform jitter in [0, 50%] of the delay,
-    // so a fleet of clients retrying a restarted daemon does not stampede.
-    const double jittered =
-        delay_ms * (1.0 + 0.5 * (static_cast<double>(jitter.next() >> 11) /
-                                 9007199254740992.0));
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(jittered));
-    delay_ms = std::min(delay_ms * 2.0, options.backoff_max_ms > 0.0
-                                            ? options.backoff_max_ms
-                                            : 2000.0);
-    response = attempt(method, path, body, options, close_after);
-  }
-  return response;
-}
-
 Response Client::request(const std::string& method, const std::string& path,
                          const std::string& body,
                          const RequestOptions& options) {
-  return with_retries(method, path, body, options, /*close_after=*/false);
+  return attempt(method, path, body, options, /*close_after=*/false);
 }
 
 Response request(const std::string& host, u16 port, const std::string& method,
                  const std::string& path, const std::string& body,
                  const RequestOptions& options) {
   Client client(host, port);
-  return client.with_retries(method, path, body, options,
-                             /*close_after=*/true);
+  return client.attempt(method, path, body, options, /*close_after=*/true);
 }
 
 }  // namespace reese::http

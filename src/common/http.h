@@ -1,16 +1,16 @@
 // Dependency-free HTTP/1.1 over blocking POSIX sockets: the transport for
 // reesed (tools/reesed.cpp), reese_client (tools/reese_client.cpp) and the
-// fleet coordinator (sim/fleet.cpp).
+// benchmark's closed-loop client (perfbench/cpp/serve.cpp).
 //
 // Scope is deliberately small — exactly what a job service and its
-// coordinator need:
+// clients need:
 //  * Server: bind/listen on an IPv4 address (port 0 = ephemeral), then an
 //    accept loop that hands each connection to its own thread (bounded by
 //    kMaxConnections; beyond that a connection is answered 503 and
 //    closed). Connections are HTTP/1.1 keep-alive: a thread serves
 //    requests back to back on one socket until the client sends
 //    "Connection: close", goes quiet past the idle timeout, or hangs up —
-//    so a coordinator polling job state does not pay a TCP handshake per
+//    so a client polling job state does not pay a TCP handshake per
 //    poll. Requests are parsed into method/path/query/headers/body;
 //    oversized or malformed input is answered with 4xx (and the
 //    connection closed) before the handler runs. The handler is invoked
@@ -19,17 +19,15 @@
 //  * Client: a persistent keep-alive Client class (one reusable
 //    connection per remote, transparent reconnect on a stale socket) and
 //    a one-call request() helper for fire-and-forget use. Both enforce a
-//    wall-clock per-attempt deadline — a peer trickling one byte per
-//    receive-timeout cannot wedge the caller — and optional bounded
-//    retries with exponential backoff + jitter on transport failure and
-//    429 backpressure (off by default so tests that count calls stay
-//    exact).
+//    wall-clock per-request deadline — a peer trickling one byte per
+//    receive-timeout cannot wedge the caller. Neither retries: a transport
+//    failure or a 429 reaches the caller as is.
 //
 // Server::request_stop() is async-signal-safe (an atomic store plus
 // ::shutdown on the listening socket), which is what lets reesed's SIGTERM
 // handler stop the accept loop and hand control back to main for the
 // drain; serve() then shuts down the per-connection sockets and joins
-// their threads before returning. See DESIGN.md §11 and §15.
+// their threads before returning. See DESIGN.md §11.
 #pragma once
 
 #include <atomic>
@@ -114,21 +112,11 @@ class Server {
   std::set<int> open_fds_;
 };
 
-/// Per-request client policy. The deadline is wall-clock per attempt — it
+/// Per-request client policy. The deadline is wall-clock per request — it
 /// bounds connect + send + the whole response read, so a slow-writer peer
 /// fails the request instead of resetting a per-recv timer forever.
-/// Retries are off by default: tests that assert exact call counts (and
-/// handlers that are not idempotent) should not be surprised by hidden
-/// resubmission. When enabled, a retry fires on transport failure (status
-/// 0) and on 429 backpressure, sleeping backoff_ms · 2^attempt (capped at
-/// backoff_max_ms) plus uniform jitter in [0, 50%] of the delay.
 struct RequestOptions {
-  double deadline_s = 10.0;     ///< wall clock per attempt; <= 0 = 10 s
-  int max_retries = 0;          ///< extra attempts after the first
-  double backoff_ms = 100.0;    ///< first retry delay before jitter
-  double backoff_max_ms = 2000.0;
-  bool retry_on_429 = true;     ///< also retry 429 (when max_retries > 0)
-  u64 jitter_seed = 0;          ///< 0 = derived from the clock
+  double deadline_s = 10.0;  ///< wall clock per request; <= 0 = 10 s
   /// Extra headers, sent verbatim (e.g. {"Authorization", "Bearer t"}).
   std::vector<std::pair<std::string, std::string>> headers;
 };
@@ -136,9 +124,9 @@ struct RequestOptions {
 /// A keep-alive HTTP/1.1 client bound to one host:port. request() reuses
 /// a single persistent connection across calls, transparently reconnecting
 /// when the server closed it in between (one extra attempt on a stale
-/// socket, not counted against RequestOptions::max_retries). Transport
-/// failures return status 0 with the error in `body`. Not thread-safe —
-/// one Client per calling thread (sim/fleet.cpp holds one per worker).
+/// socket, which the server never saw). Transport failures return status 0
+/// with the error in `body`. Not thread-safe — one Client per calling
+/// thread.
 class Client {
  public:
   Client(std::string host, u16 port);
@@ -166,9 +154,6 @@ class Client {
   Response attempt(const std::string& method, const std::string& path,
                    const std::string& body, const RequestOptions& options,
                    bool close_after);
-  Response with_retries(const std::string& method, const std::string& path,
-                        const std::string& body,
-                        const RequestOptions& options, bool close_after);
   void drop_connection();
 
   std::string host_;

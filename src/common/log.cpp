@@ -120,7 +120,7 @@ void Logger::log(Level level, std::string_view kind, std::string_view message,
   ++events_written_;
   if (registry_ != nullptr) {
     if (metrics::Counter* counter = registry_->counter(
-            "reese_fleet_events_total", {{"kind", std::string(kind)}},
+            "reese_log_events_total", {{"kind", std::string(kind)}},
             "Structured log events by kind")) {
       counter->inc();
     }

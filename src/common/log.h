@@ -1,17 +1,17 @@
 // Structured event log: leveled JSON-lines for the daemon-side components
 // (DESIGN.md §17).
 //
-// The fleet coordinator, the simulation service and reesed itself narrate
-// their lifecycle through this logger instead of raw fprintf(stderr): one
-// JSON object per line, so `grep '"kind":"worker_dead"'` and log shippers
-// both work on the same stream. Each event carries a timestamp, a level, a
-// machine-matchable `kind`, a human message and arbitrary typed fields
-// (job ids, worker addresses, shard indices, ...).
+// The simulation service and reesed itself narrate their lifecycle through
+// this logger instead of raw fprintf(stderr): one JSON object per line, so
+// `grep '"kind": "job_finished"'` and log shippers both work on the same
+// stream. Each event carries a timestamp, a level, a machine-matchable
+// `kind`, a human message and arbitrary typed fields (job ids, states,
+// wall times, ...).
 //
 // Determinism and observability contracts:
 //   * the wall clock is injected (set_clock) so tests can byte-compare
 //     emitted lines;
-//   * every emitted event bumps reese_fleet_events_total{kind=...} in the
+//   * every emitted event bumps reese_log_events_total{kind=...} in the
 //     attached metrics registry (set_registry), making log volume itself
 //     scrapeable on /v1/metrics;
 //   * emission is mutex-serialized — events from concurrent worker threads
@@ -75,13 +75,14 @@ class Logger {
   void set_clock(Clock clock);
 
   /// Attach a metrics registry: every emitted event increments
-  /// reese_fleet_events_total{kind=<kind>}. The registry must outlive the
+  /// reese_log_events_total{kind=<kind>}. The registry must outlive the
   /// attachment — detach with set_registry(nullptr) before destroying it.
   void set_registry(metrics::Registry* registry);
   metrics::Registry* registry() const;
 
   /// Emit one event. `kind` is the stable machine-readable discriminator
-  /// ("worker_dead", "job_submitted", ...); `message` is for humans.
+  /// ("job_submitted", "shutdown", ...); `message` is for humans. A field
+  /// must not be named "kind" — that key is the event's own.
   void log(Level level, std::string_view kind, std::string_view message,
            const std::vector<Field>& fields = {});
 

@@ -58,32 +58,18 @@ void SnapshotWriter::put_string(const std::string& value) {
   put_bytes(reinterpret_cast<const u8*>(value.data()), value.size());
 }
 
-namespace {
-
-std::vector<u8> render_container(const std::vector<u8>& payload, u32 version) {
+bool SnapshotWriter::write_file(const std::string& path, u32 version,
+                                std::string* error) const {
   std::vector<u8> file;
-  file.reserve(kHeaderSize + payload.size() + 8);
+  file.reserve(kHeaderSize + buf_.size() + 8);
   file.resize(kHeaderSize);
   std::memcpy(file.data(), kSnapshotMagic, 8);
   write_le(file.data() + 8, version, 4);
-  write_le(file.data() + 12, payload.size(), 8);
-  file.insert(file.end(), payload.begin(), payload.end());
+  write_le(file.data() + 12, buf_.size(), 8);
+  file.insert(file.end(), buf_.begin(), buf_.end());
   u8 trailer[8];
   write_le(trailer, snapshot_fnv1a(file.data(), file.size()), 8);
   file.insert(file.end(), trailer, trailer + 8);
-  return file;
-}
-
-}  // namespace
-
-std::string SnapshotWriter::to_buffer(u32 version) const {
-  const std::vector<u8> file = render_container(buf_, version);
-  return std::string(reinterpret_cast<const char*>(file.data()), file.size());
-}
-
-bool SnapshotWriter::write_file(const std::string& path, u32 version,
-                                std::string* error) const {
-  const std::vector<u8> file = render_container(buf_, version);
 
   const std::string tmp = path + ".tmp";
   FILE* fp = std::fopen(tmp.c_str(), "wb");
@@ -127,21 +113,9 @@ bool SnapshotReader::open_file(const std::string& path, u32 expected_version) {
   }
   std::fclose(fp);
 
-  return open_container(file.data(), file.size(), "snapshot " + path,
-                        expected_version);
-}
-
-bool SnapshotReader::open_buffer(std::string_view data, u32 expected_version) {
-  ok_ = false;
-  pos_ = 0;
-  buf_.clear();
-  return open_container(reinterpret_cast<const u8*>(data.data()), data.size(),
-                        "snapshot buffer", expected_version);
-}
-
-bool SnapshotReader::open_container(const u8* data, usize size,
-                                    const std::string& label,
-                                    u32 expected_version) {
+  const std::string label = "snapshot " + path;
+  const u8* data = file.data();
+  const usize size = file.size();
   if (size < kHeaderSize + 8) {
     error_ = label + " is truncated (no header)";
     return false;

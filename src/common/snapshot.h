@@ -23,7 +23,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -60,11 +59,6 @@ class SnapshotWriter {
   bool write_file(const std::string& path, u32 version,
                   std::string* error) const;
 
-  /// Render the same container (magic + version + payload + checksum) to an
-  /// in-memory byte string — the wire form for shipping snapshots over HTTP
-  /// (campaign shard results, sim/fleet.*) instead of through a file.
-  std::string to_buffer(u32 version) const;
-
  private:
   static constexpr u32 kSectionMark = 0x53454354;  // "SECT"
   void put_le(u64 value, unsigned bytes);
@@ -79,10 +73,6 @@ class SnapshotReader {
   /// version exactly; mismatches (and bad magic, truncation, checksum
   /// failures) return false with a diagnostic in error().
   bool open_file(const std::string& path, u32 expected_version);
-
-  /// Validate an in-memory container (SnapshotWriter::to_buffer wire form).
-  /// Same checks as open_file: magic, version, size, checksum.
-  bool open_buffer(std::string_view data, u32 expected_version);
 
   /// Typed reads. On over-read the reader latches an error and returns
   /// zero values; callers check ok() once at the end of a section rather
@@ -109,8 +99,6 @@ class SnapshotReader {
 
  private:
   u64 get_le(unsigned bytes);
-  bool open_container(const u8* data, usize size, const std::string& label,
-                      u32 expected_version);
 
   std::vector<u8> buf_;  ///< payload only (header/trailer stripped)
   usize pos_ = 0;

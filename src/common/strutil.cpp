@@ -1,6 +1,7 @@
 #include "common/strutil.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -100,6 +101,19 @@ bool parse_int(std::string_view s, i64* out) {
     if (magnitude > static_cast<u64>(INT64_MAX)) return false;
     *out = static_cast<i64>(magnitude);
   }
+  return true;
+}
+
+bool parse_double(std::string_view s, double* out) {
+  // strtod needs a terminated string and would skip only leading blanks.
+  const std::string text(trim(s));
+  if (text.empty()) return false;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
   return true;
 }
 

@@ -26,6 +26,10 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Returns false on any trailing garbage or overflow.
 bool parse_int(std::string_view s, i64* out);
 
+/// Parse a finite floating-point number (strtod syntax: 0.5, 5e-3, ...).
+/// Returns false on trailing garbage, overflow, NaN or infinity.
+bool parse_double(std::string_view s, double* out);
+
 /// printf into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

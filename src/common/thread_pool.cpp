@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/strutil.h"
+
 namespace reese {
 
 u32 resolve_job_count(u32 requested) {
@@ -17,13 +19,15 @@ u32 resolve_job_count(u32 requested) {
                  requested, kMaxJobRequest);
   }
   if (const char* env = std::getenv("REESE_JOBS")) {
-    const long value = std::atol(env);
-    if (value > 0 && value <= static_cast<long>(kMaxJobRequest)) {
+    // An environment variable warns and falls back; it never exits.
+    i64 value = 0;
+    if (parse_int(env, &value) && value > 0 &&
+        value <= static_cast<i64>(kMaxJobRequest)) {
       return static_cast<u32>(value);
     }
     std::fprintf(stderr,
-                 "jobs: REESE_JOBS=\"%s\" is not in [1, %u]; using hardware "
-                 "concurrency\n",
+                 "jobs: REESE_JOBS=\"%s\" is not an integer in [1, %u]; "
+                 "using hardware concurrency\n",
                  env, kMaxJobRequest);
   }
   return std::max(1u, std::thread::hardware_concurrency());

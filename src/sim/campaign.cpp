@@ -38,9 +38,7 @@ void accumulate_stratum(StratumCount* stratum, const faults::FaultRecord& r) {
 // the cell's snapshot_fingerprint (workload name + variant configuration)
 // so a record from a differently-shaped campaign is ignored and the cell
 // re-runs (see CampaignSpec::checkpoint).
-constexpr u32 kCampaignCellTag = 0x43414D50;    // "CAMP"
-// Wire form of a whole (shard) matrix: identity fields + every cell.
-constexpr u32 kCampaignMatrixTag = 0x4D545258;  // "MTRX"
+constexpr u32 kCampaignCellTag = 0x43414D50;  // "CAMP"
 
 void put_stratum(SnapshotWriter* writer, const StratumCount& stratum) {
   writer->put_u64(stratum.injected);
@@ -53,6 +51,8 @@ void get_stratum(SnapshotReader* reader, StratumCount* stratum) {
   stratum->detected = reader->get_u64();
   stratum->undetected = reader->get_u64();
 }
+
+}  // namespace
 
 void put_campaign_cell(SnapshotWriter* writer, const CampaignCell& cell) {
   writer->put_u64(cell.injected);
@@ -89,6 +89,8 @@ void put_campaign_cell(SnapshotWriter* writer, const CampaignCell& cell) {
     writer->put_u64(stratum.window_sum);
   }
 }
+
+namespace {
 
 bool get_campaign_cell(SnapshotReader* reader, CampaignCell* cell) {
   CampaignCell loaded;
@@ -520,7 +522,7 @@ CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec_in) {
   if (!spec.sites.empty()) {
     // Component axis: cross (base × site). Labels become "base@site" —
     // the form campaign_variant_by_label resolves, which is how these
-    // variants travel through the service/fleet wire.
+    // variants travel through a service spec.
     const std::vector<CampaignVariant> bases =
         spec.variants.empty() ? component_base_variants() : spec.variants;
     spec.variants.clear();
@@ -625,8 +627,8 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     const Job job = jobs[job_index];
     const CampaignVariant& variant = spec.variants[job.variant_index];
     // Seed and checkpoint identity use the *global* replica index, so a
-    // shard covering replicas [replica_begin, replica_begin + n) runs
-    // exactly the cells the single-node run would (DESIGN.md §15).
+    // spec covering replicas [replica_begin, replica_begin + n) runs
+    // exactly those cells of the whole campaign.
     const usize global_replica = spec.replica_begin + job.replica;
     const u64 cell_seed = derive_cell_seed(spec.seed, job.variant_index,
                                            job.workload_index, global_replica);
@@ -835,204 +837,6 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
 
   result.cancelled = cancelled.load(std::memory_order_relaxed);
   return result;
-}
-
-std::vector<CampaignSpec> split_campaign_spec(const CampaignSpec& resolved,
-                                              usize shards) {
-  std::vector<CampaignSpec> out;
-  if (shards == 0) return out;
-  const u32 replicas = resolved.replicas;
-  const u32 base = replicas / static_cast<u32>(shards);
-  const u32 extra = replicas % static_cast<u32>(shards);
-  u32 begin = resolved.replica_begin;
-  for (usize s = 0; s < shards; ++s) {
-    const u32 count = base + (s < extra ? 1 : 0);
-    if (count == 0) continue;
-    CampaignSpec shard = resolved;
-    shard.replica_begin = begin;
-    shard.replicas = count;
-    // Defaults are already resolved; quick left set would clamp the shard
-    // back to one replica on the worker.
-    shard.quick = false;
-    // Hooks belong to whoever dispatches the shard, not to the template.
-    shard.cancel = nullptr;
-    shard.progress = nullptr;
-    shard.metrics = nullptr;
-    out.push_back(std::move(shard));
-    begin += count;
-  }
-  return out;
-}
-
-CampaignMatrix make_campaign_matrix(const CampaignSpec& resolved) {
-  CampaignMatrix matrix;
-  matrix.cells.assign(
-      resolved.variants.size(),
-      std::vector<std::vector<CampaignCell>>(
-          resolved.workloads.size(),
-          std::vector<CampaignCell>(resolved.replicas)));
-  return matrix;
-}
-
-std::string serialize_campaign_matrix(const CampaignResult& result) {
-  const CampaignSpec& spec = result.spec;
-  SnapshotWriter writer;
-  writer.put_section(kCampaignMatrixTag);
-  writer.put_u64(spec.seed);
-  writer.put_u64(spec.instructions);
-  writer.put_f64(spec.rate);
-  writer.put_u32(spec.replica_begin);
-  writer.put_u32(spec.replicas);
-  writer.put_u32(static_cast<u32>(spec.variants.size()));
-  for (const CampaignVariant& variant : spec.variants) {
-    writer.put_string(variant.label);
-  }
-  writer.put_u32(static_cast<u32>(spec.workloads.size()));
-  for (const std::string& name : spec.workloads) writer.put_string(name);
-  for (const auto& workloads : result.matrix.cells) {
-    for (const auto& replicas : workloads) {
-      for (const CampaignCell& cell : replicas) {
-        put_campaign_cell(&writer, cell);
-      }
-    }
-  }
-  return writer.to_buffer(kSnapshotFormatVersion);
-}
-
-bool deserialize_campaign_matrix(std::string_view data, CampaignWire* wire,
-                                 std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-  SnapshotReader reader;
-  if (!reader.open_buffer(data, kSnapshotFormatVersion)) {
-    return fail(reader.error());
-  }
-  if (!reader.expect_section(kCampaignMatrixTag)) return fail(reader.error());
-  CampaignWire loaded;
-  loaded.seed = reader.get_u64();
-  loaded.instructions = reader.get_u64();
-  loaded.rate = reader.get_f64();
-  loaded.replica_begin = reader.get_u32();
-  const u32 replicas = reader.get_u32();
-  const u32 variant_count = reader.get_u32();
-  if (!reader.ok() || variant_count > 1024) {
-    return fail("campaign matrix: bad variant count");
-  }
-  for (u32 v = 0; v < variant_count; ++v) {
-    loaded.variant_labels.push_back(reader.get_string());
-  }
-  const u32 workload_count = reader.get_u32();
-  if (!reader.ok() || workload_count > 4096) {
-    return fail("campaign matrix: bad workload count");
-  }
-  for (u32 w = 0; w < workload_count; ++w) {
-    loaded.workload_names.push_back(reader.get_string());
-  }
-  loaded.matrix.cells.assign(
-      variant_count, std::vector<std::vector<CampaignCell>>(
-                         workload_count, std::vector<CampaignCell>(replicas)));
-  for (auto& workloads : loaded.matrix.cells) {
-    for (auto& cells : workloads) {
-      for (CampaignCell& cell : cells) {
-        if (!get_campaign_cell(&reader, &cell)) {
-          return fail("campaign matrix: truncated or corrupt cell payload");
-        }
-      }
-    }
-  }
-  if (!reader.ok() || !reader.at_end()) {
-    return fail(reader.ok() ? "campaign matrix: trailing bytes"
-                            : reader.error());
-  }
-  *wire = std::move(loaded);
-  return true;
-}
-
-bool place_shard(const CampaignSpec& resolved, const CampaignWire& shard,
-                 CampaignMatrix* merged, std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = "shard identity: " + message;
-    return false;
-  };
-  if (shard.seed != resolved.seed) {
-    return fail(format("seed 0x%llx != campaign 0x%llx",
-                       static_cast<unsigned long long>(shard.seed),
-                       static_cast<unsigned long long>(resolved.seed)));
-  }
-  if (shard.instructions != resolved.instructions) {
-    return fail(format("instruction budget %llu != campaign %llu",
-                       static_cast<unsigned long long>(shard.instructions),
-                       static_cast<unsigned long long>(resolved.instructions)));
-  }
-  if (shard.rate != resolved.rate) {
-    return fail(format("rate %g != campaign %g", shard.rate, resolved.rate));
-  }
-  if (shard.variant_labels.size() != resolved.variants.size()) {
-    return fail(format("%zu variants != campaign %zu",
-                       shard.variant_labels.size(), resolved.variants.size()));
-  }
-  for (usize v = 0; v < resolved.variants.size(); ++v) {
-    if (shard.variant_labels[v] != resolved.variants[v].label) {
-      return fail(format("variant %zu is \"%s\", campaign has \"%s\"", v,
-                         shard.variant_labels[v].c_str(),
-                         resolved.variants[v].label.c_str()));
-    }
-  }
-  if (shard.workload_names.size() != resolved.workloads.size()) {
-    return fail(format("%zu workloads != campaign %zu",
-                       shard.workload_names.size(),
-                       resolved.workloads.size()));
-  }
-  for (usize w = 0; w < resolved.workloads.size(); ++w) {
-    if (shard.workload_names[w] != resolved.workloads[w]) {
-      return fail(format("workload %zu is \"%s\", campaign has \"%s\"", w,
-                         shard.workload_names[w].c_str(),
-                         resolved.workloads[w].c_str()));
-    }
-  }
-  const usize shard_replicas =
-      shard.matrix.cells.empty() || shard.matrix.cells[0].empty()
-          ? 0
-          : shard.matrix.cells[0][0].size();
-  if (shard.replica_begin < resolved.replica_begin ||
-      shard.replica_begin - resolved.replica_begin + shard_replicas >
-          resolved.replicas) {
-    return fail(format("replica range [%u, %zu) outside campaign [%u, %zu)",
-                       shard.replica_begin,
-                       shard.replica_begin + shard_replicas,
-                       resolved.replica_begin,
-                       static_cast<usize>(resolved.replica_begin +
-                                          resolved.replicas)));
-  }
-  if (merged->cells.size() != resolved.variants.size() ||
-      (merged->cells.size() > 0 &&
-       (merged->cells[0].size() != resolved.workloads.size() ||
-        merged->cells[0][0].size() != resolved.replicas))) {
-    return fail("merge target not shaped by make_campaign_matrix");
-  }
-
-  const usize offset = shard.replica_begin - resolved.replica_begin;
-  static const CampaignCell kEmptyCell;
-  for (usize v = 0; v < shard.matrix.cells.size(); ++v) {
-    for (usize w = 0; w < shard.matrix.cells[v].size(); ++w) {
-      for (usize r = 0; r < shard.matrix.cells[v][w].size(); ++r) {
-        if (!(merged->cells[v][w][offset + r] == kEmptyCell)) {
-          return fail(format("cell (v%zu, w%zu, r%zu) already placed", v, w,
-                             offset + r));
-        }
-      }
-    }
-  }
-  for (usize v = 0; v < shard.matrix.cells.size(); ++v) {
-    for (usize w = 0; w < shard.matrix.cells[v].size(); ++w) {
-      for (usize r = 0; r < shard.matrix.cells[v][w].size(); ++r) {
-        merged->cells[v][w][offset + r] = shard.matrix.cells[v][w][r];
-      }
-    }
-  }
-  return true;
 }
 
 bool write_campaign_report(const CampaignResult& result,

@@ -32,6 +32,10 @@
 #include "sim/checkpoint.h"
 #include "sim/progress.h"
 
+namespace reese {
+class SnapshotWriter;
+}  // namespace reese
+
 namespace reese::sim {
 
 /// One row of the campaign: a pipeline configuration plus a fault target.
@@ -64,8 +68,8 @@ bool fault_site_from_name(std::string_view name, core::FaultSite* site);
 /// Resolve a variant label to a full CampaignVariant: either one of the
 /// five standard labels, or a component label of the form "base@site"
 /// (e.g. "reese@rqueue") with base from component_base_variants(). This is
-/// how site variants travel through the service/fleet wire — labels only,
-/// no new protocol field. False on unknown label.
+/// how site variants travel through a service spec — labels only, no new
+/// spec field. False on unknown label.
 bool campaign_variant_by_label(const std::string& label, CampaignVariant* out);
 
 /// A fixed program image to campaign over in place of a named workload
@@ -119,13 +123,10 @@ struct CampaignSpec {
   /// therefore ignored here. Left default, the process-wide
   /// default_checkpoint() applies.
   CheckpointOptions checkpoint;
-  /// Global index of this spec's first replica. 0 for a whole campaign; a
-  /// shard produced by split_campaign_spec carries its offset here, so the
-  /// cell seed (derive_cell_seed) and the checkpoint ".done" record name
-  /// are computed from the *global* replica index `replica_begin + r`.
-  /// That is the whole shard-identity contract: a shard runs exactly the
-  /// cells the single-node run would, making sharding a pure partition of
-  /// the replica axis (DESIGN.md §15).
+  /// Global index of this spec's first replica; 0 for a whole campaign.
+  /// The cell seed (derive_cell_seed) and the checkpoint ".done" record
+  /// name use the global replica index `replica_begin + r`, so a spec over
+  /// replicas [b, b + n) runs exactly those cells of the whole campaign.
   u32 replica_begin = 0;
 };
 
@@ -248,64 +249,16 @@ u64 derive_cell_seed(u64 campaign_seed, usize variant_index,
 /// resolution and sequential jobs==1 reference path as run_experiment).
 CampaignResult run_campaign(const CampaignSpec& spec);
 
-// --- Sharding (fleet mode, DESIGN.md §15) -----------------------------------
-//
-// A campaign shards along the replica axis only: because every cell seeds
-// from derive_cell_seed(seed, v, w, global_replica) and writes only its own
-// matrix slot, a shard covering replicas [begin, begin + n) computes
-// exactly the cells a single-node run would — merging shards back is pure
-// placement, and the merged matrix (hence json()/csv()) is byte-identical
-// to the single-node run. place_shard() enforces that contract instead of
-// assuming it.
-
 /// Resolve every defaulted CampaignSpec field (variants, workloads,
 /// quick-mode replica clamp, instruction budget, checkpoint policy) exactly
-/// as run_campaign does, without running anything. Sharding must split a
-/// *resolved* spec — otherwise each worker would re-resolve defaults that
-/// depend on fields the shard narrows.
+/// as run_campaign does, without running anything. The service sizes a
+/// campaign spec's grid against its cell cap with it.
 CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec);
 
-/// Split a resolved spec into up to `shards` sub-specs covering contiguous
-/// replica ranges (sizes differ by at most one; fewer shards come back when
-/// replicas < shards). Each shard carries replica_begin, has quick cleared
-/// (defaults are already resolved) and drops the parent's cancel/progress/
-/// metrics hooks — dispatchers attach their own.
-std::vector<CampaignSpec> split_campaign_spec(const CampaignSpec& resolved,
-                                              usize shards);
-
-/// An empty matrix shaped [variants][workloads][replicas] for `resolved`,
-/// the merge target for place_shard.
-CampaignMatrix make_campaign_matrix(const CampaignSpec& resolved);
-
-/// A shard result as it travels over the wire: the identity fields that
-/// bind it to its parent campaign plus the per-cell matrix (lossless,
-/// unlike the aggregated json() report).
-struct CampaignWire {
-  u64 seed = 0;
-  u64 instructions = 0;
-  double rate = 0.0;
-  u32 replica_begin = 0;
-  std::vector<std::string> variant_labels;
-  std::vector<std::string> workload_names;
-  CampaignMatrix matrix;
-};
-
-/// Serialize a (shard) result's full per-cell matrix plus identity fields
-/// into the snapshot container wire form (served as ?format=cells).
-std::string serialize_campaign_matrix(const CampaignResult& result);
-
-/// Parse and validate a serialize_campaign_matrix buffer (magic, version,
-/// checksum, shape). False with a diagnostic in `*error` on any mismatch.
-bool deserialize_campaign_matrix(std::string_view data, CampaignWire* wire,
-                                 std::string* error);
-
-/// Place a shard's cells into `merged` (shaped by make_campaign_matrix for
-/// `resolved`). Verifies the shard identity contract first — seed, budget,
-/// rate, variant labels and workload names must match, the replica range
-/// must fit, and no target slot may already be filled — and returns false
-/// with a diagnostic instead of merging a shard from a different campaign.
-bool place_shard(const CampaignSpec& resolved, const CampaignWire& shard,
-                 CampaignMatrix* merged, std::string* error);
+/// Append one cell's outcome to `writer` in the layout its checkpoint
+/// ".done" record stores. Exposed so tests can pin cells by the hash of
+/// these bytes.
+void put_campaign_cell(SnapshotWriter* writer, const CampaignCell& cell);
 
 /// Write `result.json()` to `path`; returns false (with a message on
 /// stderr) if the file cannot be written.

@@ -10,6 +10,7 @@
 #include <filesystem>
 
 #include "common/diag.h"
+#include "common/flags.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
@@ -286,11 +287,12 @@ void parse_jobs_flag(int argc, char** argv) {
       value = arg + 7;
     }
     if (value == nullptr) continue;
-    // sanitize_job_count turns 0/negative/absurd requests into 0 (auto =
-    // hardware concurrency) with a warning instead of silently ignoring
-    // them — the old behaviour made "--jobs 0" keep whatever default was
-    // installed earlier.
-    set_default_jobs(sanitize_job_count(std::strtol(value, nullptr, 10)));
+    // A non-integer exits 2. sanitize_job_count turns 0/negative/absurd
+    // requests into 0 (auto = hardware concurrency) with a warning instead
+    // of silently ignoring them — the old behaviour made "--jobs 0" keep
+    // whatever default was installed earlier.
+    set_default_jobs(
+        sanitize_job_count(int_flag_value("jobs", "--jobs", value)));
   }
 }
 

@@ -147,8 +147,9 @@ void set_default_jobs(u32 jobs);
 u32 default_jobs();
 
 /// Scan a bench binary's argv for "--jobs N" / "--jobs=N" / "-jobs N" and
-/// install the value via set_default_jobs. Unrelated arguments are left
-/// for the caller.
+/// install the value via set_default_jobs. A value that is not an integer
+/// exits 2; an integer outside [1, kMaxJobRequest] warns and means auto.
+/// Unrelated arguments are left for the caller.
 void parse_jobs_flag(int argc, char** argv);
 
 }  // namespace reese::sim

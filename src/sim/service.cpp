@@ -182,7 +182,6 @@ const char* job_state_name(JobState state) {
     case JobState::kRunning: return "running";
     case JobState::kDone: return "done";
     case JobState::kTimeout: return "timeout";
-    case JobState::kFailed: return "failed";
   }
   return "?";
 }
@@ -191,7 +190,7 @@ SimulationService::SimulationService(const ServiceConfig& config)
     : config_(config),
       logger_(config.logger != nullptr ? config.logger : &log::global()),
       queue_(std::max(1u, config.workers), config.queue_capacity) {
-  // Event volume becomes scrapeable (reese_fleet_events_total on
+  // Event volume becomes scrapeable (reese_log_events_total on
   // /v1/metrics). Detached in the destructor before registry_ dies.
   logger_->set_registry(&registry_);
 }
@@ -213,7 +212,6 @@ ServiceStats SimulationService::stats() const {
   stats.submitted = submitted_;
   stats.completed = completed_;
   stats.timeouts = timeouts_;
-  stats.failed = failed_;
   stats.rejected_queue_full = rejected_queue_full_;
   stats.total_committed = total_committed_;
   stats.total_wall_seconds = total_wall_seconds_;
@@ -277,9 +275,6 @@ std::string SimulationService::job_status_json(const Job& job) {
                 job.is_campaign ? "campaign" : "experiment");
   out += format("  \"state\": \"%s\",\n", job_state_name(job.state));
   out += format("  \"timeout_s\": %g,\n", job.timeout_s);
-  if (job.state == JobState::kFailed) {
-    out += format("  \"error\": \"%s\",\n", json_escape(job.error).c_str());
-  }
   if (job.state == JobState::kDone) {
     out += format("  \"committed\": %llu,\n",
                   static_cast<unsigned long long>(job.committed));
@@ -315,8 +310,8 @@ http::Response SimulationService::submit(const http::Request& request,
     spec.jobs = config_.grid_jobs;
     if (!check_allowed_keys(body,
                             {"workloads", "variants", "replicas",
-                             "replica_begin", "instructions", "rate", "seed",
-                             "jobs", "quick", "timeout_s", "checkpoint"},
+                             "instructions", "rate", "seed", "jobs", "quick",
+                             "timeout_s", "checkpoint"},
                             &error) ||
         !parse_string_list_field(body, "workloads", &spec.workloads, &error) ||
         !parse_u64_field(body, "instructions", &spec.instructions, &error) ||
@@ -331,23 +326,12 @@ http::Response SimulationService::submit(const http::Request& request,
     if (!parse_u64_field(body, "replicas", &replicas, &error)) {
       return error_response(400, error);
     }
-    // Million-replica specs are the fleet's whole point; the real guard
-    // against runaway grids is the cell cap below.
+    // Input validation before the u32 narrowing; the real guard against
+    // runaway grids is the cell cap below.
     if (replicas < 1 || replicas > 1'000'000) {
       return error_response(400, "\"replicas\" must be in [1, 1000000]");
     }
     spec.replicas = static_cast<u32>(replicas);
-    u64 replica_begin = 0;
-    if (!parse_u64_field(body, "replica_begin", &replica_begin, &error)) {
-      return error_response(400, error);
-    }
-    // Subtract, not add: replica_begin is an exact u64 from the parser, so
-    // replica_begin + replicas can wrap past the bound near 2^64.
-    if (replica_begin > 1'000'000'000 - replicas) {
-      return error_response(
-          400, "\"replica_begin\" + \"replicas\" must not exceed 1000000000");
-    }
-    spec.replica_begin = static_cast<u32>(replica_begin);
     if (spec.rate <= 0.0 || spec.rate > 1.0) {
       return error_response(400, "\"rate\" must be in (0, 1]");
     }
@@ -357,7 +341,7 @@ http::Response SimulationService::submit(const http::Request& request,
     }
     if (!variant_labels.empty()) {
       // Labels resolve to either the standard five or a component
-      // "base@site" variant — the wire carries labels only.
+      // "base@site" variant — the spec carries labels only.
       for (const std::string& label : variant_labels) {
         CampaignVariant variant;
         if (!campaign_variant_by_label(label, &variant)) {
@@ -500,7 +484,8 @@ http::Response SimulationService::submit(const http::Request& request,
   logger_->info("job_submitted",
                 format("job %llu accepted", static_cast<unsigned long long>(id)),
                 {log::field("id", id),
-                 log::field("kind", is_campaign ? "campaign" : "experiment")});
+                 log::field("job_kind",
+                            is_campaign ? "campaign" : "experiment")});
 
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
@@ -566,9 +551,6 @@ http::Response SimulationService::job_result(u64 id,
     case JobState::kQueued:
     case JobState::kRunning:
       return json_response(202, job_status_json(it->second));
-    case JobState::kFailed:
-      job.fetched = true;
-      return error_response(500, "job failed: " + job.error);
     case JobState::kTimeout:
       job.fetched = true;
       return error_response(
@@ -582,25 +564,11 @@ http::Response SimulationService::job_result(u64 id,
   const std::string fmt =
       format_it == request.query.end() ? "json" : format_it->second;
   const bool want_csv = fmt == "csv";
-  // "cells" is the lossless per-cell matrix in snapshot wire form — what
-  // the fleet coordinator merges; the JSON report aggregates per variant
-  // and cannot reconstruct shard cells.
-  const bool want_cells = fmt == "cells";
-  if (fmt != "json" && !want_csv && !want_cells) {
-    return error_response(400,
-                          "format must be \"json\", \"csv\" or \"cells\"");
-  }
-  if (want_cells && !job.is_campaign) {
-    return error_response(400,
-                          "format \"cells\" applies to campaign jobs only");
+  if (fmt != "json" && !want_csv) {
+    return error_response(400, "format must be \"json\" or \"csv\"");
   }
   job.fetched = true;
   if (job.is_campaign) {
-    if (want_cells) {
-      return http::Response{
-          200, "application/octet-stream",
-          serialize_campaign_matrix(*job.campaign_result)};
-    }
     return want_csv
                ? http::Response{200, "text/csv", job.campaign_result->csv()}
                : json_response(200, job.campaign_result->json());
@@ -623,8 +591,6 @@ http::Response SimulationService::stats_response() {
                 static_cast<unsigned long long>(stats.completed));
   out += format("  \"timeouts\": %llu,\n",
                 static_cast<unsigned long long>(stats.timeouts));
-  out += format("  \"failed\": %llu,\n",
-                static_cast<unsigned long long>(stats.failed));
   out += format("  \"rejected_queue_full\": %llu,\n",
                 static_cast<unsigned long long>(stats.rejected_queue_full));
   out += format("  \"total_committed_instructions\": %llu,\n",
@@ -656,8 +622,6 @@ void export_service_stats(metrics::Registry* registry,
               "Jobs finished in state done");
   set_counter("reese_service_timeouts_total", stats.timeouts,
               "Jobs finished in state timeout");
-  set_counter("reese_service_failed_total", stats.failed,
-              "Jobs finished in state failed");
   set_counter("reese_service_rejected_queue_full_total",
               stats.rejected_queue_full, "Submits refused with 429");
   set_counter("reese_service_committed_instructions_total",
@@ -706,7 +670,7 @@ void SimulationService::run_job(u64 id) {
   const auto lifecycle_fields = [&](std::vector<log::Field> extra = {}) {
     std::vector<log::Field> fields = {
         log::field("id", id),
-        log::field("kind", is_campaign ? "campaign" : "experiment")};
+        log::field("job_kind", is_campaign ? "campaign" : "experiment")};
     for (log::Field& field : extra) fields.push_back(std::move(field));
     return fields;
   };
@@ -737,8 +701,6 @@ void SimulationService::run_job(u64 id) {
   };
 
   bool cancelled = false;
-  bool runner_failed = false;
-  std::string runner_error;
   u64 committed = 0;
   std::optional<ExperimentResult> experiment_result;
   std::optional<CampaignResult> campaign_result;
@@ -746,26 +708,12 @@ void SimulationService::run_job(u64 id) {
     campaign_spec.cancel = expired;
     campaign_spec.progress = progress;
     campaign_spec.metrics = &registry_;
-    if (config_.campaign_runner) {
-      // Coordinator mode: the fleet dispatcher executes the campaign on
-      // worker daemons (sim/fleet.h) under the same cancel/progress hooks.
-      CampaignResult fleet_result;
-      if (config_.campaign_runner(campaign_spec, &fleet_result,
-                                  &runner_error)) {
-        campaign_result = std::move(fleet_result);
-      } else {
-        runner_failed = true;
-      }
-    } else {
-      campaign_result = run_campaign(campaign_spec);
-    }
-    if (campaign_result.has_value()) {
-      cancelled = campaign_result->cancelled;
-      for (const auto& per_workload : campaign_result->matrix.cells) {
-        for (const auto& per_replica : per_workload) {
-          for (const CampaignCell& cell : per_replica) {
-            committed += cell.committed;
-          }
+    campaign_result = run_campaign(campaign_spec);
+    cancelled = campaign_result->cancelled;
+    for (const auto& per_workload : campaign_result->matrix.cells) {
+      for (const auto& per_replica : per_workload) {
+        for (const CampaignCell& cell : per_replica) {
+          committed += cell.committed;
         }
       }
     }
@@ -787,7 +735,7 @@ void SimulationService::run_job(u64 id) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  JobState final_state = JobState::kDone;
+  const JobState final_state = cancelled ? JobState::kTimeout : JobState::kDone;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -795,35 +743,25 @@ void SimulationService::run_job(u64 id) {
     Job& job = it->second;
     job.wall_seconds = wall_seconds;
     job.committed = committed;
-    if (runner_failed) {
-      job.state = JobState::kFailed;
-      job.error = runner_error;
-      ++failed_;
-    } else if (cancelled) {
-      job.state = JobState::kTimeout;
+    job.state = final_state;
+    if (cancelled) {
       ++timeouts_;
     } else {
-      job.state = JobState::kDone;
       job.experiment_result = std::move(experiment_result);
       job.campaign_result = std::move(campaign_result);
       ++completed_;
       total_committed_ += committed;
       total_wall_seconds_ += wall_seconds;
     }
-    final_state = job.state;
   }
 
-  std::vector<log::Field> extra = {
-      log::field("state", job_state_name(final_state)),
-      log::field("wall_seconds", wall_seconds),
-      log::field("committed", committed)};
-  if (runner_failed) extra.push_back(log::field("error", runner_error));
-  logger_->log(runner_failed ? log::Level::kWarn : log::Level::kInfo,
-               "job_finished",
-               format("job %llu finished in state %s",
-                      static_cast<unsigned long long>(id),
-                      job_state_name(final_state)),
-               lifecycle_fields(std::move(extra)));
+  const char* state = job_state_name(final_state);
+  logger_->info("job_finished",
+                format("job %llu finished in state %s",
+                       static_cast<unsigned long long>(id), state),
+                lifecycle_fields({log::field("state", state),
+                                  log::field("wall_seconds", wall_seconds),
+                                  log::field("committed", committed)}));
 }
 
 }  // namespace reese::sim

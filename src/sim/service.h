@@ -21,8 +21,8 @@
 //   GET  /v1/metrics            Prometheus text exposition (daemon-wide
 //                               counters + live grid counters; DESIGN.md §12)
 //
-// Job lifecycle: queued → running → {done, timeout, failed}. Robustness is
-// part of the contract:
+// Job lifecycle: queued → running → {done, timeout}. Robustness is part of
+// the contract:
 //   * a full queue refuses the submit with 429 (backpressure, never
 //     unbounded memory);
 //   * specs are capped (per-cell instruction budget, grid cell count)
@@ -34,7 +34,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -76,19 +75,13 @@ struct ServiceConfig {
   /// pruned at submit time, preferring jobs whose result was fetched. A
   /// pruned id answers 404 like any unknown id.
   usize max_retained_jobs = 256;
-  /// Campaign executor override: the fleet coordinator (sim/fleet.h) plugs
-  /// in here so campaign jobs dispatch to workers instead of running
-  /// locally. Must honor the spec's cancel/progress hooks; returns false
-  /// with a diagnostic to fail the job. Experiments always run locally.
-  std::function<bool(const CampaignSpec&, CampaignResult*, std::string*)>
-      campaign_runner;
   /// Structured event log for job lifecycle events; nullptr =
   /// log::global(). The service attaches its metrics registry to the
-  /// logger for the reese_fleet_events_total counter.
+  /// logger for the reese_log_events_total counter.
   log::Logger* logger = nullptr;
 };
 
-enum class JobState { kQueued, kRunning, kDone, kTimeout, kFailed };
+enum class JobState { kQueued, kRunning, kDone, kTimeout };
 
 const char* job_state_name(JobState state);
 
@@ -99,7 +92,6 @@ struct ServiceStats {
   u64 submitted = 0;
   u64 completed = 0;
   u64 timeouts = 0;
-  u64 failed = 0;
   u64 rejected_queue_full = 0;
   u64 total_committed = 0;     ///< instructions across finished jobs
   double total_wall_seconds = 0.0;  ///< execution time across finished jobs
@@ -143,7 +135,6 @@ class SimulationService {
     bool is_campaign = false;
     JobState state = JobState::kQueued;
     bool fetched = false;  ///< a client has seen the terminal state
-    std::string error;     ///< for kFailed
     double timeout_s = 0.0;
     std::chrono::steady_clock::time_point submitted_at;
     std::chrono::steady_clock::time_point started_at;  ///< set at kRunning
@@ -179,7 +170,6 @@ class SimulationService {
   u64 submitted_ = 0;
   u64 completed_ = 0;
   u64 timeouts_ = 0;
-  u64 failed_ = 0;
   u64 rejected_queue_full_ = 0;
   u64 total_committed_ = 0;
   double total_wall_seconds_ = 0.0;

@@ -1,6 +1,6 @@
 // Structured event log tests (common/log.h): exact line bytes under an
 // injected clock, level names, field rendering/escaping, the
-// reese_fleet_events_total counter, file sinks, and serialization under
+// reese_log_events_total counter, file sinks, and serialization under
 // concurrent emitters.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -38,16 +38,16 @@ TEST(Log, EmitsExactJsonLines) {
   Logger logger;
   std::string capture;
   freeze(&logger, &capture);
-  logger.info("worker_dead", "worker 127.0.0.1:9 unreachable",
-              {log::field("worker", "127.0.0.1:9"),
-               log::field("shard", static_cast<u64>(3)),
+  logger.info("job_finished", "job 3 finished in state done",
+              {log::field("state", "done"),
+               log::field("id", static_cast<u64>(3)),
                log::field("kips", 12.5),
                log::field("cancelled", false)});
   EXPECT_EQ(capture,
             "{\"ts\": 1234.500000, \"level\": \"info\", "
-            "\"kind\": \"worker_dead\", "
-            "\"msg\": \"worker 127.0.0.1:9 unreachable\", "
-            "\"worker\": \"127.0.0.1:9\", \"shard\": 3, "
+            "\"kind\": \"job_finished\", "
+            "\"msg\": \"job 3 finished in state done\", "
+            "\"state\": \"done\", \"id\": 3, "
             "\"kips\": 12.500000, \"cancelled\": false}\n");
   // Every line is one standalone JSON object.
   EXPECT_TRUE(json::parse_json(capture).ok()) << capture;
@@ -74,20 +74,20 @@ TEST(Log, EveryEventBumpsTheKindCounter) {
   metrics::Registry registry;
   logger.set_registry(&registry);
   EXPECT_EQ(logger.registry(), &registry);
-  logger.info("shard_dispatch", "one");
-  logger.info("shard_dispatch", "two");
-  logger.info("shard_merged", "three");
+  logger.info("job_submitted", "one");
+  logger.info("job_submitted", "two");
+  logger.info("job_finished", "three");
   logger.set_registry(nullptr);
   logger.info("untracked", "after detach: not counted");
 
-  metrics::Counter* dispatch = registry.counter(
-      "reese_fleet_events_total", {{"kind", "shard_dispatch"}});
-  metrics::Counter* merged = registry.counter(
-      "reese_fleet_events_total", {{"kind", "shard_merged"}});
-  ASSERT_NE(dispatch, nullptr);
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(dispatch->value(), 2u);
-  EXPECT_EQ(merged->value(), 1u);
+  metrics::Counter* submitted = registry.counter(
+      "reese_log_events_total", {{"kind", "job_submitted"}});
+  metrics::Counter* finished = registry.counter(
+      "reese_log_events_total", {{"kind", "job_finished"}});
+  ASSERT_NE(submitted, nullptr);
+  ASSERT_NE(finished, nullptr);
+  EXPECT_EQ(submitted->value(), 2u);
+  EXPECT_EQ(finished->value(), 1u);
   EXPECT_EQ(registry.size(), 2u) << "detached events add no series";
 }
 

@@ -4,14 +4,18 @@
 //  * results fetched through the service are byte-identical to a direct
 //    run_experiment/run_campaign with the same spec;
 //  * every JSON body the service emits parses with json::parse_json;
-//  * the HTTP layer over a real loopback socket (http::Server + client);
+//  * the HTTP layer over a real loopback socket (http::Server + client),
+//    including keep-alive connection reuse and a wall-clock deadline that
+//    bounds a slow-writer peer;
 //  * the shipped binaries: reesed on an ephemeral port driven by
 //    reese_client (submit → wait → result), then a SIGTERM drain that must
 //    exit 0; both refuse malformed numeric flags with exit 2. Binary paths
 //    arrive via REESE_REESED_BIN / REESE_CLIENT_BIN.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,6 +32,7 @@
 
 #include "common/http.h"
 #include "common/json.h"
+#include "common/log.h"
 #include "common/strutil.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
@@ -127,10 +133,11 @@ TEST(Service, RejectsInvalidSpecsWith400) {
       R"({"rate": 0})",
       R"({"rate": 1.5})",
       R"({"replicas": 0})",
-      R"({"replicas": 100000})",  // replica bound and cell cap
+      R"({"replicas": 100000})",  // cell cap
+      R"({"workloads": ["gcc"], "variants": ["baseline"],
+          "replicas": 1000001})",  // replica bound
       R"({"models": ["reese"]})",  // experiment-only key
-      // replica_begin + replicas would wrap past the bound near 2^64.
-      R"({"replica_begin": 18446744073709551615})",
+      R"({"replica_begin": 4})",   // not a spec key
   };
   for (const char* spec : bad_campaigns) {
     const http::Response response =
@@ -221,7 +228,9 @@ TEST(Service, CampaignMatchesDirectRunByteForByte) {
   EXPECT_EQ(json_body.body, expected.json());
   EXPECT_EQ(csv.body, expected.csv());
 
-  EXPECT_EQ(service.handle(result_request(id_path, "xml")).status, 400);
+  for (const char* fmt : {"xml", "cells"}) {
+    EXPECT_EQ(service.handle(result_request(id_path, fmt)).status, 400) << fmt;
+  }
 }
 
 TEST(Service, TimedOutJobAnswers408) {
@@ -337,86 +346,6 @@ TEST(Service, PruningPrefersFetchedResults) {
   EXPECT_EQ(service.handle(result_request(job3)).status, 200);
 }
 
-TEST(Service, ResultFormatCellsRoundTripsTheCampaignMatrix) {
-  ServiceConfig config;
-  config.workers = 1;
-  SimulationService service(config);
-  const std::string id_path = submit_ok(
-      &service, "/v1/campaigns",
-      R"({"workloads": ["gcc"], "quick": true, "instructions": 5000})");
-  EXPECT_EQ(wait_for_job(&service, id_path), "done");
-
-  const http::Response cells =
-      service.handle(result_request(id_path, "cells"));
-  ASSERT_EQ(cells.status, 200) << cells.body;
-  EXPECT_EQ(cells.content_type, "application/octet-stream");
-
-  sim::CampaignSpec direct;
-  direct.workloads = {"gcc"};
-  direct.quick = true;
-  direct.instructions = 5000;
-  direct.jobs = 1;
-  const sim::CampaignResult expected = sim::run_campaign(direct);
-  sim::CampaignWire wire;
-  std::string error;
-  ASSERT_TRUE(sim::deserialize_campaign_matrix(cells.body, &wire, &error))
-      << error;
-  EXPECT_TRUE(wire.matrix == expected.matrix);
-
-  // cells is a campaign-only view: an experiment result cannot provide it.
-  const std::string exp_path = submit_ok(
-      &service, "/v1/experiments",
-      R"({"workloads": ["gcc"], "models": ["baseline"],
-          "instructions": 1000})");
-  EXPECT_EQ(wait_for_job(&service, exp_path), "done");
-  EXPECT_EQ(service.handle(result_request(exp_path, "cells")).status, 400);
-}
-
-TEST(Service, AcceptsMillionReplicaSpecsThroughTheCampaignRunnerHook) {
-  // Coordinator mode: a campaign_runner intercepts campaign jobs (the
-  // fleet dispatcher in reesed --coordinator) and the cell cap is raised
-  // by the fleet size, so million-replica specs must pass validation and
-  // reach the hook instead of the local run_campaign.
-  ServiceConfig config;
-  config.workers = 1;
-  config.max_cells = 4u * 1000 * 1000;
-  std::atomic<u32> runner_replicas{0};
-  config.campaign_runner = [&](const sim::CampaignSpec& spec,
-                               sim::CampaignResult* result, std::string*) {
-    runner_replicas = spec.replicas;
-    result->spec = sim::resolve_campaign_defaults(spec);
-    result->spec.replicas = 0;  // keep the stub matrix legitimately empty
-    result->matrix = sim::make_campaign_matrix(result->spec);
-    return true;
-  };
-  SimulationService service(config);
-  const std::string id_path = submit_ok(
-      &service, "/v1/campaigns",
-      R"({"workloads": ["gcc"], "variants": ["baseline"],
-          "replicas": 1000000, "instructions": 100})");
-  EXPECT_EQ(wait_for_job(&service, id_path), "done");
-  EXPECT_EQ(runner_replicas.load(), 1000000u);
-
-  // Beyond the per-spec replica bound stays a 400 regardless of the cap.
-  const http::Response absurd = service.handle(make_request(
-      "POST", "/v1/campaigns",
-      R"({"workloads": ["gcc"], "variants": ["baseline"],
-          "replicas": 1000001})"));
-  EXPECT_EQ(absurd.status, 400) << absurd.body;
-
-  // A runner that reports failure turns the job into state "failed".
-  config.campaign_runner = [](const sim::CampaignSpec&, sim::CampaignResult*,
-                              std::string* error) {
-    *error = "fleet exploded";
-    return false;
-  };
-  SimulationService failing(config);
-  const std::string failed_path = submit_ok(
-      &failing, "/v1/campaigns",
-      R"({"workloads": ["gcc"], "quick": true, "instructions": 1000})");
-  EXPECT_EQ(wait_for_job(&failing, failed_path), "failed");
-}
-
 TEST(Service, StatsBodyIsValidJson) {
   SimulationService service;
   const http::Response response =
@@ -525,6 +454,52 @@ TEST(Service, ProgressEndpointTracksAJobToCompletion) {
   EXPECT_TRUE(saw_running);
 }
 
+TEST(Service, JobEventsCarryOneKindKeyAndAJobKind) {
+  // "kind" names the event; a second "kind" key would make readers that
+  // keep the last duplicate (Python's json.loads) see the job's kind
+  // instead.
+  log::Logger logger;
+  std::string capture;
+  logger.set_capture(&capture);
+  ServiceConfig config;
+  config.workers = 1;
+  config.logger = &logger;
+  {
+    SimulationService service(config);
+    const std::string experiment = submit_ok(
+        &service, "/v1/experiments",
+        R"({"workloads": ["gcc"], "models": ["baseline"],
+            "instructions": 1000})");
+    const std::string campaign = submit_ok(
+        &service, "/v1/campaigns",
+        R"({"workloads": ["gcc"], "quick": true, "instructions": 1000})");
+    EXPECT_EQ(wait_for_job(&service, experiment), "done");
+    EXPECT_EQ(wait_for_job(&service, campaign), "done");
+    service.drain();
+  }
+
+  std::map<std::string, int> events;
+  for (const std::string_view line : split(capture, '\n')) {
+    if (line.empty()) continue;
+    const Result<json::Value> parsed = json::parse_json(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    int kind_keys = 0;
+    for (const auto& [key, value] : parsed.value().object) {
+      (void)value;
+      if (key == "kind") ++kind_keys;
+    }
+    EXPECT_EQ(kind_keys, 1) << line;
+    const json::Value* job_kind = parsed.value().find("job_kind");
+    ASSERT_NE(job_kind, nullptr) << line;
+    ++events[parsed.value().find("kind")->string + "/" + job_kind->string];
+  }
+  const std::map<std::string, int> expected = {
+      {"job_submitted/experiment", 1}, {"job_started/experiment", 1},
+      {"job_finished/experiment", 1},  {"job_submitted/campaign", 1},
+      {"job_started/campaign", 1},     {"job_finished/campaign", 1}};
+  EXPECT_EQ(events, expected) << capture;
+}
+
 TEST(Service, ExportServiceStatsSeries) {
   sim::ServiceStats stats;
   stats.queue_depth = 3;
@@ -532,7 +507,6 @@ TEST(Service, ExportServiceStatsSeries) {
   stats.submitted = 10;
   stats.completed = 7;
   stats.timeouts = 1;
-  stats.failed = 1;
   stats.rejected_queue_full = 4;
   stats.total_committed = 123456;
   stats.total_wall_seconds = 2.0;
@@ -584,6 +558,90 @@ TEST(HttpLoopback, ServesServiceEndpoints) {
   // Unblock the accept loop in case ::shutdown alone does not wake it.
   http::request("127.0.0.1", server.port(), "GET", "/v1/healthz");
   serve_thread.join();
+}
+
+TEST(HttpClient, KeepAliveReusesOneConnection) {
+  std::atomic<int> handled{0};
+  http::Server server([&](const http::Request& request) {
+    ++handled;
+    http::Response response;
+    response.status = 200;
+    response.body = request.path;
+    return response;
+  });
+  ASSERT_TRUE(server.listen("127.0.0.1", 0));
+  std::thread serve_thread([&server] { server.serve(); });
+
+  {
+    http::Client client("127.0.0.1", server.port());
+    for (int i = 0; i < 10; ++i) {
+      const http::Response response =
+          client.request("GET", format("/ping/%d", i));
+      ASSERT_EQ(response.status, 200);
+      EXPECT_EQ(response.body, format("/ping/%d", i));
+    }
+    EXPECT_EQ(client.requests_sent(), 10u);
+    EXPECT_EQ(client.connects(), 1u)
+        << "keep-alive must reuse one TCP connection";
+  }
+  EXPECT_EQ(handled.load(), 10);
+  EXPECT_EQ(server.connections_accepted(), 1u);
+
+  server.request_stop();
+  http::request("127.0.0.1", server.port(), "GET", "/wake");
+  serve_thread.join();
+}
+
+TEST(HttpClient, DeadlineCoversASlowWriterNotJustTheFirstByte) {
+  // A raw server that answers promptly but trickles the body forever:
+  // a per-recv timeout never fires, only a total-request deadline does.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  const int one = 1;
+  setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const u16 port = ntohs(addr.sin_port);
+
+  std::atomic<bool> done{false};
+  std::thread trickler([&] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    char scratch[1024];
+    (void)::recv(fd, scratch, sizeof(scratch), 0);
+    const char head[] =
+        "HTTP/1.1 200 OK\r\nContent-Length: 1000000\r\n\r\n";
+    (void)::send(fd, head, sizeof(head) - 1, MSG_NOSIGNAL);
+    // One byte every 50ms: each recv succeeds, the response never ends.
+    while (!done.load()) {
+      if (::send(fd, "x", 1, MSG_NOSIGNAL) <= 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ::close(fd);
+  });
+
+  http::RequestOptions options;
+  options.deadline_s = 0.5;
+  const auto start = std::chrono::steady_clock::now();
+  const http::Response response =
+      http::request("127.0.0.1", port, "GET", "/slow", "", options);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(response.status, 0) << response.body;
+  EXPECT_LT(elapsed, 5.0) << "deadline did not bound the slow writer";
+  EXPECT_GE(elapsed, 0.4);
+
+  done.store(true);
+  ::close(listen_fd);
+  trickler.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -697,7 +755,6 @@ TEST(ReesedBinary, RejectsMalformedNumericFlags) {
       {"--max-cells", "abc"},
       {"--max-cells", "4294967296"},
       {"--retain-jobs", "abc"},
-      {"--shards-per-worker", "2x"},
   };
   for (const auto& [flag, value] : cases) {
     EXPECT_EQ(reesed_exit_status({flag, value}), 2) << flag << " " << value;
@@ -778,29 +835,7 @@ TEST(ReesedBinary, ClientRejectsMalformedNumbersAndFailsOnADeadDaemon) {
   EXPECT_EQ(run_client(daemon.port, format("--port %dx stats", daemon.port),
                        &output),
             2);
-
-  const std::string spec_path = testing::TempDir() + "/reese_poll.json";
-  {
-    std::ofstream spec(spec_path);
-    spec << R"({"workloads": ["gcc"], "models": ["baseline"],
-                "instructions": 5000})";
-  }
-  ASSERT_EQ(run_client(daemon.port, "submit-experiment " + spec_path,
-                       &output),
-            0)
-      << output;
-  const std::string job_id = std::string(trim(output));
-  // Read as a prefix or clamped to 1 ms, these would poll to "done".
-  for (const char* value : {"abc", "5x", "0"}) {
-    EXPECT_EQ(run_client(daemon.port,
-                         "wait " + job_id + " --poll-ms " + value, &output),
-              2)
-        << value;
-  }
-  ASSERT_EQ(run_client(daemon.port, "wait " + job_id + " --poll-ms 5",
-                       &output),
-            0);
-  EXPECT_EQ(trim(output), "done");
+  ASSERT_EQ(run_client(daemon.port, "stats", &output), 0) << output;
 
   // A SIGKILLed daemon (no drain): the refused connect is a hard error.
   ASSERT_EQ(kill(daemon.pid, SIGKILL), 0);

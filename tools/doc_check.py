@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""doc_check: keep the docs honest about the CLI surface.
+"""doc_check: keep the docs honest about the CLI surface and the tree.
 
-Five checks, all gating in CI (.github/workflows/ci.yml "docs" job):
+Six checks, all gating in CI (.github/workflows/ci.yml "docs" job):
 
 1. Flag coverage — every `--flag` string literal that a binary under
    bench/ or tools/ actually parses must be mentioned in README.md or
@@ -25,10 +25,18 @@ Five checks, all gating in CI (.github/workflows/ci.yml "docs" job):
    executable that bench/CMakeLists.txt defines. A reference to a deleted
    or renamed bench binary fails.
 
+6. Source paths — every path under src/, tests/, tools/, bench/ or
+   examples/ with a file extension, and every src-relative one such as
+   sim/campaign.h, that README.md, EXPERIMENTS.md, DESIGN.md or the verify
+   skill names must exist. Each member of a name.{h,cpp} brace form must
+   exist, and a glob such as name.* or *.srv must match at least one file.
+   A reference to a deleted or renamed source file fails.
+
 Usage: python3 tools/doc_check.py [repo_root]
 Exit status 0 when every check passes, 1 otherwise.
 """
 
+import glob
 import os
 import re
 import sys
@@ -66,9 +74,21 @@ BENCH_BINARY = re.compile(r"(?<![\w-])bench/(\w+)(?![\w/-]|\.\w)")
 # add_executable(name ...).
 BENCH_EXECUTABLE = re.compile(r"\b(?:reese_bench|add_executable)\((\w+)")
 
-# Docs whose bench binary names are checked.
+# Docs whose bench binary names and source paths are checked.
 BENCH_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md",
               os.path.join(".claude", "skills", "verify", "SKILL.md"))
+
+# Top-level directories whose paths the docs name from the repo root.
+ROOTED_DIRS = ("src", "tests", "tools", "bench", "examples")
+
+# A path token: an optional ./, a leading directory, then path characters,
+# then an optional {a,b} brace form. Not preceded by a path character, so
+# perfbench/... and build/bench/... do not yield bench/... tokens.
+PATH_TOKEN = (r"(?<![\w/.*{{-])(?:\./)?"
+              r"((?:{dirs})/[\w/.*-]*(?:\{{[\w.,]+\}})?)")
+
+# A final path component with a file extension (or an extension glob).
+HAS_EXTENSION = re.compile(r"\.(?:\w+|\*)$")
 
 
 def collect_flags(repo_root):
@@ -213,18 +233,62 @@ def check_bench_binaries(repo_root):
     return errors
 
 
+def expand_braces(path):
+    """common/http.{h,cpp} -> [common/http.h, common/http.cpp]."""
+    match = re.search(r"\{([\w.,]+)\}", path)
+    if match is None:
+        return [path]
+    return [path[:match.start()] + member + path[match.end():]
+            for member in match.group(1).split(",")]
+
+
+def missing_paths(line, pattern, base):
+    """Paths `pattern` finds in `line` that resolve to nothing under base."""
+    missing = []
+    for token in pattern.findall(line):
+        for path in expand_braces(token.rstrip(".-")):
+            if not HAS_EXTENSION.search(path.rsplit("/", 1)[-1]):
+                continue  # a directory or a binary, not a source file
+            full = os.path.join(base, path)
+            found = glob.glob(full) if "*" in path else os.path.exists(full)
+            if not found:
+                missing.append(path)
+    return missing
+
+
+def check_source_paths(repo_root):
+    src = os.path.join(repo_root, "src")
+    modules = sorted(name for name in os.listdir(src)
+                     if os.path.isdir(os.path.join(src, name)))
+    rooted = re.compile(PATH_TOKEN.format(dirs="|".join(ROOTED_DIRS)))
+    src_relative = re.compile(PATH_TOKEN.format(dirs="|".join(modules)))
+    errors = []
+    for name in BENCH_DOCS:
+        path = os.path.join(repo_root, name)
+        if not os.path.isfile(path):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                missing = (missing_paths(line, rooted, repo_root) +
+                           missing_paths(line, src_relative, src))
+                for target in missing:
+                    errors.append(f"{name}:{number}: {target} does not exist")
+    return errors
+
+
 def main():
     repo_root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     errors = (check_flag_coverage(repo_root) + check_flag_rows(repo_root) +
-              check_links(repo_root) + check_bench_binaries(repo_root))
+              check_links(repo_root) + check_bench_binaries(repo_root) +
+              check_source_paths(repo_root))
     for error in errors:
         print(f"doc_check: {error}", file=sys.stderr)
     if errors:
         print(f"doc_check: {len(errors)} problem(s)", file=sys.stderr)
         return 1
     print("doc_check: ok (flags documented and parsed, links resolve, "
-          "bench binaries exist)")
+          "bench binaries and source paths exist)")
     return 0
 
 

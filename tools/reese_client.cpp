@@ -15,17 +15,17 @@
 //   submit-campaign SPEC.json       POST /v1/campaigns; prints the job id
 //   progress ID                     GET /v1/jobs/ID/progress — live cells
 //                                   done/total, committed instructions, kIPS
-//   wait ID [--poll-ms N]           poll status every N ms, N in [1, 60000]
-//                                   (default 50), until the job leaves
-//                                   queued/running; prints the final state
+//   wait ID                         poll status every 50 ms until the job
+//                                   leaves queued/running; prints the
+//                                   final state
 //   result ID [--csv]               GET /v1/jobs/ID/result (?format=csv)
 //   metrics                         GET /v1/metrics (Prometheus text)
 //
 // SPEC.json may be "-" to read the spec from stdin. `wait` exits 0 for
-// state "done", 3 for "timeout", 4 for "failed". `result` on a job that
-// timed out surfaces the server's 408; a job pruned by the daemon's
-// retention window answers 404 like any unknown id. A --port or --poll-ms
-// value that is not an integer in its range exits 2.
+// state "done" and 3 for "timeout". `result` on a job that timed out
+// surfaces the server's 408; a job pruned by the daemon's retention window
+// answers 404 like any unknown id. A --port value that is not an integer
+// in its range exits 2.
 #include <unistd.h>
 
 #include <cstdio>
@@ -36,9 +36,9 @@
 #include <sstream>
 #include <string>
 
+#include "common/flags.h"
 #include "common/http.h"
 #include "common/json.h"
-#include "common/strutil.h"
 
 using namespace reese;
 
@@ -85,18 +85,6 @@ void print_body(const http::Response& response) {
   std::fwrite(response.body.data(), 1, response.body.size(), stdout);
 }
 
-/// `value` as an integer in [lo, hi]; anything else exits 2 naming `flag`.
-int int_flag(const char* flag, const char* value, int lo, int hi) {
-  i64 parsed = 0;
-  if (!parse_int(value, &parsed) || parsed < lo || parsed > hi) {
-    std::fprintf(stderr,
-                 "reese_client: %s must be an integer in [%d, %d], got %s\n",
-                 flag, lo, hi, value);
-    std::exit(2);
-  }
-  return static_cast<int>(parsed);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,7 +105,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--host") == 0) {
       host = next_value();
     } else if (std::strcmp(arg, "--port") == 0) {
-      port = static_cast<u16>(int_flag(arg, next_value(), 1, 65535));
+      port = static_cast<u16>(
+          int_flag_value("reese_client", arg, next_value(), 1, 65535));
     } else if (std::strcmp(arg, "--token") == 0) {
       options.headers.push_back(
           {"Authorization", std::string("Bearer ") + next_value()});
@@ -184,14 +173,6 @@ int main(int argc, char** argv) {
     }
 
     if (command == "wait") {
-      int poll_ms = 50;
-      if (i < argc && std::strcmp(argv[i], "--poll-ms") == 0) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "reese_client: --poll-ms needs a value\n");
-          return 2;
-        }
-        poll_ms = int_flag("--poll-ms", argv[i + 1], 1, 60000);
-      }
       for (;;) {
         const http::Response response =
             http::request(host, port, "GET", "/v1/jobs/" + id, "", options);
@@ -205,10 +186,9 @@ int main(int argc, char** argv) {
         if (state != "queued" && state != "running") {
           std::printf("%s\n", state.c_str());
           if (state == "done") return 0;
-          if (state == "timeout") return 3;
-          return 4;
+          return state == "timeout" ? 3 : 1;
         }
-        ::usleep(static_cast<useconds_t>(poll_ms) * 1000);
+        ::usleep(50 * 1000);
       }
     }
 

@@ -6,23 +6,14 @@
 // per-cell progress at /v1/jobs/<id>/progress) and fetch results as JSON
 // or CSV; /v1/metrics exposes daemon-wide counters in Prometheus text
 // format for scraping. See DESIGN.md §11–§12 for endpoints and schemas,
-// and tools/reese_client.cpp for a ready-made client.
-//
-// With --coordinator the daemon stops running campaigns itself and fans
-// them across a fleet of plain reesed workers (sim/fleet.h, DESIGN.md
-// §15): campaign specs shard along the replica axis, shards dispatch over
-// keep-alive HTTP, dead workers' shards re-dispatch to survivors, and the
-// merged result is byte-identical to a single-node run. Experiments still
-// run locally.
+// and tools/reese_client.cpp for a ready-made client. One daemon runs
+// every job itself; experiments and campaigns alike fan their grid cells
+// over the daemon's own threads.
 //
 // Usage: reesed [--host ADDR] [--port N] [--workers N] [--queue-capacity N]
 //               [--grid-jobs N] [--max-instructions N] [--max-cells N]
 //               [--timeout-s SECONDS] [--auth-token TOK]...
-//               [--retain-jobs N]
-//               [--log-file PATH]
-//               [--coordinator] [--worker HOST:PORT]...
-//               [--workers-file PATH] [--fleet-token TOK]
-//               [--shards-per-worker N]
+//               [--retain-jobs N] [--log-file PATH]
 //
 //   --host ADDR            bind address (default 127.0.0.1)
 //   --port N               TCP port in [0, 65535]; 0 picks an ephemeral
@@ -35,8 +26,7 @@
 //   --max-instructions N   per-cell budget cap, in [1, 2^63-1]; larger
 //                          specs are a 400
 //   --max-cells N          grid-size cap (workloads × models × seeds), in
-//                          [1, 2^32-1]; in coordinator mode the effective
-//                          cap is this times the fleet size
+//                          [1, 2^32-1] (default 4096)
 //   --timeout-s SECONDS    default per-job wall-clock timeout, in [0, 3600]
 //                          (default 300)
 //   --auth-token TOK       require this bearer token (repeatable). Without
@@ -48,15 +38,6 @@
 //                          unknown id (default 256)
 //   --log-file PATH        append structured JSON-lines events to PATH
 //                          instead of stderr (DESIGN.md §17)
-//   --coordinator          dispatch campaign jobs to the worker fleet
-//   --worker HOST:PORT     add a fleet worker (repeatable)
-//   --workers-file PATH    read workers, one HOST:PORT per line ('#'
-//                          comments and blank lines skipped)
-//   --fleet-token TOK      bearer token sent to workers (when they run with
-//                          --auth-token)
-//   --shards-per-worker N  campaign shards per worker, in [1, 2^32-1]; >1
-//                          shrinks the unit of re-dispatched work after a
-//                          worker death (default 2)
 //
 // An integer flag whose value is not an integer in its range exits 2;
 // --workers and --grid-jobs take any integer and fall back to hardware
@@ -77,7 +58,6 @@
 #include "common/log.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
-#include "sim/fleet.h"
 #include "sim/service.h"
 
 using namespace reese;
@@ -116,7 +96,7 @@ i64 int_flag(const char* flag, const char* value, i64 lo = INT64_MIN,
 
 int main(int argc, char** argv) {
   // The log sink applies before any other flag is parsed, so a bad
-  // --worker on the same command line already lands in the right place
+  // --port on the same command line already lands in the right place
   // (a pre-scan: flag order must not matter).
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--log-file") == 0 &&
@@ -129,8 +109,6 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   u16 port = 8642;
   sim::ServiceConfig config;
-  sim::fleet::FleetConfig fleet;
-  bool coordinator = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -155,17 +133,14 @@ int main(int argc, char** argv) {
       config.max_instructions =
           static_cast<u64>(int_flag(arg, next_value(), 1));
     } else if (std::strcmp(arg, "--max-cells") == 0) {
-      // At most 2^32-1, so coordinator mode's multiply by the fleet size
-      // cannot wrap.
       config.max_cells =
           static_cast<u64>(int_flag(arg, next_value(), 1, UINT32_MAX));
     } else if (std::strcmp(arg, "--timeout-s") == 0) {
       // Every spec that omits "timeout_s" gets this value, so one the
       // service would refuse must fail here, not as a 400 on each submit.
       const char* value = next_value();
-      char* end = nullptr;
-      const double timeout_s = std::strtod(value, &end);
-      if (end == value || *end != '\0' || !(timeout_s >= 0.0) ||
+      double timeout_s = 0.0;
+      if (!parse_double(value, &timeout_s) || timeout_s < 0.0 ||
           timeout_s > config.max_timeout_s) {
         config_error(format("--timeout-s must be a number in [0, %g], got %s",
                             config.max_timeout_s, value));
@@ -178,52 +153,9 @@ int main(int argc, char** argv) {
           static_cast<usize>(int_flag(arg, next_value(), 1));
     } else if (std::strcmp(arg, "--log-file") == 0) {
       next_value();  // applied by the pre-scan above
-    } else if (std::strcmp(arg, "--coordinator") == 0) {
-      coordinator = true;
-    } else if (std::strcmp(arg, "--worker") == 0) {
-      sim::fleet::Worker worker;
-      std::string error;
-      if (!sim::fleet::parse_worker_address(next_value(), &worker, &error)) {
-        config_error(error);
-      }
-      fleet.workers.push_back(std::move(worker));
-    } else if (std::strcmp(arg, "--workers-file") == 0) {
-      std::string error;
-      if (!sim::fleet::load_workers_file(next_value(), &fleet.workers,
-                                         &error)) {
-        config_error(error);
-      }
-    } else if (std::strcmp(arg, "--fleet-token") == 0) {
-      fleet.auth_token = next_value();
-    } else if (std::strcmp(arg, "--shards-per-worker") == 0) {
-      fleet.shards_per_worker =
-          static_cast<u32>(int_flag(arg, next_value(), 1, UINT32_MAX));
     } else {
       config_error(format("unknown argument %s", arg));
     }
-  }
-  if (coordinator && fleet.workers.empty()) {
-    config_error("--coordinator needs at least one --worker (or a "
-                 "--workers-file)");
-  }
-  if (!coordinator && !fleet.workers.empty()) {
-    config_error("--worker/--workers-file need --coordinator");
-  }
-
-  if (coordinator) {
-    // A fleet of N workers really can run N times the cell budget; the
-    // per-shard cap on each worker still bounds any single node.
-    config.max_cells *= fleet.workers.size();
-    config.campaign_runner = [fleet](const sim::CampaignSpec& spec,
-                                     sim::CampaignResult* result,
-                                     std::string* error) {
-      return sim::fleet::run_fleet_campaign(fleet, spec, result, error);
-    };
-    log::global().info(
-        "coordinator_start",
-        format("coordinating %zu workers", fleet.workers.size()),
-        {log::field("workers", static_cast<u64>(fleet.workers.size())),
-         log::field("shards_per_worker", fleet.shards_per_worker)});
   }
 
   sim::SimulationService service(config);
@@ -253,7 +185,6 @@ int main(int argc, char** argv) {
       {log::field("submitted", stats.submitted),
        log::field("completed", stats.completed),
        log::field("timeouts", stats.timeouts),
-       log::field("failed", stats.failed),
        log::field("rejected", stats.rejected_queue_full),
        log::field("kips", stats.kips())});
   return 0;
