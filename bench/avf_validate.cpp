@@ -32,7 +32,9 @@
 //   --out PATH    report path (default: BENCH_avf.json in the CWD)
 //
 // With no positional programs, every examples/srv/*.srv under the source
-// tree is used. Exit status 1 when a program fails to assemble, the
+// tree is used, recorded in the report relative to the repository root
+// (examples/srv/gcd.srv), so two checkouts of one commit write the same
+// report; a program given on the command line is recorded as given. Exit status 1 when a program fails to assemble, the
 // report cannot be written, or fewer than two programs pass; 2 when a
 // flag is unknown or its value is malformed or out of range.
 #include <algorithm>
@@ -72,13 +74,14 @@ struct ProgramReport {
   bool pass = false;
 };
 
+/// Every examples/srv program, relative to the repository root.
 std::vector<std::string> default_programs() {
   std::vector<std::string> paths;
   const fs::path dir = fs::path(REESE_SOURCE_DIR) / "examples" / "srv";
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     if (entry.path().extension() == ".srv") {
-      paths.push_back(entry.path().string());
+      paths.push_back("examples/srv/" + entry.path().filename().string());
     }
   }
   std::sort(paths.begin(), paths.end());
@@ -129,6 +132,8 @@ int main(int argc, char** argv) {
       program_paths.push_back(arg);
     }
   }
+  // Default programs are opened under the source tree.
+  const fs::path base = program_paths.empty() ? REESE_SOURCE_DIR : "";
   if (program_paths.empty()) program_paths = default_programs();
   if (program_paths.empty()) {
     std::fprintf(stderr, "avf_validate: no input programs\n");
@@ -143,7 +148,7 @@ int main(int argc, char** argv) {
   // Static half: assemble and rank each program.
   std::vector<analysis::VulnReport> statics;
   for (const std::string& path : program_paths) {
-    std::ifstream file(path);
+    std::ifstream file(base / path);
     if (!file) {
       std::fprintf(stderr, "avf_validate: cannot open %s\n", path.c_str());
       return 1;

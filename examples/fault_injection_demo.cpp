@@ -21,6 +21,11 @@ int main(int argc, char** argv) {
   }
   const std::string workload_name = flags.get_string("workload", "gcc");
   const double rate = flags.get_double("rate", 1e-3);
+  if (!(rate > 0.0 && rate <= 1.0)) {
+    std::fprintf(stderr, "flag -rate: must be in (0, 1], got %s\n",
+                 flags.get_string("rate", "").c_str());
+    return 2;
+  }
   const u64 budget = flags.get_u64("instr", 200'000);
 
   for (const bool use_reese : {true, false}) {

@@ -22,7 +22,8 @@
 //   -minsep N          enforced minimum P->R separation
 //   -pred NAME         nottaken|taken|btfn|bimodal|gshare|local|tournament
 //   -seed N            workload data seed
-//   -fault_rate F      inject faults at rate F per instruction
+//   -fault_rate F      inject faults at rate F per instruction, F in
+//                      [0, 1] (0: off)
 //   -prelint 0|1       statically lint the workload program before running;
 //                      refuse to start on error-severity findings
 //   --trace-out FILE   write a Chrome trace_event JSON trace of the run
@@ -169,6 +170,11 @@ int main(int argc, char** argv) {
 
   faults::InjectorConfig fault_config;
   fault_config.rate = flags.get_double("fault_rate", 0.0);
+  if (!(fault_config.rate >= 0.0 && fault_config.rate <= 1.0)) {
+    std::fprintf(stderr, "flag -fault_rate: must be in [0, 1], got %s\n",
+                 flags.get_string("fault_rate", "").c_str());
+    return 2;
+  }
   faults::Injector injector(fault_config);
 
   sim::Simulator simulator(std::move(workload).value(), config);

@@ -1,10 +1,13 @@
 // Interface between the pipeline and the fault-injection framework.
 //
-// The pipeline asks the hook, once per instruction leaving the RUU toward
-// commit, whether to corrupt that instruction's stored P result or its
-// recomputed R result; it reports back whether the REESE comparator caught
-// the corruption. Keeping this as an interface lets src/core stay
-// independent of src/faults.
+// Every fault is an id. The hook hands one out in a Strike, either when an
+// instruction leaves the out-of-order window (on_instruction: a flip of the
+// stored P result or of the R recomputation) or from the per-cycle poll of
+// a component site (on_site_cycle: a strike into a storage structure). The
+// pipeline carries the id in the struck entry and reports it back exactly
+// once, through on_resolved, when the corrupted state dies: at a comparison,
+// at commit, at a squash or when a poisoned line is read or evicted. Keeping
+// this as an interface lets src/core stay independent of src/faults.
 //
 // Injection is *measurement-only*: the architectural (functional) state is
 // never corrupted, so a campaign can measure coverage and detection latency
@@ -16,16 +19,10 @@
 
 namespace reese::core {
 
-struct FaultDecision {
-  bool flip_p = false;   ///< corrupt the stored P-stream result copy
-  bool flip_r = false;   ///< corrupt the R-stream recomputation result
-  unsigned bit = 0;      ///< which bit of the 64-bit value to flip
-};
-
 /// Which microarchitectural structure a fault campaign targets. kResult is
 /// the classic result-flipping model (an upset in a functional unit's output
-/// latch, delivered through on_instruction); every other site names a
-/// storage structure struck through the per-cycle on_site_cycle poll.
+/// latch, handed out by on_instruction); every other site names a storage
+/// structure struck through the per-cycle on_site_cycle poll.
 /// DESIGN.md §16 documents the per-site injection and outcome semantics.
 enum class FaultSite : u8 {
   kResult = 0,  ///< instruction-result flips (the legacy injector model)
@@ -54,7 +51,7 @@ inline const char* fault_site_name(FaultSite site) {
   return "?";
 }
 
-/// How one site strike ended. Every strike resolves to exactly one outcome:
+/// How one fault ended. Every fault resolves to exactly one outcome:
 ///   kMasked   — the corrupted state was never architecturally consumed
 ///               (empty slot, squashed entry, overwritten/evicted line, dead
 ///               value, or timing-only state like predictor bits);
@@ -74,16 +71,18 @@ inline const char* fault_outcome_name(FaultOutcome outcome) {
   return "?";
 }
 
-/// One per-cycle injection decision for a component site. `cell` selects the
-/// struck slot/line (reduced modulo the structure size by the pipeline),
-/// `bit` the flipped bit, and `field` which stored field of a multi-field
-/// entry is hit — keeping all randomness in the hook keeps the pipeline
-/// deterministic and the hook testable.
-struct SiteStrike {
-  bool strike = false;
-  u64 cell = 0;
-  unsigned bit = 0;
-  u64 field = 0;
+/// One fault handed to the pipeline. A nonzero `id` names it; id 0 means no
+/// fault. All randomness stays in the hook (which slot, field and bit), so
+/// the pipeline is deterministic and the hook testable.
+struct Strike {
+  u64 id = 0;
+  unsigned bit = 0;     ///< which bit of the 64-bit value to flip
+  bool flip_r = false;  ///< result flips: hit the R recomputation, not the
+                        ///< stored P copy
+  u64 cell = 0;         ///< component sites: the struck slot/line (reduced
+                        ///< modulo the structure size by the pipeline)
+  u64 field = 0;        ///< component sites: which stored field of a
+                        ///< multi-field entry is hit
 };
 
 class FaultHook {
@@ -92,52 +91,31 @@ class FaultHook {
 
   /// Called when instruction `seq` leaves the out-of-order window on its
   /// way to commit (REESE: R-queue entry creation; baseline: commit). `pc`
-  /// is the instruction's program counter, so the hook can attribute
-  /// outcomes to static instructions. Baseline commit and REESE R-queue
-  /// creation call this in program order for EVERY instruction (faulted or
-  /// not), which lets a hook observe the committed value stream — the
-  /// Franklin scheme calls in completion order instead (documented
-  /// approximation for stream-order consumers).
-  virtual FaultDecision on_instruction(InstSeq seq, Cycle now, Addr pc,
-                                       const isa::Instruction& inst) = 0;
-
-  /// The comparator flagged a mismatch for a faulted instruction.
-  virtual void on_detected(InstSeq seq, Cycle injected_at,
-                           Cycle detected_at) = 0;
-
-  /// A faulted instruction committed without any comparison catching it
-  /// (baseline processor, or a non-re-executed instruction in partial mode).
-  virtual void on_undetected(InstSeq seq) = 0;
-
-  // ---- Component-site campaign interface (all optional) -------------------
-  //
-  // A hook that returns a site other than kResult switches the pipeline into
-  // component-strike mode: once per cycle it polls on_site_cycle and, on a
-  // strike, corrupts the named structure. Every strike is later resolved to
-  // exactly one FaultOutcome via on_site_outcome. The default implementations
-  // keep legacy result-flipping hooks working unchanged.
+  /// is the instruction's program counter. Baseline commit and REESE
+  /// R-queue creation call this in program order for EVERY instruction,
+  /// which lets a hook observe the committed value stream — the Franklin
+  /// scheme calls in completion order instead (documented approximation
+  /// for stream-order consumers). A nonzero id flips a bit of the result.
+  virtual Strike on_instruction(InstSeq seq, Cycle now, Addr pc,
+                                const isa::Instruction& inst) = 0;
 
   /// Which structure this hook targets. kResult (the default) keeps the
-  /// classic on_instruction result-flipping path; anything else enables the
-  /// per-cycle site poll.
+  /// on_instruction result flips; anything else arms the per-cycle poll.
   virtual FaultSite site() const { return FaultSite::kResult; }
 
   /// Polled once per cycle (top of Pipeline::cycle) when site() != kResult.
-  virtual SiteStrike on_site_cycle(Cycle now) {
+  /// A nonzero id strikes the site's structure (site_faults.cpp).
+  virtual Strike on_site_cycle(Cycle now) {
     (void)now;
     return {};
   }
 
-  /// A site strike resolved. `pc` attributes the outcome to the static
-  /// instruction that owned (or consumed) the corrupted state; it is 0 when
-  /// no instruction is attributable (empty slot, evicted line, ...).
-  virtual void on_site_outcome(FaultOutcome outcome, Addr pc,
-                               Cycle injected_at, Cycle resolved_at) {
-    (void)outcome;
-    (void)pc;
-    (void)injected_at;
-    (void)resolved_at;
-  }
+  /// Fault `id` ended with `outcome` at cycle `now`. `pc` attributes it to
+  /// the static instruction that owned (or consumed) the corrupted state;
+  /// it is 0 when no instruction is attributable (empty slot, evicted
+  /// line, ...). The pipeline reports each id exactly once.
+  virtual void on_resolved(u64 id, FaultOutcome outcome, Addr pc,
+                           Cycle now) = 0;
 
   /// An R-queue self-fault killed a pending re-execution: the instruction
   /// will commit unchecked. The strike itself still resolves (as masked —

@@ -12,12 +12,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/bitutil.h"
 #include "core/pipeline.h"
 
 namespace reese::core {
-
-using isa::ExecClass;
 
 void Pipeline::franklin_first_completion(u32 slot_index) {
   RuuEntry& entry = ruu_[slot_index];
@@ -60,17 +57,12 @@ void Pipeline::franklin_first_completion(u32 slot_index) {
   // (or schedule a flip of the duplicate execution's output).
   entry.fr_p_copy = entry.result;
   if (!entry.spec && fault_hook_ != nullptr) {
-    const FaultDecision decision =
+    const Strike strike =
         fault_hook_->on_instruction(entry.seq, now_, entry.pc, entry.inst);
-    if (decision.flip_p || decision.flip_r) {
-      entry.fr_faulted = true;
-      entry.fr_fault_bit = decision.bit % 64;
-      entry.fr_fault_cycle = now_;
-      ++stats_.faults_injected;
-      if (decision.flip_p) {
-        entry.fr_p_copy = flip_bit(entry.fr_p_copy, entry.fr_fault_bit);
-      }
-      entry.fr_flip_r = decision.flip_r;
+    if (strike.id != 0) {
+      entry.fault = strike.id;
+      (strike.flip_r ? entry.fr_r_flip : entry.fr_p_copy) ^=
+          u64{1} << (strike.bit % 64);
     }
   }
 
@@ -83,29 +75,9 @@ bool Pipeline::franklin_issue_second(u32 slot_index) {
   RuuEntry& entry = ruu_[slot_index];
   assert(entry.first_done && !entry.issued && !entry.completed);
 
-  const ExecClass exec_class = entry.inst.info().exec_class;
-  const u32 r_occupancy = std::max<u32>(1, config_.reese.r_fu_occupancy);
-  Cycle complete_at = 0;
-  if (exec_class == ExecClass::kLoad) {
-    if (!fu_pool_.try_acquire(FuKind::kMemPort, now_, 1)) return false;
-    complete_at = now_ + hierarchy_->data_access(entry.mem_addr, false);
-  } else if (exec_class == ExecClass::kStore) {
-    const FuKind unit = config_.reese.r_store_uses_port ? FuKind::kMemPort
-                                                        : FuKind::kIntAlu;
-    if (!fu_pool_.try_acquire(unit, now_, 1)) return false;
-    complete_at = now_ + 1;
-  } else if (exec_class == ExecClass::kNone) {
-    complete_at = now_ + 1;
-  } else {
-    OpTiming timing = op_timing(exec_class, config_);
-    if (timing.fu == FuKind::kIntAlu || timing.fu == FuKind::kFpAlu) {
-      timing.issue_latency = std::max(timing.issue_latency, r_occupancy);
-    }
-    if (!fu_pool_.try_acquire(timing.fu, now_, timing.issue_latency)) {
-      return false;
-    }
-    complete_at = now_ + timing.result_latency;
-  }
+  const Cycle complete_at = acquire_redundant_unit(entry.inst, entry.pc,
+                                                  entry.mem_addr, !entry.spec);
+  if (complete_at == 0) return false;
 
   entry.issued = true;
   clear_ready(slot_index);
@@ -125,8 +97,7 @@ void Pipeline::franklin_second_completion(u32 slot_index) {
 
   const ReexecOutcome outcome = recompute_and_compare(
       entry.inst, entry.pc, entry.rs1_value, entry.rs2_value, entry.mem_addr,
-      entry.actual_next, entry.fr_p_copy, entry.result, entry.fr_flip_r,
-      entry.fr_fault_bit);
+      entry.actual_next, entry.fr_p_copy, entry.result, entry.fr_r_flip);
   ++stats_.comparisons;
   ++stats_.committed_r;
   trace(TraceKind::kRComplete, entry.seq, entry.pc, entry.inst, false);
@@ -136,13 +107,14 @@ void Pipeline::franklin_second_completion(u32 slot_index) {
     trace(TraceKind::kError, entry.seq, entry.pc, entry.inst, false);
     fetch_stall_until_ = std::max(
         fetch_stall_until_, now_ + config_.reese.error_recovery_penalty);
-    if (entry.fr_faulted && fault_hook_ != nullptr) {
-      fault_hook_->on_detected(entry.seq, entry.fr_fault_cycle, now_);
-      stats_.detection_latency.add(now_ - entry.fr_fault_cycle);
-    }
-  } else if (entry.fr_faulted && fault_hook_ != nullptr) {
-    ++stats_.faults_undetected;
-    fault_hook_->on_undetected(entry.seq);
+  }
+  if (entry.fault != 0) {
+    // The comparison is where the fault ends: caught, or escaping to commit.
+    resolve_fault(entry.fault,
+                  outcome.mismatch ? FaultOutcome::kDetected
+                                   : escape_outcome(entry.inst),
+                  entry.pc);
+    entry.fault = 0;
   }
 }
 

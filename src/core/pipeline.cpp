@@ -664,11 +664,9 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
       assert(lsq_[lsq_index_at(lsq_count_ - 1)] == tail_slot);
       --lsq_count_;
     }
-    if (victim.site_faulted) {
+    if (victim.fault != 0) {
       // The corrupted entry dies with the wrong path: masked by squash.
-      victim.site_faulted = false;
-      report_site_outcome(FaultOutcome::kMasked, victim.pc,
-                          victim.site_fault_cycle);
+      resolve_fault(victim.fault, FaultOutcome::kMasked, victim.pc);
     }
     victim.valid = false;
     ++victim.gen;
@@ -730,38 +728,30 @@ bool Pipeline::commit_head_baseline() {
     if (mem_site_armed()) drain_mem_site_events(head.pc, true);
   }
 
-  if (head.site_faulted) {
-    // No comparator on this path: the corruption reaches commit. It is SDC
-    // when the struck state is architecturally consumed — a written
-    // destination register, store data/address, a branch outcome or an OUT
-    // operand (the same liveness rule the result-flip injector applies) —
-    // and masked otherwise (x0 writes, HALT/NOP).
-    const isa::OpInfo& info = head.inst.info();
-    const bool live =
-        (info.writes_rd &&
-         (info.is_fp_rd || head.inst.rd != isa::kZeroReg)) ||
-        head.is_store() || isa::is_cond_branch(head.inst.op) ||
-        head.inst.op == Opcode::kOut;
-    head.site_faulted = false;
-    report_site_outcome(live ? FaultOutcome::kSdc : FaultOutcome::kMasked,
-                        head.pc, head.site_fault_cycle);
-  }
-
+  // A strike into the entry (Franklin entries resolved theirs at the
+  // comparison), or a baseline result flip, which has no comparator to
+  // meet: either way the corruption reaches commit unchecked.
+  u64 fault = head.fault;
   if (fault_hook_ != nullptr && !config_.reese.enabled) {
-    const FaultDecision decision =
+    const Strike strike =
         fault_hook_->on_instruction(head.seq, now_, head.pc, head.inst);
-    if (decision.flip_p || decision.flip_r) {
-      // The baseline has no comparator: every injected fault escapes.
-      ++stats_.faults_injected;
-      ++stats_.faults_undetected;
-      fault_hook_->on_undetected(head.seq);
-    }
+    if (strike.id != 0) fault = strike.id;
   }
+  if (fault != 0) resolve_fault(fault, escape_outcome(head.inst), head.pc);
 
   if (head.inst.op == Opcode::kHalt) halted_ = true;
   trace(TraceKind::kCommit, head.seq, head.pc, head.inst, false);
   free_ruu_head();
   return true;
+}
+
+FaultOutcome Pipeline::escape_outcome(const isa::Instruction& inst) {
+  const isa::OpInfo& info = inst.info();
+  const bool live =
+      (info.writes_rd && (info.is_fp_rd || inst.rd != isa::kZeroReg)) ||
+      isa::is_store(inst.op) || isa::is_cond_branch(inst.op) ||
+      inst.op == Opcode::kOut;
+  return live ? FaultOutcome::kSdc : FaultOutcome::kMasked;
 }
 
 void Pipeline::stage_commit() {

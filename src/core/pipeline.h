@@ -178,21 +178,18 @@ class Pipeline {
     bool issued = false;
     bool completed = false;
     bool released = false;  ///< copied into the R-queue (early release off)
-
-    // Component-site campaigns: a strike landed in this entry's stored
-    // result (kRuu) or effective address (kLsq) and has not resolved yet.
-    bool site_faulted = false;
-    Cycle site_fault_cycle = 0;
-
     // Franklin-scheme ([24]) dual execution: the entry must execute twice
     // before it may commit; `first_done` marks the primary execution.
     bool first_done = false;
-    u64 fr_p_copy = 0;       ///< stored first-execution result (comparator
-                             ///< reference; fault flips land here)
-    bool fr_faulted = false;
-    bool fr_flip_r = false;
-    unsigned fr_fault_bit = 0;
-    Cycle fr_fault_cycle = 0;
+
+    /// Id of the unresolved fault this entry carries (0 = none): a strike
+    /// into its stored result (kRuu) or effective address (kLsq), or a
+    /// Franklin result flip.
+    u64 fault = 0;
+
+    u64 fr_p_copy = 0;       ///< Franklin: stored first-execution result
+                             ///< (comparator reference; P flips land here)
+    u64 fr_r_flip = 0;       ///< Franklin: XOR mask for the duplicate's result
     Cycle dispatch_cycle = 0;
     Cycle issue_cycle = 0;
     Cycle complete_cycle = 0;
@@ -221,14 +218,10 @@ class Pipeline {
       issued = false;
       completed = false;
       released = false;
-      site_faulted = false;
-      site_fault_cycle = 0;
+      fault = 0;
       first_done = false;
       fr_p_copy = 0;
-      fr_faulted = false;
-      fr_flip_r = false;
-      fr_fault_bit = 0;
-      fr_fault_cycle = 0;
+      fr_r_flip = 0;
       issue_cycle = 0;
       complete_cycle = 0;
     }
@@ -308,6 +301,13 @@ class Pipeline {
   /// Returns false if the head cannot commit this cycle.
   bool commit_head_baseline();
 
+  /// How a corrupted instruction that commits unchecked ends: SDC when the
+  /// corrupted state is architecturally consumed — a written destination
+  /// register, store data/address, a branch outcome or an OUT operand (the
+  /// liveness rule the result-flip injector applies) — and masked
+  /// otherwise (x0 writes, HALT/NOP).
+  static FaultOutcome escape_outcome(const isa::Instruction& inst);
+
   // --- REESE (reese.cpp) ---------------------------------------------------
 
   /// Move completed RUU-head instructions into the R-stream Queue.
@@ -328,9 +328,20 @@ class Pipeline {
   /// occupancy counters).
   bool reese_priority() const;
 
+  /// Claim this cycle's functional unit for a redundant execution — an
+  /// R-stream instruction or a Franklin duplicate. Loads take a memory port
+  /// and re-access the D-cache at `mem_addr` (a poisoned line read there
+  /// resolves under `pc`, as SDC only when `architectural`); stores take
+  /// the unit r_store_uses_port picks; single-cycle ALU classes hold their
+  /// unit for r_fu_occupancy cycles. Returns the completion cycle, or 0
+  /// when the unit is busy.
+  Cycle acquire_redundant_unit(const isa::Instruction& inst, Addr pc,
+                               Addr mem_addr, bool architectural);
+
   /// Re-run an instruction from stored operands and compare against the
   /// stored primary result — the comparator shared by the REESE R-stream
-  /// and the Franklin dual-execution scheme.
+  /// and the Franklin dual-execution scheme. `r_flip` is XORed into the
+  /// recomputed value (a result flip on the R side).
   struct ReexecOutcome {
     u64 value = 0;
     bool mismatch = false;
@@ -339,24 +350,26 @@ class Pipeline {
                                       u64 rs1_value, u64 rs2_value,
                                       Addr mem_addr, Addr p_next,
                                       u64 p_result, u64 load_value,
-                                      bool flip_r, unsigned fault_bit) const;
+                                      u64 r_flip) const;
 
   // --- component fault sites (site_faults.cpp) -----------------------------
 
   /// Poll the hook for a strike and deliver it to the targeted structure.
   /// Called once per cycle (before the stages) when fault_site_ != kResult.
   void poll_site_fault();
-  void strike_ruu(const SiteStrike& strike);
-  void strike_rqueue(const SiteStrike& strike);
-  void strike_lsq(const SiteStrike& strike);
-  void strike_predictor(const SiteStrike& strike);
-  void strike_btb(const SiteStrike& strike);
-  void strike_dcache(const SiteStrike& strike);
-  void strike_dtlb(const SiteStrike& strike);
-  /// Report a resolved strike (injected_at = the strike cycle).
-  void report_site_outcome(FaultOutcome outcome, Addr pc, Cycle injected_at);
-  /// After a data_access(), convert poison consumptions/clears recorded by
-  /// the D-L1/D-TLB into site outcomes attributed to `pc`. `architectural`
+  void strike_ruu(const Strike& strike);
+  void strike_rqueue(const Strike& strike);
+  void strike_lsq(const Strike& strike);
+  void strike_predictor(const Strike& strike);
+  void strike_btb(const Strike& strike);
+  void strike_dcache(const Strike& strike);
+  void strike_dtlb(const Strike& strike);
+  /// The one place a fault ends: report fault `id` to the hook.
+  void resolve_fault(u64 id, FaultOutcome outcome, Addr pc) {
+    fault_hook_->on_resolved(id, outcome, pc, now_);
+  }
+  /// After a data_access(), resolve the poison strikes whose lines the
+  /// D-L1/D-TLB saw read (attributed to `pc`) or cleared. `architectural`
   /// is false for wrong-path accesses (a squashed consumer masks the upset).
   void drain_mem_site_events(Addr pc, bool architectural);
   /// True when the active site poisons memory structures — gates the
@@ -532,9 +545,9 @@ class Pipeline {
   /// Cached fault_hook_->site(); kResult keeps the component poll disabled
   /// so legacy campaigns and plain runs pay one branch per cycle.
   FaultSite fault_site_ = FaultSite::kResult;
-  /// Strike cycles of outstanding D-L1/D-TLB poisons, oldest first
-  /// (site_faults.cpp uses it for detection-latency attribution).
-  std::vector<Cycle> mem_poison_pending_;
+  /// Fault ids of outstanding D-L1/D-TLB poisons, oldest first: a poison
+  /// event resolves the oldest (site_faults.cpp).
+  std::vector<u64> mem_poison_pending_;
   Tracer* tracer_ = nullptr;
 
   /// Emit a trace event if a tracer is installed.

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/bitutil.h"
 #include "core/pipeline.h"
 
 namespace reese::core {
@@ -58,29 +57,21 @@ void Pipeline::reese_release() {
     redundant.needs_reexec = reexec_counter_ == 0;
     if (++reexec_counter_ >= k) reexec_counter_ = 0;
 
-    if (entry.site_faulted) {
-      // A component strike (RUU result or LSQ address) travels with the
-      // instruction into the checker. The flipped result seeded BOTH
-      // p_result and r_base_value above — so for loads the comparator sees
-      // two agreeing corrupt copies (REESE's load-data blind spot), while
-      // recomputed classes mismatch and detect.
-      entry.site_faulted = false;
-      redundant.site_faulted = true;
-      redundant.fault_cycle = entry.site_fault_cycle;
-    }
+    // A component strike (RUU result or LSQ address) travels with the
+    // instruction into the checker. The flipped result seeded BOTH
+    // p_result and r_base_value above — so for loads the comparator sees
+    // two agreeing corrupt copies (REESE's load-data blind spot), while
+    // recomputed classes mismatch and detect.
+    redundant.fault = entry.fault;
+    entry.fault = 0;
 
     if (fault_hook_ != nullptr) {
-      const FaultDecision decision =
+      const Strike strike =
           fault_hook_->on_instruction(entry.seq, now_, entry.pc, entry.inst);
-      if (decision.flip_p || decision.flip_r) {
-        redundant.faulted = true;
-        redundant.fault_bit = decision.bit % 64;
-        redundant.fault_cycle = now_;
-        ++stats_.faults_injected;
-        if (decision.flip_p) {
-          redundant.p_result = flip_bit(redundant.p_result, redundant.fault_bit);
-        }
-        redundant.flip_r = decision.flip_r;
+      if (strike.id != 0) {
+        redundant.fault = strike.id;
+        (strike.flip_r ? redundant.r_flip : redundant.p_result) ^=
+            u64{1} << (strike.bit % 64);
       }
     }
 
@@ -134,36 +125,9 @@ void Pipeline::reese_issue(u32* budget) {
       break;
     }
 
-    const ExecClass exec_class = entry.inst.info().exec_class;
-    const u32 r_occupancy = std::max<u32>(1, config_.reese.r_fu_occupancy);
-    Cycle complete_at = 0;
-    if (exec_class == ExecClass::kLoad) {
-      // R-stream loads recompute the effective address on an integer ALU
-      // and re-access the D-cache through a memory port (§4.4: the P-stream
-      // access brought the line in, so the access almost always hits).
-      if (!fu_pool_.try_acquire(FuKind::kMemPort, now_, 1)) break;
-      complete_at = now_ + hierarchy_->data_access(entry.mem_addr, false);
-      if (mem_site_armed()) drain_mem_site_events(entry.pc, true);
-    } else if (exec_class == ExecClass::kStore) {
-      // Stores re-verify their effective address and value through the
-      // memory pipeline (AGU + store-buffer check) or a plain ALU; the
-      // single architectural cache write happens at commit.
-      const FuKind unit = config_.reese.r_store_uses_port ? FuKind::kMemPort
-                                                          : FuKind::kIntAlu;
-      if (!fu_pool_.try_acquire(unit, now_, 1)) break;
-      complete_at = now_ + 1;
-    } else if (exec_class == ExecClass::kNone) {
-      complete_at = now_ + 1;
-    } else {
-      OpTiming timing = op_timing(exec_class, config_);
-      // The comparator staging cost applies to the single-cycle ALU paths;
-      // long-latency units already have output buffering.
-      if (timing.fu == FuKind::kIntAlu || timing.fu == FuKind::kFpAlu) {
-        timing.issue_latency = std::max(timing.issue_latency, r_occupancy);
-      }
-      if (!fu_pool_.try_acquire(timing.fu, now_, timing.issue_latency)) break;
-      complete_at = now_ + timing.result_latency;
-    }
+    const Cycle complete_at =
+        acquire_redundant_unit(entry.inst, entry.pc, entry.mem_addr, true);
+    if (complete_at == 0) break;
 
     entry.issued = true;
     r_issue_next_id_ += entry.id == r_issue_next_id_ ? 1 : 0;
@@ -177,10 +141,42 @@ void Pipeline::reese_issue(u32* budget) {
   }
 }
 
+Cycle Pipeline::acquire_redundant_unit(const isa::Instruction& inst, Addr pc,
+                                       Addr mem_addr, bool architectural) {
+  const ExecClass exec_class = inst.info().exec_class;
+  if (exec_class == ExecClass::kLoad) {
+    // Redundant loads recompute the effective address on an integer ALU
+    // and re-access the D-cache through a memory port (§4.4: the P-stream
+    // access brought the line in, so the access almost always hits).
+    if (!fu_pool_.try_acquire(FuKind::kMemPort, now_, 1)) return 0;
+    const Cycle complete_at = now_ + hierarchy_->data_access(mem_addr, false);
+    if (mem_site_armed()) drain_mem_site_events(pc, architectural);
+    return complete_at;
+  }
+  if (exec_class == ExecClass::kStore) {
+    // Stores re-verify their effective address and value through the
+    // memory pipeline (AGU + store-buffer check) or a plain ALU; the
+    // single architectural cache write happens at commit.
+    const FuKind unit = config_.reese.r_store_uses_port ? FuKind::kMemPort
+                                                        : FuKind::kIntAlu;
+    return fu_pool_.try_acquire(unit, now_, 1) ? now_ + 1 : 0;
+  }
+  if (exec_class == ExecClass::kNone) return now_ + 1;
+  OpTiming timing = op_timing(exec_class, config_);
+  // The comparator staging cost applies to the single-cycle ALU paths;
+  // long-latency units already have output buffering.
+  if (timing.fu == FuKind::kIntAlu || timing.fu == FuKind::kFpAlu) {
+    timing.issue_latency = std::max(
+        timing.issue_latency, std::max<u32>(1, config_.reese.r_fu_occupancy));
+  }
+  if (!fu_pool_.try_acquire(timing.fu, now_, timing.issue_latency)) return 0;
+  return now_ + timing.result_latency;
+}
+
 Pipeline::ReexecOutcome Pipeline::recompute_and_compare(
     const isa::Instruction& inst, Addr pc, u64 rs1_value, u64 rs2_value,
-    Addr mem_addr, Addr p_next, u64 p_result, u64 load_value, bool flip_r,
-    unsigned fault_bit) const {
+    Addr mem_addr, Addr p_next, u64 p_result, u64 load_value,
+    u64 r_flip) const {
   // Re-run the computation from the stored operands — the same semantics
   // function the P stream used, as in hardware where it is the same ALU.
   // The comparator is branch-free: each path accumulates a difference word
@@ -217,7 +213,7 @@ Pipeline::ReexecOutcome Pipeline::recompute_and_compare(
     }
   }
 
-  if (flip_r) r_value = flip_bit(r_value, fault_bit);
+  r_value ^= r_flip;
   const u64 diff = (r_value ^ p_result) | aux_diff;
   return ReexecOutcome{r_value, diff != 0};
 }
@@ -228,8 +224,7 @@ void Pipeline::reese_complete(u64 entry_id) {
 
   const ReexecOutcome outcome = recompute_and_compare(
       entry.inst, entry.pc, entry.rs1_value, entry.rs2_value, entry.mem_addr,
-      entry.p_next, entry.p_result, entry.r_base_value, entry.flip_r,
-      entry.fault_bit);
+      entry.p_next, entry.p_result, entry.r_base_value, entry.r_flip);
   entry.r_result = outcome.value;
   entry.mismatch = outcome.mismatch;
   entry.completed = true;
@@ -262,36 +257,25 @@ void Pipeline::reese_commit() {
     }
 
     if (entry.mismatch) {
-      // Soft error detected. The pipeline and R-queue are flushed and the
-      // faulting instruction refetched; we charge that as a fetch freeze
-      // (see DESIGN.md — architectural state is never actually corrupted,
-      // so the re-execution is not replayed).
+      // Soft error detected. The model charges error_recovery_penalty as a
+      // fetch freeze: nothing is flushed or refetched, because
+      // architectural state is never actually corrupted (see DESIGN.md).
       ++stats_.errors_detected;
       trace(TraceKind::kError, entry.seq, entry.pc, entry.inst, false);
       fetch_stall_until_ = std::max(
           fetch_stall_until_, now_ + config_.reese.error_recovery_penalty);
-      if (entry.faulted && fault_hook_ != nullptr) {
-        fault_hook_->on_detected(entry.seq, entry.fault_cycle, now_);
-        stats_.detection_latency.add(now_ - entry.fault_cycle);
-      }
-    } else if (entry.faulted && fault_hook_ != nullptr) {
-      // A fault was injected but no comparison caught it (partial mode
-      // skip, or the flip landed on a value the comparator never sees).
-      ++stats_.faults_undetected;
-      fault_hook_->on_undetected(entry.seq);
     }
 
-    if (entry.site_faulted || entry.checker_faulted) {
-      // Component-strike resolution (DESIGN.md §16): a mismatch is a
-      // detection (including false positives from corrupted checker
-      // state); an escaped datapath corruption (site_faulted) commits as
-      // SDC; an escaped checker-only corruption leaves architectural
-      // state correct — masked.
+    if (entry.fault != 0) {
+      // A mismatch is a detection (including false positives from
+      // corrupted checker state). An escape — a 1-of-k skip, or a strike
+      // after the comparison — commits a datapath corruption as SDC, while
+      // a checker-only corruption leaves architectural state correct.
       const FaultOutcome outcome = entry.mismatch ? FaultOutcome::kDetected
-                                   : entry.site_faulted
-                                       ? FaultOutcome::kSdc
-                                       : FaultOutcome::kMasked;
-      report_site_outcome(outcome, entry.pc, entry.fault_cycle);
+                                   : entry.fault_checker_only
+                                       ? FaultOutcome::kMasked
+                                       : FaultOutcome::kSdc;
+      resolve_fault(entry.fault, outcome, entry.pc);
     }
 
     skipped += entry.needs_reexec ? 0 : 1;

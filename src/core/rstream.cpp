@@ -28,12 +28,9 @@ REntry& RStreamQueue::push_slot() {
   slot.completed = false;
   slot.mismatch = false;
   slot.holds_ruu_slot = false;
-  slot.faulted = false;
-  slot.flip_r = false;
-  slot.fault_bit = 0;
-  slot.fault_cycle = 0;
-  slot.site_faulted = false;
-  slot.checker_faulted = false;
+  slot.fault = 0;
+  slot.r_flip = 0;
+  slot.fault_checker_only = false;
   ++count_;
   return slot;
 }

@@ -52,20 +52,16 @@ struct REntry {
   /// release disabled); the final commit must free that slot too.
   bool holds_ruu_slot = false;
 
-  // Fault-injection bookkeeping.
-  bool faulted = false;
-  bool flip_r = false;       ///< corrupt the R side instead of the P side
-  unsigned fault_bit = 0;
-  Cycle fault_cycle = 0;
-
-  // Component-site campaigns (DESIGN.md §16). site_faulted marks an upset
-  // that came in from upstream (RUU/LSQ strike) or hit this slot's stored
-  // values — an escape is SDC. checker_faulted marks corruption of the
-  // checker's own redundant state (operand copies, the reexec flag) — the
-  // architectural value is still correct, so an escape is masked (possibly
-  // with coverage loss) and a mismatch is a false-positive detection.
-  bool site_faulted = false;
-  bool checker_faulted = false;
+  // Fault injection (DESIGN.md §10, §16): the id of the fault this entry
+  // carries (0 = none), reported once at commit. `fault_checker_only`
+  // marks corruption of the checker's own redundant state (operand copies,
+  // the reexec flag): the architectural value is still correct, so an
+  // escape is masked (possibly with coverage loss) rather than SDC, and a
+  // mismatch is a false-positive detection. `r_flip` is XORed into the R
+  // result (a result flip on the R side).
+  bool fault_checker_only = false;
+  u64 fault = 0;
+  u64 r_flip = 0;
 };
 
 /// Fixed-capacity ring: the capacity is a hardware parameter known at

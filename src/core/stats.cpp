@@ -90,11 +90,6 @@ void export_core_stats(metrics::Registry* registry, const CoreStats& stats,
               labels, "Comparator checks");
   set_counter(registry, "reese_core_errors_detected_total",
               stats.errors_detected, labels, "Comparator mismatches detected");
-  set_counter(registry, "reese_core_faults_injected_total",
-              stats.faults_injected, labels, "Faults injected");
-  set_counter(registry, "reese_core_faults_undetected_total",
-              stats.faults_undetected, labels,
-              "Faulty instructions committed unchecked");
 
   for (usize i = 0; i < kCycleClassCount; ++i) {
     const CycleClass cls = static_cast<CycleClass>(i);
@@ -170,11 +165,8 @@ void CoreStats::save(SnapshotWriter* writer) const {
   writer->put_u64(rpriority_cycles);
   writer->put_u64(comparisons);
   writer->put_u64(errors_detected);
-  writer->put_u64(faults_injected);
-  writer->put_u64(faults_undetected);
   for (u64 count : cycle_classes) writer->put_u64(count);
   separation.save(writer);
-  detection_latency.save(writer);
   issue_per_cycle.save(writer);
   ruu_occupancy.save(writer);
   lsq_occupancy.save(writer);
@@ -205,11 +197,8 @@ void CoreStats::load(SnapshotReader* reader) {
   rpriority_cycles = reader->get_u64();
   comparisons = reader->get_u64();
   errors_detected = reader->get_u64();
-  faults_injected = reader->get_u64();
-  faults_undetected = reader->get_u64();
   for (u64& count : cycle_classes) count = reader->get_u64();
   separation.load(reader);
-  detection_latency.load(reader);
   issue_per_cycle.load(reader);
   ruu_occupancy.load(reader);
   lsq_occupancy.load(reader);

@@ -64,16 +64,11 @@ struct CoreStats {
   u64 comparisons = 0;
   u64 errors_detected = 0;
 
-  // Faults.
-  u64 faults_injected = 0;
-  u64 faults_undetected = 0;  ///< faulty instruction committed unchecked
-
   // Per-cycle stall attribution (see CycleClass); sums to `cycles`.
   std::array<u64, kCycleClassCount> cycle_classes{};
 
   // Distributions.
   Histogram separation{4, 64};        ///< R-issue minus P-issue, cycles
-  Histogram detection_latency{4, 64}; ///< injection to detection, cycles
   Histogram issue_per_cycle{1, 17};
   RunningStat ruu_occupancy;
   RunningStat lsq_occupancy;

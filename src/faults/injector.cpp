@@ -33,50 +33,41 @@ void Injector::finalize_windows() {
   }
   // Site mode: strikes whose corrupted state was still live at end of run
   // (in-flight queue entries, unconsumed poisoned lines) never reached an
-  // architectural consumer — masked. Idempotent: once the counts balance,
-  // the difference is zero.
-  const u64 resolved = site_detected_ + site_masked_ + site_sdc_;
-  if (site_fired_ > resolved) site_masked_ += site_fired_ - resolved;
+  // architectural consumer — masked. They keep pc 0: no consumer to blame.
+  if (!site_mode()) return;
+  for (FaultRecord& record : records_) {
+    if (record.resolved) continue;
+    record.resolved = true;
+    record.outcome = core::FaultOutcome::kMasked;
+    ++resolved_;
+  }
 }
 
-core::SiteStrike Injector::on_site_cycle(Cycle now) {
-  (void)now;
-  if (config_.max_faults != 0 && site_fired_ >= config_.max_faults) return {};
+u64 Injector::add_record(const FaultRecord& record) {
+  records_.push_back(record);
+  return records_.size();
+}
+
+core::Strike Injector::on_site_cycle(Cycle now) {
+  if (config_.max_faults != 0 && records_.size() >= config_.max_faults) {
+    return {};
+  }
   if (config_.rate <= 0.0 || !rng_.next_bool(config_.rate)) return {};
-  ++site_fired_;
   // All randomness stays here so the pipeline's strike handling is a pure
   // function of the strike — campaigns are bit-identical for any --jobs
   // split as long as each cell owns its own seeded injector.
-  core::SiteStrike strike;
-  strike.strike = true;
+  FaultRecord record;
+  record.injected_at = now;
+  core::Strike strike;
+  strike.id = add_record(record);
   strike.cell = rng_.next();
   strike.bit = static_cast<unsigned>(rng_.next_below(64));
   strike.field = rng_.next();
   return strike;
 }
 
-void Injector::on_site_outcome(core::FaultOutcome outcome, Addr pc,
-                               Cycle injected_at, Cycle resolved_at) {
-  switch (outcome) {
-    case core::FaultOutcome::kMasked: ++site_masked_; break;
-    case core::FaultOutcome::kDetected:
-      ++site_detected_;
-      latency_.add(resolved_at - injected_at);
-      break;
-    case core::FaultOutcome::kSdc: ++site_sdc_; break;
-  }
-  if (pc == 0) return;  // strike on dead state: no root cause to attribute
-  SitePcOutcomes& tally = site_by_pc_[pc];
-  ++tally.injected;
-  switch (outcome) {
-    case core::FaultOutcome::kMasked: ++tally.masked; break;
-    case core::FaultOutcome::kDetected: ++tally.detected; break;
-    case core::FaultOutcome::kSdc: ++tally.sdc; break;
-  }
-}
-
-core::FaultDecision Injector::on_instruction(InstSeq seq, Cycle now, Addr pc,
-                                             const isa::Instruction& inst) {
+core::Strike Injector::on_instruction(InstSeq seq, Cycle now, Addr pc,
+                                      const isa::Instruction& inst) {
   // Site mode strikes structures per cycle, not instruction results.
   if (site_mode()) return {};
 
@@ -115,16 +106,15 @@ core::FaultDecision Injector::on_instruction(InstSeq seq, Cycle now, Addr pc,
   if (!inject && config_.rate > 0.0) inject = rng_.next_bool(config_.rate);
   if (!inject) return {};
 
-  core::FaultDecision decision;
   bool hit_p = false;
   switch (config_.target) {
     case FaultTarget::kPResult: hit_p = true; break;
     case FaultTarget::kRResult: hit_p = false; break;
     case FaultTarget::kEither: hit_p = rng_.next_bool(0.5); break;
   }
-  decision.flip_p = hit_p;
-  decision.flip_r = !hit_p;
-  decision.bit = static_cast<unsigned>(rng_.next_below(64));
+  core::Strike strike;
+  strike.flip_r = !hit_p;
+  strike.bit = static_cast<unsigned>(rng_.next_below(64));
 
   FaultRecord record;
   record.seq = seq;
@@ -132,9 +122,8 @@ core::FaultDecision Injector::on_instruction(InstSeq seq, Cycle now, Addr pc,
   record.pc = pc;
   record.hit_p = hit_p;
   record.exec_class = inst.info().exec_class;
-  const usize record_index = records_.size();
-  pending_[seq].push_back(record_index);
-  records_.push_back(record);
+  strike.id = add_record(record);
+  const usize record_index = strike.id - 1;
 
   // Start the ACE-window measurement for the faulted value.
   const isa::OpInfo& info = inst.info();
@@ -152,61 +141,29 @@ core::FaultDecision Injector::on_instruction(InstSeq seq, Cycle now, Addr pc,
     }
     // else: x0 write, HALT or NOP — masked immediately.
   }
-  return decision;
+  return strike;
 }
 
-FaultRecord* Injector::find_unresolved(InstSeq seq, const Cycle* injected_at) {
-  const auto it = pending_.find(seq);
-  if (it == pending_.end()) return nullptr;
-  for (usize index : it->second) {
-    FaultRecord& record = records_[index];
-    if (injected_at == nullptr || record.injected_at == *injected_at) {
-      return &record;
-    }
-  }
-  return nullptr;
-}
-
-void Injector::unindex(InstSeq seq, usize record_index) {
-  const auto it = pending_.find(seq);
-  assert(it != pending_.end());
-  std::vector<usize>& indices = it->second;
-  indices.erase(std::find(indices.begin(), indices.end(), record_index));
-  if (indices.empty()) pending_.erase(it);
-}
-
-void Injector::on_detected(InstSeq seq, Cycle injected_at, Cycle detected_at) {
-  FaultRecord* record = find_unresolved(seq, &injected_at);
-  if (record == nullptr) {
-    // Re-resolution of an already-settled record is an idempotent no-op
-    // (and must never move the counters); a report for a seq that was
-    // never injected at all is a pipeline bug.
+void Injector::on_resolved(u64 id, core::FaultOutcome outcome, Addr pc,
+                           Cycle now) {
+  assert(id != 0 && id <= records_.size() && "fault id never handed out");
+  if (id == 0 || id > records_.size() || records_[id - 1].resolved) {
+    // A second report must never move the counters.
     ++duplicate_reports_;
-    assert(fired_.count(seq) != 0 ||
-           std::any_of(records_.begin(), records_.end(),
-                       [&](const FaultRecord& r) { return r.seq == seq; }));
     return;
   }
-  record->resolved = true;
-  record->detected = true;
-  record->detected_at = detected_at;
-  unindex(seq, static_cast<usize>(record - records_.data()));
-  ++detected_;
-  latency_.add(detected_at - injected_at);
-}
-
-void Injector::on_undetected(InstSeq seq) {
-  FaultRecord* record = find_unresolved(seq, nullptr);
-  if (record == nullptr) {
-    ++duplicate_reports_;
-    assert(fired_.count(seq) != 0 ||
-           std::any_of(records_.begin(), records_.end(),
-                       [&](const FaultRecord& r) { return r.seq == seq; }));
-    return;
+  FaultRecord& record = records_[id - 1];
+  record.resolved = true;
+  record.outcome = outcome;
+  record.resolved_at = now;
+  ++resolved_;
+  if (site_mode()) record.pc = pc;
+  if (outcome == core::FaultOutcome::kDetected) {
+    ++detected_;
+    latency_.add(now - record.injected_at);
+  } else if (!site_mode() || outcome == core::FaultOutcome::kSdc) {
+    ++undetected_;
   }
-  record->resolved = true;
-  unindex(seq, static_cast<usize>(record - records_.data()));
-  ++undetected_;
 }
 
 double Injector::coverage() const {

@@ -1,26 +1,28 @@
 // Transient-fault injector.
 //
-// Implements core::FaultHook: as instructions leave the out-of-order window
-// it decides — deterministically, from a seeded RNG or an explicit schedule
-// — whether to flip a bit in the instruction's stored P-stream result or in
-// its R-stream recomputation. The REESE comparator reports back detections;
-// everything is recorded for coverage/latency analysis.
+// Implements core::FaultHook. Every fault it hands out is a FaultRecord,
+// and the record's index + 1 is the fault's id, so the pipeline's single
+// report through on_resolved is one index lookup. Faults come from a seeded
+// RNG or an explicit schedule, in one of two models:
+//  * result flips (site kResult): as instructions leave the out-of-order
+//    window, flip a bit of the stored P-stream result or of the R-stream
+//    recomputation — the paper's §2/§4.2 error model, "soft errors that
+//    affect instruction results" (arithmetic, logical, effective address
+//    and branch resolution outcomes);
+//  * component strikes (any other site, DESIGN.md §16): once per cycle,
+//    strike a storage structure, REESE's own R-stream Queue included.
+// Faults are measurement-only (architectural state is never corrupted);
+// see DESIGN.md.
 //
-// This models the paper's §2/§4.2 error model: "soft errors that affect
-// instruction results" — arithmetic, logical, effective address and branch
-// resolution outcomes. Faults are measurement-only (architectural state is
-// never corrupted); see DESIGN.md.
-//
-// Bookkeeping invariants (the 10⁵-injection campaigns depend on these):
-//  * Records are identified by (seq, injected_at), not seq alone: a
-//    mismatch flush can refetch an instruction under a reused sequence
-//    number, and the two faults must resolve independently.
-//  * Resolution is idempotent. A record resolves exactly once; duplicate
-//    reports never move the detected/undetected counters (they are counted
-//    in duplicate_reports() and, for truly unknown seqs, assert in debug
-//    builds).
-//  * Resolution is O(1): unresolved records are indexed by seq in a hash
-//    map, so campaign cost is linear in injections, not quadratic.
+// Accounting:
+//  * A record resolves exactly once. A second report for the same id never
+//    moves a counter; it counts in duplicate_reports().
+//  * A result flip is detected or undetected: an escape counts as
+//    undetected whatever outcome the pipeline reports, and the ACE window
+//    below splits it into masked or SDC. A strike keeps the pipeline's
+//    outcome, and counts as undetected only when it is SDC.
+//  * Strikes still unresolved at the end of a run are finalized as masked
+//    by finalize_windows().
 //
 // ACE-window measurement (srv-vuln cross-validation): because the hook is
 // called for EVERY instruction in the committed stream — not only faulted
@@ -36,9 +38,7 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -75,28 +75,29 @@ struct InjectorConfig {
   /// Which microarchitectural structure to strike (DESIGN.md §16). The
   /// default, kResult, keeps the classic result-flipping model above; any
   /// other value switches the injector into site mode: `rate` becomes a
-  /// per-CYCLE strike probability, on_instruction stops injecting, and
-  /// outcomes arrive through on_site_outcome as masked/detected/SDC.
+  /// per-CYCLE strike probability and on_instruction stops injecting.
   core::FaultSite site = core::FaultSite::kResult;
 };
 
-/// Per-static-PC outcome tally in site mode (root-cause attribution).
-struct SitePcOutcomes {
-  u64 injected = 0;
-  u64 detected = 0;
-  u64 masked = 0;
-  u64 sdc = 0;
-};
-
+/// One injected fault; its index in Injector::records() + 1 is its id.
 struct FaultRecord {
-  InstSeq seq = 0;
+  InstSeq seq = 0;           ///< result flips: the faulted instruction
   Cycle injected_at = 0;
-  Addr pc = 0;               ///< static instruction the flip landed on
-  bool hit_p = false;        ///< the flip landed in the P copy
+  /// Result flips: the static instruction the flip landed on. Strikes: the
+  /// static instruction the outcome was attributed to (0 = none).
+  Addr pc = 0;
+  bool hit_p = false;        ///< result flips: the flip hit the P copy
   isa::ExecClass exec_class = isa::ExecClass::kNone;
-  bool resolved = false;     ///< a detection or an escape has been reported
-  bool detected = false;
-  Cycle detected_at = 0;
+  bool resolved = false;     ///< the pipeline reported how the fault ended
+  /// As the pipeline reported it (a strike finalized unresolved: masked).
+  /// For a result flip only kDetected counts: the ACE window below splits
+  /// an escape into masked or SDC.
+  core::FaultOutcome outcome = core::FaultOutcome::kMasked;
+  Cycle resolved_at = 0;
+
+  bool detected() const {
+    return resolved && outcome == core::FaultOutcome::kDetected;
+  }
 
   // Dynamic ACE-window measurement (see the header comment).
   bool window_closed = false;  ///< the value was read or overwritten (or
@@ -110,58 +111,43 @@ class Injector final : public core::FaultHook {
  public:
   explicit Injector(const InjectorConfig& config);
 
-  core::FaultDecision on_instruction(InstSeq seq, Cycle now, Addr pc,
-                                     const isa::Instruction& inst) override;
-  void on_detected(InstSeq seq, Cycle injected_at, Cycle detected_at) override;
-  void on_undetected(InstSeq seq) override;
-
-  // Site mode (config.site != kResult).
+  core::Strike on_instruction(InstSeq seq, Cycle now, Addr pc,
+                              const isa::Instruction& inst) override;
   core::FaultSite site() const override { return config_.site; }
-  core::SiteStrike on_site_cycle(Cycle now) override;
-  void on_site_outcome(core::FaultOutcome outcome, Addr pc, Cycle injected_at,
-                       Cycle resolved_at) override;
+  core::Strike on_site_cycle(Cycle now) override;
+  void on_resolved(u64 id, core::FaultOutcome outcome, Addr pc,
+                   Cycle now) override;
   void on_checker_loss() override { ++checker_loss_; }
 
   /// Close every still-open ACE window at end of run: a value read at
   /// least once counts as ACE with its window so far; an unread value is
   /// masked (the program produced it and ended without consuming it).
-  /// Idempotent; call once the committed stream is complete.
+  /// Site mode: finalize every unresolved strike as masked. Idempotent;
+  /// call once the committed stream is complete.
   void finalize_windows();
 
   u64 injected() const { return records_.size(); }
   u64 detected() const { return detected_; }
+  /// Result-flip escapes and SDC strikes.
   u64 undetected() const { return undetected_; }
   /// Faults injected but never resolved (still in flight at end of run).
-  u64 pending() const { return records_.size() - detected_ - undetected_; }
-  /// Resolution reports that found no unresolved record (duplicates).
+  u64 pending() const { return records_.size() - resolved_; }
+  /// Reports for a fault that had already resolved (duplicates).
   u64 duplicate_reports() const { return duplicate_reports_; }
-  /// Detected / resolved; pending (still in flight) faults are excluded.
+  /// Detected / (detected + undetected); pending faults and masked
+  /// strikes are excluded.
   double coverage() const;
   const std::vector<FaultRecord>& records() const { return records_; }
   const Histogram& latency() const { return latency_; }
 
   bool site_mode() const { return config_.site != core::FaultSite::kResult; }
-  u64 site_fired() const { return site_fired_; }
-  u64 site_detected() const { return site_detected_; }
-  u64 site_masked() const { return site_masked_; }
-  u64 site_sdc() const { return site_sdc_; }
   /// R-queue needs_reexec kills: instructions that committed unchecked
   /// because a strike silently disabled their re-execution.
   u64 checker_loss() const { return checker_loss_; }
-  /// Root-cause attribution: outcomes keyed by the static PC that owned or
-  /// consumed the corrupted state (strikes on dead state carry pc 0 and
-  /// are not attributed). Ordered for deterministic reports.
-  const std::map<Addr, SitePcOutcomes>& site_by_pc() const {
-    return site_by_pc_;
-  }
 
  private:
-  /// Unresolved record for `seq`; when `injected_at` is non-null it must
-  /// match exactly (detections carry it), otherwise the oldest unresolved
-  /// record with that seq wins (escapes resolve in FIFO order).
-  FaultRecord* find_unresolved(InstSeq seq, const Cycle* injected_at);
-  /// Remove one resolved record index from the pending index.
-  void unindex(InstSeq seq, usize record_index);
+  /// Append a record and return the id the pipeline carries for it.
+  u64 add_record(const FaultRecord& record);
 
   /// One faulted value being tracked to its last read: the destination
   /// register holds record `record_index` since stream position `def_pos`.
@@ -180,24 +166,12 @@ class Injector final : public core::FaultHook {
   u64 stream_pos_ = 0;       ///< committed-stream instruction counter
   std::array<OpenWindow, isa::kFlatRegCount> open_windows_{};
   std::vector<FaultRecord> records_;
-  /// seq -> indices into records_ of unresolved faults, oldest first.
-  /// Normally one entry per seq; refetch aliasing can make it several.
-  std::unordered_map<InstSeq, std::vector<usize>> pending_;
+  u64 resolved_ = 0;
   u64 detected_ = 0;
   u64 undetected_ = 0;
   u64 duplicate_reports_ = 0;
-  Histogram latency_{4, 64};
-
-  // Site-mode counters. site_fired_ counts strikes handed to the pipeline;
-  // every strike resolves to exactly one of detected/masked/sdc, either via
-  // on_site_outcome or (for strikes still unresolved at end of run — queued
-  // poison, in-flight entries) as masked in finalize_windows().
-  u64 site_fired_ = 0;
-  u64 site_detected_ = 0;
-  u64 site_masked_ = 0;
-  u64 site_sdc_ = 0;
   u64 checker_loss_ = 0;
-  std::map<Addr, SitePcOutcomes> site_by_pc_;
+  Histogram latency_{4, 64};
 };
 
 }  // namespace reese::faults

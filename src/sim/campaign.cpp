@@ -26,7 +26,7 @@ constexpr usize kLatencyBucketCount = 64;
 void accumulate_stratum(StratumCount* stratum, const faults::FaultRecord& r) {
   ++stratum->injected;
   if (!r.resolved) return;
-  if (r.detected) {
+  if (r.detected()) {
     ++stratum->detected;
   } else {
     ++stratum->undetected;
@@ -713,49 +713,14 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     // can over-count masking for at most the last few in-flight values.
     injector.finalize_windows();
 
-    if (injector.site_mode()) {
-      // Site mode: the strike/outcome counters are the whole story —
-      // no FaultRecords exist. undetected mirrors sdc so resolved()/
-      // coverage() keep their meaning (detected / all architecturally
-      // consequential outcomes would be a different metric; reports
-      // compute site-specific rates from masked/sdc directly).
-      cell.injected = injector.site_fired();
-      cell.detected = injector.site_detected();
-      cell.undetected = injector.site_sdc();
-      cell.masked = injector.site_masked();
-      cell.sdc = injector.site_sdc();
-      cell.coverage_loss = injector.checker_loss();
-      cell.pending = 0;
-      if (spec.metrics != nullptr) {
-        // Per-site strike/outcome breakdown on /v1/metrics (DESIGN.md §17):
-        // the same counts srv-vuln cross-validates, scrapeable live.
-        const std::string site = core::fault_site_name(variant.site);
-        const auto strikes = [&](const char* outcome, u64 count) {
-          if (count == 0) return;
-          if (metrics::Counter* counter = spec.metrics->counter(
-                  "reese_injector_strikes_total",
-                  {{"site", site}, {"outcome", outcome}},
-                  "Site-mode fault strikes by injection site and outcome")) {
-            counter->inc(count);
-          }
-        };
-        strikes("detected", cell.detected);
-        strikes("masked", cell.masked);
-        strikes("sdc", cell.sdc);
-        if (cell.coverage_loss != 0) {
-          if (metrics::Counter* counter = spec.metrics->counter(
-                  "reese_injector_coverage_loss_total", {{"site", site}},
-                  "Strikes landing while the REESE checker was disabled")) {
-            counter->inc(cell.coverage_loss);
-          }
-        }
-      }
-    } else {
-      cell.injected = injector.injected();
-      cell.detected = injector.detected();
-      cell.undetected = injector.undetected();
-      cell.pending = injector.pending();
-    }
+    cell.injected = injector.injected();
+    cell.detected = injector.detected();
+    // Site mode: undetected counts SDC strikes, so resolved()/coverage()
+    // keep their meaning (reports compute site-specific rates from
+    // masked/sdc directly).
+    cell.undetected = injector.undetected();
+    cell.pending = injector.pending();
+    cell.coverage_loss = injector.checker_loss();
     cell.duplicate_reports = injector.duplicate_reports();
     cell.committed = sim_result.committed;
     cell.cycles = sim_result.cycles;
@@ -771,14 +736,35 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     assert(latency.bucket_width() == kLatencyBucketWidth);
 
     for (const faults::FaultRecord& record : injector.records()) {
+      if (injector.site_mode()) {
+        // A strike keeps the pipeline's outcome. Root-cause attribution
+        // folds it into the same by_pc stratum the srv-vuln
+        // cross-validation reads (detected ~ covered, undetected/ace ~
+        // SDC, masked ~ masked); strikes on dead state carry pc 0.
+        if (record.outcome == core::FaultOutcome::kMasked) ++cell.masked;
+        if (record.outcome == core::FaultOutcome::kSdc) ++cell.sdc;
+        if (record.pc == 0) continue;
+        PcStratum& pc_stratum = cell.by_pc[record.pc];
+        ++pc_stratum.injected;
+        switch (record.outcome) {
+          case core::FaultOutcome::kMasked: ++pc_stratum.masked; break;
+          case core::FaultOutcome::kDetected: ++pc_stratum.detected; break;
+          case core::FaultOutcome::kSdc:
+            ++pc_stratum.undetected;
+            ++pc_stratum.ace;
+            break;
+        }
+        continue;
+      }
+
       const usize class_index = static_cast<usize>(record.exec_class);
       assert(class_index < kExecClassCount);
       accumulate_stratum(&cell.by_class[class_index], record);
       accumulate_stratum(record.hit_p ? &cell.p_side : &cell.r_side, record);
 
-      // Legacy-model outcome lattice: an escape whose value was consumed
+      // Result-flip outcome lattice: an escape whose value was consumed
       // (ACE) is an SDC; an unconsumed escape is masked.
-      if (record.resolved && !record.detected) {
+      if (record.resolved && !record.detected()) {
         if (record.window_closed && !record.ace) {
           ++cell.masked;
         } else {
@@ -789,7 +775,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
       PcStratum& pc_stratum = cell.by_pc[record.pc];
       ++pc_stratum.injected;
       if (record.resolved) {
-        if (record.detected) {
+        if (record.detected()) {
           ++pc_stratum.detected;
         } else {
           ++pc_stratum.undetected;
@@ -805,16 +791,29 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
       }
     }
 
-    // Site mode root-cause attribution: fold the injector's per-PC outcome
-    // tallies into the same by_pc stratum the srv-vuln cross-validation
-    // reads (detected ~ covered, undetected/ace ~ SDC, masked ~ masked).
-    for (const auto& [pc, tally] : injector.site_by_pc()) {
-      PcStratum& pc_stratum = cell.by_pc[pc];
-      pc_stratum.injected += tally.injected;
-      pc_stratum.detected += tally.detected;
-      pc_stratum.undetected += tally.sdc;
-      pc_stratum.ace += tally.sdc;
-      pc_stratum.masked += tally.masked;
+    if (injector.site_mode() && spec.metrics != nullptr) {
+      // Per-site strike/outcome breakdown on /v1/metrics (DESIGN.md §17):
+      // the same counts srv-vuln cross-validates, scrapeable live.
+      const std::string site = core::fault_site_name(variant.site);
+      const auto strikes = [&](const char* outcome, u64 count) {
+        if (count == 0) return;
+        if (metrics::Counter* counter = spec.metrics->counter(
+                "reese_injector_strikes_total",
+                {{"site", site}, {"outcome", outcome}},
+                "Site-mode fault strikes by injection site and outcome")) {
+          counter->inc(count);
+        }
+      };
+      strikes("detected", cell.detected);
+      strikes("masked", cell.masked);
+      strikes("sdc", cell.sdc);
+      if (cell.coverage_loss != 0) {
+        if (metrics::Counter* counter = spec.metrics->counter(
+                "reese_injector_coverage_loss_total", {{"site", site}},
+                "Strikes landing while the REESE checker was disabled")) {
+          counter->inc(cell.coverage_loss);
+        }
+      }
     }
 
     if (!done_path.empty()) {

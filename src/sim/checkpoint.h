@@ -24,7 +24,7 @@ namespace reese::sim {
 
 /// Bumped whenever the snapshot payload layout changes; readers reject
 /// files with any other version.
-inline constexpr u32 kSnapshotFormatVersion = 1;
+inline constexpr u32 kSnapshotFormatVersion = 2;
 
 /// Identity hash binding a snapshot to the (workload, configuration) cell
 /// it was taken from.

@@ -10,6 +10,16 @@
 // 5e-3); the twelve site rows use component_avf's labels, seed 0xCAFC0DE5
 // and rate 5e-3.
 //
+// Five more rows pin fault paths no bench variant reaches: Franklin's
+// comparator under P-, R- and either-side flips (seed 0xFA17C0DE), RUU
+// strikes on REESE with early release off, whose released entries keep
+// their slot, and R-queue strikes on 1-of-2 REESE, whose skipped slots
+// commit a struck stored result unchecked (seed 0xCAFC0DE5; the 1-of-2
+// row comes first so its cells draw SDC outcomes). Two rows at the same
+// seed pin Franklin under D-cache and D-TLB strikes: a duplicate load
+// resolves the poison it reads itself, under its own PC, and as masked
+// when the duplicate is on the wrong path.
+//
 // A mismatch prints the actual row in table syntax. An intended change to
 // campaign bytes is a reviewed edit of this table, stated in CHANGES.md.
 #include <gtest/gtest.h>
@@ -57,6 +67,13 @@ const Row kTable[] = {
     {"baseline@lsq", 416, 0, 167, 249, 167, 0, {0x0afc6f51d7643cc7, 0x49c6dbc41c69177a}},
     {"baseline@dcache", 363, 0, 110, 253, 110, 0, {0x329c034489b91159, 0x981cceea4872f623}},
     {"baseline@dtlb", 352, 0, 12, 340, 12, 0, {0xcd2f9c34685c251c, 0xcf0b1013dbf041e3}},
+    {"franklin_p_flips", 198, 198, 0, 0, 0, 0, {0x647ac13180f96900, 0xef32cef3f3722c1b}},
+    {"franklin_r_flips", 216, 216, 0, 0, 0, 0, {0x7a7a10fc3a88c7b0, 0x9e11fd844b0c81fc}},
+    {"franklin_either", 181, 181, 0, 0, 0, 0, {0x5795591c0f9967e8, 0x2bd2384cf24a8e4f}},
+    {"reese_1of2@rqueue", 362, 3, 4, 355, 4, 1, {0x65c72df049b56bd9, 0x6c22e77a67cd892e}},
+    {"reese_no_early_release@ruu", 391, 82, 66, 243, 66, 0, {0xd01a4dc4cc13dd2f, 0x7be6657e91f01b55}},
+    {"franklin@dcache", 401, 0, 148, 253, 148, 0, {0x72deda37749d4cd6, 0x739e9f11907c976e}},
+    {"franklin@dtlb", 386, 0, 13, 373, 13, 0, {0xdc50fe7a068d0265, 0x6de3d87855f3ebea}},
 };
 
 sim::CampaignSpec row_spec(u64 seed) {
@@ -123,6 +140,31 @@ TEST(CampaignFingerprint, EveryRowMatches) {
     sites.variants.push_back(std::move(variant));
   }
   append_rows(sim::run_campaign(sites), &rows);
+
+  const core::CoreConfig reese = core::with_reese(core::starting_config());
+  sim::CampaignSpec franklin = row_spec(0xFA17C0DE);
+  core::CoreConfig franklin_config = reese;
+  franklin_config.reese.scheme = core::RedundancyScheme::kFranklin;
+  franklin.variants = {
+      {"franklin_p_flips", franklin_config, faults::FaultTarget::kPResult},
+      {"franklin_r_flips", franklin_config, faults::FaultTarget::kRResult},
+      {"franklin_either", franklin_config, faults::FaultTarget::kEither}};
+  append_rows(sim::run_campaign(franklin), &rows);
+
+  sim::CampaignSpec strikes = row_spec(0xCAFC0DE5);
+  sim::CampaignVariant held{"reese_no_early_release@ruu", reese};
+  held.config.reese.early_release = false;
+  held.site = core::FaultSite::kRuu;
+  sim::CampaignVariant partial;
+  ASSERT_TRUE(sim::campaign_variant_by_label("reese_1of2", &partial));
+  partial.label = "reese_1of2@rqueue";
+  partial.site = core::FaultSite::kRQueue;
+  sim::CampaignVariant dcache{"franklin@dcache", franklin_config};
+  dcache.site = core::FaultSite::kDCache;
+  sim::CampaignVariant dtlb{"franklin@dtlb", franklin_config};
+  dtlb.site = core::FaultSite::kDTlb;
+  strikes.variants = {partial, held, dcache, dtlb};
+  append_rows(sim::run_campaign(strikes), &rows);
 
   // A row's rendering holds every pinned field, so a mismatch prints the
   // actual row ready to paste into the table.

@@ -23,8 +23,7 @@ TEST(Injector, ScheduleFiresExactSeqs) {
   isa::Instruction nop;
   u64 fired = 0;
   for (InstSeq seq = 1; seq <= 20'000; ++seq) {
-    const core::FaultDecision decision = injector.on_instruction(seq, seq, 0x1000, nop);
-    if (decision.flip_p || decision.flip_r) {
+    if (injector.on_instruction(seq, seq, 0x1000, nop).id != 0) {
       ++fired;
       EXPECT_TRUE(seq == 5 || seq == 10 || seq == 10'000) << seq;
     }
@@ -39,10 +38,8 @@ TEST(Injector, SkippedScheduledSeqIsPassedOver) {
   faults::Injector injector(config);
   isa::Instruction nop;
   // Seq 5 never shows up (e.g. squashed); 10 must still fire.
-  const core::FaultDecision at7 = injector.on_instruction(7, 0, 0x1000, nop);
-  EXPECT_FALSE(at7.flip_p || at7.flip_r);
-  const core::FaultDecision at10 = injector.on_instruction(10, 0, 0x1000, nop);
-  EXPECT_TRUE(at10.flip_p || at10.flip_r);
+  EXPECT_EQ(injector.on_instruction(7, 0, 0x1000, nop).id, 0u);
+  EXPECT_EQ(injector.on_instruction(10, 0, 0x1000, nop).id, 1u);
 }
 
 TEST(Injector, RateProducesApproximateCount) {
@@ -74,17 +71,17 @@ TEST(Injector, TargetSelection) {
   p_config.rate = 1.0;
   p_config.target = faults::FaultTarget::kPResult;
   faults::Injector p_injector(p_config);
-  const core::FaultDecision p_decision = p_injector.on_instruction(1, 0, 0x1000, nop);
-  EXPECT_TRUE(p_decision.flip_p);
-  EXPECT_FALSE(p_decision.flip_r);
+  const core::Strike p_strike = p_injector.on_instruction(1, 0, 0x1000, nop);
+  EXPECT_NE(p_strike.id, 0u);
+  EXPECT_FALSE(p_strike.flip_r);
 
   faults::InjectorConfig r_config;
   r_config.rate = 1.0;
   r_config.target = faults::FaultTarget::kRResult;
   faults::Injector r_injector(r_config);
-  const core::FaultDecision r_decision = r_injector.on_instruction(1, 0, 0x1000, nop);
-  EXPECT_FALSE(r_decision.flip_p);
-  EXPECT_TRUE(r_decision.flip_r);
+  const core::Strike r_strike = r_injector.on_instruction(1, 0, 0x1000, nop);
+  EXPECT_NE(r_strike.id, 0u);
+  EXPECT_TRUE(r_strike.flip_r);
 }
 
 TEST(Injector, CoverageAccounting) {
@@ -93,11 +90,13 @@ TEST(Injector, CoverageAccounting) {
   faults::Injector injector(config);
   isa::Instruction nop;
   for (InstSeq seq = 1; seq <= 4; ++seq) injector.on_instruction(seq, 10, 0x1000, nop);
-  injector.on_detected(1, 10, 30);
-  injector.on_detected(2, 10, 50);
-  injector.on_undetected(3);
+  // Fault ids are 1..4 in injection order; fault 4 stays in flight.
+  injector.on_resolved(1, core::FaultOutcome::kDetected, 0x1000, 30);
+  injector.on_resolved(2, core::FaultOutcome::kDetected, 0x1000, 50);
+  injector.on_resolved(3, core::FaultOutcome::kSdc, 0x1000, 60);
   EXPECT_EQ(injector.detected(), 2u);
   EXPECT_EQ(injector.undetected(), 1u);
+  EXPECT_EQ(injector.pending(), 1u);
   EXPECT_NEAR(injector.coverage(), 2.0 / 3.0, 1e-9);
   EXPECT_EQ(injector.latency().count(), 2u);
   EXPECT_DOUBLE_EQ(injector.latency().mean(), 30.0);
@@ -112,11 +111,11 @@ TEST(Injector, Deterministic) {
     faults::Injector b(config);
     isa::Instruction nop;
     for (InstSeq seq = 1; seq <= 1000; ++seq) {
-      const core::FaultDecision da = a.on_instruction(seq, 0, 0x1000, nop);
-      const core::FaultDecision db = b.on_instruction(seq, 0, 0x1000, nop);
-      ASSERT_EQ(da.flip_p, db.flip_p);
-      ASSERT_EQ(da.flip_r, db.flip_r);
-      ASSERT_EQ(da.bit, db.bit);
+      const core::Strike sa = a.on_instruction(seq, 0, 0x1000, nop);
+      const core::Strike sb = b.on_instruction(seq, 0, 0x1000, nop);
+      ASSERT_EQ(sa.id, sb.id);
+      ASSERT_EQ(sa.flip_r, sb.flip_r);
+      ASSERT_EQ(sa.bit, sb.bit);
     }
   }
 }
@@ -129,13 +128,12 @@ namespace {
 /// valid fault schedule must be derived from a recording run).
 class SeqRecorder final : public core::FaultHook {
  public:
-  core::FaultDecision on_instruction(InstSeq seq, Cycle, Addr,
-                                     const isa::Instruction&) override {
+  core::Strike on_instruction(InstSeq seq, Cycle, Addr,
+                              const isa::Instruction&) override {
     seqs.push_back(seq);
     return {};
   }
-  void on_detected(InstSeq, Cycle, Cycle) override {}
-  void on_undetected(InstSeq) override {}
+  void on_resolved(u64, core::FaultOutcome, Addr, Cycle) override {}
   std::vector<InstSeq> seqs;
 };
 }  // namespace

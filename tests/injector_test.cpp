@@ -1,11 +1,10 @@
 // Injector bookkeeping regressions and the campaign runner.
 //
-// The 10⁵-injection campaigns depend on three injector invariants that
-// used to be broken: records are identified by (seq, injected_at) rather
-// than seq alone (refetch aliasing), resolution is idempotent (no double
-// counting), and resolution is O(1) (no quadratic campaign cost). The
-// campaign runner itself must produce a bit-identical matrix regardless
-// of worker count.
+// The 10⁵-injection campaigns depend on two injector invariants: a fault
+// resolves exactly once (a duplicate report never double-counts), and
+// resolution is O(1) (the fault id indexes its record, so campaign cost
+// stays linear). The campaign runner itself must produce a bit-identical
+// matrix regardless of worker count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,58 +21,6 @@
 namespace reese {
 namespace {
 
-// --- record identity across refetch aliasing ---------------------------------
-
-TEST(Injector, AliasedSeqsResolveIndependently) {
-  // A mismatch flush can refetch an instruction under a reused sequence
-  // number: the injector then holds two live records for one seq. Each
-  // must resolve independently, with detections matched by injected_at.
-  faults::InjectorConfig config;
-  config.rate = 1.0;
-  faults::Injector injector(config);
-  isa::Instruction nop;
-  injector.on_instruction(5, 10, 0x1000, nop);  // first fetch of seq 5
-  injector.on_instruction(5, 50, 0x1000, nop);  // refetch after the flush
-  ASSERT_EQ(injector.injected(), 2u);
-
-  // The *second* record is detected; the first escapes. Before keying by
-  // (seq, injected_at) both reports landed on the latest record.
-  injector.on_detected(5, 50, 60);
-  injector.on_undetected(5);
-
-  EXPECT_EQ(injector.detected(), 1u);
-  EXPECT_EQ(injector.undetected(), 1u);
-  EXPECT_EQ(injector.pending(), 0u);
-  EXPECT_EQ(injector.duplicate_reports(), 0u);
-
-  const std::vector<faults::FaultRecord>& records = injector.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].injected_at, 10u);
-  EXPECT_TRUE(records[0].resolved);
-  EXPECT_FALSE(records[0].detected);
-  EXPECT_EQ(records[1].injected_at, 50u);
-  EXPECT_TRUE(records[1].resolved);
-  EXPECT_TRUE(records[1].detected);
-  EXPECT_EQ(records[1].detected_at, 60u);
-
-  // Latency is attributed to the record that was actually detected.
-  EXPECT_EQ(injector.latency().count(), 1u);
-  EXPECT_DOUBLE_EQ(injector.latency().mean(), 10.0);
-}
-
-TEST(Injector, EscapesResolveOldestAliasFirst) {
-  faults::InjectorConfig config;
-  config.rate = 1.0;
-  faults::Injector injector(config);
-  isa::Instruction nop;
-  injector.on_instruction(9, 100, 0x1000, nop);
-  injector.on_instruction(9, 200, 0x1000, nop);
-  injector.on_undetected(9);  // FIFO: settles the cycle-100 record
-  EXPECT_TRUE(injector.records()[0].resolved);
-  EXPECT_FALSE(injector.records()[1].resolved);
-  EXPECT_EQ(injector.pending(), 1u);
-}
-
 // --- idempotent resolution ----------------------------------------------------
 
 TEST(Injector, DoubleResolutionIsIdempotent) {
@@ -81,17 +28,20 @@ TEST(Injector, DoubleResolutionIsIdempotent) {
   config.rate = 1.0;
   faults::Injector injector(config);
   isa::Instruction nop;
-  injector.on_instruction(7, 3, 0x1000, nop);
+  const u64 id = injector.on_instruction(7, 3, 0x1000, nop).id;
+  ASSERT_EQ(id, 1u);
 
-  injector.on_detected(7, 3, 9);
-  injector.on_detected(7, 3, 9);   // duplicate detection report
-  injector.on_undetected(7);       // conflicting duplicate report
+  injector.on_resolved(id, core::FaultOutcome::kDetected, 0x1000, 9);
+  // A duplicate detection report, then a conflicting one.
+  injector.on_resolved(id, core::FaultOutcome::kDetected, 0x1000, 9);
+  injector.on_resolved(id, core::FaultOutcome::kSdc, 0x1000, 12);
 
   EXPECT_EQ(injector.detected(), 1u);
   EXPECT_EQ(injector.undetected(), 0u);
   EXPECT_EQ(injector.duplicate_reports(), 2u);
   EXPECT_EQ(injector.latency().count(), 1u);
   EXPECT_NEAR(injector.coverage(), 1.0, 1e-12);
+  EXPECT_EQ(injector.records()[0].resolved_at, 9u);
 }
 
 // --- latency histogram bounds -------------------------------------------------
@@ -106,8 +56,8 @@ TEST(Injector, LatencyPastHistogramRangeClampsToOverflow) {
   isa::Instruction nop;
   injector.on_instruction(1, 0, 0x1000, nop);
   injector.on_instruction(2, 0, 0x1000, nop);
-  injector.on_detected(1, 0, 12);     // in range
-  injector.on_detected(2, 0, 1000);   // past the last bucket
+  injector.on_resolved(1, core::FaultOutcome::kDetected, 0x1000, 12);
+  injector.on_resolved(2, core::FaultOutcome::kDetected, 0x1000, 1000);
 
   const Histogram& latency = injector.latency();
   EXPECT_EQ(latency.count(), 2u);
@@ -121,24 +71,23 @@ TEST(Injector, LatencyPastHistogramRangeClampsToOverflow) {
 // --- resolution cost ----------------------------------------------------------
 
 TEST(Injector, FifoResolutionOfLargeBacklogIsFast) {
-  // 20k pending faults resolved oldest-first: the old reverse linear scan
-  // made this quadratic (~2·10⁸ record visits); the pending index makes it
-  // linear. The assertions only check the accounting — the speed shows up
-  // as this test not timing out.
+  // 20k pending faults resolved oldest-first: the id indexes the record,
+  // so the cost is linear in faults, where a scan per report would visit
+  // ~2·10⁸ records. The assertions only check the accounting — the speed
+  // shows up as this test not timing out.
   constexpr InstSeq kCount = 20'000;
   faults::InjectorConfig config;
   config.rate = 1.0;
   faults::Injector injector(config);
   isa::Instruction nop;
   for (InstSeq seq = 1; seq <= kCount; ++seq) {
-    injector.on_instruction(seq, seq, 0x1000, nop);
+    ASSERT_EQ(injector.on_instruction(seq, seq, 0x1000, nop).id, seq);
   }
   for (InstSeq seq = 1; seq <= kCount; ++seq) {
-    if (seq % 2 == 0) {
-      injector.on_detected(seq, seq, seq + 8);
-    } else {
-      injector.on_undetected(seq);
-    }
+    injector.on_resolved(seq,
+                         seq % 2 == 0 ? core::FaultOutcome::kDetected
+                                      : core::FaultOutcome::kSdc,
+                         0x1000, seq + 8);
   }
   EXPECT_EQ(injector.detected(), kCount / 2);
   EXPECT_EQ(injector.undetected(), kCount / 2);
@@ -149,9 +98,9 @@ TEST(Injector, FifoResolutionOfLargeBacklogIsFast) {
 // --- end-to-end bookkeeping through the pipeline ------------------------------
 
 TEST(FaultPipeline, HeavyCampaignBookkeepingStaysConsistent) {
-  // Dense faults through the REESE pipeline: every detection triggers the
-  // mismatch-flush recovery path, and the accounting must still close —
-  // every record resolved at most once, no duplicates, coverage complete.
+  // Dense faults through the REESE pipeline: every detection charges the
+  // recovery fetch freeze, and the accounting must still close — every
+  // record resolved at most once, no duplicates, coverage complete.
   workloads::WorkloadOptions options;
   auto made = workloads::make_workload("go", options);
   ASSERT_TRUE(made.ok());
@@ -174,8 +123,8 @@ TEST(FaultPipeline, HeavyCampaignBookkeepingStaysConsistent) {
   for (const faults::FaultRecord& record : injector.records()) {
     if (!record.resolved) continue;
     ++resolved;
-    EXPECT_TRUE(record.detected);
-    EXPECT_GE(record.detected_at, record.injected_at);
+    EXPECT_TRUE(record.detected());
+    EXPECT_GE(record.resolved_at, record.injected_at);
   }
   EXPECT_EQ(resolved, injector.detected());
 }
@@ -480,7 +429,7 @@ TEST(Campaign, SiteMatrixIsBitIdenticalAcrossJobCounts) {
   EXPECT_TRUE(sequential.matrix == hardware.matrix);
 }
 
-TEST(Campaign, EverySiteStrikeResolvesToExactlyOneOutcome) {
+TEST(Campaign, EveryComponentStrikeResolvesToExactlyOneOutcome) {
   // The conservation law behind the outcome lattice: masked + detected +
   // sdc == injected for every site, with nothing pending and nothing lost.
   // "go" is branch-heavy, so RUU strikes regularly land on entries that a

@@ -88,60 +88,60 @@ std::string render(const Row& row) {
 
 // gcc/li/go x RUU 16/64/65/128/200/256 x baseline/REESE/Franklin.
 const Row kTable[] = {
-    {"gcc", 16, kBaseline, 38452, 20001, 30069, 0, 0x0defc59df9363f73},
-    {"gcc", 16, kReese, 38286, 20001, 29851, 20004, 0x0b4d0b5351d79444},
-    {"gcc", 16, kFranklin, 40798, 20004, 28226, 25821, 0xa3ab725c5ed37fa0},
-    {"gcc", 64, kBaseline, 27755, 20001, 46882, 0, 0xfd797d842d97fc40},
-    {"gcc", 64, kReese, 28591, 20001, 47218, 20003, 0xa33c19385a58b3aa},
-    {"gcc", 64, kFranklin, 31382, 20001, 41543, 37275, 0xf7c490d4cb87c403},
-    {"gcc", 65, kBaseline, 27793, 20001, 47383, 0, 0xc7369c54d704a7a6},
-    {"gcc", 65, kReese, 28785, 20001, 47301, 20003, 0x165fcd8e6f0fb711},
-    {"gcc", 65, kFranklin, 31404, 20001, 41630, 37337, 0x9e6f94b0d8edaa10},
-    {"gcc", 128, kBaseline, 26151, 20001, 56685, 0, 0x793abd64c27c54a5},
-    {"gcc", 128, kReese, 27041, 20001, 56916, 20003, 0xcfffa873ffcba124},
-    {"gcc", 128, kFranklin, 29976, 20004, 48975, 44600, 0xf788794a11b00817},
-    {"gcc", 200, kBaseline, 26103, 20001, 64160, 0, 0x6eedd0f4f3f94585},
-    {"gcc", 200, kReese, 26954, 20001, 64708, 20004, 0xdecfd66dca391038},
-    {"gcc", 200, kFranklin, 29383, 20001, 52741, 48103, 0xcfab4c16fdaf5345},
-    {"gcc", 256, kBaseline, 25630, 20001, 68394, 0, 0x016e857ed3214a29},
-    {"gcc", 256, kReese, 26932, 20001, 69993, 20003, 0xa6eb0f4315a9cf56},
-    {"gcc", 256, kFranklin, 29204, 20001, 52573, 47938, 0x52199cf746a29ee5},
-    {"li", 16, kBaseline, 8466, 20001, 20440, 0, 0x2e9884a934652d65},
-    {"li", 16, kReese, 12077, 20001, 20403, 20004, 0xa5c57b2f34f04ad5},
-    {"li", 16, kFranklin, 12021, 20002, 20192, 20099, 0xd31e08691cec2839},
-    {"li", 64, kBaseline, 7607, 20001, 20648, 0, 0x2098f30bdf83483d},
-    {"li", 64, kReese, 12023, 20002, 20805, 20005, 0xe354b94af3933d53},
-    {"li", 64, kFranklin, 11933, 20002, 20311, 20200, 0xf2548e01b81c36d3},
-    {"li", 65, kBaseline, 7607, 20001, 20658, 0, 0xd742fea5b3dc2341},
-    {"li", 65, kReese, 12081, 20003, 20924, 20005, 0xa7c28d884d79a651},
-    {"li", 65, kFranklin, 11933, 20002, 20311, 20200, 0x6b8976c033624465},
-    {"li", 128, kBaseline, 7607, 20001, 20888, 0, 0x6a97c454ca334902},
-    {"li", 128, kReese, 12121, 20003, 21198, 20005, 0x399eaf9e2ce3f3b2},
-    {"li", 128, kFranklin, 11933, 20002, 20431, 20320, 0xf516aabc386aa13c},
-    {"li", 200, kBaseline, 7607, 20001, 21148, 0, 0xe734900dd78d2f11},
-    {"li", 200, kReese, 12156, 20003, 21459, 20005, 0xdfd31adf0353cfab},
-    {"li", 200, kFranklin, 11933, 20002, 20581, 20470, 0x3760e72ae46dfe96},
-    {"li", 256, kBaseline, 7607, 20001, 21348, 0, 0x971232ce5d754d92},
-    {"li", 256, kReese, 12188, 20003, 21669, 20005, 0x49bedf3e9c013fe5},
-    {"li", 256, kFranklin, 11933, 20002, 20691, 20580, 0x94be75793c62c51f},
-    {"go", 16, kBaseline, 18203, 20000, 30212, 0, 0x1845b28e11259bcc},
-    {"go", 16, kReese, 19173, 20000, 29993, 20002, 0x80b75087d61d0728},
-    {"go", 16, kFranklin, 21853, 20000, 25617, 23100, 0x07e0ad9777dd505c},
-    {"go", 64, kBaseline, 17376, 20000, 35989, 0, 0x45d30b9e215acc8e},
-    {"go", 64, kReese, 19179, 20002, 35358, 20008, 0x3877ddd7a643ffa6},
-    {"go", 64, kFranklin, 21851, 20000, 26027, 23316, 0x164d2a8767a9c2b2},
-    {"go", 65, kBaseline, 17376, 20000, 35993, 0, 0x6709840a5854a0d2},
-    {"go", 65, kReese, 19179, 20002, 35362, 20008, 0x5f8383790fb3dce5},
-    {"go", 65, kFranklin, 21850, 20000, 26030, 23319, 0x41b352da99b9436f},
-    {"go", 128, kBaseline, 17376, 20000, 36192, 0, 0x4f4a39a477da255a},
-    {"go", 128, kReese, 19179, 20002, 35560, 20008, 0x7714780fc9717f6d},
-    {"go", 128, kFranklin, 21844, 20000, 26197, 23481, 0xc3223f89d148f183},
-    {"go", 200, kBaseline, 17376, 20000, 36408, 0, 0x674998efa0bb7c2f},
-    {"go", 200, kReese, 19179, 20002, 35776, 20008, 0x39f17ef6c723cdac},
-    {"go", 200, kFranklin, 21844, 20000, 26197, 23481, 0x88f85986c391ecb7},
-    {"go", 256, kBaseline, 17376, 20000, 36576, 0, 0x8fc15e5dd4420380},
-    {"go", 256, kReese, 19179, 20002, 35944, 20008, 0xbf2fd3083434d113},
-    {"go", 256, kFranklin, 21844, 20000, 26197, 23481, 0x790369b850dead35},
+    {"gcc", 16, kBaseline, 38452, 20001, 30069, 0, 0xfe9542eec558a75f},
+    {"gcc", 16, kReese, 38286, 20001, 29851, 20004, 0x02e7194ed693ed68},
+    {"gcc", 16, kFranklin, 40798, 20004, 28226, 25821, 0x30542f36a47b9934},
+    {"gcc", 64, kBaseline, 27755, 20001, 46882, 0, 0xb762a5062841e0ac},
+    {"gcc", 64, kReese, 28591, 20001, 47218, 20003, 0x615bda0bcd865f3e},
+    {"gcc", 64, kFranklin, 31382, 20001, 41543, 37275, 0xa5649701dfce72af},
+    {"gcc", 65, kBaseline, 27793, 20001, 47383, 0, 0xb6b1632c924f7f92},
+    {"gcc", 65, kReese, 28785, 20001, 47301, 20003, 0x81aede8ce3fb886d},
+    {"gcc", 65, kFranklin, 31404, 20001, 41630, 37337, 0x7bb4d1c9061cc19c},
+    {"gcc", 128, kBaseline, 26151, 20001, 56685, 0, 0x7c0e5787b3817751},
+    {"gcc", 128, kReese, 27041, 20001, 56916, 20003, 0x1c97e575525a8448},
+    {"gcc", 128, kFranklin, 29976, 20004, 48975, 44600, 0x1dca0e4923ba0b03},
+    {"gcc", 200, kBaseline, 26103, 20001, 64160, 0, 0x3a5ae6f0f9fb3e41},
+    {"gcc", 200, kReese, 26954, 20001, 64708, 20004, 0x2f663e71d88377ac},
+    {"gcc", 200, kFranklin, 29383, 20001, 52741, 48103, 0x9aefd2f6860b5121},
+    {"gcc", 256, kBaseline, 25630, 20001, 68394, 0, 0xea2349acd80b4d15},
+    {"gcc", 256, kReese, 26932, 20001, 69993, 20003, 0x33fb09cbe86d9efa},
+    {"gcc", 256, kFranklin, 29204, 20001, 52573, 47938, 0xc56f28978fb3ec09},
+    {"li", 16, kBaseline, 8466, 20001, 20440, 0, 0x23e102ed4a3a7b49},
+    {"li", 16, kReese, 12077, 20001, 20403, 20004, 0xe5e4e6876942aa19},
+    {"li", 16, kFranklin, 12021, 20002, 20192, 20099, 0x765fbfdee74ba6c5},
+    {"li", 64, kBaseline, 7607, 20001, 20648, 0, 0xea2ee9e5bd72ff29},
+    {"li", 64, kReese, 12023, 20002, 20805, 20005, 0xb4d330e3d42f7e57},
+    {"li", 64, kFranklin, 11933, 20002, 20311, 20200, 0x4fc6a5c2d4dd6977},
+    {"li", 65, kBaseline, 7607, 20001, 20658, 0, 0x619848d7a9c6aa55},
+    {"li", 65, kReese, 12081, 20003, 20924, 20005, 0xcb51d3d4eda70b55},
+    {"li", 65, kFranklin, 11933, 20002, 20311, 20200, 0xf33be0e2ca94e059},
+    {"li", 128, kBaseline, 7607, 20001, 20888, 0, 0x54b917a2665b2b06},
+    {"li", 128, kReese, 12121, 20003, 21198, 20005, 0x7d4fb74861398cb6},
+    {"li", 128, kFranklin, 11933, 20002, 20431, 20320, 0x26b3e14b05dec158},
+    {"li", 200, kBaseline, 7607, 20001, 21148, 0, 0xb041bf632567e03d},
+    {"li", 200, kReese, 12156, 20003, 21459, 20005, 0x7e256bb73cb0a89f},
+    {"li", 200, kFranklin, 11933, 20002, 20581, 20470, 0xa34e06015bcd12d2},
+    {"li", 256, kBaseline, 7607, 20001, 21348, 0, 0x68469c5ecef5db96},
+    {"li", 256, kReese, 12188, 20003, 21669, 20005, 0x2256ac5635825191},
+    {"li", 256, kFranklin, 11933, 20002, 20691, 20580, 0xffb2be82ba4b2703},
+    {"go", 16, kBaseline, 18203, 20000, 30212, 0, 0x94b2e8d44ffbdce8},
+    {"go", 16, kReese, 19173, 20000, 29993, 20002, 0xf839306da1853ce4},
+    {"go", 16, kFranklin, 21853, 20000, 25617, 23100, 0x30509ce3b5dd0900},
+    {"go", 64, kBaseline, 17376, 20000, 35989, 0, 0x02418d2e0cee9e7a},
+    {"go", 64, kReese, 19179, 20002, 35358, 20008, 0x39bc876159eec87a},
+    {"go", 64, kFranklin, 21851, 20000, 26027, 23316, 0x5d7c578ca0f46146},
+    {"go", 65, kBaseline, 17376, 20000, 35993, 0, 0x1f656af96dbb494e},
+    {"go", 65, kReese, 19179, 20002, 35362, 20008, 0x5e18f10ab5fb0f31},
+    {"go", 65, kFranklin, 21850, 20000, 26030, 23319, 0xa7953f7b9e0af92b},
+    {"go", 128, kBaseline, 17376, 20000, 36192, 0, 0x01c7295c93e0de76},
+    {"go", 128, kReese, 19179, 20002, 35560, 20008, 0xa90ca1843dd097a1},
+    {"go", 128, kFranklin, 21844, 20000, 26197, 23481, 0x51886b9aba5da5ef},
+    {"go", 200, kBaseline, 17376, 20000, 36408, 0, 0x89b59a76aab32ac3},
+    {"go", 200, kReese, 19179, 20002, 35776, 20008, 0x73fc4fdcd3331d30},
+    {"go", 200, kFranklin, 21844, 20000, 26197, 23481, 0xde5b0788c924fba3},
+    {"go", 256, kBaseline, 17376, 20000, 36576, 0, 0x8690232924cf3a54},
+    {"go", 256, kReese, 19179, 20002, 35944, 20008, 0xde527af9442f5dbf},
+    {"go", 256, kFranklin, 21844, 20000, 26197, 23481, 0xc169eb70cd6624b1},
 };
 
 TEST(WindowFingerprint, EveryRowMatches) {
