@@ -103,8 +103,7 @@ int main(int argc, char** argv) {
     core::Pipeline pipeline(program, config);
     // -pipetrace 1: collect the last N instruction lifecycles and print a
     // SimpleScalar-pipeview-style timeline after the run.
-    core::TimelineTracer tracer(
-        static_cast<usize>(flags.get_u64("tracecap", 48)));
+    core::Tracer tracer(static_cast<usize>(flags.get_u64("tracecap", 48)));
     if (flags.get_bool("pipetrace", false)) pipeline.set_tracer(&tracer);
     pipeline.run(max_instructions, 64 * max_instructions);
     std::printf("\npipeline (%s):\n%s", config.summary().c_str(),

@@ -43,7 +43,7 @@ loop:
   fault_config.target = faults::FaultTarget::kPResult;
   faults::Injector injector(fault_config);
 
-  core::TimelineTracer tracer(/*capacity=*/600);
+  core::Tracer tracer(/*keep=*/600);
   core::Pipeline pipeline(program, core::with_reese(core::starting_config()));
   pipeline.set_fault_hook(&injector);
   pipeline.set_tracer(&tracer);

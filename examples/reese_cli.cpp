@@ -33,10 +33,10 @@
 //                      (default 1 = all; keeps long runs tractable)
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <optional>
 
 #include "common/flags.h"
-#include "core/chrome_trace.h"
+#include "core/trace.h"
 #include "faults/injector.h"
 #include "sim/prelint.h"
 #include "sim/simulator.h"
@@ -182,25 +182,17 @@ int main(int argc, char** argv) {
     simulator.pipeline().set_fault_hook(&injector);
   }
 
-  std::unique_ptr<core::FileTraceSink> trace_sink;
-  std::unique_ptr<core::ChromeTraceTracer> chrome_tracer;
-  std::unique_ptr<core::SamplingTracer> sampling_tracer;
   const std::string trace_path = flags.get_string("trace-out", "");
+  std::FILE* trace_file = nullptr;
+  std::optional<core::Tracer> tracer;
   if (!trace_path.empty()) {
-    trace_sink = std::make_unique<core::FileTraceSink>(trace_path);
-    if (!trace_sink->ok()) {
+    trace_file = std::fopen(trace_path.c_str(), "wb");
+    if (trace_file == nullptr) {
       std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());
       return 2;
     }
-    chrome_tracer = std::make_unique<core::ChromeTraceTracer>(trace_sink.get());
-    const u64 sample = flags.get_u64("trace-sample", 1);
-    if (sample > 1) {
-      sampling_tracer =
-          std::make_unique<core::SamplingTracer>(chrome_tracer.get(), sample);
-      simulator.pipeline().set_tracer(sampling_tracer.get());
-    } else {
-      simulator.pipeline().set_tracer(chrome_tracer.get());
-    }
+    tracer.emplace(0, trace_file, flags.get_u64("trace-sample", 1));
+    simulator.pipeline().set_tracer(&*tracer);
   }
 
   std::printf("workload: %s (%s)\n", simulator.workload().name.c_str(),
@@ -217,11 +209,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(injector.detected()),
                 100.0 * injector.coverage());
   }
-  if (chrome_tracer != nullptr) {
-    chrome_tracer->finish();
+  if (tracer.has_value()) {
+    tracer->finish();
+    // A full disk shows up as the stream's error flag or at the final
+    // flush in fclose; either way the trace on disk is incomplete.
+    const bool written = std::ferror(trace_file) == 0;
+    if (std::fclose(trace_file) != 0 || !written) {
+      std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());
+      return 1;
+    }
     std::printf("trace:    %s (%llu events)\n", trace_path.c_str(),
-                static_cast<unsigned long long>(
-                    chrome_tracer->events_emitted()));
+                static_cast<unsigned long long>(tracer->events_emitted()));
   }
   std::printf("stop reason: %s\n", core::stop_reason_name(result.stop));
   return 0;

@@ -21,7 +21,7 @@ void Pipeline::franklin_first_completion(u32 slot_index) {
   assert(franklin_mode() && !entry.first_done);
   entry.first_done = true;
   entry.complete_cycle = now_;
-  trace(TraceKind::kComplete, entry.seq, entry.pc, entry.inst, entry.spec);
+  trace(TraceKind::kComplete, entry);
 
   // Wake consumers now: results forward to dependents before comparison
   // (only the commit is gated, §4.3 of the paper describes the same rule).
@@ -83,7 +83,7 @@ bool Pipeline::franklin_issue_second(u32 slot_index) {
   clear_ready(slot_index);
   stats_.separation.add(now_ - entry.issue_cycle);
   schedule_p_event(complete_at, RuuRef{slot_index, entry.gen});
-  trace(TraceKind::kRIssue, entry.seq, entry.pc, entry.inst, entry.spec);
+  trace(TraceKind::kRIssue, entry);
   ++stats_.issued_r;
   return true;
 }
@@ -100,11 +100,11 @@ void Pipeline::franklin_second_completion(u32 slot_index) {
       entry.actual_next, entry.fr_p_copy, entry.result, entry.fr_r_flip);
   ++stats_.comparisons;
   ++stats_.committed_r;
-  trace(TraceKind::kRComplete, entry.seq, entry.pc, entry.inst, false);
+  trace(TraceKind::kRComplete, entry);
 
   if (outcome.mismatch) {
     ++stats_.errors_detected;
-    trace(TraceKind::kError, entry.seq, entry.pc, entry.inst, false);
+    trace(TraceKind::kError, entry);
     fetch_stall_until_ = std::max(
         fetch_stall_until_, now_ + config_.reese.error_recovery_penalty);
   }

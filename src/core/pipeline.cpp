@@ -398,7 +398,7 @@ void Pipeline::stage_dispatch() {
 
     ++stats_.dispatched;
     if (entry.spec) ++stats_.wrongpath_dispatched;
-    trace(TraceKind::kDispatch, entry.seq, entry.pc, entry.inst, entry.spec);
+    trace(TraceKind::kDispatch, entry);
     ++dispatched_count;
 
     const bool was_spec = entry.spec;
@@ -549,7 +549,7 @@ void Pipeline::try_issue_slot(u32 slot_index, u32* budget) {
   clear_ready(slot_index);
   entry.issue_cycle = now_;
   schedule_p_event(complete_at, RuuRef{slot_index, entry.gen});
-  trace(TraceKind::kIssue, entry.seq, entry.pc, entry.inst, entry.spec);
+  trace(TraceKind::kIssue, entry);
   ++stats_.issued_p;
   --*budget;
 }
@@ -613,7 +613,7 @@ void Pipeline::complete_entry(u32 slot_index) {
   assert(entry.valid && entry.issued && !entry.completed);
   entry.completed = true;
   entry.complete_cycle = now_;
-  trace(TraceKind::kComplete, entry.seq, entry.pc, entry.inst, entry.spec);
+  trace(TraceKind::kComplete, entry);
 
   for (const Consumer& consumer : entry.consumers) {
     if (!ref_alive(consumer.ref)) continue;
@@ -658,7 +658,7 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
     if (tail_slot == branch_slot) break;
     RuuEntry& victim = ruu_[tail_slot];
     assert(victim.valid && victim.spec);
-    trace(TraceKind::kSquash, victim.seq, victim.pc, victim.inst, true);
+    trace(TraceKind::kSquash, victim);
     if (isa::is_mem(victim.inst.op)) {
       assert(lsq_count_ > 0);
       assert(lsq_[lsq_index_at(lsq_count_ - 1)] == tail_slot);
@@ -740,7 +740,7 @@ bool Pipeline::commit_head_baseline() {
   if (fault != 0) resolve_fault(fault, escape_outcome(head.inst), head.pc);
 
   if (head.inst.op == Opcode::kHalt) halted_ = true;
-  trace(TraceKind::kCommit, head.seq, head.pc, head.inst, false);
+  trace(TraceKind::kCommit, head);
   free_ruu_head();
   return true;
 }

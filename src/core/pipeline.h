@@ -550,11 +550,19 @@ class Pipeline {
   std::vector<u64> mem_poison_pending_;
   Tracer* tracer_ = nullptr;
 
-  /// Emit a trace event if a tracer is installed.
-  void trace(TraceKind kind, InstSeq seq, Addr pc,
-             const isa::Instruction& inst, bool spec) {
+  /// Emit a trace event for an RUU or R-queue entry if a tracer is
+  /// installed. An RUU entry passes its slot, which keys a wrong-path
+  /// lifecycle (wrong-path entries share their seq).
+  void trace(TraceKind kind, const RuuEntry& entry) {
     if (tracer_ == nullptr) return;
-    tracer_->record(TraceEvent{kind, now_, seq, pc, inst, spec});
+    tracer_->record(TraceEvent{kind, now_, entry.seq,
+                               static_cast<u32>(&entry - ruu_.data()),
+                               entry.pc, entry.inst, entry.spec});
+  }
+  void trace(TraceKind kind, const REntry& entry) {
+    if (tracer_ == nullptr) return;
+    tracer_->record(
+        TraceEvent{kind, now_, entry.seq, 0, entry.pc, entry.inst, false});
   }
 
   CoreStats stats_;

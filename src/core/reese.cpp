@@ -76,8 +76,7 @@ void Pipeline::reese_release() {
     }
 
     ++stats_.rqueue_enqueued;
-    trace(TraceKind::kRelease, redundant.seq, redundant.pc, redundant.inst,
-          false);
+    trace(TraceKind::kRelease, redundant);
 
     if (config_.reese.early_release) {
       assert(position == 0 &&
@@ -132,7 +131,7 @@ void Pipeline::reese_issue(u32* budget) {
     entry.issued = true;
     r_issue_next_id_ += entry.id == r_issue_next_id_ ? 1 : 0;
     entry.r_issue_cycle = now_;
-    trace(TraceKind::kRIssue, entry.seq, entry.pc, entry.inst, false);
+    trace(TraceKind::kRIssue, entry);
     if (config_.reese.window_sharing) ++r_inflight_;
     stats_.separation.add(now_ - entry.p_issue_cycle);
     schedule_r_event(complete_at, entry.id);
@@ -228,7 +227,7 @@ void Pipeline::reese_complete(u64 entry_id) {
   entry.r_result = outcome.value;
   entry.mismatch = outcome.mismatch;
   entry.completed = true;
-  trace(TraceKind::kRComplete, entry.seq, entry.pc, entry.inst, false);
+  trace(TraceKind::kRComplete, entry);
   // The R instruction holds its scheduler-window slot through the
   // writeback and comparison stages before it is recycled.
   if (config_.reese.window_sharing) {
@@ -261,7 +260,7 @@ void Pipeline::reese_commit() {
       // fetch freeze: nothing is flushed or refetched, because
       // architectural state is never actually corrupted (see DESIGN.md).
       ++stats_.errors_detected;
-      trace(TraceKind::kError, entry.seq, entry.pc, entry.inst, false);
+      trace(TraceKind::kError, entry);
       fetch_stall_until_ = std::max(
           fetch_stall_until_, now_ + config_.reese.error_recovery_penalty);
     }
@@ -281,7 +280,7 @@ void Pipeline::reese_commit() {
     skipped += entry.needs_reexec ? 0 : 1;
     if (entry.holds_ruu_slot) free_ruu_head();
     if (entry.inst.op == Opcode::kHalt) halted_ = true;
-    trace(TraceKind::kCommit, entry.seq, entry.pc, entry.inst, false);
+    trace(TraceKind::kCommit, entry);
     rqueue_.pop_front();
     ++group;
     if (halted_) break;

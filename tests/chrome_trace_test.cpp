@@ -1,15 +1,19 @@
-// ChromeTraceTracer / SamplingTracer event-stream tests, the per-cycle
-// stall attribution invariant (classes partition total cycles), and the
-// CoreStats -> metrics registry export.
+// Chrome trace view of core::Tracer (event stream, sampling, finish), the
+// per-cycle stall attribution invariant (classes partition total cycles),
+// and the CoreStats -> metrics registry export.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/json.h"
 #include "common/metrics.h"
-#include "core/chrome_trace.h"
 #include "core/pipeline.h"
 #include "core/stats.h"
+#include "core/trace.h"
 #include "isa/assembler.h"
 
 namespace reese {
@@ -29,24 +33,92 @@ loop:
   return std::move(assembled).value();
 }
 
-/// Run `program` to halt under a ChromeTraceTracer; return the parsed doc.
+/// A loop whose inner branch falls through three times in four: under the
+/// kTaken predictor each fall-through mispredicts, so wrong-path entries
+/// recur in the same RUU slots. Its unpipelined divide keeps older
+/// instructions uncommitted meanwhile.
+isa::Program branchy_program() {
+  auto assembled = isa::assemble(R"(
+main:
+  li   t0, 64
+loop:
+  div  t3, t2, t0
+  andi t1, t0, 3
+  beqz t1, skip
+  addi t2, t2, 1
+skip:
+  addi t0, t0, -1
+  bnez t0, loop
+  out  t2
+  halt
+)");
+  EXPECT_TRUE(assembled.ok());
+  return std::move(assembled).value();
+}
+
+/// An in-memory FILE* (open_memstream) for the tracer to write into.
+class MemStream {
+ public:
+  MemStream() : file_(open_memstream(&buffer_, &size_)) {}
+  ~MemStream() {
+    std::fclose(file_);
+    std::free(buffer_);
+  }
+  MemStream(const MemStream&) = delete;
+  MemStream& operator=(const MemStream&) = delete;
+
+  std::FILE* file() { return file_; }
+  std::string str() {
+    std::fflush(file_);
+    return std::string(buffer_, size_);
+  }
+
+ private:
+  char* buffer_ = nullptr;
+  size_t size_ = 0;
+  std::FILE* file_;
+};
+
+/// Run `program` to halt with the Chrome view on, sampling every
+/// `every_n`th dispatch; return the parsed doc and, when `stats` is
+/// non-null, the run's stats.
 json::Value traced_run(const core::CoreConfig& config,
-                       core::StringTraceSink* sink) {
-  const isa::Program program = tiny_program();
+                       core::CoreStats* stats = nullptr,
+                       const isa::Program& program = tiny_program(),
+                       u64 every_n = 1) {
+  MemStream stream;
   core::Pipeline pipeline(program, config);
-  core::ChromeTraceTracer tracer(sink);
+  core::Tracer tracer(0, stream.file(), every_n);
   pipeline.set_tracer(&tracer);
   EXPECT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
   tracer.finish();
-  EXPECT_TRUE(json::parse_json(sink->str()).ok());
-  Result<json::Value> parsed = json::parse_json(sink->str());
+  if (stats != nullptr) *stats = pipeline.stats();
+  Result<json::Value> parsed = json::parse_json(stream.str());
   EXPECT_TRUE(parsed.ok());
   return std::move(parsed).value();
 }
 
+/// Squashed P slices and `squash` instants in a parsed trace.
+struct SquashCounts {
+  usize slices = 0;
+  usize instants = 0;
+};
+
+SquashCounts count_squashes(const json::Value& document) {
+  SquashCounts counts;
+  for (const json::Value& event : document.find("traceEvents")->array) {
+    const std::string& phase = event.find("ph")->string;
+    if (phase == "i" && event.find("name")->string == "squash") {
+      ++counts.instants;
+    }
+    const json::Value* category = event.find("cat");
+    if (phase == "X" && category->string == "squashed") ++counts.slices;
+  }
+  return counts;
+}
+
 TEST(ChromeTrace, EmitsWellFormedDocument) {
-  core::StringTraceSink sink;
-  const json::Value document = traced_run(core::starting_config(), &sink);
+  const json::Value document = traced_run(core::starting_config());
   const json::Value* events = document.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
@@ -76,9 +148,8 @@ TEST(ChromeTrace, EmitsWellFormedDocument) {
 }
 
 TEST(ChromeTrace, ReeseRunHasBothTracksAndBalancedFlows) {
-  core::StringTraceSink sink;
   const json::Value document =
-      traced_run(core::with_reese(core::starting_config()), &sink);
+      traced_run(core::with_reese(core::starting_config()));
   const json::Value* events = document.find("traceEvents");
   ASSERT_NE(events, nullptr);
 
@@ -110,8 +181,7 @@ TEST(ChromeTrace, ReeseRunHasBothTracksAndBalancedFlows) {
 }
 
 TEST(ChromeTrace, BaselineRunHasNoRTrackOrFlows) {
-  core::StringTraceSink sink;
-  const json::Value document = traced_run(core::starting_config(), &sink);
+  const json::Value document = traced_run(core::starting_config());
   for (const json::Value& event : document.find("traceEvents")->array) {
     const std::string& phase = event.find("ph")->string;
     EXPECT_NE(phase, "s");
@@ -123,10 +193,9 @@ TEST(ChromeTrace, BaselineRunHasNoRTrackOrFlows) {
 }
 
 TEST(ChromeTrace, SquashedInstructionsBecomeInstants) {
-  core::StringTraceSink sink;
   core::CoreConfig config = core::starting_config();
   config.predictor = branch::PredictorKind::kTaken;  // guaranteed mispredicts
-  const json::Value document = traced_run(config, &sink);
+  const json::Value document = traced_run(config);
   usize squash_instants = 0;
   usize squashed_slices = 0;
   for (const json::Value& event : document.find("traceEvents")->array) {
@@ -146,20 +215,79 @@ TEST(ChromeTrace, SquashedInstructionsBecomeInstants) {
   EXPECT_GT(squashed_slices, 0u);
 }
 
-TEST(ChromeTrace, SamplingTracerKeepsWholeLifecyclesOfEveryNth) {
+TEST(ChromeTrace, EveryWrongPathInstructionHasItsOwnSlice) {
+  // Wrong-path entries share the next true-path seq; each must still be
+  // written as its own squashed slice with its own squash instant.
+  core::CoreConfig config = core::starting_config();
+  config.predictor = branch::PredictorKind::kTaken;  // guaranteed mispredicts
+  core::CoreStats stats;
+  const SquashCounts squashes = count_squashes(traced_run(config, &stats));
+  EXPECT_GT(stats.wrongpath_dispatched, 1u);
+  EXPECT_EQ(squashes.slices, stats.wrongpath_dispatched);
+  EXPECT_EQ(squashes.instants, stats.wrongpath_dispatched);
+}
+
+TEST(ChromeTrace, SamplingKeepsEachWrongPathLifecycleWhole) {
+  // Wrong-path lifecycles are keyed by RUU slot. An unselected wrong-path
+  // dispatch into the slot of a sampled, squashed row must not feed its
+  // events (and a second squash) to that row. The divide holds commit back
+  // (under REESE, until its R-stream compare), so squashed rows are still
+  // stored when their slots are reused.
+  const isa::Program program = branchy_program();
+  for (const bool reese : {false, true}) {
+    core::CoreConfig config = reese ? core::with_reese(core::starting_config())
+                                    : core::starting_config();
+    config.predictor = branch::PredictorKind::kTaken;
+
+    core::Tracer all(4096);
+    core::Tracer sampled(4096, nullptr, 4);
+    for (core::Tracer* tracer : {&all, &sampled}) {
+      core::Pipeline pipeline(program, config);
+      pipeline.set_tracer(tracer);
+      ASSERT_EQ(pipeline.run(10'000, 100'000), core::StopReason::kHalted);
+    }
+    std::vector<const core::Lifecycle*> selected;
+    usize selected_wrong_path = 0;
+    for (const core::Lifecycle& row : all.rows()) {
+      if (row.seq % 4 != 0) continue;
+      selected.push_back(&row);
+      if (row.spec) ++selected_wrong_path;
+    }
+    EXPECT_GT(selected_wrong_path, 1u);
+
+    // Pipeview: the sampled rows are the selected rows, stage for stage.
+    const auto stages = [](const core::Lifecycle& row) {
+      return std::make_tuple(row.seq, row.spec, row.squashed, row.dispatch,
+                             row.issue, row.complete, row.release,
+                             row.r_issue, row.r_complete, row.commit);
+    };
+    ASSERT_EQ(sampled.rows().size(), selected.size()) << "reese " << reese;
+    for (usize i = 0; i < selected.size(); ++i) {
+      EXPECT_EQ(stages(sampled.rows()[i]), stages(*selected[i]))
+          << "row " << i << " reese " << reese;
+    }
+
+    // Chrome view: one squashed slice and one squash instant each.
+    const SquashCounts squashes =
+        count_squashes(traced_run(config, nullptr, program, 4));
+    EXPECT_EQ(squashes.slices, selected_wrong_path) << "reese " << reese;
+    EXPECT_EQ(squashes.instants, selected_wrong_path) << "reese " << reese;
+  }
+}
+
+TEST(ChromeTrace, SamplingKeepsWholeLifecyclesOfEveryNth) {
   const isa::Program program = tiny_program();
-  core::TimelineTracer inner(4096);
-  core::SamplingTracer sampler(&inner, 4);
+  core::Tracer tracer(4096, nullptr, 4);
   core::Pipeline pipeline(program, core::with_reese(core::starting_config()));
-  pipeline.set_tracer(&sampler);
+  pipeline.set_tracer(&tracer);
   ASSERT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
 
-  EXPECT_GT(sampler.forwarded(), 0u);
-  EXPECT_GT(sampler.dropped(), sampler.forwarded());
-  ASSERT_GT(inner.rows().size(), 2u);
-  for (const auto& row : inner.rows()) {
+  ASSERT_GT(tracer.rows().size(), 2u);
+  EXPECT_LT(tracer.rows().size(), pipeline.stats().dispatched / 2);
+  for (const auto& row : tracer.rows()) {
     EXPECT_EQ(row.seq % 4, 0u);
-    // Sticky selection: sampled lifecycles arrive complete, not truncated.
+    // Selected at dispatch: sampled lifecycles arrive complete, not
+    // truncated.
     if (!row.squashed && !row.spec && row.commit != 0) {
       EXPECT_GT(row.dispatch, 0u);
       EXPECT_GE(row.commit, row.complete);
@@ -167,50 +295,21 @@ TEST(ChromeTrace, SamplingTracerKeepsWholeLifecyclesOfEveryNth) {
   }
 }
 
-TEST(ChromeTrace, SamplingTracerCycleWindow) {
-  const isa::Program program = tiny_program();
-  // Reference run to learn the dispatch-cycle range (the simulator is
-  // deterministic, so the sampled run below sees identical cycles).
-  Cycle last_dispatch = 0;
-  {
-    core::TimelineTracer reference(4096);
-    core::Pipeline pipeline(program, core::starting_config());
-    pipeline.set_tracer(&reference);
-    ASSERT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
-    for (const auto& row : reference.rows()) {
-      last_dispatch = std::max(last_dispatch, row.dispatch);
-    }
-  }
-  ASSERT_GT(last_dispatch, 4u);
-  const Cycle first = 3;
-  const Cycle last = last_dispatch;  // window end is exclusive
-
-  core::TimelineTracer inner(4096);
-  core::SamplingTracer sampler(&inner, 1, first, last);
-  core::Pipeline pipeline(program, core::starting_config());
-  pipeline.set_tracer(&sampler);
-  ASSERT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
-  ASSERT_GT(inner.rows().size(), 0u);
-  for (const auto& row : inner.rows()) {
-    EXPECT_GE(row.dispatch, first);
-    EXPECT_LT(row.dispatch, last);
-  }
-  EXPECT_GT(sampler.dropped(), 0u);
-}
-
 TEST(ChromeTrace, FinishFlushesInFlightAndIsIdempotent) {
   const isa::Program program = tiny_program();
-  core::StringTraceSink sink;
-  core::ChromeTraceTracer tracer(&sink);
+  MemStream stream;
+  core::Tracer tracer(0, stream.file());
   core::Pipeline pipeline(program, core::starting_config());
   pipeline.set_tracer(&tracer);
   // Stop mid-run: some instructions are dispatched but not yet committed.
   pipeline.run(5, 100'000);
   tracer.finish();
   const u64 emitted = tracer.events_emitted();
+  const std::string document = stream.str();
   tracer.finish();  // idempotent: no extra events, no extra closing bracket
   EXPECT_EQ(tracer.events_emitted(), emitted);
-  EXPECT_TRUE(json::parse_json(sink.str()).ok()) << sink.str();
+  EXPECT_EQ(stream.str(), document);
+  EXPECT_TRUE(json::parse_json(document).ok()) << document;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ loop:
 
 TEST(Trace, BaselineLifecycleOrdering) {
   const isa::Program program = tiny_program();
-  core::TimelineTracer tracer(256);
+  core::Tracer tracer(256);
   core::Pipeline pipeline(program, core::starting_config());
   pipeline.set_tracer(&tracer);
   ASSERT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
@@ -46,7 +46,7 @@ TEST(Trace, BaselineLifecycleOrdering) {
 
 TEST(Trace, ReeseLifecycleIncludesRStream) {
   const isa::Program program = tiny_program();
-  core::TimelineTracer tracer(256);
+  core::Tracer tracer(256);
   core::Pipeline pipeline(program,
                           core::with_reese(core::starting_config()));
   pipeline.set_tracer(&tracer);
@@ -67,7 +67,7 @@ TEST(Trace, ReeseLifecycleIncludesRStream) {
 
 TEST(Trace, WrongPathRowsAreMarkedSquashed) {
   const isa::Program program = tiny_program();
-  core::TimelineTracer tracer(512);
+  core::Tracer tracer(512);
   core::CoreConfig config = core::starting_config();
   config.predictor = branch::PredictorKind::kTaken;  // guaranteed mispredicts
   core::Pipeline pipeline(program, config);
@@ -85,9 +85,31 @@ TEST(Trace, WrongPathRowsAreMarkedSquashed) {
   EXPECT_GT(squashed, 0u);
 }
 
+TEST(Trace, EveryWrongPathInstructionHasItsOwnLifecycle) {
+  // Wrong-path entries share the next true-path seq; each must still get
+  // its own row, squashed, rather than folding into the youngest one.
+  const isa::Program program = tiny_program();
+  core::Tracer tracer(4096);
+  core::CoreConfig config = core::starting_config();
+  config.predictor = branch::PredictorKind::kTaken;  // guaranteed mispredicts
+  core::Pipeline pipeline(program, config);
+  pipeline.set_tracer(&tracer);
+  ASSERT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
+
+  usize wrong_path = 0;
+  for (const auto& row : tracer.rows()) {
+    if (!row.spec) continue;
+    ++wrong_path;
+    EXPECT_TRUE(row.squashed) << "wrong-path row " << wrong_path;
+    EXPECT_EQ(row.commit, 0u);
+  }
+  EXPECT_GT(wrong_path, 1u);
+  EXPECT_EQ(wrong_path, pipeline.stats().wrongpath_dispatched);
+}
+
 TEST(Trace, RenderedTableHasHeaderAndRows) {
   const isa::Program program = tiny_program();
-  core::TimelineTracer tracer(32);
+  core::Tracer tracer(32);
   core::Pipeline pipeline(program, core::with_reese(core::starting_config()));
   pipeline.set_tracer(&tracer);
   pipeline.run(1'000, 100'000);
@@ -99,7 +121,7 @@ TEST(Trace, RenderedTableHasHeaderAndRows) {
 
 TEST(Trace, RenderedTableIncludesReleaseColumn) {
   const isa::Program program = tiny_program();
-  core::TimelineTracer tracer(256);
+  core::Tracer tracer(256);
   core::Pipeline pipeline(program, core::with_reese(core::starting_config()));
   pipeline.set_tracer(&tracer);
   ASSERT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
@@ -132,14 +154,16 @@ TEST(Trace, RenderedTableIncludesReleaseColumn) {
   FAIL() << "no committed row with a release cycle";
 }
 
-// Direct-event tests for the (seq, spec) find index.
+// Direct-event tests for the lifecycle index: seq on the true path, RUU
+// slot on the wrong path.
 
 core::TraceEvent make_event(core::TraceKind kind, Cycle cycle, InstSeq seq,
-                            bool spec = false) {
+                            bool spec = false, u32 slot = 0) {
   core::TraceEvent event;
   event.kind = kind;
   event.cycle = cycle;
   event.seq = seq;
+  event.slot = slot;
   event.pc = 0x1000 + 4 * seq;
   event.inst = isa::Instruction{};
   event.spec = spec;
@@ -147,7 +171,7 @@ core::TraceEvent make_event(core::TraceKind kind, Cycle cycle, InstSeq seq,
 }
 
 TEST(Trace, IndexDropsEvictedRowsAndKeepsLiveOnes) {
-  core::TimelineTracer tracer(2);
+  core::Tracer tracer(2);
   tracer.record(make_event(core::TraceKind::kDispatch, 10, 1));
   tracer.record(make_event(core::TraceKind::kDispatch, 11, 2));
   tracer.record(make_event(core::TraceKind::kDispatch, 12, 3));  // evicts 1
@@ -166,11 +190,12 @@ TEST(Trace, IndexDropsEvictedRowsAndKeepsLiveOnes) {
 }
 
 TEST(Trace, IndexKeepsWrongPathAndTruePathSeparate) {
-  core::TimelineTracer tracer(8);
-  // A wrong-path entry and a true-path instruction can share a seq.
-  tracer.record(make_event(core::TraceKind::kDispatch, 10, 5, true));
-  tracer.record(make_event(core::TraceKind::kDispatch, 11, 5, false));
-  tracer.record(make_event(core::TraceKind::kSquash, 12, 5, true));
+  core::Tracer tracer(8);
+  // A wrong-path entry and a true-path instruction can share a seq, and a
+  // wrong-path slot number can equal a true-path seq.
+  tracer.record(make_event(core::TraceKind::kDispatch, 10, 5, true, 5));
+  tracer.record(make_event(core::TraceKind::kDispatch, 11, 5, false, 3));
+  tracer.record(make_event(core::TraceKind::kSquash, 12, 5, true, 5));
   tracer.record(make_event(core::TraceKind::kCommit, 13, 5, false));
   ASSERT_EQ(tracer.rows().size(), 2u);
   EXPECT_TRUE(tracer.rows()[0].spec);
@@ -182,35 +207,34 @@ TEST(Trace, IndexKeepsWrongPathAndTruePathSeparate) {
 }
 
 TEST(Trace, IndexPointsAtMostRecentRowOnSeqReuse) {
-  core::TimelineTracer tracer(8);
-  // Wrong-path seqs recur after a squash: the same (seq, spec) key is
-  // dispatched twice. Later events must land in the newest row — the old
-  // reverse-scan semantics.
+  core::Tracer tracer(8);
+  // Wrong-path slots recur after a squash: the same slot key is
+  // dispatched twice. Later events must land in the newest row.
   tracer.record(make_event(core::TraceKind::kDispatch, 10, 7, true));
   tracer.record(make_event(core::TraceKind::kSquash, 11, 7, true));
-  tracer.record(make_event(core::TraceKind::kDispatch, 20, 7, true));
-  tracer.record(make_event(core::TraceKind::kIssue, 21, 7, true));
+  tracer.record(make_event(core::TraceKind::kDispatch, 20, 9, true));
+  tracer.record(make_event(core::TraceKind::kIssue, 21, 9, true));
   ASSERT_EQ(tracer.rows().size(), 2u);
   EXPECT_TRUE(tracer.rows()[0].squashed);
   EXPECT_EQ(tracer.rows()[0].issue, 0u);
   EXPECT_FALSE(tracer.rows()[1].squashed);
   EXPECT_EQ(tracer.rows()[1].issue, 21u);
 
-  // Seven more dispatches evict exactly the OLDER seq-7 duplicate. The
+  // Seven more dispatches evict exactly the OLDER slot-0 row. The
   // eviction must not orphan the newer row's index entry (the guard that
   // only erases when the entry still points at the evicted row).
   for (InstSeq seq = 100; seq < 107; ++seq) {
     tracer.record(make_event(core::TraceKind::kDispatch, 30 + seq, seq));
   }
   ASSERT_EQ(tracer.rows().size(), 8u);
-  ASSERT_EQ(tracer.rows().front().dispatch, 20u);  // the newer seq-7 row
-  tracer.record(make_event(core::TraceKind::kComplete, 50, 7, true));
+  ASSERT_EQ(tracer.rows().front().dispatch, 20u);  // the newer slot-0 row
+  tracer.record(make_event(core::TraceKind::kComplete, 50, 9, true));
   EXPECT_EQ(tracer.rows().front().complete, 50u);
 
-  // One more dispatch scrolls the newer seq-7 row out too; its events are
+  // One more dispatch scrolls the newer slot-0 row out too; its events are
   // then dropped rather than misattributed.
   tracer.record(make_event(core::TraceKind::kDispatch, 40, 107));
-  tracer.record(make_event(core::TraceKind::kRIssue, 55, 7, true));
+  tracer.record(make_event(core::TraceKind::kRIssue, 55, 9, true));
   for (const auto& row : tracer.rows()) EXPECT_EQ(row.r_issue, 0u);
   tracer.record(make_event(core::TraceKind::kIssue, 60, 106));
   EXPECT_EQ(tracer.rows()[6].issue, 60u);
@@ -218,19 +242,13 @@ TEST(Trace, IndexPointsAtMostRecentRowOnSeqReuse) {
 
 TEST(Trace, CapacityBoundsRows) {
   const isa::Program program = tiny_program();
-  core::TimelineTracer tracer(4);
+  core::Tracer tracer(4);
   core::Pipeline pipeline(program, core::starting_config());
   pipeline.set_tracer(&tracer);
   pipeline.run(1'000, 100'000);
-  EXPECT_LE(tracer.rows().size(), 4u);
-  EXPECT_GT(tracer.events_seen(), 10u);
-}
-
-TEST(Trace, KindNamesComplete) {
-  EXPECT_STREQ(core::trace_kind_name(core::TraceKind::kDispatch), "dispatch");
-  EXPECT_STREQ(core::trace_kind_name(core::TraceKind::kRComplete),
-               "r-complete");
-  EXPECT_STREQ(core::trace_kind_name(core::TraceKind::kError), "error");
+  ASSERT_EQ(tracer.rows().size(), 4u);
+  // The kept rows are the last four dispatched; the run ends on HALT.
+  EXPECT_EQ(tracer.rows().back().inst.op, isa::Opcode::kHalt);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Validate a Chrome trace_event JSON file emitted by ChromeTraceTracer
-(core/chrome_trace.h).
+"""Validate a Chrome trace_event JSON file written by the Chrome view of
+core::Tracer (core/trace.h), e.g. by reese_cli --trace-out.
 
 Usage: trace_check.py TRACE.json [TRACE.json ...]
 
