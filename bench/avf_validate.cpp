@@ -267,12 +267,10 @@ int main(int argc, char** argv) {
   json += format("  \"pass\": %s\n", pass ? "true" : "false");
   json += "}\n";
 
-  std::ofstream out(out_path);
-  if (!out || !(out << json)) {
+  if (!write_text_file(out_path, json)) {
     std::fprintf(stderr, "avf_validate: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out.close();
   std::fprintf(stderr, "avf_validate: wrote %s\n", out_path.c_str());
 
   if (!pass) {

@@ -15,9 +15,9 @@
 using namespace reese;
 
 int main(int argc, char** argv) {
-  reese::sim::parse_jobs_flag(argc, argv);
-  reese::sim::parse_checkpoint_flags(argc, argv);
   sim::ExperimentSpec spec;
+  spec.jobs = sim::parse_jobs_flag(argc, argv);
+  spec.checkpoint = sim::parse_checkpoint_flags(argc, argv);
   spec.title = "E2: Figure 2 grid across 5 workload-data seeds";
   spec.base = core::starting_config();
   spec.models = {sim::Model::kBaseline, sim::Model::kReese,

@@ -260,8 +260,9 @@ std::string report_json(const std::vector<Grid>& grids, const Results& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::parse_jobs_flag(argc, argv);
-  sim::parse_checkpoint_flags(argc, argv);
+  const u32 jobs = sim::parse_jobs_flag(argc, argv);
+  const sim::CheckpointOptions checkpoint =
+      sim::parse_checkpoint_flags(argc, argv);
 
   std::string figure_name = "all";
   std::string out_path;
@@ -290,7 +291,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<Grid> grids = grid_table();
+  std::vector<Grid> grids = grid_table();
+  for (Grid& grid : grids) {
+    grid.spec.jobs = jobs;
+    grid.spec.checkpoint = checkpoint;
+  }
   Results results(grids.size());
   std::vector<double> wall(grids.size(), 0.0);
   for (const Figure* figure : chosen) {
@@ -313,14 +318,10 @@ int main(int argc, char** argv) {
   }
 
   if (out_path.empty()) return 0;
-  const std::string json = report_json(grids, results, wall, fig6);
-  std::FILE* file = std::fopen(out_path.c_str(), "w");
-  if (file == nullptr) {
+  if (!write_text_file(out_path, report_json(grids, results, wall, fig6))) {
     std::fprintf(stderr, "reese_figs: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
   std::fprintf(stderr, "reese_figs: wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -132,4 +132,12 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+bool write_text_file(const std::string& path, std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) return false;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  return std::fclose(file) == 0 && written;
+}
+
 }  // namespace reese

@@ -36,4 +36,8 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// Lower-case an ASCII string.
 std::string to_lower(std::string_view s);
 
+/// Write `text` to `path`, replacing the file. False when the file cannot
+/// be opened, written or closed; a full device may fail only at the close.
+bool write_text_file(const std::string& path, std::string_view text);
+
 }  // namespace reese

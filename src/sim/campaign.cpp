@@ -1,18 +1,15 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 
 #include "common/diag.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
-#include "sim/experiment.h"
 #include "sim/simulator.h"
 
 namespace reese::sim {
@@ -32,13 +29,6 @@ void accumulate_stratum(StratumCount* stratum, const faults::FaultRecord& r) {
     ++stratum->undetected;
   }
 }
-
-// Campaign cells checkpoint at whole-cell granularity: a ".done" record
-// holds the finished CampaignCell, bound to the budget/rate/cell-seed and
-// the cell's snapshot_fingerprint (workload name + variant configuration)
-// so a record from a differently-shaped campaign is ignored and the cell
-// re-runs (see CampaignSpec::checkpoint).
-constexpr u32 kCampaignCellTag = 0x43414D50;  // "CAMP"
 
 void put_stratum(SnapshotWriter* writer, const StratumCount& stratum) {
   writer->put_u64(stratum.injected);
@@ -131,39 +121,6 @@ bool get_campaign_cell(SnapshotReader* reader, CampaignCell* cell) {
     stratum.window_sum = reader->get_u64();
   }
   if (!reader->ok()) return false;
-  *cell = std::move(loaded);
-  return true;
-}
-
-void save_campaign_cell(const std::string& path, u64 instructions,
-                        double rate, u64 cell_seed, u64 fingerprint,
-                        const CampaignCell& cell) {
-  SnapshotWriter writer;
-  writer.put_section(kCampaignCellTag);
-  writer.put_u64(instructions);
-  writer.put_f64(rate);
-  writer.put_u64(cell_seed);
-  writer.put_u64(fingerprint);
-  put_campaign_cell(&writer, cell);
-  std::string error;
-  if (!writer.write_file(path, kSnapshotFormatVersion, &error)) {
-    std::fprintf(stderr, "campaign: %s\n", error.c_str());
-  }
-}
-
-bool load_campaign_cell(const std::string& path, u64 instructions,
-                        double rate, u64 cell_seed, u64 fingerprint,
-                        CampaignCell* cell) {
-  SnapshotReader reader;
-  if (!reader.open_file(path, kSnapshotFormatVersion)) return false;
-  if (!reader.expect_section(kCampaignCellTag)) return false;
-  if (reader.get_u64() != instructions) return false;
-  if (reader.get_f64() != rate) return false;
-  if (reader.get_u64() != cell_seed) return false;
-  if (reader.get_u64() != fingerprint) return false;
-  CampaignCell loaded;
-  if (!get_campaign_cell(&reader, &loaded)) return false;
-  if (!reader.ok() || !reader.at_end()) return false;
   *cell = std::move(loaded);
   return true;
 }
@@ -556,24 +513,11 @@ CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec_in) {
   if (spec.quick) spec.replicas = 1;
   if (spec.replicas == 0) spec.replicas = 1;
   if (spec.instructions == 0) spec.instructions = spec.quick ? 20'000 : 60'000;
-  if (spec.checkpoint.dir.empty() && spec.checkpoint.interval == 0 &&
-      !spec.checkpoint.resume) {
-    spec.checkpoint = default_checkpoint();
-  }
   return spec;
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec_in) {
-  CampaignSpec spec = resolve_campaign_defaults(spec_in);
-  if (!spec.checkpoint.dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(spec.checkpoint.dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "campaign: cannot create checkpoint dir %s: %s\n",
-                   spec.checkpoint.dir.c_str(), ec.message().c_str());
-      std::exit(1);
-    }
-  }
+  const CampaignSpec spec = resolve_campaign_defaults(spec_in);
   const CheckpointOptions& ckpt = spec.checkpoint;
 
   CampaignResult result;
@@ -595,35 +539,10 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     }
   }
 
-  // Progress accounting observes the grid without perturbing it (same
-  // scheme as run_experiment).
-  std::atomic<u64> cells_done{0};
-  std::atomic<u64> committed_total{0};
-  metrics::Counter* cells_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter("reese_grid_cells_completed_total",
-                                  {{"kind", "campaign"}},
-                                  "Grid cells finished");
-  metrics::Counter* committed_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter(
-                "reese_grid_committed_instructions_total",
-                {{"kind", "campaign"}},
-                "Instructions committed across grid cells");
-
   // Each cell is one independent simulation with its own workload image,
   // pipeline and injector, all seeded from derive_cell_seed alone; it
-  // writes only its own matrix slot, so the matrix is bit-identical no
-  // matter how many workers ran it.
-  std::atomic<bool> cancelled{false};
-  auto run_cell = [&](usize job_index) {
-    if (spec.cancel &&
-        (cancelled.load(std::memory_order_relaxed) || spec.cancel())) {
-      cancelled.store(true, std::memory_order_relaxed);
-      return;
-    }
+  // writes only its own matrix slot.
+  const auto run_cell = [&](usize job_index) -> u64 {
     const Job job = jobs[job_index];
     const CampaignVariant& variant = spec.variants[job.variant_index];
     // Seed and checkpoint identity use the *global* replica index, so a
@@ -635,33 +554,26 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
 
     CampaignCell& cell = result.matrix.cells[job.variant_index]
                              [job.workload_index][job.replica];
-    const auto account_cell = [&](u64 committed) {
-      const u64 done = cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
-      const u64 committed_now =
-          committed_total.fetch_add(committed, std::memory_order_relaxed) +
-          committed;
-      if (cells_counter != nullptr) cells_counter->inc();
-      if (committed_counter != nullptr) committed_counter->inc(committed);
-      if (spec.progress) {
-        spec.progress({done, static_cast<u64>(jobs.size()), committed_now});
-      }
-    };
-
     std::string done_path;
-    u64 fingerprint = 0;
+    u64 identity = 0;
     if (!ckpt.dir.empty()) {
       done_path =
           ckpt.dir + "/" +
           format("campaign-v%zu-w%zu-r%zu.done", job.variant_index,
                  job.workload_index, global_replica);
-      fingerprint = snapshot_fingerprint(spec.workloads[job.workload_index],
-                                         variant.config);
+      identity = cell_identity(
+          spec.workloads[job.workload_index], variant.config,
+          {spec.instructions, std::bit_cast<u64>(spec.rate), cell_seed,
+           static_cast<u64>(variant.target), static_cast<u64>(variant.site)});
     }
+    CampaignCell recorded;
     if (ckpt.resume && !done_path.empty() &&
-        load_campaign_cell(done_path, spec.instructions, spec.rate, cell_seed,
-                           fingerprint, &cell)) {
-      account_cell(cell.committed);
-      return;
+        load_done_record(done_path, identity,
+                         [&recorded](SnapshotReader* reader) {
+                           return get_campaign_cell(reader, &recorded);
+                         })) {
+      cell = std::move(recorded);
+      return cell.committed;
     }
 
     workloads::Workload workload_image;
@@ -817,38 +729,21 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     }
 
     if (!done_path.empty()) {
-      save_campaign_cell(done_path, spec.instructions, spec.rate, cell_seed,
-                         fingerprint, cell);
+      save_done_record(done_path, identity, [&cell](SnapshotWriter* writer) {
+        put_campaign_cell(writer, cell);
+      });
     }
-
-    account_cell(sim_result.committed);
+    return cell.committed;
   };
-
-  const u32 workers =
-      resolve_job_count(spec.jobs != 0 ? spec.jobs : default_jobs());
-  if (workers <= 1 || jobs.size() <= 1) {
-    // Reference path: plain sequential loop on the calling thread.
-    for (usize i = 0; i < jobs.size(); ++i) run_cell(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(jobs.size(), run_cell);
-  }
-
-  result.cancelled = cancelled.load(std::memory_order_relaxed);
+  result.cancelled = run_cells("campaign", spec, jobs.size(), run_cell);
   return result;
 }
 
 bool write_campaign_report(const CampaignResult& result,
                            const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "campaign: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string json = result.json();
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  return true;
+  if (write_text_file(path, result.json())) return true;
+  std::fprintf(stderr, "campaign: cannot write %s\n", path.c_str());
+  return false;
 }
 
 }  // namespace reese::sim

@@ -1,13 +1,15 @@
 // Fault-injection campaign runner: the robustness analogue of the
 // experiment grid (sim/experiment.h).
 //
-// A campaign fans (variant × workload × seed-replica) cells across the
-// thread pool. Every cell is one independent simulation: it builds its own
-// workload image, pipeline and Injector from a per-cell seed derived with
-// SplitMix64 from (campaign seed, variant index, workload index, replica),
-// and writes only its own CampaignMatrix slot — so the aggregated matrix is
-// bit-identical no matter how many workers ran it (the same determinism
-// contract as run_experiment).
+// A campaign fans (variant × workload × seed-replica) cells through
+// sim/grid.h's run_cells. Every cell is one independent simulation: it
+// builds its own workload image, pipeline and Injector from a per-cell seed
+// derived with SplitMix64 from (campaign seed, variant index, workload
+// index, replica), and writes only its own CampaignMatrix slot — so the
+// aggregated matrix is bit-identical no matter how many workers ran it (the
+// same determinism contract as run_experiment). A cell's done-record holds
+// put_campaign_cell's bytes under an identity that binds the workload,
+// configuration, budget, rate, cell seed, fault target and fault site.
 //
 // The paper's §4.2 claim is "100% detection of soft errors affecting
 // instruction results". A claim at the boundary of a proportion needs a
@@ -19,22 +21,15 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/metrics.h"
 #include "core/config.h"
 #include "faults/injector.h"
 #include "isa/program.h"
-#include "sim/checkpoint.h"
-#include "sim/progress.h"
-
-namespace reese {
-class SnapshotWriter;
-}  // namespace reese
+#include "sim/grid.h"
 
 namespace reese::sim {
 
@@ -79,7 +74,7 @@ struct CampaignProgram {
   isa::Program program;
 };
 
-struct CampaignSpec {
+struct CampaignSpec : GridSpec {
   std::vector<CampaignVariant> variants;  ///< empty = the standard five
   /// Component axis shorthand: when non-empty, the variant list is replaced
   /// by (base × site) for each site here, with labels "base@site". The
@@ -98,31 +93,8 @@ struct CampaignSpec {
   u64 instructions = 0;   ///< per-cell budget; 0 = 60k (quick: 20k)
   double rate = 5e-3;     ///< per-instruction injection probability
   u64 seed = 0xFA17C0DE;  ///< campaign master seed
-  /// Worker threads; 0 = auto (same resolution as ExperimentSpec::jobs).
-  u32 jobs = 0;
   /// CI mode: one replica on a reduced budget, ≈10³ injections total.
   bool quick = false;
-  /// Optional cooperative cancellation, polled once per grid cell (same
-  /// contract as ExperimentSpec::cancel): when it returns true the
-  /// remaining cells are skipped and the result carries `cancelled`.
-  std::function<bool()> cancel;
-  /// Optional per-cell progress callback (see sim/progress.h for the
-  /// threading contract). Observes only.
-  ProgressFn progress;
-  /// Optional metrics registry: each finished cell bumps the
-  /// reese_grid_* counters with kind="campaign" (and, in site mode, the
-  /// reese_injector_strikes_total{site=,outcome=} breakdown). Must outlive
-  /// the run.
-  metrics::Registry* metrics = nullptr;
-  /// Checkpoint policy (DESIGN.md §14). Campaign cells persist at whole-
-  /// cell granularity only: each finished cell writes its CampaignCell to
-  /// a ".done" record in `dir`, and with `resume` those cells are skipped
-  /// on the next run (mid-cell snapshots are not taken — the injector's
-  /// in-flight fault windows are not part of the snapshot surface, and
-  /// cells are short relative to experiment cells). `interval` is
-  /// therefore ignored here. Left default, the process-wide
-  /// default_checkpoint() applies.
-  CheckpointOptions checkpoint;
   /// Global index of this spec's first replica; 0 for a whole campaign.
   /// The cell seed (derive_cell_seed) and the checkpoint ".done" record
   /// name use the global replica index `replica_begin + r`, so a spec over
@@ -245,14 +217,14 @@ struct CampaignResult {
 u64 derive_cell_seed(u64 campaign_seed, usize variant_index,
                      usize workload_index, usize replica);
 
-/// Run the campaign across the thread pool (spec.jobs; same worker
-/// resolution and sequential jobs==1 reference path as run_experiment).
+/// Run the campaign through run_cells. With GridSpec::metrics set, site-mode
+/// cells also bump reese_injector_strikes_total{site=,outcome=}.
 CampaignResult run_campaign(const CampaignSpec& spec);
 
 /// Resolve every defaulted CampaignSpec field (variants, workloads,
-/// quick-mode replica clamp, instruction budget, checkpoint policy) exactly
-/// as run_campaign does, without running anything. The service sizes a
-/// campaign spec's grid against its cell cap with it.
+/// quick-mode replica clamp, instruction budget) exactly as run_campaign
+/// does, without running anything. The service sizes a campaign spec's
+/// grid against its cell cap with it.
 CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec);
 
 /// Append one cell's outcome to `writer` in the layout its checkpoint

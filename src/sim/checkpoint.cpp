@@ -15,8 +15,6 @@ namespace {
 
 constexpr u32 kTagMeta = 0x4D455441;  // "META"
 
-CheckpointOptions g_default_checkpoint;
-
 bool file_exists(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return false;
@@ -111,14 +109,8 @@ bool load_snapshot(Simulator* simulator, const std::string& path,
   return true;
 }
 
-void set_default_checkpoint(const CheckpointOptions& options) {
-  g_default_checkpoint = options;
-}
-
-const CheckpointOptions& default_checkpoint() { return g_default_checkpoint; }
-
-void parse_checkpoint_flags(int argc, char** argv) {
-  CheckpointOptions options = g_default_checkpoint;
+CheckpointOptions parse_checkpoint_flags(int argc, char** argv) {
+  CheckpointOptions options;
   for (int i = 1; i < argc; ++i) {
     if (const char* value = flag_value(argc, argv, &i, "--checkpoint-dir")) {
       options.dir = value;
@@ -139,7 +131,7 @@ void parse_checkpoint_flags(int argc, char** argv) {
       options.resume = true;
     }
   }
-  set_default_checkpoint(options);
+  return options;
 }
 
 SimResult run_with_checkpoints(Simulator* simulator, u64 instructions,

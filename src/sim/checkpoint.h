@@ -13,7 +13,12 @@
 // bit-identical results whether or not one of them was killed and resumed
 // from the snapshot in between. (A checkpointed run is NOT bit-identical
 // to an interval-0 run of the same cell — the drains add cycles — which is
-// why the interval is part of the experiment spec, not a transparent knob.)
+// why the interval is part of the experiment spec, not a transparent knob,
+// and part of a finished cell's done-record identity.)
+//
+// These mid-cell ".snap" files are one of two checkpoint layers. The other,
+// one ".done" record per finished grid cell, lives with the cell loop in
+// sim/grid.h.
 #pragma once
 
 #include <string>
@@ -52,19 +57,13 @@ struct CheckpointOptions {
   bool resume = false;  ///< pick up existing snapshots/done records in dir
 };
 
-/// Process-wide default installed by parse_checkpoint_flags() and read by
-/// run_experiment/run_campaign when their spec leaves checkpointing unset
-/// (same pattern as set_default_jobs).
-void set_default_checkpoint(const CheckpointOptions& options);
-const CheckpointOptions& default_checkpoint();
-
 /// Scan argv for "--checkpoint-dir PATH", "--checkpoint-interval N" and
-/// "--resume-from PATH" ("--flag=value" also accepted) and install the
-/// result via set_default_checkpoint. --resume-from implies the directory
-/// and resume=true. A missing value or an interval that is not a
-/// non-negative integer prints a message and exits 2. Unrelated arguments
-/// are left for the caller.
-void parse_checkpoint_flags(int argc, char** argv);
+/// "--resume-from PATH" ("--flag=value" also accepted) and return the
+/// policy for GridSpec::checkpoint. --resume-from implies the directory and
+/// resume=true. A missing value or an interval that is not a non-negative
+/// integer prints a message and exits 2. Unrelated arguments are left for
+/// the caller.
+CheckpointOptions parse_checkpoint_flags(int argc, char** argv);
 
 /// Resumable Simulator::run. When `resume` and `path` exists, restores it
 /// first (a load failure sets `*error` and returns a zeroed result — the

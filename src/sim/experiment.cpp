@@ -1,13 +1,11 @@
 #include "sim/experiment.h"
 
-#include <atomic>
 #include <cassert>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 
 #include "common/diag.h"
 #include "common/flags.h"
@@ -217,67 +215,15 @@ void maybe_write_csv(const ExperimentResult& result) {
   if (dir == nullptr || *dir == '\0') return;
   const std::string path =
       std::string(dir) + "/" + slugify(result.spec.title) + ".csv";
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
+  if (!write_text_file(path, result.csv())) {
     std::fprintf(stderr, "experiment: cannot write %s\n", path.c_str());
-    return;
   }
-  const std::string csv = result.csv();
-  std::fwrite(csv.data(), 1, csv.size(), file);
-  std::fclose(file);
-}
-
-u32 g_default_jobs = 0;
-
-// One finished grid cell persisted as a ".done" record so a resumed grid
-// skips the cell outright. The record is bound to the budget, the workload
-// seed and the cell's snapshot_fingerprint (workload name + configuration):
-// a record from a differently-shaped run is ignored (the cell simply
-// re-runs), never misused.
-constexpr u32 kCellRecordTag = 0x43454C4C;  // "CELL"
-
-void save_cell_record(const std::string& path, u64 instructions, u64 seed,
-                      u64 fingerprint, const ExperimentCell& cell) {
-  SnapshotWriter writer;
-  writer.put_section(kCellRecordTag);
-  writer.put_u64(instructions);
-  writer.put_u64(seed);
-  writer.put_u64(fingerprint);
-  writer.put_u32(static_cast<u32>(cell.stop));
-  writer.put_f64(cell.ipc);
-  writer.put_u64(cell.cycles);
-  writer.put_u64(cell.committed);
-  std::string error;
-  if (!writer.write_file(path, kSnapshotFormatVersion, &error)) {
-    std::fprintf(stderr, "experiment: %s\n", error.c_str());
-  }
-}
-
-bool load_cell_record(const std::string& path, u64 instructions, u64 seed,
-                      u64 fingerprint, ExperimentCell* cell) {
-  SnapshotReader reader;
-  if (!reader.open_file(path, kSnapshotFormatVersion)) return false;
-  if (!reader.expect_section(kCellRecordTag)) return false;
-  if (reader.get_u64() != instructions) return false;
-  if (reader.get_u64() != seed) return false;
-  if (reader.get_u64() != fingerprint) return false;
-  ExperimentCell loaded;
-  loaded.stop = static_cast<core::StopReason>(reader.get_u32());
-  loaded.ipc = reader.get_f64();
-  loaded.cycles = reader.get_u64();
-  loaded.committed = reader.get_u64();
-  if (!reader.ok() || !reader.at_end()) return false;
-  *cell = loaded;
-  return true;
 }
 
 }  // namespace
 
-void set_default_jobs(u32 jobs) { g_default_jobs = jobs; }
-
-u32 default_jobs() { return g_default_jobs; }
-
-void parse_jobs_flag(int argc, char** argv) {
+u32 parse_jobs_flag(int argc, char** argv) {
+  u32 jobs = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
@@ -288,12 +234,10 @@ void parse_jobs_flag(int argc, char** argv) {
     }
     if (value == nullptr) continue;
     // A non-integer exits 2. sanitize_job_count turns 0/negative/absurd
-    // requests into 0 (auto = hardware concurrency) with a warning instead
-    // of silently ignoring them — the old behaviour made "--jobs 0" keep
-    // whatever default was installed earlier.
-    set_default_jobs(
-        sanitize_job_count(int_flag_value("jobs", "--jobs", value)));
+    // requests into 0 (auto = hardware concurrency) with a warning.
+    jobs = sanitize_job_count(int_flag_value("jobs", "--jobs", value));
   }
+  return jobs;
 }
 
 ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
@@ -301,19 +245,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
   if (spec.models.empty()) spec.models = standard_models();
   if (spec.workloads.empty()) spec.workloads = workloads::spec_like_names();
   if (spec.instructions == 0) spec.instructions = default_instruction_budget();
-  if (spec.checkpoint.dir.empty() && spec.checkpoint.interval == 0 &&
-      !spec.checkpoint.resume) {
-    spec.checkpoint = default_checkpoint();
-  }
-  if (!spec.checkpoint.dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(spec.checkpoint.dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "experiment: cannot create checkpoint dir %s: %s\n",
-                   spec.checkpoint.dir.c_str(), ec.message().c_str());
-      std::exit(1);
-    }
-  }
   const CheckpointOptions& ckpt = spec.checkpoint;
 
   std::vector<u64> seeds = {spec.seed};
@@ -345,74 +276,44 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     }
   }
 
-  // Progress accounting observes the grid without perturbing it; the grid
-  // counters live in the caller's registry so a long-lived service
-  // accumulates across jobs.
-  std::atomic<u64> cells_done{0};
-  std::atomic<u64> committed_total{0};
-  metrics::Counter* cells_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter("reese_grid_cells_completed_total",
-                                  {{"kind", "experiment"}},
-                                  "Grid cells finished");
-  metrics::Counter* committed_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter(
-                "reese_grid_committed_instructions_total",
-                {{"kind", "experiment"}},
-                "Instructions committed across grid cells");
-
   // Each cell is an independent simulation: it builds its own workload,
-  // memory image and pipeline, and writes only its own result.cells slot,
-  // so the matrix is identical no matter how many workers ran it or in
-  // what order cells finished.
-  std::atomic<bool> cancelled{false};
-  auto run_cell = [&](usize job_index) {
-    if (spec.cancel &&
-        (cancelled.load(std::memory_order_relaxed) || spec.cancel())) {
-      cancelled.store(true, std::memory_order_relaxed);
-      return;
-    }
+  // memory image and pipeline, and writes only its own result.cells slot.
+  const auto run_cell = [&](usize job_index) -> u64 {
     const Job job = jobs[job_index];
-
     ExperimentCell& cell =
         result.cells[job.workload_index][job.model_index][job.seed_index];
-    const auto account_cell = [&](u64 committed) {
-      const u64 done = cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
-      const u64 committed_now =
-          committed_total.fetch_add(committed, std::memory_order_relaxed) +
-          committed;
-      if (cells_counter != nullptr) cells_counter->inc();
-      if (committed_counter != nullptr) committed_counter->inc(committed);
-      if (spec.progress) {
-        spec.progress({done, static_cast<u64>(jobs.size()), committed_now});
-      }
-    };
-
     const std::string& workload_name = spec.workloads[job.workload_index];
     const core::CoreConfig config =
         apply_model(spec.base, spec.models[job.model_index]);
+    const u64 seed = seeds[job.seed_index];
     // Cell checkpoint files: "<slug>-wW-mM-sS.done" holds a finished
     // cell's result, "<...>.snap" a mid-cell pipeline snapshot.
     std::string cell_base;
-    u64 fingerprint = 0;
+    u64 identity = 0;
     if (!ckpt.dir.empty()) {
       cell_base = ckpt.dir + "/" + slugify(spec.title) +
                   format("-w%zu-m%zu-s%zu", job.workload_index,
                          job.model_index, job.seed_index);
-      fingerprint = snapshot_fingerprint(workload_name, config);
+      identity = cell_identity(workload_name, config,
+                               {spec.instructions, seed, ckpt.interval});
     }
+    ExperimentCell recorded;
     if (ckpt.resume && !cell_base.empty() &&
-        load_cell_record(cell_base + ".done", spec.instructions,
-                         seeds[job.seed_index], fingerprint, &cell)) {
-      account_cell(cell.committed);
-      return;
+        load_done_record(cell_base + ".done", identity,
+                         [&recorded](SnapshotReader* reader) {
+                           recorded.stop = static_cast<core::StopReason>(
+                               reader->get_u32());
+                           recorded.ipc = reader->get_f64();
+                           recorded.cycles = reader->get_u64();
+                           recorded.committed = reader->get_u64();
+                           return true;
+                         })) {
+      cell = recorded;
+      return cell.committed;
     }
 
     workloads::WorkloadOptions options;
-    options.seed = seeds[job.seed_index];
+    options.seed = seed;
     options.iterations = 0;  // run forever; budget bounds the simulation
     auto workload = workloads::make_workload(workload_name, options);
     if (!workload.ok()) {
@@ -421,18 +322,13 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
       std::exit(1);
     }
     Simulator simulator(std::move(workload).value(), config);
-    SimResult sim_result;
-    if (!cell_base.empty()) {
-      std::string error;
-      sim_result =
-          run_with_checkpoints(&simulator, spec.instructions, ckpt.interval,
-                               cell_base + ".snap", ckpt.resume, &error);
-      if (!error.empty()) {
-        std::fprintf(stderr, "experiment: %s\n", error.c_str());
-        std::exit(1);
-      }
-    } else {
-      sim_result = simulator.run(spec.instructions);
+    std::string error;
+    const SimResult sim_result = run_with_checkpoints(
+        &simulator, spec.instructions, ckpt.interval,
+        cell_base.empty() ? "" : cell_base + ".snap", ckpt.resume, &error);
+    if (!error.empty()) {
+      std::fprintf(stderr, "experiment: %s\n", error.c_str());
+      std::exit(1);
     }
     if (sim_result.stop != core::StopReason::kCommitTarget) {
       std::fprintf(stderr,
@@ -456,23 +352,18 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     cell.committed = sim_result.committed;
     cell.stop = sim_result.stop;
     if (!cell_base.empty()) {
-      save_cell_record(cell_base + ".done", spec.instructions,
-                       seeds[job.seed_index], fingerprint, cell);
+      save_done_record(cell_base + ".done", identity,
+                       [&cell](SnapshotWriter* writer) {
+                         writer->put_u32(static_cast<u32>(cell.stop));
+                         writer->put_f64(cell.ipc);
+                         writer->put_u64(cell.cycles);
+                         writer->put_u64(cell.committed);
+                       });
       std::remove((cell_base + ".snap").c_str());
     }
-
-    account_cell(sim_result.committed);
+    return cell.committed;
   };
-
-  const u32 workers = resolve_job_count(
-      spec.jobs != 0 ? spec.jobs : g_default_jobs);
-  if (workers <= 1 || jobs.size() <= 1) {
-    // Reference path: plain sequential loop on the calling thread.
-    for (usize i = 0; i < jobs.size(); ++i) run_cell(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(jobs.size(), run_cell);
-  }
+  result.cancelled = run_cells("experiment", spec, jobs.size(), run_cell);
 
   for (usize w = 0; w < spec.workloads.size(); ++w) {
     for (usize m = 0; m < spec.models.size(); ++m) {
@@ -491,7 +382,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     }
   }
 
-  result.cancelled = cancelled.load(std::memory_order_relaxed);
   if (result.cancelled) return result;  // incomplete matrix: no CSV export
 
   maybe_write_csv(result);

@@ -7,17 +7,19 @@
 //   REESE+1 ALU         — one spare integer ALU
 //   REESE+2 ALU         — two spare integer ALUs
 //   REESE+2 ALU+1 Mult  — plus a spare integer multiplier/divider
+//
+// Cells run through sim/grid.h's run_cells. A cell's done-record holds its
+// stop reason, IPC, cycles and committed count, under an identity that
+// binds the workload, configuration, budget, workload seed and checkpoint
+// interval.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "core/config.h"
 #include "core/pipeline.h"
-#include "sim/checkpoint.h"
-#include "sim/progress.h"
+#include "sim/grid.h"
 #include "workloads/workload.h"
 
 namespace reese::sim {
@@ -46,7 +48,7 @@ const std::vector<Model>& standard_models();
 /// Apply a model to a figure's base (baseline) configuration.
 core::CoreConfig apply_model(core::CoreConfig base, Model model);
 
-struct ExperimentSpec {
+struct ExperimentSpec : GridSpec {
   std::string title;                    ///< e.g. "Figure 2: ..."
   core::CoreConfig base;                ///< baseline hardware for this figure
   std::vector<Model> models;            ///< bars (default: the standard five)
@@ -57,35 +59,6 @@ struct ExperimentSpec {
   /// once per seed (including `seed`) and the matrix holds the mean, with
   /// the sample standard deviation in ExperimentResult::ipc_stdev.
   std::vector<u64> extra_seeds;
-  /// Worker threads for the grid. 0 = auto: the process-wide default from
-  /// set_default_jobs()/--jobs, else $REESE_JOBS, else hardware
-  /// concurrency. 1 = run every cell inline on the calling thread.
-  u32 jobs = 0;
-  /// Optional cooperative cancellation, polled once per grid cell before
-  /// the cell's simulation starts (cells are sub-second at service
-  /// budgets, so this is the natural preemption granularity). When it
-  /// returns true, the remaining cells are skipped and the result carries
-  /// `cancelled = true` with the untouched cells zero-filled. Used by the
-  /// service's per-job wall-clock timeout and SIGTERM drain.
-  std::function<bool()> cancel;
-  /// Optional per-cell progress callback (see sim/progress.h for the
-  /// threading contract). Observes only — results are bit-identical with
-  /// or without a listener.
-  ProgressFn progress;
-  /// Optional metrics registry: each finished cell bumps the
-  /// reese_grid_cells_completed_total and
-  /// reese_grid_committed_instructions_total counters (kind="experiment").
-  /// Must outlive the run.
-  metrics::Registry* metrics = nullptr;
-  /// Checkpoint policy (DESIGN.md §14). When `dir` is set, every finished
-  /// cell writes a ".done" record there and, with a non-zero `interval`,
-  /// long cells snapshot mid-run every `interval` committed instructions;
-  /// with `resume`, done cells are skipped and partial cells restored, so
-  /// a killed grid continues bit-identically (the interval is part of the
-  /// result's identity — see sim/checkpoint.h). Left default, the
-  /// process-wide default_checkpoint() from --checkpoint-interval /
-  /// --resume-from applies.
-  CheckpointOptions checkpoint;
 };
 
 /// Raw outcome of one grid cell's simulation (one workload/model/seed run).
@@ -134,22 +107,17 @@ struct ExperimentResult {
 };
 
 /// Run the grid. Independent (workload, model, seed) cells are fanned
-/// across a thread pool (see ExperimentSpec::jobs); every cell owns its
+/// across run_cells' workers (GridSpec::jobs); every cell owns its
 /// Pipeline/memory/RNG and writes only its own result slot, so the matrix
 /// is bit-identical to a sequential run. When the environment variable
 /// REESE_CSV_DIR names a directory, the result is also written there as
 /// "<slugified title>.csv".
 ExperimentResult run_experiment(const ExperimentSpec& spec);
 
-/// Process-wide default worker count used when ExperimentSpec::jobs == 0;
-/// 0 restores auto ($REESE_JOBS, else hardware concurrency).
-void set_default_jobs(u32 jobs);
-u32 default_jobs();
-
 /// Scan a bench binary's argv for "--jobs N" / "--jobs=N" / "-jobs N" and
-/// install the value via set_default_jobs. A value that is not an integer
-/// exits 2; an integer outside [1, kMaxJobRequest] warns and means auto.
-/// Unrelated arguments are left for the caller.
-void parse_jobs_flag(int argc, char** argv);
+/// return the value for GridSpec::jobs (0, auto, when absent). A value
+/// that is not an integer exits 2; an integer outside [1, kMaxJobRequest]
+/// warns and means auto. Unrelated arguments are left for the caller.
+u32 parse_jobs_flag(int argc, char** argv);
 
 }  // namespace reese::sim

@@ -46,7 +46,6 @@
 #include "common/thread_pool.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
-#include "sim/progress.h"
 
 namespace reese::sim {
 

@@ -239,15 +239,22 @@ TEST(Service, TimedOutJobAnswers408) {
   SimulationService service(config);
   // timeout_s 0: the deadline has already passed when the job starts, so
   // the cancel hook fires before the first grid cell.
-  const std::string id_path = submit_ok(
-      &service, "/v1/experiments",
-      R"({"workloads": ["gcc"], "models": ["baseline"],
-          "instructions": 20000, "timeout_s": 0})");
-  EXPECT_EQ(wait_for_job(&service, id_path), "timeout");
-  const http::Response response = service.handle(result_request(id_path));
-  EXPECT_EQ(response.status, 408);
-  EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
-  EXPECT_EQ(service.stats().timeouts, 1u);
+  const std::pair<const char*, const char*> jobs[] = {
+      {"/v1/experiments",
+       R"({"workloads": ["gcc"], "models": ["baseline"],
+           "instructions": 20000, "timeout_s": 0})"},
+      {"/v1/campaigns",
+       R"({"workloads": ["gcc"], "quick": true, "instructions": 20000,
+           "timeout_s": 0})"},
+  };
+  for (const auto& [endpoint, spec] : jobs) {
+    const std::string id_path = submit_ok(&service, endpoint, spec);
+    EXPECT_EQ(wait_for_job(&service, id_path), "timeout") << endpoint;
+    const http::Response response = service.handle(result_request(id_path));
+    EXPECT_EQ(response.status, 408) << endpoint;
+    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
+  }
+  EXPECT_EQ(service.stats().timeouts, 2u);
 }
 
 TEST(Service, FullQueueAnswers429) {
@@ -381,7 +388,7 @@ TEST(Service, MetricsEndpointServesPrometheusText) {
 
   response = service.handle(make_request("GET", "/v1/metrics"));
   ASSERT_EQ(response.status, 200);
-  const std::string& text = response.body;
+  std::string text = response.body;
   EXPECT_NE(text.find("reese_service_submitted_total 1"), std::string::npos)
       << text;
   EXPECT_NE(text.find("reese_service_completed_total 1"), std::string::npos);
@@ -392,6 +399,23 @@ TEST(Service, MetricsEndpointServesPrometheusText) {
       << text;
   EXPECT_NE(text.find("reese_grid_committed_instructions_total"),
             std::string::npos);
+
+  // A campaign's cells land in the same counters under kind="campaign":
+  // 3 variants x 1 workload x 1 replica.
+  const std::string campaign_path = submit_ok(
+      &service, "/v1/campaigns",
+      R"({"workloads": ["li"], "replicas": 1, "instructions": 2000,
+          "variants": ["reese_either", "baseline", "reese@rqueue"]})");
+  EXPECT_EQ(wait_for_job(&service, campaign_path), "done");
+  response = service.handle(make_request("GET", "/v1/metrics"));
+  ASSERT_EQ(response.status, 200);
+  text = response.body;
+  EXPECT_NE(text.find("reese_grid_cells_completed_total{kind=\"campaign\"} 3"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("reese_grid_cells_completed_total{kind=\"experiment\"} 2"),
+      std::string::npos);
   // Valid exposition shape: every non-comment line is "name[{labels}] value".
   for (usize start = 0; start < text.size();) {
     usize end = text.find('\n', start);
@@ -411,47 +435,57 @@ TEST(Service, ProgressEndpointTracksAJobToCompletion) {
   EXPECT_EQ(service.handle(make_request("GET", "/v1/jobs/9/progress")).status,
             404);
 
-  const std::string id_path = submit_ok(
-      &service, "/v1/experiments",
-      R"({"workloads": ["li", "gcc"], "models": ["baseline", "reese"],
-          "instructions": 5000})");
+  // Both grids have 4 cells: 2 workloads x 2 models, and 2 variants x 2
+  // workloads x 1 replica.
+  const std::pair<const char*, const char*> jobs[] = {
+      {"/v1/experiments",
+       R"({"workloads": ["li", "gcc"], "models": ["baseline", "reese"],
+           "instructions": 5000})"},
+      {"/v1/campaigns",
+       R"({"workloads": ["li", "gcc"], "variants": ["reese_either",
+           "baseline"], "replicas": 1, "instructions": 5000})"},
+  };
+  for (const auto& [endpoint, spec] : jobs) {
+    const std::string id_path = submit_ok(&service, endpoint, spec);
 
-  // Poll progress while the job runs: cells_done must never decrease and
-  // must land on cells_total when the job is done.
-  u64 last_done = 0;
-  u64 last_committed = 0;
-  bool saw_running = false;
-  for (int i = 0; i < 4000; ++i) {
-    const http::Response response =
-        service.handle(make_request("GET", id_path + "/progress"));
-    ASSERT_EQ(response.status, 200) << response.body;
-    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
-    const Result<json::Value> parsed = json::parse_json(response.body);
-    ASSERT_TRUE(parsed.ok());
-    const json::Value& body = parsed.value();
-    const u64 done = body.find("cells_done")->uint_value;
-    const u64 committed = body.find("committed")->uint_value;
-    EXPECT_GE(done, last_done) << "cells_done went backwards";
-    EXPECT_GE(committed, last_committed) << "committed went backwards";
-    last_done = done;
-    last_committed = committed;
-    const std::string& state = body.find("state")->string;
-    if (state == "running") saw_running = true;
-    if (state == "done") {
-      EXPECT_EQ(done, body.find("cells_total")->uint_value);
-      EXPECT_EQ(done, 4u);
-      EXPECT_GT(committed, 0u);
-      EXPECT_GT(body.find("elapsed_s")->number, 0.0);
-      EXPECT_GT(body.find("kips")->number, 0.0);
-      break;
+    // Poll progress while the job runs: cells_done must never decrease and
+    // must land on cells_total when the job is done.
+    u64 last_done = 0;
+    u64 last_committed = 0;
+    bool saw_running = false;
+    for (int i = 0; i < 4000; ++i) {
+      const http::Response response =
+          service.handle(make_request("GET", id_path + "/progress"));
+      ASSERT_EQ(response.status, 200) << response.body;
+      EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
+      const Result<json::Value> parsed = json::parse_json(response.body);
+      ASSERT_TRUE(parsed.ok());
+      const json::Value& body = parsed.value();
+      const u64 done = body.find("cells_done")->uint_value;
+      const u64 committed = body.find("committed")->uint_value;
+      EXPECT_GE(done, last_done) << endpoint << ": cells_done went backwards";
+      EXPECT_GE(committed, last_committed)
+          << endpoint << ": committed went backwards";
+      last_done = done;
+      last_committed = committed;
+      const std::string& state = body.find("state")->string;
+      if (state == "running") saw_running = true;
+      if (state == "done") {
+        EXPECT_EQ(done, body.find("cells_total")->uint_value) << endpoint;
+        EXPECT_EQ(done, 4u) << endpoint;
+        EXPECT_GT(committed, 0u) << endpoint;
+        EXPECT_GT(body.find("elapsed_s")->number, 0.0) << endpoint;
+        EXPECT_GT(body.find("kips")->number, 0.0) << endpoint;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    EXPECT_EQ(last_done, 4u) << endpoint << ": job never reached done";
+    // With 4 sub-second cells the poll loop races the worker; seeing the
+    // running state at least once keeps this test honest about polling
+    // mid-run (200µs polls against ~4 × tens-of-ms cells).
+    EXPECT_TRUE(saw_running) << endpoint;
   }
-  EXPECT_EQ(last_done, 4u) << "job never reached done";
-  // With 4 sub-second cells the poll loop races the worker; seeing the
-  // running state at least once keeps this test honest about polling
-  // mid-run (200µs polls against ~4 × tens-of-ms cells).
-  EXPECT_TRUE(saw_running);
 }
 
 TEST(Service, JobEventsCarryOneKindKeyAndAJobKind) {

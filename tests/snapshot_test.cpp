@@ -164,20 +164,38 @@ TEST(SnapshotTest, ExperimentGridResumesUnderJobs) {
 
 TEST(SnapshotTest, ExperimentRecordFromAnotherConfigIsRerun) {
   // Record names carry only the title and cell indices, so a record left
-  // by a run on other hardware must be refused by its fingerprint.
+  // by a run that differs in anything deciding the cell's result must be
+  // refused by its identity: `second` resumed from `first`'s directory
+  // must match a fresh run of `second`.
   const std::string dir = temp_path("grid_config");
-  fs::remove_all(dir);
-  ExperimentSpec spec = grid_spec(2);
-  spec.checkpoint.dir = dir;
-  run_experiment(spec);
+  const auto expect_rerun = [&dir](ExperimentSpec first,
+                                   ExperimentSpec second) {
+    fs::remove_all(dir);
+    first.checkpoint.dir = dir;
+    run_experiment(first);
+    const ExperimentResult fresh = run_experiment(second);
+    second.checkpoint.dir = dir;
+    second.checkpoint.resume = true;
+    EXPECT_EQ(fresh.cells, run_experiment(second).cells);
+  };
 
-  spec.base.ruu_size = 64;
-  spec.base.lsq_size = 32;
-  ExperimentSpec fresh = spec;
-  fresh.checkpoint = {};
-  const ExperimentResult reference = run_experiment(fresh);
-  spec.checkpoint.resume = true;
-  EXPECT_EQ(reference.cells, run_experiment(spec).cells);
+  ExperimentSpec other_hardware = grid_spec(2);
+  other_hardware.base.ruu_size = 64;
+  other_hardware.base.lsq_size = 32;
+  expect_rerun(grid_spec(2), other_hardware);
+
+  // Each snapshot drains the pipeline, so the interval a record was
+  // written at decides its cycles too.
+  ExperimentSpec drained;
+  drained.title = "snapshot interval";
+  drained.base = core::starting_config();
+  drained.models = {Model::kReese};
+  drained.workloads = {"gcc"};
+  drained.instructions = 40'000;
+  drained.checkpoint.interval = 20'000;
+  ExperimentSpec plain = drained;
+  plain.checkpoint.interval = 0;
+  expect_rerun(drained, plain);
   fs::remove_all(dir);
 }
 
@@ -219,24 +237,35 @@ TEST(SnapshotTest, CampaignResumesToIdenticalMatrix) {
 
 TEST(SnapshotTest, CampaignRecordFromAnotherConfigIsRerun) {
   // Campaign record names and cell seeds come from indices alone, so two
-  // campaigns sharing a directory must tell their records apart by the
-  // fingerprint.
+  // campaigns sharing a directory must tell their records apart by
+  // identity: configuration, fault target and fault site.
   const std::string dir = temp_path("campaign_config");
-  fs::remove_all(dir);
-  CampaignSpec spec = campaign_spec(2);
-  spec.checkpoint.dir = dir;
-  run_campaign(spec);
+  const auto expect_rerun = [&dir](CampaignSpec first, CampaignSpec second) {
+    fs::remove_all(dir);
+    first.checkpoint.dir = dir;
+    run_campaign(first);
+    const CampaignResult fresh = run_campaign(second);
+    second.checkpoint.dir = dir;
+    second.checkpoint.resume = true;
+    EXPECT_EQ(fresh.matrix, run_campaign(second).matrix);
+  };
 
-  spec.variants = standard_campaign_variants();
-  for (CampaignVariant& variant : spec.variants) {
+  CampaignSpec other_hardware = campaign_spec(2);
+  other_hardware.variants = standard_campaign_variants();
+  for (CampaignVariant& variant : other_hardware.variants) {
     variant.config.ruu_size = 64;
     variant.config.lsq_size = 32;
   }
-  CampaignSpec fresh = spec;
-  fresh.checkpoint = {};
-  const CampaignResult reference = run_campaign(fresh);
-  spec.checkpoint.resume = true;
-  EXPECT_EQ(reference.matrix, run_campaign(spec).matrix);
+  expect_rerun(campaign_spec(2), other_hardware);
+
+  const auto one_variant = [](const char* label) {
+    CampaignSpec spec = campaign_spec(2);
+    spec.variants.resize(1);
+    EXPECT_TRUE(campaign_variant_by_label(label, &spec.variants[0])) << label;
+    return spec;
+  };
+  expect_rerun(one_variant("reese_p_flips"), one_variant("reese_r_flips"));
+  expect_rerun(one_variant("reese@ruu"), one_variant("reese@rqueue"));
   fs::remove_all(dir);
 }
 
@@ -245,7 +274,7 @@ TEST(SnapshotTest, CheckpointFlagsRejectBadValues) {
     args.insert(args.begin(), "bench");
     std::vector<char*> argv;
     for (std::string& arg : args) argv.push_back(arg.data());
-    parse_checkpoint_flags(static_cast<int>(argv.size()), argv.data());
+    return parse_checkpoint_flags(static_cast<int>(argv.size()), argv.data());
   };
   for (const char* bad : {"1e7", "abc", "-5", ""}) {
     EXPECT_EXIT(parse({"--checkpoint-interval", bad}),
@@ -258,11 +287,11 @@ TEST(SnapshotTest, CheckpointFlagsRejectBadValues) {
         << flag;
   }
 
-  parse({"--checkpoint-interval=10000000", "--resume-from", "ckpt"});
-  EXPECT_EQ(default_checkpoint().interval, 10'000'000u);
-  EXPECT_EQ(default_checkpoint().dir, "ckpt");
-  EXPECT_TRUE(default_checkpoint().resume);
-  set_default_checkpoint(CheckpointOptions{});
+  const CheckpointOptions options =
+      parse({"--checkpoint-interval=10000000", "--resume-from", "ckpt"});
+  EXPECT_EQ(options.interval, 10'000'000u);
+  EXPECT_EQ(options.dir, "ckpt");
+  EXPECT_TRUE(options.resume);
 }
 
 TEST(SnapshotTest, CorruptSnapshotIsRejected) {
