@@ -20,7 +20,9 @@ double average_ipc(const core::CoreConfig& config, u64 budget) {
   for (const std::string& name : workloads::spec_like_names()) {
     auto workload = workloads::make_workload(name, {});
     sim::Simulator simulator(std::move(workload).value(), config);
-    sum += simulator.run(budget).ipc;
+    const sim::SimResult result = simulator.run(budget);
+    sim::exit_if_stopped_early("abl_area_cost", name, result);
+    sum += result.ipc;
   }
   return sum / static_cast<double>(workloads::spec_like_names().size());
 }

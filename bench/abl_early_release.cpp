@@ -26,7 +26,8 @@ int main() {
       core::CoreConfig config = core::with_reese(core::starting_config());
       config.reese.early_release = (early == 1);
       sim::Simulator simulator(std::move(workload).value(), config);
-      simulator.run(budget);
+      sim::exit_if_stopped_early("abl_early_release", name,
+                                 simulator.run(budget));
       ipc[early] = simulator.pipeline().stats().ipc();
     }
     std::printf("  %-8s %14.3f %14.3f %9.1f%%\n", name.c_str(), ipc[1], ipc[0],

@@ -25,7 +25,8 @@ int main() {
     auto workload = workloads::make_workload(name, {});
     sim::Simulator simulator(std::move(workload).value(),
                              core::starting_config());
-    simulator.run(budget / 2);
+    sim::exit_if_stopped_early("abl_partial_rstream", name,
+                               simulator.run(budget / 2));
     base_sum += simulator.pipeline().stats().ipc();
   }
   const double n = static_cast<double>(workloads::spec_like_names().size());
@@ -45,7 +46,8 @@ int main() {
       faults::Injector injector(fault_config);
       sim::Simulator simulator(std::move(workload).value(), config);
       simulator.pipeline().set_fault_hook(&injector);
-      simulator.run(budget / 2);
+      sim::exit_if_stopped_early("abl_partial_rstream", name,
+                                 simulator.run(budget / 2));
       ipc_sum += simulator.pipeline().stats().ipc();
       detected += injector.detected();
       injected += injector.detected() + injector.undetected();

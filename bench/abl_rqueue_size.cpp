@@ -26,7 +26,8 @@ int main() {
       core::CoreConfig config = core::with_reese(core::starting_config());
       config.reese.rqueue_size = size;
       sim::Simulator simulator(std::move(workload).value(), config);
-      simulator.run(budget / 2);
+      sim::exit_if_stopped_early("abl_rqueue_size", name,
+                                 simulator.run(budget / 2));
       const core::CoreStats& stats = simulator.pipeline().stats();
       ipc_sum += stats.ipc();
       stall_sum += safe_ratio(stats.rqueue_full_stall_cycles, stats.cycles);

@@ -21,7 +21,7 @@ int main() {
     auto workload = workloads::make_workload(name, {});
     sim::Simulator simulator(std::move(workload).value(),
                              core::with_reese(core::starting_config()));
-    simulator.run(budget);
+    sim::exit_if_stopped_early("abl_separation", name, simulator.run(budget));
     const core::CoreStats& stats = simulator.pipeline().stats();
     std::printf("  %-8s mean %6.1f  p50 %4llu  p95 %4llu  min %3llu  "
                 "(IPC %.3f)\n",
@@ -43,7 +43,8 @@ int main() {
       core::CoreConfig config = core::with_reese(core::starting_config());
       config.reese.min_separation = min_sep;
       sim::Simulator simulator(std::move(workload).value(), config);
-      simulator.run(budget / 2);
+      sim::exit_if_stopped_early("abl_separation", name,
+                                 simulator.run(budget / 2));
       ipc_sum += simulator.pipeline().stats().ipc();
       sep_sum += simulator.pipeline().stats().separation.mean();
     }

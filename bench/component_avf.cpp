@@ -155,6 +155,7 @@ int main(int argc, char** argv) {
   spec.rate = 5e-3;
   spec.seed = 0xCAFC0DE5;
   bool quick = false;
+  bool replicas_given = false;
   bool skip_xval = false;
   std::string out_path = "BENCH_cavf.json";
 
@@ -175,6 +176,7 @@ int main(int argc, char** argv) {
       spec.replicas =
           static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
                                           1'000'000));
+      replicas_given = true;
     } else if (std::strcmp(arg, "--instructions") == 0) {
       spec.instructions =
           static_cast<u64>(int_flag_value(kTool, arg, next_value(), 1));
@@ -194,7 +196,7 @@ int main(int argc, char** argv) {
   }
   // This bench resolves its own quick mode (CampaignSpec::quick would also
   // clamp replicas after --replicas was parsed).
-  if (spec.replicas == 12) spec.replicas = quick ? 1 : 8;
+  if (!replicas_given) spec.replicas = quick ? 1 : 8;
   if (spec.instructions == 0) spec.instructions = quick ? 20'000 : 60'000;
 
   // One reference row (the classic result-flip model, via the same label

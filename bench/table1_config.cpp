@@ -44,7 +44,7 @@ int main() {
   for (const std::string& name : workloads::spec_like_names()) {
     auto workload = workloads::make_workload(name, {});
     sim::Simulator simulator(std::move(workload).value(), config);
-    simulator.run(budget);
+    sim::exit_if_stopped_early("table1_config", name, simulator.run(budget));
     const core::Pipeline& pipeline = simulator.pipeline();
     const core::CoreStats& stats = pipeline.stats();
     const double issue_slots_used =

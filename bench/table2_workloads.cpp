@@ -30,7 +30,9 @@ int main() {
     workloads::WorkloadOptions forever;
     auto wl2 = workloads::make_workload(name, forever);
     sim::Simulator simulator(std::move(wl2).value(), core::starting_config());
-    simulator.run(sim::default_instruction_budget());
+    sim::exit_if_stopped_early(
+        "table2_workloads", name,
+        simulator.run(sim::default_instruction_budget()));
     const core::CoreStats& stats = simulator.pipeline().stats();
 
     std::printf("  %-8s %-38s %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %8.2f%%\n",

@@ -22,7 +22,9 @@ double run_ipc(const std::string& name, const core::CoreConfig& config,
                u64 budget) {
   auto workload = workloads::make_workload(name, {});
   sim::Simulator simulator(std::move(workload).value(), config);
-  return simulator.run(budget).ipc;
+  const sim::SimResult result = simulator.run(budget);
+  sim::exit_if_stopped_early("spares_explorer", name, result);
+  return result.ipc;
 }
 
 }  // namespace

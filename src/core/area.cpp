@@ -14,14 +14,13 @@ AreaEstimate estimate_area(const CoreConfig& baseline,
       coefficients.ruu_pct_of_die /
       static_cast<double>(coefficients.ruu_ref_entries);
 
-  if (config.reese.enabled &&
-      config.reese.scheme == RedundancyScheme::kReese) {
+  if (config.reese.scheme == RedundancyScheme::kReese) {
     estimate.rqueue_area = static_cast<double>(config.reese.rqueue_size) *
                            ruu_entry_area *
                            coefficients.rqueue_entry_vs_ruu_entry;
     estimate.glue_area =
         estimate.rqueue_area * coefficients.glue_fraction_of_rqueue;
-  } else if (config.reese.enabled) {
+  } else if (config.reese.scheme == RedundancyScheme::kFranklin) {
     // Franklin: no queue, but comparator + duplication control glue sized
     // against the RUU it piggybacks on.
     estimate.glue_area = static_cast<double>(config.ruu_size) *

@@ -13,8 +13,10 @@
 
 namespace reese::core {
 
-/// Which time-redundancy scheme the core runs (when redundancy is enabled).
+/// Which time-redundancy scheme the core runs.
 enum class RedundancyScheme : u8 {
+  /// The baseline processor: every instruction executes once.
+  kNone,
   /// The paper's contribution: completed P instructions enter the
   /// R-stream Queue, freeing their RUU slot; re-execution is scheduled
   /// from the queue into idle capacity.
@@ -26,11 +28,11 @@ enum class RedundancyScheme : u8 {
   kFranklin,
 };
 
-/// REESE-specific knobs. `enabled == false` gives the baseline processor.
+/// Redundancy knobs. `scheme` selects the scheme; the others tune REESE
+/// (Franklin reads only the R-stream resource rules and the recovery
+/// penalty).
 struct ReeseConfig {
-  bool enabled = false;
-
-  RedundancyScheme scheme = RedundancyScheme::kReese;
+  RedundancyScheme scheme = RedundancyScheme::kNone;
 
   /// R-stream Queue capacity (paper: initial maximum of 32 entries).
   u32 rqueue_size = 32;

@@ -4,11 +4,12 @@
 //
 // Instructions are duplicated at the dynamic scheduler: every RUU entry
 // must execute twice before it can commit, occupying its window slot for
-// both executions. Dependent instructions are woken by the first
-// execution (forwarding before comparison, as in REESE), but the entry
-// only becomes committable after the duplicate execution's result has
-// been compared. There is no R-stream Queue and no early release — which
-// is exactly the structural pressure REESE's queue removes.
+// both executions. The first execution completes through complete_entry
+// like any other, waking dependents and resolving branches (forwarding
+// before comparison, as in REESE), but the entry only becomes committable
+// after the duplicate execution's result has been compared. There is no
+// R-stream Queue and no early release — which is exactly the structural
+// pressure REESE's queue removes.
 #include <algorithm>
 #include <cassert>
 
@@ -16,52 +17,22 @@
 
 namespace reese::core {
 
-void Pipeline::franklin_first_completion(u32 slot_index) {
+void Pipeline::franklin_arm_duplicate(u32 slot_index) {
   RuuEntry& entry = ruu_[slot_index];
   assert(franklin_mode() && !entry.first_done);
   entry.first_done = true;
-  entry.complete_cycle = now_;
-  trace(TraceKind::kComplete, entry);
-
-  // Wake consumers now: results forward to dependents before comparison
-  // (only the commit is gated, §4.3 of the paper describes the same rule).
-  for (const Consumer& consumer : entry.consumers) {
-    if (!ref_alive(consumer.ref)) continue;
-    RuuEntry& waiter = ruu_[consumer.ref.slot];
-    waiter.dep_ready[consumer.operand] = true;
-    if (waiter.deps_ready()) mark_ready(consumer.ref.slot);
-  }
-  entry.consumers.clear();
-
-  // Branch resolution happens on the primary execution; the duplicate only
-  // verifies it.
-  if (entry.is_control && !entry.spec) {
-    ++stats_.branches_resolved;
-    if (isa::is_cond_branch(entry.inst.op)) {
-      ++stats_.cond_branches_resolved;
-      if (entry.mispredicted) ++stats_.cond_branch_mispredicts;
-    }
-    if (entry.used_direction_predictor) {
-      direction_->update(entry.pc, entry.taken, entry.pred_meta);
-    }
-    if (entry.taken && entry.inst.op != isa::Opcode::kJal) {
-      btb_.update(entry.pc, entry.actual_next);
-    }
-    if (entry.mispredicted) {
-      ++stats_.branch_mispredicts;
-      recover_from_mispredict(slot_index);
-    }
-  }
 
   // Create the comparator's stored copy; the fault hook may corrupt it
   // (or schedule a flip of the duplicate execution's output).
-  entry.fr_p_copy = entry.result;
+  FranklinCopy& copy = franklin_copies_[slot_index];
+  copy.p_result = entry.result;
+  copy.r_flip = 0;
   if (!entry.spec && fault_hook_ != nullptr) {
     const Strike strike =
         fault_hook_->on_instruction(entry.seq, now_, entry.pc, entry.inst);
     if (strike.id != 0) {
       entry.fault = strike.id;
-      (strike.flip_r ? entry.fr_r_flip : entry.fr_p_copy) ^=
+      (strike.flip_r ? copy.r_flip : copy.p_result) ^=
           u64{1} << (strike.bit % 64);
     }
   }
@@ -95,14 +66,15 @@ void Pipeline::franklin_second_completion(u32 slot_index) {
 
   if (entry.spec) return;  // wrong-path duplicates are never compared
 
-  const ReexecOutcome outcome = recompute_and_compare(
+  const FranklinCopy& copy = franklin_copies_[slot_index];
+  const bool mismatch = recompute_and_compare(
       entry.inst, entry.pc, entry.rs1_value, entry.rs2_value, entry.mem_addr,
-      entry.actual_next, entry.fr_p_copy, entry.result, entry.fr_r_flip);
+      entry.actual_next, copy.p_result, entry.result, copy.r_flip);
   ++stats_.comparisons;
   ++stats_.committed_r;
   trace(TraceKind::kRComplete, entry);
 
-  if (outcome.mismatch) {
+  if (mismatch) {
     ++stats_.errors_detected;
     trace(TraceKind::kError, entry);
     fetch_stall_until_ = std::max(
@@ -111,8 +83,8 @@ void Pipeline::franklin_second_completion(u32 slot_index) {
   if (entry.fault != 0) {
     // The comparison is where the fault ends: caught, or escaping to commit.
     resolve_fault(entry.fault,
-                  outcome.mismatch ? FaultOutcome::kDetected
-                                   : escape_outcome(entry.inst),
+                  mismatch ? FaultOutcome::kDetected
+                           : escape_outcome(entry.inst),
                   entry.pc);
     entry.fault = 0;
   }

@@ -26,13 +26,11 @@ std::string CoreConfig::summary() const {
       issue_width, ifq_size, ruu_size, lsq_size, int_alu_count,
       int_mult_count, mem_port_count,
       branch::predictor_kind_name(predictor));
-  if (reese.enabled) {
-    if (reese.scheme == RedundancyScheme::kFranklin) {
-      s += " FRANKLIN[dual-exec]";
-    } else {
-      s += format(" REESE[rq=%u early=%d k=%u]", reese.rqueue_size,
-                  reese.early_release ? 1 : 0, reese.reexec_interval);
-    }
+  if (reese.scheme == RedundancyScheme::kReese) {
+    s += format(" REESE[rq=%u early=%d k=%u]", reese.rqueue_size,
+                reese.early_release ? 1 : 0, reese.reexec_interval);
+  } else if (reese.scheme == RedundancyScheme::kFranklin) {
+    s += " FRANKLIN[dual-exec]";
   }
   return s;
 }
@@ -40,7 +38,7 @@ std::string CoreConfig::summary() const {
 CoreConfig starting_config() { return CoreConfig{}; }
 
 CoreConfig with_reese(CoreConfig base, u32 spare_alus, u32 spare_mults) {
-  base.reese.enabled = true;
+  base.reese.scheme = RedundancyScheme::kReese;
   base.int_alu_count += spare_alus;
   base.int_mult_count += spare_mults;
   return base;
@@ -81,6 +79,7 @@ Pipeline::Pipeline(const isa::Program& program, const CoreConfig& config)
       (u64{config_.reese.priority_watermark_pct} * rqueue_.capacity() + 99) /
       100);
   ruu_.resize(config_.ruu_size);
+  if (franklin_mode()) franklin_copies_.resize(config_.ruu_size);
   ready_.assign(std::max<u32>(1, (config_.ruu_size + 63) / 64), 0);
   lsq_.resize(config_.lsq_size);
   cv_.assign(kCvSize, RuuRef{});
@@ -150,7 +149,7 @@ void Pipeline::cycle() {
   stats_.ruu_occupancy.add(static_cast<double>(ruu_count_));
   stats_.lsq_occupancy.add(static_cast<double>(lsq_count_));
   stats_.ifq_occupancy.add(static_cast<double>(ifq_.size()));
-  if (config_.reese.enabled) {
+  if (config_.reese.scheme != RedundancyScheme::kNone) {
     stats_.rqueue_occupancy.add(static_cast<double>(rqueue_.size()));
   }
 
@@ -382,7 +381,6 @@ void Pipeline::stage_dispatch() {
     entry.used_direction_predictor = fetched.used_direction_predictor;
     entry.pred_meta = fetched.pred_meta;
     entry.ras_checkpoint = fetched.ras_checkpoint;
-    entry.dispatch_cycle = now_;
 
     execute_at_dispatch(&entry);
 
@@ -468,9 +466,7 @@ Pipeline::LoadPlan Pipeline::plan_load(u32 ruu_slot) {
 void Pipeline::stage_issue() {
   u32 budget = config_.issue_width;
 
-  const bool reese_scheme =
-      config_.reese.enabled &&
-      config_.reese.scheme == RedundancyScheme::kReese;
+  const bool reese_scheme = config_.reese.scheme == RedundancyScheme::kReese;
   const bool r_priority = reese_scheme && reese_priority();
   if (r_priority) {
     ++stats_.rpriority_cycles;
@@ -588,12 +584,8 @@ void Pipeline::stage_writeback() {
     std::vector<RuuRef> refs = p_events_.take(now_);
     for (const RuuRef& ref : refs) {
       if (!ref_alive(ref)) continue;  // squashed in the meantime
-      if (franklin_mode()) {
-        if (!ruu_[ref.slot].first_done) {
-          franklin_first_completion(ref.slot);
-        } else {
-          franklin_second_completion(ref.slot);
-        }
+      if (ruu_[ref.slot].first_done) {
+        franklin_second_completion(ref.slot);
       } else {
         complete_entry(ref.slot);
       }
@@ -610,11 +602,13 @@ void Pipeline::stage_writeback() {
 
 void Pipeline::complete_entry(u32 slot_index) {
   RuuEntry& entry = ruu_[slot_index];
-  assert(entry.valid && entry.issued && !entry.completed);
-  entry.completed = true;
+  assert(entry.valid && entry.issued && !entry.completed && !entry.first_done);
   entry.complete_cycle = now_;
   trace(TraceKind::kComplete, entry);
 
+  // The result forwards to dependents and resolves its branch here, at the
+  // first execution, under every scheme: only commit waits for a
+  // comparison (§4.3 of the paper).
   for (const Consumer& consumer : entry.consumers) {
     if (!ref_alive(consumer.ref)) continue;
     RuuEntry& waiter = ruu_[consumer.ref.slot];
@@ -645,6 +639,12 @@ void Pipeline::complete_entry(u32 slot_index) {
       ++stats_.branch_mispredicts;
       recover_from_mispredict(slot_index);
     }
+  }
+
+  if (franklin_mode()) {
+    franklin_arm_duplicate(slot_index);
+  } else {
+    entry.completed = true;
   }
 }
 
@@ -732,7 +732,8 @@ bool Pipeline::commit_head_baseline() {
   // comparison), or a baseline result flip, which has no comparator to
   // meet: either way the corruption reaches commit unchecked.
   u64 fault = head.fault;
-  if (fault_hook_ != nullptr && !config_.reese.enabled) {
+  if (fault_hook_ != nullptr &&
+      config_.reese.scheme == RedundancyScheme::kNone) {
     const Strike strike =
         fault_hook_->on_instruction(head.seq, now_, head.pc, head.inst);
     if (strike.id != 0) fault = strike.id;
@@ -755,8 +756,7 @@ FaultOutcome Pipeline::escape_outcome(const isa::Instruction& inst) {
 }
 
 void Pipeline::stage_commit() {
-  if (config_.reese.enabled &&
-      config_.reese.scheme == RedundancyScheme::kReese) {
+  if (config_.reese.scheme == RedundancyScheme::kReese) {
     reese_commit();
     reese_release();
     return;
@@ -808,7 +808,7 @@ std::string Pipeline::report() const {
       "  occupancy: ruu %.1f, lsq %.1f, ifq %.1f, rqueue %.1f\n",
       stats_.ruu_occupancy.mean(), stats_.lsq_occupancy.mean(),
       stats_.ifq_occupancy.mean(), stats_.rqueue_occupancy.mean());
-  if (config_.reese.enabled) {
+  if (config_.reese.scheme != RedundancyScheme::kNone) {
     out += format(
         "  REESE: enqueued %llu, compared %llu, skipped %llu,"
         " errors detected %llu\n",

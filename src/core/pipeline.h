@@ -178,8 +178,9 @@ class Pipeline {
     bool issued = false;
     bool completed = false;
     bool released = false;  ///< copied into the R-queue (early release off)
-    // Franklin-scheme ([24]) dual execution: the entry must execute twice
-    // before it may commit; `first_done` marks the primary execution.
+    /// Franklin ([24]): the first of the entry's two executions completed
+    /// and forwarded its result; the entry commits after the second.
+    /// Never set under the other schemes.
     bool first_done = false;
 
     /// Id of the unresolved fault this entry carries (0 = none): a strike
@@ -187,10 +188,6 @@ class Pipeline {
     /// Franklin result flip.
     u64 fault = 0;
 
-    u64 fr_p_copy = 0;       ///< Franklin: stored first-execution result
-                             ///< (comparator reference; P flips land here)
-    u64 fr_r_flip = 0;       ///< Franklin: XOR mask for the duplicate's result
-    Cycle dispatch_cycle = 0;
     Cycle issue_cycle = 0;
     Cycle complete_cycle = 0;
     std::vector<Consumer> consumers;
@@ -220,8 +217,6 @@ class Pipeline {
       released = false;
       fault = 0;
       first_done = false;
-      fr_p_copy = 0;
-      fr_r_flip = 0;
       issue_cycle = 0;
       complete_cycle = 0;
     }
@@ -290,7 +285,9 @@ class Pipeline {
   enum class LoadPlan : u8 { kBlocked, kForward, kCache };
   LoadPlan plan_load(u32 ruu_slot);
 
-  /// Mark entry complete, wake consumers, resolve branches.
+  /// An execution of `slot` finished (under Franklin, its first): wake
+  /// consumers and resolve branches, then mark it complete, or under
+  /// Franklin arm its duplicate execution.
   void complete_entry(u32 slot);
 
   /// Squash all RUU/LSQ/IFQ entries younger than `branch_slot` and redirect
@@ -341,16 +338,11 @@ class Pipeline {
   /// Re-run an instruction from stored operands and compare against the
   /// stored primary result — the comparator shared by the REESE R-stream
   /// and the Franklin dual-execution scheme. `r_flip` is XORed into the
-  /// recomputed value (a result flip on the R side).
-  struct ReexecOutcome {
-    u64 value = 0;
-    bool mismatch = false;
-  };
-  ReexecOutcome recompute_and_compare(const isa::Instruction& inst, Addr pc,
-                                      u64 rs1_value, u64 rs2_value,
-                                      Addr mem_addr, Addr p_next,
-                                      u64 p_result, u64 load_value,
-                                      u64 r_flip) const;
+  /// recomputed value (a result flip on the R side). True on a mismatch.
+  bool recompute_and_compare(const isa::Instruction& inst, Addr pc,
+                             u64 rs1_value, u64 rs2_value, Addr mem_addr,
+                             Addr p_next, u64 p_result, u64 load_value,
+                             u64 r_flip) const;
 
   // --- component fault sites (site_faults.cpp) -----------------------------
 
@@ -382,12 +374,11 @@ class Pipeline {
   // --- Franklin scheme (franklin.cpp) --------------------------------------
 
   bool franklin_mode() const {
-    return config_.reese.enabled &&
-           config_.reese.scheme == RedundancyScheme::kFranklin;
+    return config_.reese.scheme == RedundancyScheme::kFranklin;
   }
-  /// First-execution completion: wake consumers, resolve branches, re-arm
-  /// the entry for its duplicate execution.
-  void franklin_first_completion(u32 slot_index);
+  /// The tail of complete_entry for a first execution: store the
+  /// comparator's copy and re-arm the entry for its duplicate execution.
+  void franklin_arm_duplicate(u32 slot_index);
   /// Second-execution completion: compare and mark committable.
   void franklin_second_completion(u32 slot_index);
   /// Issue the duplicate execution of `entry` (R-stream resource rules).
@@ -490,6 +481,16 @@ class Pipeline {
   std::vector<RuuEntry> ruu_;
   u32 ruu_head_ = 0;
   u32 ruu_count_ = 0;
+
+  /// Franklin's comparator copy of an RUU slot's first execution. It lives
+  /// beside the RUU, one per slot, and only a Franklin pipeline allocates
+  /// it, so no other scheme's entries carry or reset it.
+  struct FranklinCopy {
+    u64 p_result = 0;  ///< stored first-execution result (the comparator's
+                       ///< reference; P flips land here)
+    u64 r_flip = 0;    ///< XOR mask for the duplicate's result
+  };
+  std::vector<FranklinCopy> franklin_copies_;
 
   // LSQ: ring of RUU slot indices in program order.
   std::vector<u32> lsq_;

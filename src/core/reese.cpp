@@ -45,7 +45,6 @@ void Pipeline::reese_release() {
     redundant.p_result = entry.result;
     redundant.r_base_value = entry.result;  // loads: the reload's value
     redundant.mem_addr = entry.mem_addr;
-    redundant.p_taken = entry.taken;
     redundant.p_next = entry.actual_next;
     redundant.p_issue_cycle = entry.issue_cycle;
     redundant.p_complete_cycle = entry.complete_cycle;
@@ -130,7 +129,6 @@ void Pipeline::reese_issue(u32* budget) {
 
     entry.issued = true;
     r_issue_next_id_ += entry.id == r_issue_next_id_ ? 1 : 0;
-    entry.r_issue_cycle = now_;
     trace(TraceKind::kRIssue, entry);
     if (config_.reese.window_sharing) ++r_inflight_;
     stats_.separation.add(now_ - entry.p_issue_cycle);
@@ -172,10 +170,10 @@ Cycle Pipeline::acquire_redundant_unit(const isa::Instruction& inst, Addr pc,
   return now_ + timing.result_latency;
 }
 
-Pipeline::ReexecOutcome Pipeline::recompute_and_compare(
-    const isa::Instruction& inst, Addr pc, u64 rs1_value, u64 rs2_value,
-    Addr mem_addr, Addr p_next, u64 p_result, u64 load_value,
-    u64 r_flip) const {
+bool Pipeline::recompute_and_compare(const isa::Instruction& inst, Addr pc,
+                                     u64 rs1_value, u64 rs2_value,
+                                     Addr mem_addr, Addr p_next, u64 p_result,
+                                     u64 load_value, u64 r_flip) const {
   // Re-run the computation from the stored operands — the same semantics
   // function the P stream used, as in hardware where it is the same ALU.
   // The comparator is branch-free: each path accumulates a difference word
@@ -213,19 +211,16 @@ Pipeline::ReexecOutcome Pipeline::recompute_and_compare(
   }
 
   r_value ^= r_flip;
-  const u64 diff = (r_value ^ p_result) | aux_diff;
-  return ReexecOutcome{r_value, diff != 0};
+  return ((r_value ^ p_result) | aux_diff) != 0;
 }
 
 void Pipeline::reese_complete(u64 entry_id) {
   REntry& entry = rqueue_.by_id(entry_id);
   assert(entry.issued && !entry.completed);
 
-  const ReexecOutcome outcome = recompute_and_compare(
+  entry.mismatch = recompute_and_compare(
       entry.inst, entry.pc, entry.rs1_value, entry.rs2_value, entry.mem_addr,
       entry.p_next, entry.p_result, entry.r_base_value, entry.r_flip);
-  entry.r_result = outcome.value;
-  entry.mismatch = outcome.mismatch;
   entry.completed = true;
   trace(TraceKind::kRComplete, entry);
   // The R instruction holds its scheduler-window slot through the

@@ -6,17 +6,6 @@
 
 namespace reese::core {
 
-u64 RStreamQueue::push(const REntry& entry) {
-  assert(!full());
-  u32 tail = head_ + count_;
-  if (tail >= ring_size_) tail -= ring_size_;
-  REntry& slot = entries_[tail];
-  slot = entry;
-  slot.id = next_id_++;
-  ++count_;
-  return slot.id;
-}
-
 REntry& RStreamQueue::push_slot() {
   assert(!full());
   u32 tail = head_ + count_;

@@ -35,40 +35,35 @@ struct REntry {
   u64 r_base_value = 0; ///< loads: the value the R-stream reload returns
                         ///< (see DESIGN.md on timing/function decoupling)
   Addr mem_addr = 0;    ///< P effective address for loads/stores
-  bool p_taken = false; ///< P branch outcome
   Addr p_next = 0;      ///< P next-PC
   Cycle p_issue_cycle = 0;
   Cycle p_complete_cycle = 0;
 
-  // R-stream progress.
+  // Fault injection (DESIGN.md §10, §16): the id of the fault this entry
+  // carries (0 = none), reported once at commit. `r_flip` is XORed into
+  // the R result (a result flip on the R side).
+  u64 fault = 0;
+  u64 r_flip = 0;
+
+  // R-stream progress, grouped so the flags share one word.
   bool needs_reexec = true;  ///< false for 1-of-k skipped instructions
   bool issued = false;
   bool completed = false;    ///< re-executed and compared
-  Cycle r_issue_cycle = 0;
-  u64 r_result = 0;
   bool mismatch = false;
-
   /// True while the P instruction still occupies its RUU slot (early
   /// release disabled); the final commit must free that slot too.
   bool holds_ruu_slot = false;
-
-  // Fault injection (DESIGN.md §10, §16): the id of the fault this entry
-  // carries (0 = none), reported once at commit. `fault_checker_only`
-  // marks corruption of the checker's own redundant state (operand copies,
-  // the reexec flag): the architectural value is still correct, so an
-  // escape is masked (possibly with coverage loss) rather than SDC, and a
-  // mismatch is a false-positive detection. `r_flip` is XORed into the R
-  // result (a result flip on the R side).
+  /// The fault corrupted the checker's own redundant state (operand
+  /// copies, the reexec flag): the architectural value is still correct,
+  /// so an escape is masked (possibly with coverage loss) rather than SDC,
+  /// and a mismatch is a false-positive detection.
   bool fault_checker_only = false;
-  u64 fault = 0;
-  u64 r_flip = 0;
 };
 
 /// Fixed-capacity ring: the capacity is a hardware parameter known at
 /// construction, so the previous std::deque (a chunked allocator paying a
 /// heap block every few pushes) is replaced by one flat REntry array that
-/// never allocates after construction. REntry is trivially copyable, so
-/// pushes are plain stores.
+/// never allocates after construction.
 class RStreamQueue {
  public:
   explicit RStreamQueue(u32 capacity)
@@ -81,14 +76,10 @@ class RStreamQueue {
   usize size() const { return count_; }
   u32 capacity() const { return capacity_; }
 
-  /// Enqueue at the tail; returns the entry's stable id. Caller must check
-  /// full() first.
-  u64 push(const REntry& entry);
-
-  /// Tail-slot emplace: returns a recycled slot for the caller to fill in
-  /// place, skipping push()'s stack-copy of the whole REntry. The id is
-  /// assigned and the R-stream progress/fault flags are reset here; the
-  /// caller owns every field it reads later. Caller must check full() first.
+  /// Enqueue at the tail: returns a recycled slot for the caller to fill in
+  /// place. The id is assigned and the R-stream progress/fault flags are
+  /// reset here; the caller owns every field it reads later. Caller must
+  /// check full() first.
   REntry& push_slot();
 
   REntry& front() { return entries_[head_]; }

@@ -45,19 +45,20 @@ const char* flag_value(int argc, char** argv, int* i, const char* flag) {
 
 }  // namespace
 
-u64 snapshot_fingerprint(const std::string& workload_name,
-                         const core::CoreConfig& config) {
-  // The instruction budget is deliberately not part of the identity: a
-  // resumed run may target a larger budget than the run that snapshotted.
+u64 cell_identity(const std::string& workload, const core::CoreConfig& config,
+                  std::initializer_list<u64> values) {
   const std::string summary = config.summary();
-  u64 hash = snapshot_fnv1a(
-      reinterpret_cast<const u8*>(workload_name.data()), workload_name.size());
-  return snapshot_fnv1a(reinterpret_cast<const u8*>(summary.data()),
+  u64 hash = snapshot_fnv1a(reinterpret_cast<const u8*>(workload.data()),
+                            workload.size());
+  hash = snapshot_fnv1a(reinterpret_cast<const u8*>(summary.data()),
                         summary.size(), hash);
+  SnapshotWriter bytes;
+  for (u64 value : values) bytes.put_u64(value);
+  return snapshot_fnv1a(bytes.bytes().data(), bytes.bytes().size(), hash);
 }
 
 bool save_snapshot(Simulator* simulator, const std::string& path,
-                   std::string* error) {
+                   u64 identity, std::string* error) {
   core::Pipeline& pipeline = simulator->pipeline();
   if (!pipeline.drain_to_barrier()) {
     if (error != nullptr)
@@ -66,47 +67,33 @@ bool save_snapshot(Simulator* simulator, const std::string& path,
   }
   SnapshotWriter writer;
   writer.put_section(kTagMeta);
-  writer.put_u64(snapshot_fingerprint(simulator->workload().name,
-                                      pipeline.config()));
+  writer.put_u64(identity);
   writer.put_string(simulator->workload().name);
   writer.put_u64(pipeline.stats().committed);
   pipeline.save_state(&writer);
   return writer.write_file(path, kSnapshotFormatVersion, error);
 }
 
-bool load_snapshot(Simulator* simulator, const std::string& path,
-                   std::string* error) {
-  core::Pipeline& pipeline = simulator->pipeline();
+SnapshotLoad load_snapshot(Simulator* simulator, const std::string& path,
+                           u64 identity, std::string* error) {
   SnapshotReader reader;
-  if (!reader.open_file(path, kSnapshotFormatVersion)) {
-    if (error != nullptr) *error = reader.error();
-    return false;
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return SnapshotLoad::kFailed;
+  };
+  if (!reader.open_file(path, kSnapshotFormatVersion) ||
+      !reader.expect_section(kTagMeta)) {
+    return fail(reader.error());
   }
-  if (!reader.expect_section(kTagMeta)) {
-    if (error != nullptr) *error = reader.error();
-    return false;
-  }
-  const u64 fingerprint = reader.get_u64();
-  const std::string workload_name = reader.get_string();
-  reader.get_u64();  // committed-at-save, informational
-  if (reader.ok() &&
-      fingerprint !=
-          snapshot_fingerprint(simulator->workload().name, pipeline.config())) {
-    if (error != nullptr)
-      *error = "snapshot fingerprint mismatch: file was taken from workload '" +
-               workload_name + "' with a different configuration";
-    return false;
-  }
-  pipeline.load_state(&reader);
-  if (!reader.ok()) {
-    if (error != nullptr) *error = reader.error();
-    return false;
-  }
-  if (!reader.at_end()) {
-    if (error != nullptr) *error = "snapshot has trailing payload bytes";
-    return false;
-  }
-  return true;
+  const u64 written_for = reader.get_u64();
+  reader.get_string();  // workload name, informational
+  reader.get_u64();     // committed-at-save, informational
+  if (!reader.ok()) return fail(reader.error());
+  if (written_for != identity) return SnapshotLoad::kOtherCell;
+  simulator->pipeline().load_state(&reader);
+  if (!reader.ok()) return fail(reader.error());
+  if (!reader.at_end()) return fail("snapshot has trailing payload bytes");
+  return SnapshotLoad::kRestored;
 }
 
 CheckpointOptions parse_checkpoint_flags(int argc, char** argv) {
@@ -135,13 +122,19 @@ CheckpointOptions parse_checkpoint_flags(int argc, char** argv) {
 }
 
 SimResult run_with_checkpoints(Simulator* simulator, u64 instructions,
-                               u64 interval, const std::string& path,
-                               bool resume, std::string* error) {
+                               u64 seed, u64 interval,
+                               const std::string& path, bool resume,
+                               std::string* error) {
+  if (path.empty()) return simulator->run(instructions);
   core::Pipeline& pipeline = simulator->pipeline();
-  if (resume && !path.empty() && file_exists(path)) {
-    if (!load_snapshot(simulator, path, error)) return SimResult{};
+  const u64 identity = cell_identity(simulator->workload().name,
+                                     pipeline.config(), {seed, interval});
+  if (resume && file_exists(path) &&
+      load_snapshot(simulator, path, identity, error) ==
+          SnapshotLoad::kFailed) {
+    return SimResult{};
   }
-  if (interval == 0 || path.empty()) return simulator->run(instructions);
+  if (interval == 0) return simulator->run(instructions);
 
   SimResult result;
   result.workload = simulator->workload().name;
@@ -156,7 +149,7 @@ SimResult run_with_checkpoints(Simulator* simulator, u64 instructions,
     // drain would perturb the terminal stats relative to a plain run-out.
     if (pipeline.stats().committed >= instructions) break;
     std::string save_error;
-    if (!save_snapshot(simulator, path, &save_error)) {
+    if (!save_snapshot(simulator, path, identity, &save_error)) {
       // Best-effort: a failed snapshot write costs resumability, not
       // correctness, but the drain already happened so determinism vs a
       // same-interval reference run is preserved either way.

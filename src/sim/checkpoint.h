@@ -1,9 +1,10 @@
 // Simulation-level checkpoint/restore (DESIGN.md §14).
 //
-// A snapshot file (common/snapshot.h format) carries a META section — a
-// fingerprint of (workload name, config summary) so a snapshot can only be
-// restored into a simulator built from the same cell — followed by the
-// pipeline's complete drained state (core/checkpoint.cpp).
+// A snapshot file (common/snapshot.h format) carries a META section — the
+// identity of the cell it was taken from (cell_identity of the workload,
+// configuration, workload seed and checkpoint interval), so a snapshot is
+// only restored into the same cell — followed by the pipeline's complete
+// drained state (core/checkpoint.cpp).
 //
 // run_with_checkpoints() is the resumable replacement for Simulator::run:
 // it cuts the instruction budget into `interval`-sized chunks, drains to
@@ -21,6 +22,7 @@
 // sim/grid.h.
 #pragma once
 
+#include <initializer_list>
 #include <string>
 
 #include "sim/simulator.h"
@@ -31,23 +33,31 @@ namespace reese::sim {
 /// files with any other version.
 inline constexpr u32 kSnapshotFormatVersion = 2;
 
-/// Identity hash binding a snapshot to the (workload, configuration) cell
-/// it was taken from.
-u64 snapshot_fingerprint(const std::string& workload_name,
-                         const core::CoreConfig& config);
+/// A cell's identity: a hash of the workload name and the configuration
+/// summary, chained with `values`, every other value that decides the
+/// cell's result. A mid-cell snapshot binds {workload seed, interval}
+/// (run_with_checkpoints); a grid runner's done-record binds more
+/// (sim/grid.h).
+u64 cell_identity(const std::string& workload, const core::CoreConfig& config,
+                  std::initializer_list<u64> values);
 
 /// Drain the pipeline to the snapshot barrier and write its state to
-/// `path` (atomic temp+rename). Returns false with a message in `*error`
-/// on drain or I/O failure.
+/// `path` (atomic temp+rename), bound to `identity`. Returns false with a
+/// message in `*error` on drain or I/O failure.
 bool save_snapshot(Simulator* simulator, const std::string& path,
-                   std::string* error);
+                   u64 identity, std::string* error);
 
-/// Restore `path` into a freshly constructed simulator for the same
-/// (workload, configuration) cell. Returns false with a message in
-/// `*error` on missing/corrupt/truncated files, format-version mismatch,
-/// or fingerprint mismatch.
-bool load_snapshot(Simulator* simulator, const std::string& path,
-                   std::string* error);
+/// What load_snapshot found at its path.
+enum class SnapshotLoad : u8 {
+  kRestored,   ///< the simulator now holds the snapshot's state
+  kOtherCell,  ///< an intact snapshot of another identity; nothing restored
+  kFailed,     ///< missing, corrupt, truncated or another format version
+};
+
+/// Restore `path` into a freshly constructed simulator for the cell whose
+/// identity is `identity`. Sets `*error` only on kFailed.
+SnapshotLoad load_snapshot(Simulator* simulator, const std::string& path,
+                           u64 identity, std::string* error);
 
 /// Checkpoint policy shared by the experiment and campaign runners.
 struct CheckpointOptions {
@@ -65,14 +75,17 @@ struct CheckpointOptions {
 /// the caller.
 CheckpointOptions parse_checkpoint_flags(int argc, char** argv);
 
-/// Resumable Simulator::run. When `resume` and `path` exists, restores it
-/// first (a load failure sets `*error` and returns a zeroed result — the
-/// caller must not treat that as a simulation outcome). Then runs to
-/// `instructions` total committed, snapshotting to `path` every `interval`
-/// committed instructions. `interval == 0` or an empty `path` degrades to
-/// a plain run.
+/// Resumable Simulator::run of a workload built from `seed`. When `resume`
+/// and `path` holds this cell's snapshot (same workload, configuration,
+/// `seed` and `interval`; the budget may grow), restores it first. A
+/// snapshot of another cell is ignored; an unreadable one sets `*error` and
+/// returns a zeroed result (the caller must not treat that as a simulation
+/// outcome). Then runs to `instructions` total committed, snapshotting to
+/// `path` every `interval` committed instructions. `interval == 0` or an
+/// empty `path` degrades to a plain run.
 SimResult run_with_checkpoints(Simulator* simulator, u64 instructions,
-                               u64 interval, const std::string& path,
-                               bool resume, std::string* error);
+                               u64 seed, u64 interval,
+                               const std::string& path, bool resume,
+                               std::string* error);
 
 }  // namespace reese::sim

@@ -324,29 +324,16 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     Simulator simulator(std::move(workload).value(), config);
     std::string error;
     const SimResult sim_result = run_with_checkpoints(
-        &simulator, spec.instructions, ckpt.interval,
+        &simulator, spec.instructions, seed, ckpt.interval,
         cell_base.empty() ? "" : cell_base + ".snap", ckpt.resume, &error);
     if (!error.empty()) {
       std::fprintf(stderr, "experiment: %s\n", error.c_str());
       std::exit(1);
     }
-    if (sim_result.stop != core::StopReason::kCommitTarget) {
-      std::fprintf(stderr,
-                   "experiment: %s/%s stopped early (%s) after %llu insts, "
-                   "%llu cycles\n",
-                   workload_name.c_str(),
-                   model_name(spec.models[job.model_index]),
-                   core::stop_reason_name(sim_result.stop),
-                   static_cast<unsigned long long>(sim_result.committed),
-                   static_cast<unsigned long long>(sim_result.cycles));
-      if (sim_result.stop == core::StopReason::kCycleLimit) {
-        std::fprintf(stderr,
-                     "experiment: cycle limit hit at cycle %llu — raise it "
-                     "via REESE_SIM_CYCLE_LIMIT\n",
-                     static_cast<unsigned long long>(sim_result.cycles));
-      }
-      std::exit(1);
-    }
+    exit_if_stopped_early(
+        "experiment",
+        workload_name + "/" + model_name(spec.models[job.model_index]),
+        sim_result);
     cell.ipc = sim_result.ipc;
     cell.cycles = sim_result.cycles;
     cell.committed = sim_result.committed;

@@ -70,14 +70,6 @@ bool run_cells(const char* kind, const GridSpec& spec, usize count,
   return cancelled.load(std::memory_order_relaxed);
 }
 
-u64 cell_identity(const std::string& workload, const core::CoreConfig& config,
-                  std::initializer_list<u64> values) {
-  SnapshotWriter bytes;
-  for (u64 value : values) bytes.put_u64(value);
-  return snapshot_fnv1a(bytes.bytes().data(), bytes.bytes().size(),
-                        snapshot_fingerprint(workload, config));
-}
-
 void save_done_record(const std::string& path, u64 identity,
                       const std::function<void(SnapshotWriter*)>& put_payload) {
   SnapshotWriter writer;

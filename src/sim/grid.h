@@ -6,17 +6,16 @@
 //
 // A finished cell can leave a done-record, a ".done" file in the
 // checkpoint directory, so that a resumed grid skips the cell. A record is
-// one DONE section holding the cell's identity (cell_identity) and then
-// the runner's payload. The identity binds every value that decides the
-// cell's result, so a record answers only for the cell that wrote it.
+// one DONE section holding the cell's identity (cell_identity in
+// sim/checkpoint.h) and then the runner's payload. The identity binds every
+// value that decides the cell's result, budget included, so a record
+// answers only for the cell that wrote it.
 #pragma once
 
 #include <functional>
-#include <initializer_list>
 #include <string>
 
 #include "common/metrics.h"
-#include "core/config.h"
 #include "sim/checkpoint.h"
 
 namespace reese {
@@ -83,11 +82,6 @@ struct GridSpec {
 /// untouched.
 bool run_cells(const char* kind, const GridSpec& spec, usize count,
                const std::function<u64(usize)>& cell);
-
-/// A done-record's identity: snapshot_fingerprint(workload, config)
-/// chained with `values`, every other value that decides the cell's result.
-u64 cell_identity(const std::string& workload, const core::CoreConfig& config,
-                  std::initializer_list<u64> values);
 
 /// Write the done-record `path` (atomic temp+rename): one DONE section
 /// holding `identity`, then what `put_payload` appends. A failed write

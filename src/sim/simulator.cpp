@@ -46,6 +46,23 @@ SimResult Simulator::run(u64 instructions) {
   return result;
 }
 
+void exit_if_stopped_early(const char* tool, const std::string& label,
+                           const SimResult& result) {
+  if (result.stop == core::StopReason::kCommitTarget) return;
+  std::fprintf(stderr,
+               "%s: %s stopped early (%s) after %llu insts, %llu cycles\n",
+               tool, label.c_str(), core::stop_reason_name(result.stop),
+               static_cast<unsigned long long>(result.committed),
+               static_cast<unsigned long long>(result.cycles));
+  if (result.stop == core::StopReason::kCycleLimit) {
+    std::fprintf(stderr,
+                 "%s: cycle limit hit at cycle %llu — raise it via "
+                 "REESE_SIM_CYCLE_LIMIT\n",
+                 tool, static_cast<unsigned long long>(result.cycles));
+  }
+  std::exit(1);
+}
+
 Cycle default_cycle_limit(u64 instructions) {
   static std::atomic<bool> warned{false};
   if (const u64 limit = env_positive("REESE_SIM_CYCLE_LIMIT", &warned)) {

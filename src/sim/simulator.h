@@ -37,6 +37,13 @@ class Simulator {
   std::unique_ptr<core::Pipeline> pipeline_;
 };
 
+/// Exit 1 unless `result` reached its commit target: a figure or table
+/// computed from a run that stopped early (the cycle limit, HALT or a bad
+/// PC) would print a wrong number. The message names `tool` and the run's
+/// `label`; a cycle-limit stop also names REESE_SIM_CYCLE_LIMIT.
+void exit_if_stopped_early(const char* tool, const std::string& label,
+                           const SimResult& result);
+
 /// Instruction budget for figure reproduction: $REESE_SIM_INSTR if it is a
 /// positive integer (any other value is ignored with a warning), otherwise
 /// 1M — the smallest budget at which the figures' per-model overhead is

@@ -12,11 +12,7 @@ namespace {
 
 TEST(RStreamQueue, FifoOrder) {
   RStreamQueue queue(4);
-  for (u64 i = 0; i < 3; ++i) {
-    REntry entry;
-    entry.seq = 100 + i;
-    queue.push(entry);
-  }
+  for (u64 i = 0; i < 3; ++i) queue.push_slot().seq = 100 + i;
   EXPECT_EQ(queue.size(), 3u);
   EXPECT_EQ(queue.front().seq, 100u);
   queue.pop_front();
@@ -27,8 +23,8 @@ TEST(RStreamQueue, FullAndEmpty) {
   RStreamQueue queue(2);
   EXPECT_TRUE(queue.empty());
   EXPECT_FALSE(queue.full());
-  queue.push(REntry{});
-  queue.push(REntry{});
+  queue.push_slot();
+  queue.push_slot();
   EXPECT_TRUE(queue.full());
   EXPECT_EQ(queue.capacity(), 2u);
   queue.pop_front();
@@ -37,23 +33,19 @@ TEST(RStreamQueue, FullAndEmpty) {
 
 TEST(RStreamQueue, StableIdsSurvivePops) {
   RStreamQueue queue(8);
-  const u64 id_a = queue.push(REntry{});
-  const u64 id_b = queue.push(REntry{});
-  const u64 id_c = queue.push(REntry{});
+  const u64 id_a = queue.push_slot().id;
+  const u64 id_b = queue.push_slot().id;
+  const u64 id_c = queue.push_slot().id;
   EXPECT_LT(id_a, id_b);
-  queue.by_id(id_b).r_result = 42;
+  queue.by_id(id_b).p_result = 42;
   queue.pop_front();  // remove a
-  EXPECT_EQ(queue.by_id(id_b).r_result, 42u);
-  EXPECT_EQ(queue.by_id(id_c).r_result, 0u);
+  EXPECT_EQ(queue.by_id(id_b).p_result, 42u);
+  EXPECT_EQ(queue.by_id(id_c).p_result, 0u);
 }
 
 TEST(RStreamQueue, IndexAccessIsProgramOrder) {
   RStreamQueue queue(8);
-  for (u64 i = 0; i < 5; ++i) {
-    REntry entry;
-    entry.seq = i;
-    queue.push(entry);
-  }
+  for (u64 i = 0; i < 5; ++i) queue.push_slot().seq = i;
   queue.pop_front();
   for (usize i = 0; i < queue.size(); ++i) {
     EXPECT_EQ(queue.at(i).seq, i + 1);

@@ -40,7 +40,7 @@ TEST(Models, NamesAndOrder) {
 TEST(Models, ApplyModelAddsHardware) {
   const core::CoreConfig base = core::starting_config();
   const core::CoreConfig reese = apply_model(base, Model::kReese);
-  EXPECT_TRUE(reese.reese.enabled);
+  EXPECT_EQ(reese.reese.scheme, core::RedundancyScheme::kReese);
   EXPECT_EQ(reese.int_alu_count, base.int_alu_count);
 
   const core::CoreConfig two = apply_model(base, Model::kReese2Alu);
@@ -51,7 +51,7 @@ TEST(Models, ApplyModelAddsHardware) {
   EXPECT_EQ(mult.int_mult_count, base.int_mult_count + 1);
 
   const core::CoreConfig baseline = apply_model(base, Model::kBaseline);
-  EXPECT_FALSE(baseline.reese.enabled);
+  EXPECT_EQ(baseline.reese.scheme, core::RedundancyScheme::kNone);
 }
 
 TEST(Experiment, SmallGridRuns) {

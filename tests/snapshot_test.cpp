@@ -3,7 +3,8 @@
 // SimResult, same serialized end state — and the experiment/campaign
 // runners must resume a partially-checkpointed grid to the exact matrix an
 // uninterrupted run produces. Damaged inputs (corrupt, truncated, wrong
-// format version, wrong cell) must be rejected with a clean error.
+// format version) must be rejected with a clean error, and a snapshot of
+// another cell must not be restored.
 #include "sim/checkpoint.h"
 
 #include <cstdio>
@@ -40,6 +41,12 @@ std::unique_ptr<Simulator> make_sim(const std::string& workload_name,
       core::with_reese(core::starting_config()));
 }
 
+/// The identity run_with_checkpoints binds a snapshot of `simulator` to.
+u64 snapshot_identity(Simulator* simulator, u64 seed, u64 interval) {
+  return cell_identity(simulator->workload().name,
+                       simulator->pipeline().config(), {seed, interval});
+}
+
 /// Drain and serialize the pipeline: the strongest equality we can ask of
 /// two runs is that their whole persisted state is the same bytes.
 std::vector<u8> drained_state_bytes(Simulator* simulator) {
@@ -55,10 +62,13 @@ TEST(SnapshotTest, MidRunRestoreContinuesBitIdentically) {
   original->run(20'000);
 
   std::string error;
-  ASSERT_TRUE(save_snapshot(original.get(), path, &error)) << error;
+  const u64 identity = snapshot_identity(original.get(), 0x5EED, 0);
+  ASSERT_TRUE(save_snapshot(original.get(), path, identity, &error)) << error;
 
   auto restored = make_sim("gcc", 0x5EED);
-  ASSERT_TRUE(load_snapshot(restored.get(), path, &error)) << error;
+  ASSERT_EQ(load_snapshot(restored.get(), path, identity, &error),
+            SnapshotLoad::kRestored)
+      << error;
 
   // Both now hold the drained state at ~20k committed; run both out.
   const SimResult a = original->run(60'000);
@@ -83,8 +93,8 @@ TEST(SnapshotTest, KilledRunResumesToUninterruptedResult) {
   const std::string ref_path = temp_path("resume_ref.snap");
   fs::remove(ref_path);
   auto reference = make_sim("li", 0xFEED);
-  const SimResult ref = run_with_checkpoints(reference.get(), 50'000, 10'000,
-                                             ref_path, false, &error);
+  const SimResult ref = run_with_checkpoints(
+      reference.get(), 50'000, 0xFEED, 10'000, ref_path, false, &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(ref.stop, core::StopReason::kCommitTarget);
 
@@ -92,13 +102,14 @@ TEST(SnapshotTest, KilledRunResumesToUninterruptedResult) {
   // disk holds the 20k boundary; the 20k..25k progress is lost, as after a
   // real kill.
   auto killed = make_sim("li", 0xFEED);
-  run_with_checkpoints(killed.get(), 25'000, 10'000, path, false, &error);
+  run_with_checkpoints(killed.get(), 25'000, 0xFEED, 10'000, path, false,
+                       &error);
   ASSERT_TRUE(error.empty()) << error;
   ASSERT_TRUE(fs::exists(path));
 
   auto resumed = make_sim("li", 0xFEED);
-  const SimResult res = run_with_checkpoints(resumed.get(), 50'000, 10'000,
-                                             path, true, &error);
+  const SimResult res = run_with_checkpoints(resumed.get(), 50'000, 0xFEED,
+                                             10'000, path, true, &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(ref.stop, res.stop);
   EXPECT_EQ(ref.ipc, res.ipc);
@@ -197,6 +208,63 @@ TEST(SnapshotTest, ExperimentRecordFromAnotherConfigIsRerun) {
   plain.checkpoint.interval = 0;
   expect_rerun(drained, plain);
   fs::remove_all(dir);
+}
+
+/// A killed run of a cell named like `spec`'s one cell, but built from
+/// `stale_seed` and checkpointing every `stale_interval`, leaves its
+/// snapshot in directory `name`. Resumed from there, `spec` must give what
+/// a fresh run gives: a snapshot answers only for the seed and interval it
+/// was written under.
+void expect_stale_snapshot_ignored(const std::string& name,
+                                   ExperimentSpec spec, u64 stale_seed,
+                                   u64 stale_interval) {
+  const std::string dir = temp_path(name);
+  const std::string fresh_dir = temp_path(name + "_fresh");
+  fs::remove_all(dir);
+  fs::remove_all(fresh_dir);
+  fs::create_directories(dir);
+  const std::string snap = dir + "/snapshot_identity-w0-m0-s0.snap";
+  auto killed = make_sim("gcc", stale_seed);
+  std::string error;
+  run_with_checkpoints(killed.get(), 30'000, stale_seed, stale_interval, snap,
+                       false, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_TRUE(fs::exists(snap));
+
+  spec.checkpoint.dir = fresh_dir;
+  const ExperimentResult fresh = run_experiment(spec);
+  spec.checkpoint.dir = dir;
+  spec.checkpoint.resume = true;
+  EXPECT_EQ(fresh.cells, run_experiment(spec).cells);
+  fs::remove_all(dir);
+  fs::remove_all(fresh_dir);
+}
+
+ExperimentSpec stale_snapshot_spec() {
+  ExperimentSpec spec;
+  spec.title = "snapshot identity";
+  spec.base = core::starting_config();
+  spec.models = {Model::kReese};
+  spec.workloads = {"gcc"};
+  spec.instructions = 40'000;
+  return spec;
+}
+
+TEST(SnapshotTest, SnapshotFromAnotherIntervalIsNotRestored) {
+  // Each snapshot drains the pipeline, so a cell resumed at interval 0
+  // from a 20k-interval snapshot would carry that drain's cycles.
+  const ExperimentSpec spec = stale_snapshot_spec();
+  expect_stale_snapshot_ignored("stale_interval", spec, spec.seed, 20'000);
+}
+
+TEST(SnapshotTest, SnapshotFromAnotherSeedIsNotRestored) {
+  // Cell names carry the seed's index, not its value: the default seed's
+  // snapshot must not stand in for seed 0xB0B's cell.
+  ExperimentSpec spec = stale_snapshot_spec();
+  const u64 default_seed = spec.seed;
+  spec.seed = 0xB0B;
+  spec.checkpoint.interval = 20'000;
+  expect_stale_snapshot_ignored("stale_seed", spec, default_seed, 20'000);
 }
 
 CampaignSpec campaign_spec(u32 jobs) {
@@ -299,7 +367,8 @@ TEST(SnapshotTest, CorruptSnapshotIsRejected) {
   auto sim = make_sim("gcc", 1);
   sim->run(2'000);
   std::string error;
-  ASSERT_TRUE(save_snapshot(sim.get(), path, &error)) << error;
+  const u64 identity = snapshot_identity(sim.get(), 1, 0);
+  ASSERT_TRUE(save_snapshot(sim.get(), path, identity, &error)) << error;
 
   // Flip one byte in the middle of the payload.
   std::FILE* file = std::fopen(path.c_str(), "r+b");
@@ -313,7 +382,8 @@ TEST(SnapshotTest, CorruptSnapshotIsRejected) {
   std::fclose(file);
 
   auto fresh = make_sim("gcc", 1);
-  EXPECT_FALSE(load_snapshot(fresh.get(), path, &error));
+  EXPECT_EQ(load_snapshot(fresh.get(), path, identity, &error),
+            SnapshotLoad::kFailed);
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
   fs::remove(path);
 }
@@ -323,13 +393,15 @@ TEST(SnapshotTest, TruncatedSnapshotIsRejected) {
   auto sim = make_sim("gcc", 1);
   sim->run(2'000);
   std::string error;
-  ASSERT_TRUE(save_snapshot(sim.get(), path, &error)) << error;
+  const u64 identity = snapshot_identity(sim.get(), 1, 0);
+  ASSERT_TRUE(save_snapshot(sim.get(), path, identity, &error)) << error;
 
   const auto size = fs::file_size(path);
   fs::resize_file(path, size / 2);
 
   auto fresh = make_sim("gcc", 1);
-  EXPECT_FALSE(load_snapshot(fresh.get(), path, &error));
+  EXPECT_EQ(load_snapshot(fresh.get(), path, identity, &error),
+            SnapshotLoad::kFailed);
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
   fs::remove(path);
 }
@@ -343,7 +415,9 @@ TEST(SnapshotTest, VersionMismatchIsRejected) {
       << error;
 
   auto fresh = make_sim("gcc", 1);
-  EXPECT_FALSE(load_snapshot(fresh.get(), path, &error));
+  EXPECT_EQ(load_snapshot(fresh.get(), path,
+                          snapshot_identity(fresh.get(), 1, 0), &error),
+            SnapshotLoad::kFailed);
   EXPECT_NE(error.find("format version"), std::string::npos) << error;
   fs::remove(path);
 }
@@ -353,18 +427,23 @@ TEST(SnapshotTest, WrongCellFingerprintIsRejected) {
   auto sim = make_sim("gcc", 1);
   sim->run(2'000);
   std::string error;
-  ASSERT_TRUE(save_snapshot(sim.get(), path, &error)) << error;
+  ASSERT_TRUE(save_snapshot(sim.get(), path, snapshot_identity(sim.get(), 1, 0),
+                            &error))
+      << error;
 
   auto other = make_sim("li", 1);
-  EXPECT_FALSE(load_snapshot(other.get(), path, &error));
-  EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+  EXPECT_EQ(load_snapshot(other.get(), path,
+                          snapshot_identity(other.get(), 1, 0), &error),
+            SnapshotLoad::kOtherCell);
   fs::remove(path);
 }
 
 TEST(SnapshotTest, MissingSnapshotIsRejected) {
   auto sim = make_sim("gcc", 1);
   std::string error;
-  EXPECT_FALSE(load_snapshot(sim.get(), temp_path("nonexistent.snap"), &error));
+  EXPECT_EQ(load_snapshot(sim.get(), temp_path("nonexistent.snap"),
+                          snapshot_identity(sim.get(), 1, 0), &error),
+            SnapshotLoad::kFailed);
   EXPECT_FALSE(error.empty());
 }
 
