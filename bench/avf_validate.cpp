@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   spec.rate = 0.02;
   spec.seed = 0xAFF01DEA;
   bool quick = false;
-  bool replicas_given = false;
   double min_rho = 0.6;
   std::string out_path = "BENCH_avf.json";
   std::vector<std::string> program_paths;
@@ -117,7 +116,6 @@ int main(int argc, char** argv) {
       spec.replicas =
           static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
                                           1'000'000));
-      replicas_given = true;
     } else if (std::strcmp(arg, "--rate") == 0) {
       spec.rate = double_flag_value(kTool, arg, next_value(), 0.0, 1.0,
                                     /*exclude_lo=*/true);
@@ -143,8 +141,8 @@ int main(int argc, char** argv) {
   }
   // The statistics need many seed replicas over the short fixed images, so
   // this bench resolves its own quick mode instead of CampaignSpec::quick
-  // (which would force a single replica).
-  if (!replicas_given) spec.replicas = quick ? 64 : 256;
+  // (whose default is a single replica). --replicas is never 0.
+  if (spec.replicas == 0) spec.replicas = quick ? 64 : 256;
   spec.instructions = quick ? 20'000 : 60'000;
 
   // Static half: assemble and rank each program.
@@ -185,6 +183,7 @@ int main(int argc, char** argv) {
   std::printf("AVF validation: static srv-vuln ranking vs measured per-PC "
               "fault outcomes\n");
   const sim::CampaignResult result = sim::run_campaign(spec);
+  sim::exit_if_failed(result.error);
 
   std::vector<ProgramReport> reports;
   usize passing = 0;

@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
   spec.rate = 5e-3;
   spec.seed = 0xCAFC0DE5;
   bool quick = false;
-  bool replicas_given = false;
   bool skip_xval = false;
   std::string out_path = "BENCH_cavf.json";
 
@@ -176,7 +175,6 @@ int main(int argc, char** argv) {
       spec.replicas =
           static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
                                           1'000'000));
-      replicas_given = true;
     } else if (std::strcmp(arg, "--instructions") == 0) {
       spec.instructions =
           static_cast<u64>(int_flag_value(kTool, arg, next_value(), 1));
@@ -194,9 +192,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // This bench resolves its own quick mode (CampaignSpec::quick would also
-  // clamp replicas after --replicas was parsed).
-  if (!replicas_given) spec.replicas = quick ? 1 : 8;
+  // This bench resolves its own quick mode: its default replica count
+  // differs from CampaignSpec's. --replicas is never 0.
+  if (spec.replicas == 0) spec.replicas = quick ? 1 : 8;
   if (spec.instructions == 0) spec.instructions = quick ? 20'000 : 60'000;
 
   // One reference row (the classic result-flip model, via the same label
@@ -217,6 +215,7 @@ int main(int argc, char** argv) {
               labels.size(), spec.replicas,
               static_cast<unsigned long long>(spec.instructions), spec.rate);
   const sim::CampaignResult result = sim::run_campaign(spec);
+  sim::exit_if_failed(result.error);
 
   std::vector<SiteRow> rows;
   for (usize v = 0; v < result.spec.variants.size(); ++v) {
@@ -329,6 +328,7 @@ int main(int argc, char** argv) {
 
     if (!xspec.programs.empty()) {
       const sim::CampaignResult xresult = sim::run_campaign(xspec);
+      sim::exit_if_failed(xresult.error);
       for (usize w = 0; w < xresult.spec.workloads.size(); ++w) {
         const sim::CampaignCell measured = xresult.workload_total(0, w);
         std::vector<double> predicted;

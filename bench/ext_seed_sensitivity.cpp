@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   spec.extra_seeds = {0xA11CE, 0xB0B, 0xCAFE, 0xD00D};
 
   const sim::ExperimentResult result = sim::run_experiment(spec);
+  sim::exit_if_failed(result.error);
   std::printf("%s\n", spec.title.c_str());
   std::printf("  %-10s %18s %18s %18s\n", "workload", "Baseline", "REESE",
               "R+2ALU");

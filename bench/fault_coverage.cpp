@@ -93,6 +93,7 @@ int main(int argc, char** argv) {
   std::printf("A5: fault-injection coverage (single-bit flips on "
               "instruction results)\n");
   const sim::CampaignResult result = sim::run_campaign(spec);
+  sim::exit_if_failed(result.error);
   std::printf("%s", result.table().c_str());
 
   if (!sim::write_campaign_report(result, out_path)) return 1;

@@ -303,6 +303,7 @@ int main(int argc, char** argv) {
       if (results[g]) continue;
       const auto start = std::chrono::steady_clock::now();
       results[g] = sim::run_experiment(grids[g].spec);
+      sim::exit_if_failed(results[g]->error);
       wall[g] = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();

@@ -20,7 +20,9 @@
 //   -kreexec N         re-execute 1 of every N instructions
 //   -early 0|1         early release (default 1)
 //   -minsep N          enforced minimum P->R separation
-//   -pred NAME         nottaken|taken|btfn|bimodal|gshare|local|tournament
+//   -pred NAME         gshare (default), or taken|nottaken to predict every
+//                      conditional branch one direction; anything else
+//                      exits 2 naming the flag
 //   -seed N            workload data seed
 //   -fault_rate F      inject faults at rate F per instruction, F in
 //                      [0, 1] (0: off)
@@ -48,18 +50,10 @@ namespace {
 
 bool pick_predictor(const std::string& name, branch::PredictorKind* out) {
   using branch::PredictorKind;
-  const struct {
-    const char* name;
-    PredictorKind kind;
-  } kTable[] = {
-      {"nottaken", PredictorKind::kNotTaken}, {"taken", PredictorKind::kTaken},
-      {"btfn", PredictorKind::kBtfn},         {"bimodal", PredictorKind::kBimodal},
-      {"gshare", PredictorKind::kGshare},     {"local", PredictorKind::kLocal},
-      {"tournament", PredictorKind::kTournament},
-  };
-  for (const auto& entry : kTable) {
-    if (name == entry.name) {
-      *out = entry.kind;
+  for (PredictorKind kind : {PredictorKind::kGshare, PredictorKind::kTaken,
+                             PredictorKind::kNotTaken}) {
+    if (name == branch::predictor_kind_name(kind)) {
+      *out = kind;
       return true;
     }
   }
@@ -122,9 +116,11 @@ int main(int argc, char** argv) {
   config.fetch_width = config.decode_width = width;
   config.issue_width = config.commit_width = width;
   if (flags.has("pred")) {
-    if (!pick_predictor(flags.get_string("pred", "gshare"),
-                        &config.predictor)) {
-      std::fprintf(stderr, "unknown predictor\n");
+    const std::string pred = flags.get_string("pred", "gshare");
+    if (!pick_predictor(pred, &config.predictor)) {
+      std::fprintf(stderr,
+                   "flag -pred: must be gshare, taken or nottaken, got %s\n",
+                   pred.c_str());
       return 2;
     }
   }

@@ -10,28 +10,6 @@
 namespace reese::branch {
 namespace {
 
-/// Shared helper: serialize a counter/history table with a size check on
-/// load, failing the reader when the snapshot was built with a different
-/// predictor geometry.
-template <typename T>
-void save_table(SnapshotWriter* writer, const std::vector<T>& table) {
-  writer->put_u64(table.size());
-  for (T value : table) writer->put_u64(value);
-}
-
-template <typename T>
-void load_table(SnapshotReader* reader, std::vector<T>* table,
-                const char* what) {
-  const u64 size = reader->get_u64();
-  if (!reader->ok()) return;
-  if (size != table->size()) {
-    reader->fail(std::string(what) + " table size mismatch (snapshot built "
-                 "with a different predictor configuration)");
-    return;
-  }
-  for (T& value : *table) value = static_cast<T>(reader->get_u64());
-}
-
 usize require_pow2(usize n, const char* what) {
   if (!is_pow2(n)) {
     std::fprintf(stderr, "branch predictor: %s must be a power of two\n", what);
@@ -42,29 +20,6 @@ usize require_pow2(usize n, const char* what) {
 
 }  // namespace
 
-// --- Bimodal ---------------------------------------------------------------
-
-BimodalPredictor::BimodalPredictor(usize table_size)
-    : table_(require_pow2(table_size, "bimodal table"), kWeakNotTaken),
-      mask_(table_size - 1) {}
-
-BranchPrediction BimodalPredictor::predict(Addr pc) {
-  const usize index = (pc >> 2) & mask_;
-  return {counter_taken(table_[index]), index};
-}
-
-void BimodalPredictor::update(Addr, bool taken, u64 meta) {
-  table_[meta & mask_] = bump_counter(table_[meta & mask_], taken);
-}
-
-void BimodalPredictor::save_state(SnapshotWriter* writer) const {
-  save_table(writer, table_);
-}
-
-void BimodalPredictor::load_state(SnapshotReader* reader) {
-  load_table(reader, &table_, "bimodal");
-}
-
 // --- gshare ----------------------------------------------------------------
 
 GsharePredictor::GsharePredictor(unsigned history_bits)
@@ -74,136 +29,28 @@ GsharePredictor::GsharePredictor(unsigned history_bits)
 }
 
 void GsharePredictor::save_state(SnapshotWriter* writer) const {
-  save_table(writer, table_);
+  writer->put_u64(table_.size());
+  for (u8 counter : table_) writer->put_u64(counter);
   writer->put_u64(ghr_);
 }
 
 void GsharePredictor::load_state(SnapshotReader* reader) {
-  load_table(reader, &table_, "gshare");
+  const u64 size = reader->get_u64();
+  if (!reader->ok()) return;
+  if (size != table_.size()) {
+    reader->fail("gshare table size mismatch (snapshot built with a "
+                 "different predictor configuration)");
+    return;
+  }
+  for (u8& counter : table_) counter = static_cast<u8>(reader->get_u64());
   ghr_ = reader->get_u64();
-}
-
-// --- local two-level ---------------------------------------------------------
-
-LocalPredictor::LocalPredictor(usize history_entries, unsigned history_bits)
-    : histories_(require_pow2(history_entries, "local history table"), 0),
-      counters_(usize{1} << history_bits, kWeakNotTaken),
-      history_bits_(history_bits) {
-  assert(history_bits >= 2 && history_bits <= 16);
-}
-
-BranchPrediction LocalPredictor::predict(Addr pc) {
-  const usize h_index = (pc >> 2) & (histories_.size() - 1);
-  const u16 history = histories_[h_index];
-  const usize c_index = history & (counters_.size() - 1);
-  return {counter_taken(counters_[c_index]), c_index};
-}
-
-void LocalPredictor::update(Addr pc, bool taken, u64 meta) {
-  u8& counter = counters_[meta & (counters_.size() - 1)];
-  counter = bump_counter(counter, taken);
-  const usize h_index = (pc >> 2) & (histories_.size() - 1);
-  histories_[h_index] = static_cast<u16>(
-      ((histories_[h_index] << 1) | (taken ? 1 : 0)) &
-      ((1u << history_bits_) - 1));
-}
-
-void LocalPredictor::save_state(SnapshotWriter* writer) const {
-  save_table(writer, histories_);
-  save_table(writer, counters_);
-}
-
-void LocalPredictor::load_state(SnapshotReader* reader) {
-  load_table(reader, &histories_, "local history");
-  load_table(reader, &counters_, "local counter");
-}
-
-// --- tournament --------------------------------------------------------------
-
-namespace {
-// meta packing for the tournament: [0:31] gshare meta, [32:55] bimodal meta,
-// [56] bimodal prediction, [57] gshare prediction.
-constexpr u64 kBimodalPredBit = u64{1} << 56;
-constexpr u64 kGsharePredBit = u64{1} << 57;
-}  // namespace
-
-TournamentPredictor::TournamentPredictor(usize bimodal_size,
-                                         unsigned gshare_bits,
-                                         usize chooser_size)
-    : bimodal_(bimodal_size),
-      gshare_(gshare_bits),
-      chooser_(require_pow2(chooser_size, "chooser table"), 2),
-      chooser_mask_(chooser_size - 1) {}
-
-BranchPrediction TournamentPredictor::predict(Addr pc) {
-  const BranchPrediction bimodal = bimodal_.predict(pc);
-  const BranchPrediction gshare = gshare_.predict(pc);
-  const u8 chooser = chooser_[(pc >> 2) & chooser_mask_];
-  const bool use_gshare = chooser >= 2;
-  u64 meta = (gshare.meta & 0xFFFFFFFFULL) | ((bimodal.meta & 0xFFFFFF) << 32);
-  if (bimodal.taken) meta |= kBimodalPredBit;
-  if (gshare.taken) meta |= kGsharePredBit;
-  return {use_gshare ? gshare.taken : bimodal.taken, meta};
-}
-
-void TournamentPredictor::update(Addr pc, bool taken, u64 meta) {
-  const bool bimodal_said = (meta & kBimodalPredBit) != 0;
-  const bool gshare_said = (meta & kGsharePredBit) != 0;
-  bimodal_.update(pc, taken, (meta >> 32) & 0xFFFFFF);
-  gshare_.update(pc, taken, meta & 0xFFFFFFFFULL);
-  if (bimodal_said != gshare_said) {
-    u8& chooser = chooser_[(pc >> 2) & chooser_mask_];
-    chooser = bump_counter(chooser, gshare_said == taken);
-  }
-}
-
-void TournamentPredictor::repair(u64 meta, bool taken) {
-  gshare_.repair(meta & 0xFFFFFFFFULL, taken);
-}
-
-void TournamentPredictor::save_state(SnapshotWriter* writer) const {
-  bimodal_.save_state(writer);
-  gshare_.save_state(writer);
-  save_table(writer, chooser_);
-}
-
-void TournamentPredictor::load_state(SnapshotReader* reader) {
-  bimodal_.load_state(reader);
-  gshare_.load_state(reader);
-  load_table(reader, &chooser_, "tournament chooser");
-}
-
-// --- factory -----------------------------------------------------------------
-
-std::unique_ptr<DirectionPredictor> make_predictor(PredictorKind kind) {
-  switch (kind) {
-    case PredictorKind::kNotTaken:
-      return std::make_unique<StaticPredictor>(false);
-    case PredictorKind::kTaken:
-      return std::make_unique<StaticPredictor>(true);
-    case PredictorKind::kBtfn:
-      return std::make_unique<BtfnPredictor>();
-    case PredictorKind::kBimodal:
-      return std::make_unique<BimodalPredictor>();
-    case PredictorKind::kGshare:
-      return std::make_unique<GsharePredictor>();
-    case PredictorKind::kLocal:
-      return std::make_unique<LocalPredictor>();
-    case PredictorKind::kTournament:
-      return std::make_unique<TournamentPredictor>();
-  }
-  return nullptr;
 }
 
 const char* predictor_kind_name(PredictorKind kind) {
   switch (kind) {
     case PredictorKind::kNotTaken: return "nottaken";
     case PredictorKind::kTaken: return "taken";
-    case PredictorKind::kBtfn: return "btfn";
-    case PredictorKind::kBimodal: return "bimodal";
     case PredictorKind::kGshare: return "gshare";
-    case PredictorKind::kLocal: return "local";
-    case PredictorKind::kTournament: return "tournament";
   }
   return "?";
 }

@@ -1,20 +1,19 @@
-// Branch direction predictors, BTB, and return-address stack.
+// Branch prediction: the gshare direction predictor, BTB, and
+// return-address stack.
 //
 // The paper's configuration uses gshare (McFarling, "Combining Branch
-// Predictors", DEC WRL TN-36). The zoo here also provides static schemes,
-// bimodal, a two-level local predictor and a tournament combiner for
-// ablation studies and tests.
-//
-// Interface contract: predict() may speculatively update internal global
-// history; the returned `meta` word must be passed back to update() when
-// the branch resolves (it carries the history/index the prediction used).
-// checkpoint()/restore() save and repair speculative history around
+// Predictors", DEC WRL TN-36), and it is the one learning direction
+// predictor here. Fetch can instead predict every conditional branch one
+// fixed direction (PredictorKind), which tests use to force or forbid
 // mispredictions.
+//
+// Interface contract: predict() speculatively updates the global history;
+// the returned `meta` word must be passed back to update() when the branch
+// resolves (it carries the history the prediction used), and to repair()
+// when the branch mispredicted.
 #pragma once
 
 #include <cassert>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -28,12 +27,10 @@ namespace reese::branch {
 
 struct BranchPrediction {
   bool taken = false;
-  u64 meta = 0;  ///< implementation-defined resolve-time cookie
+  u64 meta = 0;  ///< the global history the prediction used
 };
 
-/// 2-bit saturating counter helpers shared by the table-based predictors;
-/// counters start weakly not-taken (1). Inline because gshare's predict()
-/// and update() are header-defined hot paths (fetch/commit rate).
+/// 2-bit saturating counters; they start weakly not-taken (1).
 inline constexpr u8 kWeakNotTaken = 1;
 
 inline u8 bump_counter(u8 counter, bool taken) {
@@ -43,106 +40,46 @@ inline u8 bump_counter(u8 counter, bool taken) {
 
 inline bool counter_taken(u8 counter) { return counter >= 2; }
 
-class DirectionPredictor {
- public:
-  virtual ~DirectionPredictor() = default;
-  virtual BranchPrediction predict(Addr pc) = 0;
-  /// Called in program order when the branch resolves.
-  virtual void update(Addr pc, bool taken, u64 meta) = 0;
-  /// Speculative-history checkpointing (no-ops for history-free schemes).
-  virtual u64 checkpoint() const { return 0; }
-  virtual void restore(u64 /*checkpoint*/) {}
-  /// Misprediction repair: rewind speculative global history to the state
-  /// this branch predicted with (`meta`) and shift in the actual outcome.
-  virtual void repair(u64 /*meta*/, bool /*taken*/) {}
-  virtual std::string name() const = 0;
-  /// Checkpoint serialization; no-ops for the stateless schemes.
-  virtual void save_state(SnapshotWriter* /*writer*/) const {}
-  virtual void load_state(SnapshotReader* /*reader*/) {}
-};
-
-/// Always-not-taken / always-taken.
-class StaticPredictor final : public DirectionPredictor {
- public:
-  explicit StaticPredictor(bool predict_taken) : taken_(predict_taken) {}
-  BranchPrediction predict(Addr) override { return {taken_, 0}; }
-  void update(Addr, bool, u64) override {}
-  std::string name() const override {
-    return taken_ ? "static-taken" : "static-nottaken";
-  }
-
- private:
-  bool taken_;
-};
-
-/// Backward-taken / forward-not-taken. The core must tell it the branch
-/// displacement sign; it does so by encoding it in the pc it passes — so
-/// instead this class exposes a dedicated entry point.
-class BtfnPredictor final : public DirectionPredictor {
- public:
-  BranchPrediction predict(Addr) override { return {false, 0}; }
-  BranchPrediction predict_with_direction(bool backward) {
-    return {backward, 0};
-  }
-  void update(Addr, bool, u64) override {}
-  std::string name() const override { return "btfn"; }
-};
-
-/// 2-bit saturating counter table indexed by PC.
-class BimodalPredictor final : public DirectionPredictor {
- public:
-  explicit BimodalPredictor(usize table_size = 2048);
-  BranchPrediction predict(Addr pc) override;
-  void update(Addr pc, bool taken, u64 meta) override;
-  std::string name() const override { return "bimodal"; }
-  void save_state(SnapshotWriter* writer) const override;
-  void load_state(SnapshotReader* reader) override;
-
- private:
-  std::vector<u8> table_;
-  usize mask_;
-};
-
 /// gshare: global history XOR PC indexes a 2-bit counter table. Global
 /// history is updated speculatively at predict time.
 ///
-/// predict()/update()/repair() are header-inline: gshare is the paper
-/// configuration's predictor, and the pipeline holds a concrete pointer to
-/// it (Pipeline::gshare_) so the per-branch calls skip the vtable and fold
-/// into the fetch and commit stages.
-class GsharePredictor final : public DirectionPredictor {
+/// predict()/update()/repair() are header-inline: the pipeline owns the
+/// predictor by value and calls them per branch from the fetch and commit
+/// stages.
+class GsharePredictor {
  public:
   /// `history_bits` is also log2(table size).
   explicit GsharePredictor(unsigned history_bits = 12);
-  BranchPrediction predict(Addr pc) override {
+  BranchPrediction predict(Addr pc) {
     const u64 used_history = ghr_;
     const bool taken = counter_taken(table_[index_of(pc, used_history)]);
     // Speculative history update with the *predicted* outcome.
     ghr_ = ((ghr_ << 1) | (taken ? 1 : 0)) & ((u64{1} << history_bits_) - 1);
     return {taken, used_history};
   }
-  void update(Addr pc, bool taken, u64 meta) override {
+  /// Called in program order when the branch resolves.
+  void update(Addr pc, bool taken, u64 meta) {
     u8& counter = table_[index_of(pc, meta)];
     counter = bump_counter(counter, taken);
   }
-  u64 checkpoint() const override { return ghr_; }
-  void restore(u64 checkpoint) override { ghr_ = checkpoint; }
-  void repair(u64 meta, bool taken) override {
-    // `meta` is the global history this branch predicted with; everything
-    // shifted in since is wrong-path speculation.
+  /// Misprediction repair: rewind speculative global history to the state
+  /// this branch predicted with (`meta`) and shift in the actual outcome.
+  void repair(u64 meta, bool taken) {
+    // Everything shifted in since `meta` is wrong-path speculation.
     ghr_ = ((meta << 1) | (taken ? 1 : 0)) & ((u64{1} << history_bits_) - 1);
   }
-  std::string name() const override { return "gshare"; }
-  void save_state(SnapshotWriter* writer) const override;
-  void load_state(SnapshotReader* reader) override;
+  /// The current (speculative) global history.
+  u64 history() const { return ghr_; }
+
+  /// Checkpoint serialization: the counter table and the global history.
+  void save_state(SnapshotWriter* writer) const;
+  void load_state(SnapshotReader* reader);
 
   /// Component-site fault campaigns: flip one bit of a 2-bit pattern
-  /// counter. Always lands (the table has no valid bits); returns the
-  /// struck index for bookkeeping.
-  usize flip_counter_bit(u64 cell, unsigned bit) {
-    const usize index = static_cast<usize>(cell % table_.size());
-    table_[index] ^= static_cast<u8>(u8{1} << (bit & 1));
-    return index;
+  /// counter. Always lands (the table has no valid bits).
+  void flip_counter_bit(u64 cell, unsigned bit) {
+    table_[static_cast<usize>(cell % table_.size())] ^=
+        static_cast<u8>(u8{1} << (bit & 1));
   }
 
  private:
@@ -154,54 +91,16 @@ class GsharePredictor final : public DirectionPredictor {
   u64 ghr_ = 0;
 };
 
-/// Two-level local (PAg): per-branch history table -> pattern counter table.
-class LocalPredictor final : public DirectionPredictor {
- public:
-  LocalPredictor(usize history_entries = 1024, unsigned history_bits = 10);
-  BranchPrediction predict(Addr pc) override;
-  void update(Addr pc, bool taken, u64 meta) override;
-  std::string name() const override { return "local2level"; }
-  void save_state(SnapshotWriter* writer) const override;
-  void load_state(SnapshotReader* reader) override;
-
- private:
-  std::vector<u16> histories_;
-  std::vector<u8> counters_;
-  unsigned history_bits_;
-};
-
-/// McFarling tournament: bimodal + gshare with a 2-bit chooser table.
-class TournamentPredictor final : public DirectionPredictor {
- public:
-  TournamentPredictor(usize bimodal_size = 2048, unsigned gshare_bits = 12,
-                      usize chooser_size = 2048);
-  BranchPrediction predict(Addr pc) override;
-  void update(Addr pc, bool taken, u64 meta) override;
-  u64 checkpoint() const override { return gshare_.checkpoint(); }
-  void restore(u64 checkpoint) override { gshare_.restore(checkpoint); }
-  void repair(u64 meta, bool taken) override;
-  std::string name() const override { return "tournament"; }
-  void save_state(SnapshotWriter* writer) const override;
-  void load_state(SnapshotReader* reader) override;
-
- private:
-  BimodalPredictor bimodal_;
-  GsharePredictor gshare_;
-  std::vector<u8> chooser_;
-  usize chooser_mask_;
-};
-
+/// How fetch predicts a conditional branch: with gshare, or always one
+/// fixed direction. The values keep the numbering of the longer predictor
+/// list this enum once held, so a kind's value (and any name printed from
+/// it) stays what it was.
 enum class PredictorKind : u8 {
-  kNotTaken,
-  kTaken,
-  kBtfn,
-  kBimodal,
-  kGshare,
-  kLocal,
-  kTournament,
+  kNotTaken = 0,
+  kTaken = 1,
+  kGshare = 4,
 };
 
-std::unique_ptr<DirectionPredictor> make_predictor(PredictorKind kind);
 const char* predictor_kind_name(PredictorKind kind);
 
 // ---------------------------------------------------------------------------

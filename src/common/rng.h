@@ -55,11 +55,6 @@ class SplitMix64 {
   /// reproducible sequence).
   SplitMix64 fork() { return SplitMix64(next() ^ 0xA5A5A5A55A5A5A5AULL); }
 
-  /// Raw state access for checkpoint/restore: a restored stream must
-  /// continue the exact sequence of the saved one.
-  u64 state() const { return state_; }
-  void set_state(u64 state) { state_ = state; }
-
  private:
   u64 state_;
 };

@@ -89,7 +89,7 @@ void Pipeline::save_state(SnapshotWriter* writer) const {
   writer->put_u64(lsq_ticket_head_);
 
   writer->put_section(kTagBranch);
-  direction_->save_state(writer);
+  gshare_.save_state(writer);
   btb_.save(writer);
   ras_.save(writer);
 
@@ -128,7 +128,7 @@ void Pipeline::load_state(SnapshotReader* reader) {
   lsq_ticket_head_ = reader->get_u64();
 
   if (!reader->expect_section(kTagBranch)) return;
-  direction_->load_state(reader);
+  gshare_.load_state(reader);
   btb_.load(reader);
   ras_.load(reader);
 

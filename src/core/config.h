@@ -64,11 +64,6 @@ struct ReeseConfig {
   /// `r_fu_occupancy` cycles. 1 = same as P stream.
   u32 r_fu_occupancy = 2;
 
-  /// R-stream stores re-verify their address/value through a memory port
-  /// (AGU + store-buffer check) instead of a plain ALU. Raises REESE's
-  /// port pressure, which is what the paper's Figure 5 relieves.
-  bool r_store_uses_port = true;
-
   /// Re-execute one out of every `reexec_interval` instructions (§7 future
   /// work). 1 = full duplication (the paper's REESE). k>1 trades coverage
   /// for speed; non-selected instructions flow through the queue untested.

@@ -62,17 +62,11 @@ Pipeline::Pipeline(const isa::Program& program, const CoreConfig& config)
       config_(config),
       hierarchy_(std::make_unique<mem::Hierarchy>(config.memory)),
       fu_pool_(config),
-      direction_(branch::make_predictor(config.predictor)),
+      gshare_(config.gshare_history_bits),
       btb_(config.btb_entries, config.btb_associativity),
       ras_(config.ras_depth),
       rqueue_(config.reese.rqueue_size) {
   assert(config_.ruu_size >= 2 && config_.lsq_size >= 1);
-  if (config_.predictor == branch::PredictorKind::kGshare) {
-    auto gshare =
-        std::make_unique<branch::GsharePredictor>(config_.gshare_history_bits);
-    gshare_ = gshare.get();
-    direction_ = std::move(gshare);
-  }
   // occupancy_pct >= watermark  <=>  100*size >= watermark*capacity
   //                             <=>  size >= ceil(watermark*capacity/100).
   rpriority_min_count_ = static_cast<u32>(
@@ -155,6 +149,47 @@ void Pipeline::cycle() {
 
   ++now_;
   ++stats_.cycles;
+#ifndef NDEBUG
+  check_invariants();
+#endif
+}
+
+void Pipeline::check_invariants() const {
+#ifndef NDEBUG
+  u32 valid = 0;
+  for (u32 index = 0; index < config_.ruu_size; ++index) {
+    const RuuEntry& entry = ruu_[index];
+    valid += entry.valid ? 1 : 0;
+    const bool ready = entry.valid && !entry.issued && !entry.completed &&
+                       entry.deps_ready();
+    const bool listed = ((ready_[index / 64] >> (index % 64)) & 1) != 0;
+    assert(ready == listed && "ready list disagrees with an RUU slot");
+  }
+  assert(valid == ruu_count_ && "ruu_count_ is not the valid entry count");
+
+  for (u32 position = 0; position < lsq_count_; ++position) {
+    const RuuEntry& entry = ruu_[lsq_[lsq_index_at(position)]];
+    assert(entry.valid && entry.lsq_ticket == lsq_ticket_head_ + position &&
+           "LSQ tickets are not contiguous from the head");
+  }
+
+  u32 r_executing = 0;
+  for (usize index = 0; index < rqueue_.size(); ++index) {
+    const REntry& entry = rqueue_.at(index);
+    assert(entry.id == rqueue_.at(0).id + index &&
+           "R-queue ids are not FIFO-consecutive");
+    r_executing += entry.issued && !entry.completed ? 1 : 0;
+  }
+  // Only window sharing charges R executions to the window; each pending
+  // release returns one slot.
+  const usize r_window = config_.reese.window_sharing ? r_executing : 0;
+  assert(r_inflight_ == r_window + r_release_at_.pending() &&
+         "r_inflight_ disagrees with the R executions and pending releases");
+
+  u64 classified = 0;
+  for (u64 count : stats_.cycle_classes) classified += count;
+  assert(classified == stats_.cycles && "cycle classes do not sum to cycles");
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -191,25 +226,11 @@ void Pipeline::predict_control(FetchedInst* fetched) {
     if (fetched->inst.rd == isa::kRaReg) ras_.push(fallthrough);
   } else {
     // Conditional branch.
-    bool taken = false;
-    switch (config_.predictor) {
-      case branch::PredictorKind::kNotTaken:
-        taken = false;
-        break;
-      case branch::PredictorKind::kTaken:
-        taken = true;
-        break;
-      case branch::PredictorKind::kBtfn:
-        taken = fetched->inst.imm < 0;
-        break;
-      default: {
-        const branch::BranchPrediction prediction =
-            gshare_ != nullptr ? gshare_->predict(pc) : direction_->predict(pc);
-        taken = prediction.taken;
-        fetched->pred_meta = prediction.meta;
-        fetched->used_direction_predictor = true;
-        break;
-      }
+    bool taken = config_.predictor == branch::PredictorKind::kTaken;
+    if (config_.predictor == branch::PredictorKind::kGshare) {
+      const branch::BranchPrediction prediction = gshare_.predict(pc);
+      taken = prediction.taken;
+      fetched->pred_meta = prediction.meta;
     }
     fetched->predicted_taken = taken;
     fetched->predicted_next =
@@ -246,7 +267,6 @@ void Pipeline::stage_fetch() {
     fetched.pc = fetch_pc_;
     fetched.predicted_next = fetch_pc_ + 4;
     fetched.predicted_taken = false;
-    fetched.used_direction_predictor = false;
     fetched.pred_meta = 0;
     fetched.is_pad = false;
     if (const isa::Instruction* decoded = decoded_at(fetch_pc_)) {
@@ -378,7 +398,6 @@ void Pipeline::stage_dispatch() {
     entry.spec = spec_mode_;
     entry.is_control = isa::is_control(fetched.inst.op);
     entry.predicted_next = fetched.predicted_next;
-    entry.used_direction_predictor = fetched.used_direction_predictor;
     entry.pred_meta = fetched.pred_meta;
     entry.ras_checkpoint = fetched.ras_checkpoint;
 
@@ -625,12 +644,8 @@ void Pipeline::complete_entry(u32 slot_index) {
       ++stats_.cond_branches_resolved;
       if (entry.mispredicted) ++stats_.cond_branch_mispredicts;
     }
-    if (entry.used_direction_predictor) {
-      if (gshare_ != nullptr) {
-        gshare_->update(entry.pc, entry.taken, entry.pred_meta);
-      } else {
-        direction_->update(entry.pc, entry.taken, entry.pred_meta);
-      }
+    if (gshare_predicts(entry.inst)) {
+      gshare_.update(entry.pc, entry.taken, entry.pred_meta);
     }
     if (entry.taken && entry.inst.op != Opcode::kJal) {
       btb_.update(entry.pc, entry.actual_next);
@@ -680,12 +695,8 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
   spec_overlay_.clear();
 
   // Repair speculative predictor state.
-  if (branch.used_direction_predictor) {
-    if (gshare_ != nullptr) {
-      gshare_->repair(branch.pred_meta, branch.taken);
-    } else {
-      direction_->repair(branch.pred_meta, branch.taken);
-    }
+  if (gshare_predicts(branch.inst)) {
+    gshare_.repair(branch.pred_meta, branch.taken);
   }
   ras_.restore(branch.ras_checkpoint);
 

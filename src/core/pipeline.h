@@ -72,6 +72,16 @@ class Pipeline {
   /// Advance exactly one cycle.
   void cycle();
 
+  /// Assert the structural invariants that every cycle must leave intact:
+  /// ruu_count_ counts the valid RUU entries, the ready list holds exactly
+  /// the valid, unissued, incomplete, operand-ready slots, LSQ tickets run
+  /// contiguously from the head's, R-queue ids are FIFO-consecutive, the R
+  /// window-slot count matches the R executions in flight plus the pending
+  /// releases, and the cycle classes sum to the cycle count. cycle() runs
+  /// it after every cycle when NDEBUG is unset; with NDEBUG set it checks
+  /// nothing.
+  void check_invariants() const;
+
   // --- checkpoint/restore (checkpoint.cpp) --------------------------------
 
   /// True when no in-flight microarchitectural state remains: fetch queue,
@@ -132,7 +142,6 @@ class Pipeline {
     Addr pc = 0;
     Addr predicted_next = 0;
     bool predicted_taken = false;
-    bool used_direction_predictor = false;
     u64 pred_meta = 0;
     branch::ReturnAddressStack::Checkpoint ras_checkpoint{};
     bool is_pad = false;  ///< fabricated NOP for an out-of-text fetch PC
@@ -169,7 +178,6 @@ class Pipeline {
     bool is_control = false;
     Addr predicted_next = 0;
     bool mispredicted = false;
-    bool used_direction_predictor = false;
     u64 pred_meta = 0;
     branch::ReturnAddressStack::Checkpoint ras_checkpoint{};
 
@@ -272,6 +280,13 @@ class Pipeline {
   /// Predict the next fetch PC for a just-fetched control instruction and
   /// fill the prediction fields of `fetched`.
   void predict_control(FetchedInst* fetched);
+  /// True when gshare predicted `inst` at fetch: the configured predictor
+  /// is gshare and `inst` is a conditional branch (jumps use the BTB and
+  /// the return-address stack).
+  bool gshare_predicts(const isa::Instruction& inst) const {
+    return config_.predictor == branch::PredictorKind::kGshare &&
+           isa::is_cond_branch(inst.op);
+  }
 
   /// Dispatch-time functional execution of one instruction.
   void execute_at_dispatch(RuuEntry* entry);
@@ -328,10 +343,10 @@ class Pipeline {
   /// Claim this cycle's functional unit for a redundant execution — an
   /// R-stream instruction or a Franklin duplicate. Loads take a memory port
   /// and re-access the D-cache at `mem_addr` (a poisoned line read there
-  /// resolves under `pc`, as SDC only when `architectural`); stores take
-  /// the unit r_store_uses_port picks; single-cycle ALU classes hold their
-  /// unit for r_fu_occupancy cycles. Returns the completion cycle, or 0
-  /// when the unit is busy.
+  /// resolves under `pc`, as SDC only when `architectural`); stores take a
+  /// memory port; single-cycle ALU classes hold their unit for
+  /// r_fu_occupancy cycles. Returns the completion cycle, or 0 when the
+  /// unit is busy.
   Cycle acquire_redundant_unit(const isa::Instruction& inst, Addr pc,
                                Addr mem_addr, bool architectural);
 
@@ -442,11 +457,9 @@ class Pipeline {
   std::unique_ptr<mem::Hierarchy> hierarchy_;
   FuPool fu_pool_;
 
-  std::unique_ptr<branch::DirectionPredictor> direction_;
-  /// Non-null iff direction_ is a GsharePredictor (the paper config).
-  /// Per-branch predict/update/repair go through this concrete pointer so
-  /// the inline gshare methods apply; other predictors use the vtable.
-  branch::GsharePredictor* gshare_ = nullptr;
+  /// Predicts conditional branches unless config_.predictor fixes their
+  /// direction.
+  branch::GsharePredictor gshare_;
   branch::Btb btb_;
   branch::ReturnAddressStack ras_;
 

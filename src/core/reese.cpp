@@ -152,11 +152,10 @@ Cycle Pipeline::acquire_redundant_unit(const isa::Instruction& inst, Addr pc,
   }
   if (exec_class == ExecClass::kStore) {
     // Stores re-verify their effective address and value through the
-    // memory pipeline (AGU + store-buffer check) or a plain ALU; the
-    // single architectural cache write happens at commit.
-    const FuKind unit = config_.reese.r_store_uses_port ? FuKind::kMemPort
-                                                        : FuKind::kIntAlu;
-    return fu_pool_.try_acquire(unit, now_, 1) ? now_ + 1 : 0;
+    // memory pipeline (AGU + store-buffer check), so REESE adds port
+    // pressure, which the paper's Figure 5 relieves; the single
+    // architectural cache write happens at commit.
+    return fu_pool_.try_acquire(FuKind::kMemPort, now_, 1) ? now_ + 1 : 0;
   }
   if (exec_class == ExecClass::kNone) return now_ + 1;
   OpTiming timing = op_timing(exec_class, config_);

@@ -97,11 +97,8 @@ class RStreamQueue {
   /// The ring size is a config value, not a power of two, so `%` compiles
   /// to a hardware divide; index < count_ <= ring_size_ bounds the sum
   /// under 2*ring_size_, so one compare-subtract wraps it.
-  REntry& at(usize index) {
-    u32 position = head_ + static_cast<u32>(index);
-    if (position >= ring_size_) position -= ring_size_;
-    return entries_[position];
-  }
+  REntry& at(usize index) { return entries_[position_of(index)]; }
+  const REntry& at(usize index) const { return entries_[position_of(index)]; }
 
   /// Checkpoint serialization. Only called on a drained (empty) queue —
   /// what persists across a snapshot is the id counter, which keeps the
@@ -110,6 +107,12 @@ class RStreamQueue {
   void load(SnapshotReader* reader);
 
  private:
+  u32 position_of(usize index) const {
+    u32 position = head_ + static_cast<u32>(index);
+    if (position >= ring_size_) position -= ring_size_;
+    return position;
+  }
+
   std::vector<REntry> entries_;
   u32 head_ = 0;
   u32 count_ = 0;

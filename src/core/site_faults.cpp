@@ -140,9 +140,7 @@ void Pipeline::strike_predictor(const Strike& strike) {
   // pattern counter can only cost a misprediction. The flip is applied for
   // real (the timing perturbation is genuine) and the strike resolves
   // masked immediately: this is the campaign's AVF≈0 ground-truth control.
-  if (gshare_ != nullptr) {
-    gshare_->flip_counter_bit(strike.cell, strike.bit);
-  }
+  gshare_.flip_counter_bit(strike.cell, strike.bit);
   resolve_fault(strike.id, FaultOutcome::kMasked, 0);
 }
 

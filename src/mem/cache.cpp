@@ -26,8 +26,8 @@ void CacheConfig::validate() const {
   if (hit_latency == 0) die("hit latency must be >= 1");
 }
 
-Cache::Cache(const CacheConfig& config, MemoryLevel* next, u64 seed)
-    : config_(config), next_(next), rng_(seed) {
+Cache::Cache(const CacheConfig& config, MemoryLevel* next)
+    : config_(config), next_(next) {
   config_.validate();
   assert(next_ != nullptr && "cache needs a next level");
   lines_.resize(config_.set_count() * config_.associativity);
@@ -45,27 +45,19 @@ bool Cache::contains(Addr addr) const {
 }
 
 usize Cache::victim_way(usize set_base) {
-  // Prefer an invalid way.
+  // Prefer an invalid way, else the least recently used.
   for (u32 way = 0; way < config_.associativity; ++way) {
     if (!lines_[set_base + way].valid) return way;
   }
-  switch (config_.replacement) {
-    case ReplacementPolicy::kRandom:
-      return static_cast<usize>(rng_.next_below(config_.associativity));
-    case ReplacementPolicy::kLru:
-    case ReplacementPolicy::kFifo: {
-      usize victim = 0;
-      u64 oldest = ~u64{0};
-      for (u32 way = 0; way < config_.associativity; ++way) {
-        if (lines_[set_base + way].stamp < oldest) {
-          oldest = lines_[set_base + way].stamp;
-          victim = way;
-        }
-      }
-      return victim;
+  usize victim = 0;
+  u64 oldest = ~u64{0};
+  for (u32 way = 0; way < config_.associativity; ++way) {
+    if (lines_[set_base + way].stamp < oldest) {
+      oldest = lines_[set_base + way].stamp;
+      victim = way;
     }
   }
-  return 0;
+  return victim;
 }
 
 u32 Cache::access_one_line(Addr addr, bool is_write) {
@@ -96,75 +88,46 @@ u32 Cache::access_one_line(Addr addr, bool is_write) {
           ++poison_consumed_;
         }
       }
-      if (config_.replacement == ReplacementPolicy::kLru) line.stamp = tick_;
-      u32 latency = config_.hit_latency;
-      if (is_write) {
-        if (config_.write_policy == WritePolicy::kWriteThrough) {
-          // Write-through: the write proceeds to the next level but the
-          // pipeline does not wait for it (write buffer assumed).
-          next_->access(addr, true);
-        } else {
-          line.dirty = true;
-        }
-      }
-      return latency;
+      line.stamp = tick_;
+      if (is_write) line.dirty = true;
+      return config_.hit_latency;
     }
   }
 
-  // Miss.
+  // Miss: reads and writes both allocate.
   ++stats_.misses;
-  u32 latency = config_.hit_latency;
-
-  const bool allocate = !is_write || config_.write_allocate;
-  if (allocate) {
-    const usize way = victim_way(set_base);
-    Line& line = lines_[set_base + way];
-    if (poison_active_ != 0 && poison_[set_base + way] != 0) {
-      // Fill over a poisoned victim: the corrupt data leaves the cache
-      // unread (a dirty writeback of it is charged to the same event).
-      poison_[set_base + way] = 0;
-      --poison_active_;
-      ++poison_cleared_;
-    }
-    if (line.valid) {
-      ++stats_.evictions;
-      if (line.dirty) {
-        ++stats_.writebacks;
-        // Victim writeback goes to a write buffer; its latency is not on
-        // the critical path of this access.
-        const Addr victim_addr =
-            (line.tag * config_.set_count() + set_index(addr)) *
-            config_.line_bytes;
-        next_->access(victim_addr, true);
-      }
-    }
-    latency += next_->access(line_addr(addr), false);
-    line.valid = true;
-    line.tag = tag;
-    line.dirty = is_write && config_.write_policy == WritePolicy::kWriteBack;
-    line.stamp = tick_;
-  } else {
-    // Write miss, no-allocate: pass through.
-    latency += next_->access(addr, true);
+  const usize way = victim_way(set_base);
+  Line& line = lines_[set_base + way];
+  if (poison_active_ != 0 && poison_[set_base + way] != 0) {
+    // Fill over a poisoned victim: the corrupt data leaves the cache
+    // unread (a dirty writeback of it is charged to the same event).
+    poison_[set_base + way] = 0;
+    --poison_active_;
+    ++poison_cleared_;
   }
-  return latency;
+  if (line.valid) {
+    ++stats_.evictions;
+    if (line.dirty) {
+      ++stats_.writebacks;
+      // Victim writeback goes to a write buffer; its latency is not on
+      // the critical path of this access.
+      const Addr victim_addr =
+          (line.tag * config_.set_count() + set_index(addr)) *
+          config_.line_bytes;
+      next_->access(victim_addr, true);
+    }
+  }
+  const u32 fill_latency = next_->access(line_addr(addr), false);
+  line.valid = true;
+  line.tag = tag;
+  line.dirty = is_write;
+  line.stamp = tick_;
+  return config_.hit_latency + fill_latency;
 }
 
 u32 Cache::access(Addr addr, bool is_write) {
   const Addr first_line = line_addr(addr);
   return access_one_line(first_line, is_write);
-}
-
-void Cache::invalidate_all() {
-  for (Line& line : lines_) {
-    if (line.valid && line.dirty) ++stats_.writebacks;
-    line = Line{};
-  }
-  if (poison_active_ != 0) {
-    for (u8& flag : poison_) flag = 0;
-    poison_cleared_ += poison_active_;
-    poison_active_ = 0;
-  }
 }
 
 void Cache::save(SnapshotWriter* writer) const {
@@ -183,7 +146,6 @@ void Cache::save(SnapshotWriter* writer) const {
   writer->put_u64(stats_.evictions);
   writer->put_u64(stats_.writebacks);
   writer->put_u64(tick_);
-  writer->put_u64(rng_.state());
 }
 
 void Cache::load(SnapshotReader* reader) {
@@ -209,7 +171,6 @@ void Cache::load(SnapshotReader* reader) {
   stats_.evictions = reader->get_u64();
   stats_.writebacks = reader->get_u64();
   tick_ = reader->get_u64();
-  rng_.set_state(reader->get_u64());
 }
 
 void FlatMemoryLevel::save(SnapshotWriter* writer) const {

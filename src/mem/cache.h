@@ -1,4 +1,6 @@
-// Timing model of one set-associative cache level.
+// Timing model of one set-associative cache level: LRU replacement,
+// write-back and write-allocate, the policy of the paper's sim-outorder
+// caches.
 //
 // Function and timing are decoupled in this simulator (as in SimpleScalar):
 // data values live in MainMemory, while Cache only tracks tags to decide
@@ -10,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 
 namespace reese {
@@ -20,22 +21,12 @@ class SnapshotWriter;
 
 namespace reese::mem {
 
-enum class ReplacementPolicy : u8 { kLru, kFifo, kRandom };
-
-enum class WritePolicy : u8 {
-  kWriteBack,     // dirty lines written to the next level on eviction
-  kWriteThrough,  // every write also updates the next level (no dirty state)
-};
-
 struct CacheConfig {
   std::string name = "cache";
   u64 size_bytes = 32 * 1024;
   u32 line_bytes = 32;
   u32 associativity = 2;
   u32 hit_latency = 1;        ///< cycles for a hit (includes lookup)
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
-  WritePolicy write_policy = WritePolicy::kWriteBack;
-  bool write_allocate = true;
 
   u64 set_count() const { return size_bytes / (u64{line_bytes} * associativity); }
   /// Validates power-of-two geometry; aborts with a message on bad configs
@@ -88,27 +79,21 @@ class FlatMemoryLevel final : public MemoryLevel {
 
 class Cache final : public MemoryLevel {
  public:
-  /// `next` is the level to fetch misses from / write through to; it must
-  /// outlive this cache. `seed` feeds random replacement only.
-  Cache(const CacheConfig& config, MemoryLevel* next, u64 seed = 0x5EED);
+  /// `next` is the level to fetch misses from and write dirty victims back
+  /// to; it must outlive this cache.
+  Cache(const CacheConfig& config, MemoryLevel* next);
 
-  /// Simulate an access of up to one line at `addr`; returns total latency.
-  /// Accesses that straddle a line boundary charge both lines (worst case).
+  /// Simulate an access to the line holding `addr`; returns the total
+  /// latency, the levels below included on a miss.
   u32 access(Addr addr, bool is_write) override;
 
   /// Probe without changing state (for tests and warmth queries).
   bool contains(Addr addr) const;
 
-  /// Drop all lines (dirty lines are written back for accounting). Used on
-  /// REESE error recovery only if configured to flush; normally unused.
-  void invalidate_all();
-
-  const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
   const std::string& name() const override { return config_.name; }
 
-  /// Checkpoint serialization: tag array, stats, LRU tick, RNG state. The
+  /// Checkpoint serialization: tag array, stats and LRU tick. The
   /// geometry comes from the config, so load() into a cache built with a
   /// different line count latches a reader error.
   /// Poison state (component-site campaigns) is deliberately NOT serialized:
@@ -147,14 +132,12 @@ class Cache final : public MemoryLevel {
     poison_cleared_ = 0;
     return count;
   }
-  u32 poison_active() const { return poison_active_; }
-
  private:
   struct Line {
     u64 tag = 0;
     bool valid = false;
     bool dirty = false;
-    u64 stamp = 0;  ///< LRU: last-use time; FIFO: fill time
+    u64 stamp = 0;  ///< last-use time (LRU)
   };
 
   u32 access_one_line(Addr addr, bool is_write);
@@ -173,7 +156,6 @@ class Cache final : public MemoryLevel {
   std::vector<Line> lines_;  ///< set-major: lines_[set * assoc + way]
   CacheStats stats_;
   u64 tick_ = 0;
-  SplitMix64 rng_;
 
   // Component-site poison bitmap, parallel to lines_. poison_active_ != 0
   // gates every hot-path check so campaigns without cache sites pay one

@@ -5,25 +5,23 @@
 
 namespace reese::mem {
 
-Hierarchy::Hierarchy(const HierarchyConfig& config) : config_(config) {
-  dram_ = std::make_unique<FlatMemoryLevel>(config_.memory_latency);
-  ul2_ = std::make_unique<Cache>(config_.ul2, dram_.get(), /*seed=*/0x12);
-  il1_ = std::make_unique<Cache>(config_.il1, ul2_.get(), /*seed=*/0x34);
-  dl1_ = std::make_unique<Cache>(config_.dl1, ul2_.get(), /*seed=*/0x56);
-  itlb_ = std::make_unique<Tlb>(config_.itlb);
-  dtlb_ = std::make_unique<Tlb>(config_.dtlb);
+Hierarchy::Hierarchy(const HierarchyConfig& config) {
+  dram_ = std::make_unique<FlatMemoryLevel>(config.memory_latency);
+  ul2_ = std::make_unique<Cache>(config.ul2, dram_.get());
+  il1_ = std::make_unique<Cache>(config.il1, ul2_.get());
+  dl1_ = std::make_unique<Cache>(config.dl1, ul2_.get());
+  itlb_ = std::make_unique<Tlb>(config.itlb);
+  dtlb_ = std::make_unique<Tlb>(config.dtlb);
 }
 
 u32 Hierarchy::inst_access(Addr pc) {
-  u32 latency = il1_->access(pc, /*is_write=*/false);
-  if (config_.enable_tlbs) latency += itlb_->access(pc);
-  return latency;
+  const u32 latency = il1_->access(pc, /*is_write=*/false);
+  return latency + itlb_->access(pc);
 }
 
 u32 Hierarchy::data_access(Addr addr, bool is_write) {
-  u32 latency = dl1_->access(addr, is_write);
-  if (config_.enable_tlbs) latency += dtlb_->access(addr);
-  return latency;
+  const u32 latency = dl1_->access(addr, is_write);
+  return latency + dtlb_->access(addr);
 }
 
 void Hierarchy::save(SnapshotWriter* writer) const {

@@ -34,7 +34,6 @@ struct HierarchyConfig {
   TlbConfig itlb{.name = "itlb", .entries = 64};
   TlbConfig dtlb{.name = "dtlb", .entries = 128};
   u32 memory_latency = 60;
-  bool enable_tlbs = true;
 };
 
 /// Owns the cache/TLB objects and answers "how many cycles does this access
@@ -58,7 +57,6 @@ class Hierarchy {
   const Cache& ul2() const { return *ul2_; }
   Tlb& itlb() { return *itlb_; }
   Tlb& dtlb() { return *dtlb_; }
-  const HierarchyConfig& config() const { return config_; }
 
   u64 dram_accesses() const { return dram_->accesses(); }
 
@@ -70,7 +68,6 @@ class Hierarchy {
   std::string report() const;
 
  private:
-  HierarchyConfig config_;
   std::unique_ptr<FlatMemoryLevel> dram_;
   std::unique_ptr<Cache> ul2_;
   std::unique_ptr<Cache> il1_;

@@ -510,8 +510,7 @@ CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec_in) {
   } else if (spec.workloads.empty()) {
     spec.workloads = workloads::spec_like_names();
   }
-  if (spec.quick) spec.replicas = 1;
-  if (spec.replicas == 0) spec.replicas = 1;
+  if (spec.replicas == 0) spec.replicas = spec.quick ? 1 : 12;
   if (spec.instructions == 0) spec.instructions = spec.quick ? 20'000 : 60'000;
   return spec;
 }
@@ -542,7 +541,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
   // Each cell is one independent simulation with its own workload image,
   // pipeline and injector, all seeded from derive_cell_seed alone; it
   // writes only its own matrix slot.
-  const auto run_cell = [&](usize job_index) -> u64 {
+  const auto run_cell = [&](usize job_index, std::string* failure) -> u64 {
     const Job job = jobs[job_index];
     const CampaignVariant& variant = spec.variants[job.variant_index];
     // Seed and checkpoint identity use the *global* replica index, so a
@@ -592,9 +591,8 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
       auto workload =
           workloads::make_workload(spec.workloads[job.workload_index], options);
       if (!workload.ok()) {
-        std::fprintf(stderr, "campaign: %s\n",
-                     workload.error().to_string().c_str());
-        std::exit(1);
+        *failure = "campaign: " + workload.error().to_string();
+        return 0;
       }
       workload_image = std::move(workload).value();
     }
@@ -612,13 +610,12 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     const bool halt_ok =
         !spec.programs.empty() && sim_result.stop == core::StopReason::kHalted;
     if (sim_result.stop != core::StopReason::kCommitTarget && !halt_ok) {
-      std::fprintf(stderr,
-                   "campaign: %s/%s stopped early (%s) after %llu insts\n",
-                   spec.workloads[job.workload_index].c_str(),
-                   variant.label.c_str(),
-                   core::stop_reason_name(sim_result.stop),
-                   static_cast<unsigned long long>(sim_result.committed));
-      std::exit(1);
+      *failure = format("campaign: %s/%s stopped early (%s) after %llu insts",
+                        spec.workloads[job.workload_index].c_str(),
+                        variant.label.c_str(),
+                        core::stop_reason_name(sim_result.stop),
+                        static_cast<unsigned long long>(sim_result.committed));
+      return 0;
     }
     // Close still-open ACE windows: for HALTing programs the stream is
     // complete, so an unread value is truly masked; commit-target stops
@@ -735,7 +732,10 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     }
     return cell.committed;
   };
-  result.cancelled = run_cells("campaign", spec, jobs.size(), run_cell);
+  const GridOutcome outcome =
+      run_cells("campaign", spec, jobs.size(), run_cell);
+  result.cancelled = outcome.cancelled;
+  result.error = outcome.error;
   return result;
 }
 

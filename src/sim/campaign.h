@@ -86,14 +86,15 @@ struct CampaignSpec : GridSpec {
   /// their names, and cells may stop on HALT (example programs terminate)
   /// as well as on the commit target.
   std::vector<CampaignProgram> programs;
-  /// Independent seed replicas per (variant, workload) cell. The default
-  /// full campaign (12 × 5 × 6 cells × rate × instructions) lands at
-  /// ~10⁵ total injections.
-  u32 replicas = 12;
+  /// Independent seed replicas per (variant, workload) cell; 0 = 12, or 1
+  /// under `quick`. The default full campaign (12 × 5 × 6 cells × rate ×
+  /// instructions) lands at ~10⁵ total injections.
+  u32 replicas = 0;
   u64 instructions = 0;   ///< per-cell budget; 0 = 60k (quick: 20k)
   double rate = 5e-3;     ///< per-instruction injection probability
   u64 seed = 0xFA17C0DE;  ///< campaign master seed
-  /// CI mode: one replica on a reduced budget, ≈10³ injections total.
+  /// CI mode: by default one replica on a reduced budget, ≈10³ injections
+  /// total. An explicit `replicas` or `instructions` still applies.
   bool quick = false;
   /// Global index of this spec's first replica; 0 for a whole campaign.
   /// The cell seed (derive_cell_seed) and the checkpoint ".done" record
@@ -191,6 +192,9 @@ struct CampaignResult {
   /// True when CampaignSpec::cancel fired before every cell ran; the
   /// matrix is then incomplete and must not be reported as a result.
   bool cancelled = false;
+  /// Non-empty when the grid could not finish (GridOutcome::error); the
+  /// matrix is then incomplete too.
+  std::string error;
 
   /// Merged counts for one variant across workloads and replicas.
   CampaignCell variant_total(usize variant_index) const;
@@ -222,8 +226,8 @@ u64 derive_cell_seed(u64 campaign_seed, usize variant_index,
 CampaignResult run_campaign(const CampaignSpec& spec);
 
 /// Resolve every defaulted CampaignSpec field (variants, workloads,
-/// quick-mode replica clamp, instruction budget) exactly as run_campaign
-/// does, without running anything. The service sizes a campaign spec's
+/// replica count, instruction budget) exactly as run_campaign does,
+/// without running anything. The service sizes a campaign spec's
 /// grid against its cell cap with it.
 CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec);
 

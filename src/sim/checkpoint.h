@@ -31,7 +31,7 @@ namespace reese::sim {
 
 /// Bumped whenever the snapshot payload layout changes; readers reject
 /// files with any other version.
-inline constexpr u32 kSnapshotFormatVersion = 2;
+inline constexpr u32 kSnapshotFormatVersion = 3;
 
 /// A cell's identity: a hash of the workload name and the configuration
 /// summary, chained with `values`, every other value that decides the

@@ -278,7 +278,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
 
   // Each cell is an independent simulation: it builds its own workload,
   // memory image and pipeline, and writes only its own result.cells slot.
-  const auto run_cell = [&](usize job_index) -> u64 {
+  const auto run_cell = [&](usize job_index, std::string* failure) -> u64 {
     const Job job = jobs[job_index];
     ExperimentCell& cell =
         result.cells[job.workload_index][job.model_index][job.seed_index];
@@ -317,9 +317,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     options.iterations = 0;  // run forever; budget bounds the simulation
     auto workload = workloads::make_workload(workload_name, options);
     if (!workload.ok()) {
-      std::fprintf(stderr, "experiment: %s\n",
-                   workload.error().to_string().c_str());
-      std::exit(1);
+      *failure = "experiment: " + workload.error().to_string();
+      return 0;
     }
     Simulator simulator(std::move(workload).value(), config);
     std::string error;
@@ -327,13 +326,14 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
         &simulator, spec.instructions, seed, ckpt.interval,
         cell_base.empty() ? "" : cell_base + ".snap", ckpt.resume, &error);
     if (!error.empty()) {
-      std::fprintf(stderr, "experiment: %s\n", error.c_str());
-      std::exit(1);
+      *failure = "experiment: " + error;
+      return 0;
     }
-    exit_if_stopped_early(
+    *failure = stopped_early_message(
         "experiment",
         workload_name + "/" + model_name(spec.models[job.model_index]),
         sim_result);
+    if (!failure->empty()) return 0;
     cell.ipc = sim_result.ipc;
     cell.cycles = sim_result.cycles;
     cell.committed = sim_result.committed;
@@ -350,7 +350,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     }
     return cell.committed;
   };
-  result.cancelled = run_cells("experiment", spec, jobs.size(), run_cell);
+  const GridOutcome outcome =
+      run_cells("experiment", spec, jobs.size(), run_cell);
+  result.cancelled = outcome.cancelled;
+  result.error = outcome.error;
 
   for (usize w = 0; w < spec.workloads.size(); ++w) {
     for (usize m = 0; m < spec.models.size(); ++m) {
@@ -369,7 +372,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     }
   }
 
-  if (result.cancelled) return result;  // incomplete matrix: no CSV export
+  // An incomplete matrix gets no CSV export.
+  if (result.cancelled || !result.error.empty()) return result;
 
   maybe_write_csv(result);
   return result;

@@ -84,6 +84,9 @@ struct ExperimentResult {
   /// True when ExperimentSpec::cancel fired before every cell ran; the
   /// matrix is then incomplete and must not be reported as a result.
   bool cancelled = false;
+  /// Non-empty when the grid could not finish (GridOutcome::error); the
+  /// matrix is then incomplete too.
+  std::string error;
 
   /// Arithmetic mean over workloads for one model (the figures' AV bars).
   double average(usize model_index) const;

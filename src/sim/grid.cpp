@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <mutex>
 
 #include "common/snapshot.h"
+#include "common/strutil.h"
 #include "common/thread_pool.h"
 
 namespace reese::sim {
@@ -17,15 +19,17 @@ constexpr u32 kDoneRecordTag = 0x444F4E45;  // "DONE"
 
 }  // namespace
 
-bool run_cells(const char* kind, const GridSpec& spec, usize count,
-               const std::function<u64(usize)>& cell) {
+GridOutcome run_cells(const char* kind, const GridSpec& spec, usize count,
+                      const CellFn& cell) {
+  GridOutcome outcome;
   if (!spec.checkpoint.dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(spec.checkpoint.dir, ec);
     if (ec) {
-      std::fprintf(stderr, "%s: cannot create checkpoint dir %s: %s\n", kind,
-                   spec.checkpoint.dir.c_str(), ec.message().c_str());
-      std::exit(1);
+      outcome.error = format("%s: cannot create checkpoint dir %s: %s", kind,
+                             spec.checkpoint.dir.c_str(),
+                             ec.message().c_str());
+      return outcome;
     }
   }
 
@@ -45,13 +49,29 @@ bool run_cells(const char* kind, const GridSpec& spec, usize count,
   std::atomic<u64> cells_done{0};
   std::atomic<u64> committed_total{0};
   std::atomic<bool> cancelled{false};
+  std::atomic<bool> failed{false};
+  std::mutex failure_mutex;
+  usize failed_index = std::numeric_limits<usize>::max();
   const auto run_one = [&](usize index) {
+    if (failed.load(std::memory_order_relaxed)) return;
     if (spec.cancel &&
         (cancelled.load(std::memory_order_relaxed) || spec.cancel())) {
       cancelled.store(true, std::memory_order_relaxed);
       return;
     }
-    const u64 committed = cell(index);
+    std::string error;
+    const u64 committed = cell(index, &error);
+    if (!error.empty()) {
+      // Keep the lowest-indexed failure, so the message does not depend on
+      // which worker failed first.
+      std::lock_guard<std::mutex> lock(failure_mutex);
+      if (index < failed_index) {
+        failed_index = index;
+        outcome.error = std::move(error);
+      }
+      failed.store(true, std::memory_order_relaxed);
+      return;
+    }
     const u64 done = cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
     const u64 committed_now =
         committed_total.fetch_add(committed, std::memory_order_relaxed) +
@@ -67,7 +87,8 @@ bool run_cells(const char* kind, const GridSpec& spec, usize count,
                                         std::max<usize>(count, 1));
   ThreadPool pool(static_cast<u32>(workers));
   pool.parallel_for(count, run_one);
-  return cancelled.load(std::memory_order_relaxed);
+  outcome.cancelled = cancelled.load(std::memory_order_relaxed);
+  return outcome;
 }
 
 void save_done_record(const std::string& path, u64 identity,

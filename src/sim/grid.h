@@ -72,16 +72,31 @@ struct GridSpec {
   CheckpointOptions checkpoint;
 };
 
+/// How a grid run ended, besides the cells it filled in.
+struct GridOutcome {
+  bool cancelled = false;  ///< GridSpec::cancel fired
+  /// Why the grid could not finish, as a one- or two-line message; empty
+  /// when nothing failed.
+  std::string error;
+};
+
+/// A grid cell: fills its own result slot and returns the instructions it
+/// committed, or sets `*error` when it cannot finish (its workload cannot
+/// be built, its snapshot cannot be restored, or it stopped before its
+/// commit target).
+using CellFn = std::function<u64(usize index, std::string* error)>;
+
 /// Run cell(0) .. cell(count - 1) across min(workers, count) workers
-/// (GridSpec::jobs). `cell` returns the instructions it committed and must
-/// write only its own result slot, so the results do not depend on the
-/// worker count or on the order cells finish. Creates the checkpoint
-/// directory first (exit 1 if it cannot), and reports each finished cell
-/// to `spec.progress` and the reese_grid_*{kind=`kind`} counters. Returns
-/// true when `spec.cancel` fired; the cells it kept from starting are left
-/// untouched.
-bool run_cells(const char* kind, const GridSpec& spec, usize count,
-               const std::function<u64(usize)>& cell);
+/// (GridSpec::jobs). A cell must write only its own result slot, so the
+/// results do not depend on the worker count or on the order cells
+/// finish. Creates the checkpoint directory first, and reports each
+/// finished cell to `spec.progress` and the reese_grid_*{kind=`kind`}
+/// counters. Once `spec.cancel` fires or a cell fails, no further cell
+/// starts and the cells kept from starting are left untouched; the
+/// outcome then carries `cancelled`, or the failure of the lowest-indexed
+/// cell that failed (or of the checkpoint directory).
+GridOutcome run_cells(const char* kind, const GridSpec& spec, usize count,
+                      const CellFn& cell);
 
 /// Write the done-record `path` (atomic temp+rename): one DONE section
 /// holding `identity`, then what `put_payload` appends. A failed write

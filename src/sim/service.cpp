@@ -182,6 +182,7 @@ const char* job_state_name(JobState state) {
     case JobState::kRunning: return "running";
     case JobState::kDone: return "done";
     case JobState::kTimeout: return "timeout";
+    case JobState::kFailed: return "failed";
   }
   return "?";
 }
@@ -212,6 +213,7 @@ ServiceStats SimulationService::stats() const {
   stats.submitted = submitted_;
   stats.completed = completed_;
   stats.timeouts = timeouts_;
+  stats.failed = failed_;
   stats.rejected_queue_full = rejected_queue_full_;
   stats.total_committed = total_committed_;
   stats.total_wall_seconds = total_wall_seconds_;
@@ -280,6 +282,9 @@ std::string SimulationService::job_status_json(const Job& job) {
                   static_cast<unsigned long long>(job.committed));
     out += format("  \"wall_seconds\": %.6f,\n", job.wall_seconds);
   }
+  if (job.state == JobState::kFailed) {
+    out += format("  \"error\": \"%s\",\n", json_escape(job.error).c_str());
+  }
   out += format("  \"result\": \"/v1/jobs/%llu/result\"\n",
                 static_cast<unsigned long long>(job.id));
   out += "}\n";
@@ -322,13 +327,16 @@ http::Response SimulationService::submit(const http::Request& request,
         !parse_checkpoint_field(body, &spec.checkpoint, &error)) {
       return error_response(400, error);
     }
+    // An omitted "replicas" stays 0, which run_campaign resolves (12, or 1
+    // under "quick").
     u64 replicas = spec.replicas;
     if (!parse_u64_field(body, "replicas", &replicas, &error)) {
       return error_response(400, error);
     }
     // Input validation before the u32 narrowing; the real guard against
     // runaway grids is the cell cap below.
-    if (replicas < 1 || replicas > 1'000'000) {
+    if (body.find("replicas") != nullptr &&
+        (replicas < 1 || replicas > 1'000'000)) {
       return error_response(400, "\"replicas\" must be in [1, 1000000]");
     }
     spec.replicas = static_cast<u32>(replicas);
@@ -556,6 +564,9 @@ http::Response SimulationService::job_result(u64 id,
       return error_response(
           408, format("job exceeded its %g s wall-clock timeout",
                       job.timeout_s));
+    case JobState::kFailed:
+      job.fetched = true;
+      return error_response(500, "job failed: " + job.error);
     case JobState::kDone:
       break;
   }
@@ -591,6 +602,8 @@ http::Response SimulationService::stats_response() {
                 static_cast<unsigned long long>(stats.completed));
   out += format("  \"timeouts\": %llu,\n",
                 static_cast<unsigned long long>(stats.timeouts));
+  out += format("  \"failed\": %llu,\n",
+                static_cast<unsigned long long>(stats.failed));
   out += format("  \"rejected_queue_full\": %llu,\n",
                 static_cast<unsigned long long>(stats.rejected_queue_full));
   out += format("  \"total_committed_instructions\": %llu,\n",
@@ -622,6 +635,8 @@ void export_service_stats(metrics::Registry* registry,
               "Jobs finished in state done");
   set_counter("reese_service_timeouts_total", stats.timeouts,
               "Jobs finished in state timeout");
+  set_counter("reese_service_failed_total", stats.failed,
+              "Jobs finished in state failed");
   set_counter("reese_service_rejected_queue_full_total",
               stats.rejected_queue_full, "Submits refused with 429");
   set_counter("reese_service_committed_instructions_total",
@@ -701,6 +716,7 @@ void SimulationService::run_job(u64 id) {
   };
 
   bool cancelled = false;
+  std::string error;
   u64 committed = 0;
   std::optional<ExperimentResult> experiment_result;
   std::optional<CampaignResult> campaign_result;
@@ -710,6 +726,7 @@ void SimulationService::run_job(u64 id) {
     campaign_spec.metrics = &registry_;
     campaign_result = run_campaign(campaign_spec);
     cancelled = campaign_result->cancelled;
+    error = campaign_result->error;
     for (const auto& per_workload : campaign_result->matrix.cells) {
       for (const auto& per_replica : per_workload) {
         for (const CampaignCell& cell : per_replica) {
@@ -723,6 +740,7 @@ void SimulationService::run_job(u64 id) {
     experiment_spec.metrics = &registry_;
     experiment_result = run_experiment(experiment_spec);
     cancelled = experiment_result->cancelled;
+    error = experiment_result->error;
     for (const auto& per_model : experiment_result->cells) {
       for (const auto& per_seed : per_model) {
         for (const ExperimentCell& cell : per_seed) {
@@ -735,7 +753,9 @@ void SimulationService::run_job(u64 id) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  const JobState final_state = cancelled ? JobState::kTimeout : JobState::kDone;
+  const JobState final_state = !error.empty() ? JobState::kFailed
+                               : cancelled      ? JobState::kTimeout
+                                                : JobState::kDone;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -744,7 +764,10 @@ void SimulationService::run_job(u64 id) {
     job.wall_seconds = wall_seconds;
     job.committed = committed;
     job.state = final_state;
-    if (cancelled) {
+    if (final_state == JobState::kFailed) {
+      job.error = error;
+      ++failed_;
+    } else if (final_state == JobState::kTimeout) {
       ++timeouts_;
     } else {
       job.experiment_result = std::move(experiment_result);
@@ -756,12 +779,15 @@ void SimulationService::run_job(u64 id) {
   }
 
   const char* state = job_state_name(final_state);
-  logger_->info("job_finished",
-                format("job %llu finished in state %s",
-                       static_cast<unsigned long long>(id), state),
-                lifecycle_fields({log::field("state", state),
-                                  log::field("wall_seconds", wall_seconds),
-                                  log::field("committed", committed)}));
+  std::vector<log::Field> fields = {log::field("state", state),
+                                    log::field("wall_seconds", wall_seconds),
+                                    log::field("committed", committed)};
+  if (!error.empty()) fields.push_back(log::field("error", error));
+  logger_->log(error.empty() ? log::Level::kInfo : log::Level::kWarn,
+               "job_finished",
+               format("job %llu finished in state %s",
+                      static_cast<unsigned long long>(id), state),
+               lifecycle_fields(std::move(fields)));
 }
 
 }  // namespace reese::sim

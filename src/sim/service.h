@@ -15,14 +15,15 @@
 //   POST /v1/campaigns          submit a fault-campaign spec   → 202 {id}
 //   GET  /v1/jobs/<id>          job status                     → 200
 //   GET  /v1/jobs/<id>/progress live cells/instructions/kIPS   → 200
-//   GET  /v1/jobs/<id>/result   result; ?format=csv for CSV    → 200/202/408
+//   GET  /v1/jobs/<id>/result   result; ?format=csv for CSV    → 200/202/
+//                                                                408/500
 //   GET  /v1/healthz            liveness                       → 200
 //   GET  /v1/stats              queue/jobs/throughput counters → 200
 //   GET  /v1/metrics            Prometheus text exposition (daemon-wide
 //                               counters + live grid counters; DESIGN.md §12)
 //
-// Job lifecycle: queued → running → {done, timeout}. Robustness is part of
-// the contract:
+// Job lifecycle: queued → running → {done, timeout, failed}. Robustness is
+// part of the contract:
 //   * a full queue refuses the submit with 429 (backpressure, never
 //     unbounded memory);
 //   * specs are capped (per-cell instruction budget, grid cell count)
@@ -30,6 +31,10 @@
 //   * every job carries a wall-clock timeout enforced through the specs'
 //     cooperative cancel hook; an expired job ends in state "timeout" and
 //     its result fetch answers 408;
+//   * a job whose grid cannot finish (a cell stops early, its workload or
+//     snapshot cannot be loaded, its checkpoint directory cannot be
+//     created) ends in state "failed": its status carries the message, its
+//     result fetch answers 500, and the daemon keeps serving;
 //   * drain() blocks until admitted jobs finish (reesed's SIGTERM path).
 #pragma once
 
@@ -80,7 +85,7 @@ struct ServiceConfig {
   log::Logger* logger = nullptr;
 };
 
-enum class JobState { kQueued, kRunning, kDone, kTimeout };
+enum class JobState { kQueued, kRunning, kDone, kTimeout, kFailed };
 
 const char* job_state_name(JobState state);
 
@@ -91,6 +96,7 @@ struct ServiceStats {
   u64 submitted = 0;
   u64 completed = 0;
   u64 timeouts = 0;
+  u64 failed = 0;
   u64 rejected_queue_full = 0;
   u64 total_committed = 0;     ///< instructions across finished jobs
   double total_wall_seconds = 0.0;  ///< execution time across finished jobs
@@ -139,6 +145,7 @@ class SimulationService {
     std::chrono::steady_clock::time_point started_at;  ///< set at kRunning
     double wall_seconds = 0.0;  ///< execution time once finished
     u64 committed = 0;          ///< instructions, once finished
+    std::string error;          ///< why the job failed (kFailed only)
     // Live progress, max-merged from the grid's ProgressFn (updates can
     // arrive out of order across workers), so each field is monotonic for
     // the job's lifetime — the progress endpoint never goes backwards.
@@ -169,6 +176,7 @@ class SimulationService {
   u64 submitted_ = 0;
   u64 completed_ = 0;
   u64 timeouts_ = 0;
+  u64 failed_ = 0;
   u64 rejected_queue_full_ = 0;
   u64 total_committed_ = 0;
   double total_wall_seconds_ = 0.0;

@@ -46,21 +46,32 @@ SimResult Simulator::run(u64 instructions) {
   return result;
 }
 
+std::string stopped_early_message(const char* tool, const std::string& label,
+                                  const SimResult& result) {
+  if (result.stop == core::StopReason::kCommitTarget) return "";
+  std::string message =
+      format("%s: %s stopped early (%s) after %llu insts, %llu cycles", tool,
+             label.c_str(), core::stop_reason_name(result.stop),
+             static_cast<unsigned long long>(result.committed),
+             static_cast<unsigned long long>(result.cycles));
+  if (result.stop == core::StopReason::kCycleLimit) {
+    message += format(
+        "\n%s: cycle limit hit at cycle %llu — raise it via "
+        "REESE_SIM_CYCLE_LIMIT",
+        tool, static_cast<unsigned long long>(result.cycles));
+  }
+  return message;
+}
+
+void exit_if_failed(const std::string& error) {
+  if (error.empty()) return;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  std::exit(1);
+}
+
 void exit_if_stopped_early(const char* tool, const std::string& label,
                            const SimResult& result) {
-  if (result.stop == core::StopReason::kCommitTarget) return;
-  std::fprintf(stderr,
-               "%s: %s stopped early (%s) after %llu insts, %llu cycles\n",
-               tool, label.c_str(), core::stop_reason_name(result.stop),
-               static_cast<unsigned long long>(result.committed),
-               static_cast<unsigned long long>(result.cycles));
-  if (result.stop == core::StopReason::kCycleLimit) {
-    std::fprintf(stderr,
-                 "%s: cycle limit hit at cycle %llu — raise it via "
-                 "REESE_SIM_CYCLE_LIMIT\n",
-                 tool, static_cast<unsigned long long>(result.cycles));
-  }
-  std::exit(1);
+  exit_if_failed(stopped_early_message(tool, label, result));
 }
 
 Cycle default_cycle_limit(u64 instructions) {

@@ -37,10 +37,19 @@ class Simulator {
   std::unique_ptr<core::Pipeline> pipeline_;
 };
 
-/// Exit 1 unless `result` reached its commit target: a figure or table
-/// computed from a run that stopped early (the cycle limit, HALT or a bad
-/// PC) would print a wrong number. The message names `tool` and the run's
-/// `label`; a cycle-limit stop also names REESE_SIM_CYCLE_LIMIT.
+/// Empty when `result` reached its commit target; otherwise why a figure
+/// or table computed from it would print a wrong number: the run stopped
+/// early (the cycle limit, HALT or a bad PC). The message names `tool` and
+/// the run's `label`; a cycle-limit stop adds a second line naming
+/// REESE_SIM_CYCLE_LIMIT.
+std::string stopped_early_message(const char* tool, const std::string& label,
+                                  const SimResult& result);
+
+/// For batch programs: print `error` to stderr and exit 1 unless it is
+/// empty.
+void exit_if_failed(const std::string& error);
+
+/// exit_if_failed(stopped_early_message(tool, label, result)).
 void exit_if_stopped_early(const char* tool, const std::string& label,
                            const SimResult& result);
 

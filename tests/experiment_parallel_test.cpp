@@ -1,8 +1,11 @@
 // Determinism tests for the parallel experiment grid runner: the result
 // matrix (per-cell IPC, cycles, committed counts, stop reasons) must be
-// bit-identical no matter how many workers ran it.
+// bit-identical no matter how many workers ran it, and a grid whose cells
+// stop early fails with the same message at any worker count.
 #include "sim/experiment.h"
 
+#include <atomic>
+#include <cstdlib>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -121,6 +124,33 @@ TEST(ResolveJobCountTest, PositiveRequestWins) {
 
 TEST(ResolveJobCountTest, AutoIsAtLeastOne) {
   EXPECT_GE(resolve_job_count(0), 1u);
+}
+
+TEST(ExperimentParallelTest, AStoppedCellFailsTheGridAtAnyWorkerCount) {
+  // A 500-cycle limit stops every cell long before its commit target.
+  setenv("REESE_SIM_CYCLE_LIMIT", "500", 1);
+  for (u32 jobs : {1u, 4u}) {
+    ExperimentSpec spec = small_grid(jobs);
+    // cancel is polled once before each cell starts.
+    std::atomic<u32> started{0};
+    spec.cancel = [&started] {
+      ++started;
+      return false;
+    };
+    const ExperimentResult result = run_experiment(spec);
+    EXPECT_FALSE(result.cancelled);
+    // The lowest-indexed failure wins, whichever worker finished first.
+    EXPECT_EQ(result.error.rfind(
+                  "experiment: gcc/Baseline stopped early (cycle-limit) "
+                  "after ",
+                  0),
+              0u)
+        << result.error;
+    if (jobs == 1) {
+      EXPECT_EQ(started.load(), 1u) << "a cell started after a failure";
+    }
+  }
+  unsetenv("REESE_SIM_CYCLE_LIMIT");
 }
 
 }  // namespace

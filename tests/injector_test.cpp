@@ -371,6 +371,7 @@ TEST(Campaign, PcStrataAreBitIdenticalAcrossJobCounts) {
 TEST(Campaign, QuickModeUsesOneReplicaAndReducedBudget) {
   sim::CampaignSpec spec = tiny_campaign();
   spec.quick = true;
+  spec.replicas = 0;  // no count given
   spec.instructions = 2'000;
   const sim::CampaignResult result = sim::run_campaign(spec);
   EXPECT_EQ(result.spec.replicas, 1u);
@@ -379,6 +380,11 @@ TEST(Campaign, QuickModeUsesOneReplicaAndReducedBudget) {
       EXPECT_EQ(replicas.size(), 1u);
     }
   }
+  // Quick mode only supplies a default: an explicit count wins, and a
+  // full campaign defaults to 12.
+  spec.replicas = 3;
+  EXPECT_EQ(sim::resolve_campaign_defaults(spec).replicas, 3u);
+  EXPECT_EQ(sim::resolve_campaign_defaults(sim::CampaignSpec{}).replicas, 12u);
 }
 
 // --- component-targeted fault sites (DESIGN.md §16) ---------------------------

@@ -1,6 +1,6 @@
 // Memory-system tests: sparse main memory, set-associative cache timing
-// model (replacement, write policies, eviction/writeback accounting), TLB
-// and the full hierarchy.
+// model (LRU replacement, write-back eviction accounting), TLB and the full
+// hierarchy.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -130,19 +130,6 @@ TEST(Cache, LruEvictsOldest) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(Cache, FifoIgnoresTouches) {
-  CacheConfig config = small_cache();
-  config.replacement = ReplacementPolicy::kFifo;
-  FlatMemoryLevel dram(60);
-  Cache cache(config, &dram);
-  cache.access(0x0, false);
-  cache.access(0x200, false);
-  cache.access(0x0, false);    // touch does not refresh FIFO stamp
-  cache.access(0x400, false);  // evicts 0x0 (oldest fill)
-  EXPECT_FALSE(cache.contains(0x0));
-  EXPECT_TRUE(cache.contains(0x200));
-}
-
 TEST(Cache, WriteBackDirtyEviction) {
   FlatMemoryLevel dram(60);
   Cache cache(small_cache(), &dram);
@@ -160,34 +147,6 @@ TEST(Cache, CleanEvictionNoWriteback) {
   cache.access(0x400, false);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().writebacks, 0u);
-}
-
-TEST(Cache, WriteThroughPropagates) {
-  CacheConfig config = small_cache();
-  config.write_policy = WritePolicy::kWriteThrough;
-  FlatMemoryLevel dram(60);
-  Cache cache(config, &dram);
-  cache.access(0x0, false);             // fill
-  const u64 dram_before = dram.accesses();
-  cache.access(0x0, true);              // write hit -> write-through
-  EXPECT_EQ(dram.accesses(), dram_before + 1);
-}
-
-TEST(Cache, WriteNoAllocatePassesThrough) {
-  CacheConfig config = small_cache();
-  config.write_allocate = false;
-  FlatMemoryLevel dram(60);
-  Cache cache(config, &dram);
-  cache.access(0x0, true);  // write miss, no allocate
-  EXPECT_FALSE(cache.contains(0x0));
-}
-
-TEST(Cache, InvalidateAll) {
-  FlatMemoryLevel dram(60);
-  Cache cache(small_cache(), &dram);
-  cache.access(0x0, false);
-  cache.invalidate_all();
-  EXPECT_FALSE(cache.contains(0x0));
 }
 
 TEST(Cache, StatsReadWriteSplit) {
@@ -269,19 +228,18 @@ TEST(Tlb, CapacityEviction) {
 
 TEST(Hierarchy, L1MissGoesToL2) {
   HierarchyConfig config;
-  config.enable_tlbs = false;
   Hierarchy hierarchy(config);
   const u32 cold = hierarchy.data_access(0x100000, false);
-  // dl1 hit(2) + ul2 hit(12) + dram(60)
-  EXPECT_EQ(cold, 2u + 12u + 60u);
+  // dl1 hit(2) + ul2 hit(12) + dram(60) + the D-TLB miss
+  EXPECT_EQ(cold, 2u + 12u + 60u + config.dtlb.miss_latency);
   EXPECT_EQ(hierarchy.data_access(0x100000, false), 2u);
+  // The next 32-byte L1 line shares the 64-byte L2 line and the page.
+  EXPECT_EQ(hierarchy.data_access(0x100020, false), 2u + 12u);
   EXPECT_EQ(hierarchy.ul2().stats().misses, 1u);
 }
 
 TEST(Hierarchy, L2SharedBetweenInstAndData) {
-  HierarchyConfig config;
-  config.enable_tlbs = false;
-  Hierarchy hierarchy(config);
+  Hierarchy hierarchy(HierarchyConfig{});
   hierarchy.inst_access(0x5000);
   EXPECT_EQ(hierarchy.ul2().stats().accesses, 1u);
   hierarchy.data_access(0x5000, false);  // same line, already in L2

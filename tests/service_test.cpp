@@ -134,6 +134,7 @@ TEST(Service, RejectsInvalidSpecsWith400) {
       R"({"rate": 1.5})",
       R"({"replicas": 0})",
       R"({"replicas": 100000})",  // cell cap
+      R"({"quick": true, "replicas": 100000})",  // quick mode too
       R"({"workloads": ["gcc"], "variants": ["baseline"],
           "replicas": 1000001})",  // replica bound
       R"({"models": ["reese"]})",  // experiment-only key
@@ -255,6 +256,42 @@ TEST(Service, TimedOutJobAnswers408) {
     EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   }
   EXPECT_EQ(service.stats().timeouts, 2u);
+}
+
+TEST(Service, FailedJobAnswers500AndTheServiceKeepsServing) {
+  ServiceConfig config;
+  config.workers = 1;
+  SimulationService service(config);
+  // /dev/null is not a directory, so no checkpoint directory can be
+  // created under it and the grid cannot start.
+  const std::string failed = submit_ok(
+      &service, "/v1/campaigns",
+      R"({"workloads": ["gcc"], "variants": ["baseline"], "replicas": 1,
+          "instructions": 2000, "checkpoint": {"dir": "/dev/null/ckpt"}})");
+  EXPECT_EQ(wait_for_job(&service, failed), "failed");
+  const http::Response status = service.handle(make_request("GET", failed));
+  const Result<json::Value> parsed = json::parse_json(status.body);
+  ASSERT_TRUE(parsed.ok()) << status.body;
+  const json::Value* error = parsed.value().find("error");
+  ASSERT_NE(error, nullptr) << status.body;
+  EXPECT_NE(error->string.find("cannot create checkpoint dir /dev/null/ckpt"),
+            std::string::npos)
+      << error->string;
+  const http::Response result = service.handle(result_request(failed));
+  EXPECT_EQ(result.status, 500);
+  EXPECT_TRUE(json::parse_json(result.body).ok()) << result.body;
+
+  // The next job runs as if nothing had happened.
+  const std::string next = submit_ok(
+      &service, "/v1/experiments",
+      R"({"workloads": ["gcc"], "models": ["baseline"], "instructions": 2000})");
+  EXPECT_EQ(wait_for_job(&service, next), "done");
+  const Result<json::Value> stats =
+      json::parse_json(service.handle(make_request("GET", "/v1/stats")).body);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_NE(stats.value().find("failed"), nullptr);
+  EXPECT_EQ(stats.value().find("failed")->uint_value, 1u);
+  EXPECT_EQ(stats.value().find("completed")->uint_value, 1u);
 }
 
 TEST(Service, FullQueueAnswers429) {
@@ -689,9 +726,10 @@ struct Daemon {
   FILE* stdout_stream = nullptr;
 };
 
-/// Fork reesed on an ephemeral port; parse the port from its first stdout
-/// line ("reesed: listening on 127.0.0.1:PORT").
-Daemon start_reesed() {
+/// Fork reesed on an ephemeral port, with `env` ("NAME=VALUE", if given)
+/// added to its environment; parse the port from its first stdout line
+/// ("reesed: listening on 127.0.0.1:PORT").
+Daemon start_reesed(const char* env = nullptr) {
   Daemon daemon;
   int out_pipe[2];
   if (pipe(out_pipe) != 0) return daemon;
@@ -700,6 +738,7 @@ Daemon start_reesed() {
     dup2(out_pipe[1], STDOUT_FILENO);
     close(out_pipe[0]);
     close(out_pipe[1]);
+    if (env != nullptr) putenv(const_cast<char*>(env));
     execl(REESE_REESED_BIN, "reesed", "--port", "0", "--workers", "1",
           static_cast<char*>(nullptr));
     _exit(127);
@@ -851,6 +890,40 @@ TEST(ReesedBinary, ClientDrivesExperimentAndCampaignThenSigtermDrains) {
   EXPECT_EQ(output, sim::run_campaign(campaign).json());
 
   // SIGTERM must drain and exit 0.
+  ASSERT_EQ(kill(daemon.pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(daemon.pid, &status, 0), daemon.pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  if (daemon.stdout_stream != nullptr) fclose(daemon.stdout_stream);
+}
+
+TEST(ReesedBinary, AJobThatStopsEarlyFailsAndTheDaemonKeepsServing) {
+  // A 500-cycle limit stops every cell long before its 20k instructions.
+  Daemon daemon = start_reesed("REESE_SIM_CYCLE_LIMIT=500");
+  ASSERT_GT(daemon.pid, 0);
+  ASSERT_GT(daemon.port, 0) << "could not parse the listening port";
+
+  const std::string spec_path = testing::TempDir() + "/reese_stopped.json";
+  {
+    std::ofstream spec(spec_path);
+    spec << R"({"workloads": ["gcc"], "models": ["baseline"],
+                "instructions": 20000})";
+  }
+  std::string output;
+  ASSERT_EQ(run_client(daemon.port, "submit-experiment " + spec_path, &output),
+            0)
+      << output;
+  const std::string job_id = std::string(trim(output));
+  EXPECT_EQ(run_client(daemon.port, "wait " + job_id, &output), 4);
+  EXPECT_EQ(trim(output), "failed");
+  EXPECT_EQ(run_client(daemon.port, "result " + job_id, &output), 1);
+  EXPECT_EQ(http::request("127.0.0.1", static_cast<u16>(daemon.port), "GET",
+                          "/v1/healthz", "")
+                .status,
+            200);
+
+  // SIGTERM must still drain and exit 0.
   ASSERT_EQ(kill(daemon.pid, SIGTERM), 0);
   int status = 0;
   ASSERT_EQ(waitpid(daemon.pid, &status, 0), daemon.pid);

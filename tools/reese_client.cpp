@@ -22,9 +22,10 @@
 //   metrics                         GET /v1/metrics (Prometheus text)
 //
 // SPEC.json may be "-" to read the spec from stdin. `wait` exits 0 for
-// state "done" and 3 for "timeout". `result` on a job that timed out
-// surfaces the server's 408; a job pruned by the daemon's retention window
-// answers 404 like any unknown id. A --port value that is not an integer
+// state "done", 3 for "timeout" and 4 for "failed". `result` on a job that
+// timed out surfaces the server's 408, on a failed job its 500 with the
+// failure; a job pruned by the daemon's retention window answers 404 like
+// any unknown id. A --port value that is not an integer
 // in its range exits 2.
 #include <unistd.h>
 
@@ -186,7 +187,8 @@ int main(int argc, char** argv) {
         if (state != "queued" && state != "running") {
           std::printf("%s\n", state.c_str());
           if (state == "done") return 0;
-          return state == "timeout" ? 3 : 1;
+          if (state == "timeout") return 3;
+          return state == "failed" ? 4 : 1;
         }
         ::usleep(50 * 1000);
       }

@@ -185,6 +185,7 @@ int main(int argc, char** argv) {
       {log::field("submitted", stats.submitted),
        log::field("completed", stats.completed),
        log::field("timeouts", stats.timeouts),
+       log::field("failed", stats.failed),
        log::field("rejected", stats.rejected_queue_full),
        log::field("kips", stats.kips())});
   return 0;
