@@ -30,6 +30,9 @@ Cache::Cache(const CacheConfig& config, MemoryLevel* next)
     : config_(config), next_(next) {
   config_.validate();
   assert(next_ != nullptr && "cache needs a next level");
+  line_shift_ = log2_exact(config_.line_bytes);
+  tag_shift_ = line_shift_ + log2_exact(config_.set_count());
+  set_mask_ = config_.set_count() - 1;
   lines_.resize(config_.set_count() * config_.associativity);
   poison_.resize(lines_.size(), 0);
 }
@@ -111,10 +114,8 @@ u32 Cache::access_one_line(Addr addr, bool is_write) {
       ++stats_.writebacks;
       // Victim writeback goes to a write buffer; its latency is not on
       // the critical path of this access.
-      const Addr victim_addr =
-          (line.tag * config_.set_count() + set_index(addr)) *
-          config_.line_bytes;
-      next_->access(victim_addr, true);
+      next_->access((line.tag << tag_shift_) | (set_index(addr) << line_shift_),
+                    true);
     }
   }
   const u32 fill_latency = next_->access(line_addr(addr), false);

@@ -144,15 +144,16 @@ class Cache final : public MemoryLevel {
   usize victim_way(usize set_base);
 
   Addr line_addr(Addr addr) const { return addr & ~(Addr{config_.line_bytes} - 1); }
-  u64 set_index(Addr addr) const {
-    return (addr / config_.line_bytes) & (config_.set_count() - 1);
-  }
-  u64 tag_bits(Addr addr) const {
-    return addr / config_.line_bytes / config_.set_count();
-  }
+  u64 set_index(Addr addr) const { return (addr >> line_shift_) & set_mask_; }
+  u64 tag_bits(Addr addr) const { return addr >> tag_shift_; }
 
   CacheConfig config_;
   MemoryLevel* next_;
+  // The geometry is powers of two (CacheConfig::validate), so an address
+  // splits into tag | set | offset by shifts and a mask.
+  unsigned line_shift_ = 0;  ///< log2(line_bytes)
+  unsigned tag_shift_ = 0;   ///< log2(line_bytes * set count)
+  u64 set_mask_ = 0;         ///< set count - 1
   std::vector<Line> lines_;  ///< set-major: lines_[set * assoc + way]
   CacheStats stats_;
   u64 tick_ = 0;

@@ -68,7 +68,6 @@ class Tlb {
     poison_cleared_ = 0;
     return count;
   }
-  u32 poison_active() const { return poison_active_; }
 
  private:
   struct Entry {

@@ -609,13 +609,11 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     const SimResult sim_result = simulator.run(spec.instructions);
     const bool halt_ok =
         !spec.programs.empty() && sim_result.stop == core::StopReason::kHalted;
-    if (sim_result.stop != core::StopReason::kCommitTarget && !halt_ok) {
-      *failure = format("campaign: %s/%s stopped early (%s) after %llu insts",
-                        spec.workloads[job.workload_index].c_str(),
-                        variant.label.c_str(),
-                        core::stop_reason_name(sim_result.stop),
-                        static_cast<unsigned long long>(sim_result.committed));
-      return 0;
+    if (!halt_ok) {
+      *failure = stopped_early_message(
+          "campaign", spec.workloads[job.workload_index] + "/" + variant.label,
+          sim_result);
+      if (!failure->empty()) return 0;
     }
     // Close still-open ACE windows: for HALTing programs the stream is
     // complete, so an unread value is truly masked; commit-target stops

@@ -1,5 +1,7 @@
 #include "workloads/builder.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,41 +10,55 @@
 
 namespace reese::workloads {
 
-std::string dword_table(const std::string& label,
-                        std::span<const u64> values) {
-  std::string out = "  .align 8\n" + label + ":\n";
-  for (usize i = 0; i < values.size(); i += 8) {
-    out += "  .dword ";
-    for (usize j = i; j < std::min(values.size(), i + 8); ++j) {
-      if (j != i) out += ", ";
-      out += format("0x%llx", static_cast<unsigned long long>(values[j]));
-    }
-    out += "\n";
+std::string DataTables::dword_table(const std::string& label,
+                                    std::span<const u64> values) {
+  std::vector<u8> bytes(8 * values.size());
+  for (usize i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<u8>(values[i / 8] >> (8 * (i % 8)));
   }
-  return out;
+  tables_.push_back(Table{label, std::move(bytes)});
+  return format("  .align 8\n%s:\n  .space %zu\n", label.c_str(),
+                8 * values.size());
 }
 
-std::string byte_table(const std::string& label, std::span<const u8> values) {
-  std::string out = label + ":\n";
-  for (usize i = 0; i < values.size(); i += 16) {
-    out += "  .byte ";
-    for (usize j = i; j < std::min(values.size(), i + 16); ++j) {
-      if (j != i) out += ", ";
-      out += std::to_string(values[j]);
-    }
-    out += "\n";
-  }
-  return out;
+std::string DataTables::byte_table(const std::string& label,
+                                   std::span<const u8> values) {
+  tables_.push_back(Table{label, {values.begin(), values.end()}});
+  return format("%s:\n  .space %zu\n", label.c_str(), values.size());
 }
 
-isa::Program assemble_or_die(const std::string& source, const char* name) {
+bool DataTables::fill(isa::Program* program, std::string* missing) const {
+  for (const Table& table : tables_) {
+    const auto it = program->symbols.find(table.label);
+    if (it == program->symbols.end() || it->second < program->data_base ||
+        it->second - program->data_base + table.bytes.size() >
+            program->data.size()) {
+      *missing = table.label;
+      return false;
+    }
+    std::copy(table.bytes.begin(), table.bytes.end(),
+              program->data.begin() +
+                  static_cast<std::ptrdiff_t>(it->second - program->data_base));
+  }
+  return true;
+}
+
+isa::Program assemble_or_die(const std::string& source, const char* name,
+                             const DataTables& tables) {
   auto result = isa::assemble(source);
   if (!result.ok()) {
     std::fprintf(stderr, "workload '%s' failed to assemble: %s\n", name,
                  result.error().to_string().c_str());
     std::abort();
   }
-  return std::move(result).value();
+  isa::Program program = std::move(result).value();
+  std::string missing;
+  if (!tables.fill(&program, &missing)) {
+    std::fprintf(stderr, "workload '%s' has no reservation for table '%s'\n",
+                 name, missing.c_str());
+    std::abort();
+  }
+  return program;
 }
 
 std::string program_shell(const std::string& kernel_label, u64 iterations) {

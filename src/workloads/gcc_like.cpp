@@ -163,8 +163,9 @@ eval_done:
 
   .data
 )";
-  source += dword_table("nodes", forest.node_words);
-  source += dword_table("roots", forest.root_addrs);
+  DataTables tables;
+  source += tables.dword_table("nodes", forest.node_words);
+  source += tables.dword_table("roots", forest.root_addrs);
 
   Workload workload;
   workload.name = "gcc";
@@ -172,7 +173,7 @@ eval_done:
   workload.description = format(
       "fold %zu random expression trees over a %zu-node pool each iteration",
       forest.root_addrs.size(), max_nodes);
-  workload.program = assemble_or_die(source, "gcc_like");
+  workload.program = assemble_or_die(source, "gcc_like", tables);
   return workload;
 }
 

@@ -108,14 +108,15 @@ cell_done:
 
   .data
 )";
-  source += byte_table("board", board);
+  DataTables tables;
+  source += tables.byte_table("board", board);
 
   Workload workload;
   workload.name = "go";
   workload.mimics = "SPECint95 099.go (train)";
   workload.description =
       "19x19 board pattern scan; branch outcomes follow random board data";
-  workload.program = assemble_or_die(source, "go_like");
+  workload.program = assemble_or_die(source, "go_like", tables);
   return workload;
 }
 

@@ -103,20 +103,21 @@ pixel_row:
 
   .data
 )";
-  source += byte_table("image", image);
+  DataTables tables;
+  source += tables.byte_table("image", image);
   std::vector<u64> qtable;
   for (unsigned i = 0; i < 8; ++i) qtable.push_back(1 + rng.next_below(15));
-  source += dword_table("qtable", qtable);
+  source += tables.dword_table("qtable", qtable);
   std::vector<u64> zigzag;
   for (unsigned i = 0; i < 8; ++i) zigzag.push_back(rng.next_below(64));
-  source += dword_table("zigzag", zigzag);
+  source += tables.dword_table("zigzag", zigzag);
 
   Workload workload;
   workload.name = "ijpeg";
   workload.mimics = "SPECint95 132.ijpeg (specmun)";
   workload.description =
       "8x8 integer DCT-style transform + quantization over a 64x64 image";
-  workload.program = assemble_or_die(source, "ijpeg_like");
+  workload.program = assemble_or_die(source, "ijpeg_like", tables);
   return workload;
 }
 

@@ -10,12 +10,13 @@
 namespace reese::workloads {
 namespace {
 
-Workload wrap(const char* name, const char* description, std::string source) {
+Workload wrap(const char* name, const char* description,
+              const std::string& source, const DataTables& tables = {}) {
   Workload workload;
   workload.name = name;
   workload.mimics = "micro";
   workload.description = description;
-  workload.program = assemble_or_die(source, name);
+  workload.program = assemble_or_die(source, name, tables);
   return workload;
 }
 
@@ -147,9 +148,11 @@ chase_loop:
   .data
 )",
                    static_cast<unsigned long long>(entries / 2));
-  source += dword_table("chain", table);
+  DataTables tables;
+  source += tables.dword_table("chain", table);
   return wrap("pointer_chase",
-              "serial chase through a random 64 KiB permutation", source);
+              "serial chase through a random 64 KiB permutation", source,
+              tables);
 }
 
 Workload make_branch_torture(const WorkloadOptions& options) {
@@ -181,9 +184,10 @@ bt_next:
 
   .data
 )";
-  source += byte_table("bits", bits);
+  DataTables tables;
+  source += tables.byte_table("bits", bits);
   return wrap("branch_torture", "data-dependent branches on random bits",
-              source);
+              source, tables);
 }
 
 Workload make_matmul(const WorkloadOptions& options) {
@@ -238,10 +242,12 @@ mm_k:
 
   .data
 )";
-  source += dword_table("mat_a", a);
-  source += dword_table("mat_b", b);
+  DataTables tables;
+  source += tables.dword_table("mat_a", a);
+  source += tables.dword_table("mat_b", b);
   source += "  .align 8\nmat_c: .space 2048\n";
-  return wrap("matmul", "16x16 integer matmul (IntMult pressure)", source);
+  return wrap("matmul", "16x16 integer matmul (IntMult pressure)", source,
+              tables);
 }
 
 Workload make_div_heavy(const WorkloadOptions& options) {
@@ -302,9 +308,11 @@ fp_loop:
 
   .data
 )";
-  source += dword_table("vec_x", x);
-  source += dword_table("vec_y", y);
-  return wrap("fp_daxpy", "daxpy over 512 doubles (FP units)", source);
+  DataTables tables;
+  source += tables.dword_table("vec_x", x);
+  source += tables.dword_table("vec_y", y);
+  return wrap("fp_daxpy", "daxpy over 512 doubles (FP units)", source,
+              tables);
 }
 
 }  // namespace reese::workloads

@@ -100,7 +100,8 @@ scan_done:
 
   .data
 )";
-  source += byte_table("text", text);
+  DataTables tables;
+  source += tables.byte_table("text", text);
   source += "  .align 8\nhtab: .space 8192\n";  // 512 slots x {hash, count}
 
   Workload workload;
@@ -109,7 +110,7 @@ scan_done:
   workload.description =
       "tokenize 2KiB of words, rolling-hash each, probe/update a 512-slot "
       "open-addressing table";
-  workload.program = assemble_or_die(source, "perl_like");
+  workload.program = assemble_or_die(source, "perl_like", tables);
   return workload;
 }
 

@@ -387,6 +387,30 @@ TEST(Campaign, QuickModeUsesOneReplicaAndReducedBudget) {
   EXPECT_EQ(sim::resolve_campaign_defaults(sim::CampaignSpec{}).replicas, 12u);
 }
 
+TEST(Campaign, AStoppedCellNamesTheCycleLimit) {
+  // A 500-cycle limit stops every cell long before its commit target.
+  setenv("REESE_SIM_CYCLE_LIMIT", "500", 1);
+  sim::CampaignSpec spec;
+  spec.workloads = {"gcc"};
+  spec.quick = true;
+  spec.instructions = 2'000;
+  spec.jobs = 1;
+  const sim::CampaignResult result = sim::run_campaign(spec);
+  unsetenv("REESE_SIM_CYCLE_LIMIT");
+  // The lowest-indexed cell fails: the first standard variant's.
+  EXPECT_EQ(result.error.rfind(
+                "campaign: gcc/reese_p_flips stopped early (cycle-limit) "
+                "after ",
+                0),
+            0u)
+      << result.error;
+  EXPECT_NE(result.error.find(
+                " insts, 500 cycles\ncampaign: cycle limit hit at cycle 500 "
+                "— raise it via REESE_SIM_CYCLE_LIMIT"),
+            std::string::npos)
+      << result.error;
+}
+
 // --- component-targeted fault sites (DESIGN.md §16) ---------------------------
 
 sim::CampaignSpec site_campaign(std::vector<core::FaultSite> sites) {
