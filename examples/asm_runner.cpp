@@ -6,9 +6,12 @@
 // Runs the program on the golden ISS and (optionally, -pipeline 1, the
 // default) on the cycle-accurate pipeline, printing OUT values, the final
 // checksum and timing statistics. With -trace 1 every ISS instruction is
-// disassembled as it executes (first 200 shown). With -prelint 1 the
-// program is statically checked first (see tools/srv_lint.cpp) and
-// error-severity findings abort the run.
+// disassembled as it executes (first 200 shown).
+//
+// Exit status: 0 when each run halted or used up the -instr budget; 1 when
+// the ISS left the text segment (a wild jump), the pipeline stopped on a
+// bad PC or at its cycle limit, or the pipeline's OUT hash differs from
+// the ISS's; 2 on a usage error.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -19,7 +22,6 @@
 #include "isa/assembler.h"
 #include "isa/executor.h"
 #include "isa/iss.h"
-#include "sim/prelint.h"
 
 using namespace reese;
 
@@ -33,10 +35,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: asm_runner [-reese 0|1] [-trace 0|1] file.s\n");
     return 2;
   }
+  const char* path = flags.positional()[0].c_str();
 
-  std::ifstream file(flags.positional()[0]);
+  std::ifstream file(path);
   if (!file) {
-    std::fprintf(stderr, "cannot open %s\n", flags.positional()[0].c_str());
+    std::fprintf(stderr, "cannot open %s\n", path);
     return 2;
   }
   std::stringstream buffer;
@@ -44,7 +47,7 @@ int main(int argc, char** argv) {
 
   auto assembled = isa::assemble(buffer.str());
   if (!assembled.ok()) {
-    std::fprintf(stderr, "%s: %s\n", flags.positional()[0].c_str(),
+    std::fprintf(stderr, "%s: %s\n", path,
                  assembled.error().to_string().c_str());
     return 1;
   }
@@ -53,28 +56,16 @@ int main(int argc, char** argv) {
               program.code.size(), program.data.size(),
               static_cast<unsigned long long>(program.entry));
 
-  if (flags.get_bool("prelint", false)) {
-    const sim::PrelintResult lint = sim::prelint_program(program);
-    if (!lint.diagnostics.empty()) {
-      std::fprintf(stderr, "%s",
-                   render_diagnostics(lint.diagnostics, DiagFormat::kText,
-                                      flags.positional()[0])
-                       .c_str());
-    }
-    if (!lint.ok) {
-      std::fprintf(stderr, "prelint: refusing to run a malformed program\n");
-      return 1;
-    }
-  }
-
   const bool trace = flags.get_bool("trace", false);
   const u64 max_instructions = flags.get_u64("instr", 10'000'000);
 
   isa::Iss iss(program);
+  // Traced steps count against the -instr budget, so the ISS and the
+  // pipeline run the same instructions.
+  u64 shown = 0;
   if (trace) {
-    u64 shown = 0;
     u64 last_out_count = 0;
-    while (shown < 200) {
+    while (shown < 200 && shown < max_instructions) {
       if (!program.contains_pc(iss.state().pc)) break;
       const isa::Instruction& inst = program.at(iss.state().pc);
       std::printf("  %06llx: %s\n",
@@ -90,12 +81,17 @@ int main(int argc, char** argv) {
     }
     if (shown == 200) std::printf("  ... (trace capped at 200)\n");
   }
-  const isa::IssResult result = iss.run(max_instructions);
+  const isa::IssResult result = iss.run(max_instructions - shown);
   std::printf("ISS: %llu instructions, %llu OUTs, hash %016llx, %s\n",
               static_cast<unsigned long long>(result.executed_instructions),
               static_cast<unsigned long long>(result.out_count),
               static_cast<unsigned long long>(result.out_hash),
               result.halted ? "halted" : (result.bad_pc ? "BAD PC" : "budget"));
+  bool failed = result.bad_pc;
+  if (result.bad_pc) {
+    std::fprintf(stderr, "asm_runner: %s: the ISS stopped on a bad PC\n",
+                 path);
+  }
 
   if (flags.get_bool("pipeline", true)) {
     core::CoreConfig config = core::starting_config();
@@ -105,7 +101,8 @@ int main(int argc, char** argv) {
     // SimpleScalar-pipeview-style timeline after the run.
     core::Tracer tracer(static_cast<usize>(flags.get_u64("tracecap", 48)));
     if (flags.get_bool("pipetrace", false)) pipeline.set_tracer(&tracer);
-    pipeline.run(max_instructions, 64 * max_instructions);
+    const core::StopReason stop =
+        pipeline.run(max_instructions, 64 * max_instructions);
     std::printf("\npipeline (%s):\n%s", config.summary().c_str(),
                 pipeline.report().c_str());
     if (flags.get_bool("pipetrace", false)) {
@@ -113,10 +110,17 @@ int main(int argc, char** argv) {
                   "IS=issue WB=writeback RI=r-issue RC=compare CT=commit):\n%s",
                   tracer.rows().size(), tracer.to_string().c_str());
     }
+    std::printf("stop reason: %s\n", core::stop_reason_name(stop));
+    if (stop == core::StopReason::kBadPc ||
+        stop == core::StopReason::kCycleLimit) {
+      std::fprintf(stderr, "asm_runner: %s: the pipeline stopped early (%s)\n",
+                   path, core::stop_reason_name(stop));
+      failed = true;
+    }
     if (pipeline.arch_state().out_hash != result.out_hash) {
       std::printf("WARNING: pipeline/ISS hash mismatch!\n");
-      return 1;
+      failed = true;
     }
   }
-  return 0;
+  return failed ? 1 : 0;
 }

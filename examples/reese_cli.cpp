@@ -26,13 +26,14 @@
 //   -seed N            workload data seed
 //   -fault_rate F      inject faults at rate F per instruction, F in
 //                      [0, 1] (0: off)
-//   -prelint 0|1       statically lint the workload program before running;
-//                      refuse to start on error-severity findings
 //   --trace-out FILE   write a Chrome trace_event JSON trace of the run
 //                      (open in Perfetto / chrome://tracing; see
 //                      tools/trace_check.py)
 //   --trace-sample N   with --trace-out: trace every Nth instruction only
 //                      (default 1 = all; keeps long runs tractable)
+//
+// The workloads loop forever, so a run that stops before its -instr budget
+// (the cycle limit, HALT or a bad PC) prints why to stderr and exits 1.
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -40,7 +41,6 @@
 #include "common/flags.h"
 #include "core/trace.h"
 #include "faults/injector.h"
-#include "sim/prelint.h"
 #include "sim/simulator.h"
 #include "workloads/workload.h"
 
@@ -148,22 +148,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (flags.get_bool("prelint", false)) {
-    const sim::PrelintResult lint =
-        sim::prelint_program(workload.value().program);
-    if (!lint.diagnostics.empty()) {
-      std::fprintf(stderr, "%s",
-                   render_diagnostics(lint.diagnostics, DiagFormat::kText,
-                                      workload.value().name)
-                       .c_str());
-    }
-    if (!lint.ok) {
-      std::fprintf(stderr,
-                   "prelint: refusing to simulate a malformed program\n");
-      return 1;
-    }
-  }
-
   faults::InjectorConfig fault_config;
   fault_config.rate = flags.get_double("fault_rate", 0.0);
   if (!(fault_config.rate >= 0.0 && fault_config.rate <= 1.0)) {
@@ -218,5 +202,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(tracer->events_emitted()));
   }
   std::printf("stop reason: %s\n", core::stop_reason_name(result.stop));
+  sim::exit_if_stopped_early("reese_cli", simulator.workload().name, result);
   return 0;
 }

@@ -104,30 +104,4 @@ std::vector<bool> Cfg::reachable() const {
   return seen;
 }
 
-std::vector<u32> Cfg::reverse_postorder() const {
-  std::vector<u32> order;
-  if (blocks_.empty()) return order;
-  order.reserve(blocks_.size());
-  std::vector<u8> state(blocks_.size(), 0);  // 0=new 1=open 2=done
-  // Iterative DFS with an explicit stack of (block, next-successor) frames.
-  std::vector<std::pair<u32, usize>> stack = {{entry_block_, 0}};
-  state[entry_block_] = 1;
-  while (!stack.empty()) {
-    auto& [b, next] = stack.back();
-    if (next < blocks_[b].succs.size()) {
-      const u32 succ = blocks_[b].succs[next++];
-      if (state[succ] == 0) {
-        state[succ] = 1;
-        stack.emplace_back(succ, 0);
-      }
-    } else {
-      state[b] = 2;
-      order.push_back(b);
-      stack.pop_back();
-    }
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
 }  // namespace reese::analysis

@@ -12,14 +12,14 @@
 //     conservative: liveness/definedness flow through both the callee entry
 //     and the return site.
 //   * plain JALR (rd == x0: `ret`/`jr`) gets NO successor edges — its
-//     target is dynamic. Passes that need soundness around indirect jumps
-//     check BasicBlock::has_indirect.
-// Out-of-range targets produce no edge; the branch-target pass reports
-// them, the CFG just records `has_wild_edge` on the block.
+//     target is dynamic. Analyses that need soundness around indirect
+//     jumps check BasicBlock::has_indirect.
+// Out-of-range targets produce no edge; the CFG records `has_wild_edge` on
+// the block, and the simulators stop on such a jump with a bad PC.
 //
-// This is the substrate every srv-lint pass runs on, and what future
-// control-flow-signature detection schemes (CFCSS-style, see arXiv
-// 2309.16876 in PAPERS.md) will be built on.
+// srv-vuln's analyses (vuln.h) run on this graph through the dataflow
+// engine (dataflow.h). A control-flow-signature check in the CFCSS style
+// (arXiv 2309.16876 in PAPERS.md) would build on it too.
 #pragma once
 
 #include <vector>
@@ -48,18 +48,17 @@ struct BasicBlock {
 
 /// True for calls whose callee the CFG cannot model: JALR with rd != x0
 /// (indirect call). Direct JAL calls get a callee-entry edge so dataflow
-/// sees the callee's code; an indirect callee is invisible, and passes must
-/// assume it may read any register before control returns to the call's
-/// fall-through successor.
+/// sees the callee's code; an indirect callee is invisible, and analyses
+/// must assume it may read any register before control returns to the
+/// call's fall-through successor.
 inline bool is_opaque_call(const isa::Instruction& inst) {
   return inst.op == isa::Opcode::kJalr && inst.rd != isa::kZeroReg;
 }
 
 class Cfg {
  public:
-  /// Builds the CFG; `program` must outlive the Cfg. Programs whose entry
-  /// is outside the text segment get an empty block list (the lint passes
-  /// report that separately).
+  /// Builds the CFG; `program` must outlive the Cfg. A program whose entry
+  /// is outside the text segment keeps entry_block() at 0.
   explicit Cfg(const isa::Program& program);
 
   const isa::Program& program() const { return *program_; }
@@ -81,10 +80,6 @@ class Cfg {
 
   /// Blocks reachable from the entry block (bitmap indexed by block index).
   std::vector<bool> reachable() const;
-
-  /// Reverse-postorder over reachable blocks — the canonical iteration
-  /// order for forward dataflow problems.
-  std::vector<u32> reverse_postorder() const;
 
  private:
   const isa::Program* program_;

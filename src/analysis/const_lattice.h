@@ -1,14 +1,12 @@
-// The integer-constant lattice shared by the analysis passes.
+// The integer-constant lattice under srv-vuln's masking analysis.
 //
 // ConstVal is the classic three-level constant-propagation lattice
 // (undef < const < nac) over integer registers; ConstProblem is its
-// forward dataflow problem for the worklist engine. The static-mem lint
-// pass uses it to resolve load/store effective addresses; the srv-vuln
-// masking analysis (vuln.h) layers on top of it to sharpen demanded-bits
-// through AND masks and constant shift amounts.
+// forward dataflow problem for the worklist engine. The srv-vuln masking
+// analysis (vuln.h) layers on top of it to sharpen demanded-bits through
+// AND masks and constant shift amounts.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "analysis/dataflow.h"
@@ -36,23 +34,20 @@ inline ConstVal merge_const(ConstVal a, ConstVal b) {
   return ConstVal::nac();
 }
 
-/// Integer-register constant state. FP values are not tracked (addresses
-/// are integer arithmetic); any FP-sourced integer def is non-constant.
+/// Integer-register constant state. FP values are not tracked; any
+/// FP-sourced integer def is non-constant.
 struct ConstState {
   std::vector<ConstVal> regs;  // kIntRegCount entries
 
   bool operator==(const ConstState&) const = default;
 };
 
-/// Flow one instruction over the constant state. Returns the effective
-/// address when `inst` is a load/store with a statically-known base.
-inline std::optional<Addr> eval_const(const isa::Instruction& inst, Addr pc,
-                                      ConstState* s) {
+/// Flow one instruction over the constant state.
+inline void eval_const(const isa::Instruction& inst, Addr pc, ConstState* s) {
   const isa::OpInfo& info = inst.info();
   auto get = [&](u8 index) -> ConstVal {
     return index == isa::kZeroReg ? ConstVal::of(0) : s->regs[index];
   };
-  std::optional<Addr> ea;
   const bool rs1_const =
       !info.reads_rs1 || info.is_fp_rs1 || get(inst.rs1).kind == ConstVal::kConst;
   const bool rs2_const =
@@ -60,10 +55,6 @@ inline std::optional<Addr> eval_const(const isa::Instruction& inst, Addr pc,
   const bool int_inputs_known = rs1_const && rs2_const &&
                                 !(info.reads_rs1 && info.is_fp_rs1) &&
                                 !(info.reads_rs2 && info.is_fp_rs2);
-  if (info.mem_bytes > 0 && !info.is_fp_rs1 &&
-      get(inst.rs1).kind == ConstVal::kConst) {
-    ea = isa::compute(inst, get(inst.rs1).value, 0, pc).addr;
-  }
   if (info.writes_rd && !info.is_fp_rd) {
     ConstVal rd = ConstVal::nac();
     if (int_inputs_known && info.mem_bytes == 0) {
@@ -75,7 +66,6 @@ inline std::optional<Addr> eval_const(const isa::Instruction& inst, Addr pc,
     }
     if (inst.rd != isa::kZeroReg) s->regs[inst.rd] = rd;
   }
-  return ea;
 }
 
 struct ConstProblem {

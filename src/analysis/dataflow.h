@@ -1,6 +1,6 @@
 // Generic worklist dataflow engine over the basic-block CFG.
 //
-// A problem supplies a per-block state type plus three operations:
+// A problem supplies a per-block state type plus four operations:
 //   boundary(block)       state at the entry (forward) / at an exit block
 //                         (backward) — the block is passed so backward
 //                         problems can distinguish HALT exits from indirect
@@ -9,19 +9,16 @@
 //   merge(a, b)           lattice meet at control-flow joins
 //   transfer(block, in)   flow one block's instructions over the state
 // The engine iterates blocks with a FIFO worklist until the per-block
-// IN states stop changing and returns them; a pass then re-walks each
-// block from its fixed-point IN state to anchor findings to instructions.
+// IN states stop changing and returns them; an analysis then re-walks
+// each block from its fixed-point IN state to get per-instruction facts.
 //
-// States must be comparable (==) and cheap to copy; the passes use
-// std::bitset register sets (use-before-def, liveness) and small constant
-// vectors (the static address check). Termination is the problem author's
+// States must be comparable (==) and cheap to copy. srv-vuln's three
+// problems (vuln.cpp, const_lattice.h) are per-register arrays: liveness-
+// window intervals and demanded-bit masks, both backward, and the integer
+// constant lattice, forward. Termination is the problem author's
 // responsibility: merge/transfer must be monotone over a finite lattice.
-// The engine also hard-caps block processings as a backstop against a
-// non-monotone problem. The cap is sized well above the true worst case
-// for the register lattices used here (every block state can strictly
-// change at most 64 times — one per bit / per register level — and each
-// change re-enqueues at most the block's neighbours, so processings are
-// bounded by ~129*blocks), which no well-formed problem exceeds.
+// The engine also stops after 512 * blocks + 64 block processings, as a
+// backstop against a non-monotone problem.
 #pragma once
 
 #include <deque>

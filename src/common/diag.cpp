@@ -4,23 +4,6 @@
 
 namespace reese {
 
-std::string_view severity_name(Severity severity) {
-  switch (severity) {
-    case Severity::kNote: return "note";
-    case Severity::kWarning: return "warning";
-    case Severity::kError: return "error";
-  }
-  return "unknown";
-}
-
-usize count_severity(const std::vector<Diagnostic>& diags, Severity severity) {
-  usize n = 0;
-  for (const Diagnostic& d : diags) {
-    if (d.severity == severity) ++n;
-  }
-  return n;
-}
-
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -40,61 +23,6 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
-}
-
-namespace {
-
-std::string render_text(const std::vector<Diagnostic>& diags,
-                        std::string_view source) {
-  std::string out;
-  for (const Diagnostic& d : diags) {
-    out += format("%.*s:0x%llx: %.*s: [%.*s] %s\n",
-                  static_cast<int>(source.size()), source.data(),
-                  static_cast<unsigned long long>(d.pc),
-                  static_cast<int>(severity_name(d.severity).size()),
-                  severity_name(d.severity).data(),
-                  static_cast<int>(d.pass.size()), d.pass.data(),
-                  d.message.c_str());
-  }
-  out += format("%zu error(s), %zu warning(s), %zu note(s)\n",
-                count_severity(diags, Severity::kError),
-                count_severity(diags, Severity::kWarning),
-                count_severity(diags, Severity::kNote));
-  return out;
-}
-
-std::string render_json(const std::vector<Diagnostic>& diags,
-                        std::string_view source) {
-  std::string out = "{\n";
-  out += format("  \"source\": \"%s\",\n",
-                json_escape(source).c_str());
-  out += "  \"diagnostics\": [";
-  for (usize i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
-    out += i ? ",\n    " : "\n    ";
-    out += format("{\"severity\": \"%.*s\", \"pc\": %llu, "
-                  "\"pass\": \"%s\", \"message\": \"%s\"}",
-                  static_cast<int>(severity_name(d.severity).size()),
-                  severity_name(d.severity).data(),
-                  static_cast<unsigned long long>(d.pc),
-                  json_escape(d.pass).c_str(),
-                  json_escape(d.message).c_str());
-  }
-  out += diags.empty() ? "],\n" : "\n  ],\n";
-  out += format("  \"errors\": %zu,\n  \"warnings\": %zu,\n  \"notes\": %zu\n",
-                count_severity(diags, Severity::kError),
-                count_severity(diags, Severity::kWarning),
-                count_severity(diags, Severity::kNote));
-  out += "}\n";
-  return out;
-}
-
-}  // namespace
-
-std::string render_diagnostics(const std::vector<Diagnostic>& diags,
-                               DiagFormat format, std::string_view source) {
-  return format == DiagFormat::kJson ? render_json(diags, source)
-                                     : render_text(diags, source);
 }
 
 }  // namespace reese

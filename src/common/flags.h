@@ -1,7 +1,7 @@
 // Tiny command-line flag parser used by the example CLI and the bench
 // harnesses. Supports "-name value" and "-name:value" in the SimpleScalar
-// style, plus "--name=value". The free functions below check one numeric
-// value for CLIs that walk argv themselves.
+// style, plus "--name=value" and "-name=value". The free functions below
+// check one numeric value for CLIs that walk argv themselves.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +16,14 @@ namespace reese {
 
 class FlagSet {
  public:
-  /// Parse argv; unknown tokens that do not start with '-' become positional
-  /// arguments. Returns an Error for a dangling "-name" with no value.
+  /// Parse argv. Never fails. A token that does not start with '-' (or is
+  /// a lone "-") is a positional argument. A "-name" or "--name" without
+  /// ':' or '=' takes the next token as its value unless that token starts
+  /// with '-'; otherwise, or at the end of argv, its value is "true". So a
+  /// bare boolean flag placed before an operand swallows the operand
+  /// ("-verbose prog.s" sets verbose to "prog.s"), and a negative number
+  /// must be written "-name=-5". Write booleans as "-name=1" or put them
+  /// after the operands.
   Result<bool> parse(int argc, const char* const* argv);
 
   /// Parse a SimpleScalar-style config file: whitespace-separated

@@ -104,12 +104,6 @@ std::string disassemble(const Instruction& inst) {
   return m;
 }
 
-std::string_view flat_reg_name(u8 flat) {
-  assert(flat < kFlatRegCount);
-  return flat < kIntRegCount ? int_reg_name(flat)
-                             : fp_reg_name(static_cast<u8>(flat - kIntRegCount));
-}
-
 DefUse def_use(const Instruction& inst) {
   const OpInfo& info = inst.info();
   DefUse du;

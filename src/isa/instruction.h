@@ -54,9 +54,6 @@ struct RegRef {
 
 constexpr usize kFlatRegCount = kIntRegCount + kFpRegCount;
 
-/// ABI/canonical name for a flat register index (see RegRef::flat()).
-std::string_view flat_reg_name(u8 flat);
-
 /// Registers statically read and written by one instruction, derived from
 /// its OpInfo row. At most two uses (rs1, rs2) and one def (rd).
 struct DefUse {

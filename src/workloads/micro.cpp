@@ -190,66 +190,6 @@ bt_next:
               source, tables);
 }
 
-Workload make_matmul(const WorkloadOptions& options) {
-  SplitMix64 rng(options.seed ^ 0x3A73);
-  std::vector<u64> a(16 * 16), b(16 * 16);
-  for (u64& v : a) v = rng.next_below(1000);
-  for (u64& v : b) v = rng.next_below(1000);
-
-  std::string source = program_shell("kernel", options.iterations);
-  source += R"(
-# 16x16 integer matrix multiply: multiplier-unit pressure.
-kernel:
-  la   t0, mat_a
-  la   t1, mat_b
-  la   t2, mat_c
-  li   t6, 0
-  li   t3, 0              # i
-mm_i:
-  li   t4, 0              # j
-mm_j:
-  li   a1, 0              # acc
-  li   t5, 0              # k
-mm_k:
-  slli a2, t3, 7          # &a[i][k] = a + i*128 + k*8
-  slli a3, t5, 3
-  add  a2, a2, a3
-  add  a2, a2, t0
-  ld   a4, 0(a2)
-  slli a2, t5, 7          # &b[k][j]
-  slli a3, t4, 3
-  add  a2, a2, a3
-  add  a2, a2, t1
-  ld   a5, 0(a2)
-  mul  a4, a4, a5
-  add  a1, a1, a4
-  addi t5, t5, 1
-  li   a2, 16
-  blt  t5, a2, mm_k
-  slli a2, t3, 7          # c[i][j] = acc
-  slli a3, t4, 3
-  add  a2, a2, a3
-  add  a2, a2, t2
-  sd   a1, 0(a2)
-  add  t6, t6, a1
-  addi t4, t4, 1
-  li   a2, 16
-  blt  t4, a2, mm_j
-  addi t3, t3, 1
-  blt  t3, a2, mm_i
-  out  t6
-  ret
-
-  .data
-)";
-  DataTables tables;
-  source += tables.dword_table("mat_a", a);
-  source += tables.dword_table("mat_b", b);
-  source += "  .align 8\nmat_c: .space 2048\n";
-  return wrap("matmul", "16x16 integer matmul (IntMult pressure)", source,
-              tables);
-}
-
 Workload make_div_heavy(const WorkloadOptions& options) {
   std::string source = program_shell("kernel", options.iterations);
   source += R"(

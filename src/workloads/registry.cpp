@@ -25,7 +25,6 @@ const std::map<std::string, Factory>& factories() {
       {"mem_stream", make_mem_stream},
       {"pointer_chase", make_pointer_chase},
       {"branch_torture", make_branch_torture},
-      {"matmul", make_matmul},
       {"div_heavy", make_div_heavy},
       {"fp_daxpy", make_fp_daxpy},
   };

@@ -78,7 +78,6 @@ Workload make_dep_chain(const WorkloadOptions& options = {});
 Workload make_mem_stream(const WorkloadOptions& options = {});
 Workload make_pointer_chase(const WorkloadOptions& options = {});
 Workload make_branch_torture(const WorkloadOptions& options = {});
-Workload make_matmul(const WorkloadOptions& options = {});
 Workload make_div_heavy(const WorkloadOptions& options = {});
 Workload make_fp_daxpy(const WorkloadOptions& options = {});
 

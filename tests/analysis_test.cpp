@@ -1,14 +1,12 @@
-// Tests for the src/analysis subsystem: CFG construction, the dataflow
-// engine's fixed points as observed through the passes, the six lint
-// passes (one tripping and one clean program each), diagnostics plumbing
-// and the pass registry.
+// Tests for the static instruction metadata (def/use sets, static
+// targets) and the basic-block CFG that srv-vuln's analyses run on. The
+// dataflow engine and the constant lattice are exercised through srv-vuln
+// in vuln_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "analysis/cfg.h"
-#include "analysis/passes.h"
-#include "common/diag.h"
 #include "isa/assembler.h"
 
 namespace reese::analysis {
@@ -20,33 +18,6 @@ isa::Program assemble_or_die(std::string_view source) {
       << (assembled.ok() ? "" : assembled.error().to_string());
   return std::move(assembled).value();
 }
-
-std::vector<Diagnostic> run_pass(std::string_view pass,
-                                 std::string_view source) {
-  LintOptions options;
-  options.passes = {std::string(pass)};
-  return run_lint(assemble_or_die(source), options);
-}
-
-usize count_pass(const std::vector<Diagnostic>& diags, std::string_view pass) {
-  return static_cast<usize>(
-      std::count_if(diags.begin(), diags.end(),
-                    [&](const Diagnostic& d) { return d.pass == pass; }));
-}
-
-// A lint-clean program: defined registers, exiting loop, no dead stores.
-constexpr std::string_view kCleanProgram = R"(
-  .text
-main:
-  li   t0, 4
-  li   t1, 0
-loop:
-  add  t1, t1, t0
-  addi t0, t0, -1
-  bnez t0, loop
-  out  t1
-  halt
-)";
 
 // --- instruction metadata ---------------------------------------------------
 
@@ -71,8 +42,8 @@ TEST(InstructionMeta, DefUseSets) {
   const isa::DefUse fp_du = isa::def_use(fadd);
   ASSERT_EQ(fp_du.def_count, 1);
   EXPECT_TRUE(fp_du.defs[0].fp);
+  EXPECT_EQ(fp_du.defs[0], (isa::RegRef{10, true}));
   EXPECT_EQ(fp_du.defs[0].flat(), isa::kIntRegCount + 10);
-  EXPECT_EQ(isa::flat_reg_name(fp_du.defs[0].flat()), "fa0");
 }
 
 TEST(InstructionMeta, StaticTargetAndFallThrough) {
@@ -118,10 +89,6 @@ join:
                           [](bool r) { return r; }));
   const u32 join = cfg.block_of(5);  // "out t1"
   EXPECT_EQ(cfg.block(join).preds.size(), 2u);
-  // RPO starts at the entry and covers all blocks.
-  const std::vector<u32> rpo = cfg.reverse_postorder();
-  ASSERT_EQ(rpo.size(), 4u);
-  EXPECT_EQ(rpo.front(), cfg.entry_block());
 }
 
 TEST(Cfg, CallCreatesReturnEdgeAndRetIsIndirect) {
@@ -166,354 +133,6 @@ target:
   ASSERT_EQ(entry.succs.size(), 1u);
   EXPECT_EQ(cfg.block(entry.succs[0]).first, 2u);  // "halt", not "li"
   EXPECT_FALSE(cfg.reachable()[cfg.block_of(1)]);
-}
-
-// --- pass: use-before-def ---------------------------------------------------
-
-TEST(UseBeforeDef, FlagsUndefinedIntAndFpReads) {
-  const auto diags = run_pass("use-before-def", R"(
-  .text
-main:
-  add  t1, t0, t2
-  fadd fa0, fa1, fa2
-  out  t1
-  halt
-)");
-  ASSERT_EQ(diags.size(), 4u);  // t0, t2, fa1, fa2
-  for (const Diagnostic& d : diags) {
-    EXPECT_EQ(d.severity, Severity::kWarning);
-    EXPECT_EQ(d.pass, "use-before-def");
-  }
-}
-
-TEST(UseBeforeDef, PathSensitivity) {
-  // t1 is defined on only one path into the join: must-analysis flags it.
-  const auto diags = run_pass("use-before-def", R"(
-  .text
-main:
-  li   t0, 1
-  beqz t0, join
-  li   t1, 5
-join:
-  out  t1
-  halt
-)");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_NE(diags[0].message.find("t1"), std::string::npos);
-}
-
-TEST(UseBeforeDef, CleanProgramAndEntryConventions) {
-  EXPECT_TRUE(run_pass("use-before-def", kCleanProgram).empty());
-  // x0 and sp are defined at entry (hardwired / set up by the loader).
-  EXPECT_TRUE(run_pass("use-before-def", R"(
-  .text
-main:
-  add  t0, zero, sp
-  out  t0
-  halt
-)").empty());
-}
-
-// --- pass: unreachable ------------------------------------------------------
-
-TEST(Unreachable, FlagsCodeAfterHalt) {
-  const auto diags = run_pass("unreachable", R"(
-  .text
-main:
-  out  zero
-  halt
-orphan:
-  li   t0, 1
-  halt
-)");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].severity, Severity::kWarning);
-  EXPECT_EQ(diags[0].pc, Addr{0x1008});
-}
-
-TEST(Unreachable, CleanProgram) {
-  EXPECT_TRUE(run_pass("unreachable", kCleanProgram).empty());
-}
-
-// --- pass: branch-target ----------------------------------------------------
-
-TEST(BranchTarget, FlagsWildTargetAndFallOffEnd) {
-  // Absolute branch target 0x0 is below the text base; the program also
-  // runs off the end (no HALT).
-  const auto diags = run_pass("branch-target", R"(
-  .text
-main:
-  li   t0, 1
-  beq  t0, t0, 0x0
-  li   t1, 2
-)");
-  ASSERT_EQ(diags.size(), 2u);
-  EXPECT_EQ(diags[0].severity, Severity::kError);
-  EXPECT_NE(diags[0].message.find("outside the text segment"),
-            std::string::npos);
-  EXPECT_NE(diags[1].message.find("falls off the end"), std::string::npos);
-}
-
-TEST(BranchTarget, FlagsBadEntryPoint) {
-  isa::Program program = assemble_or_die(kCleanProgram);
-  program.entry = program.end_pc() + 0x100;
-  LintOptions options;
-  options.passes = {"branch-target"};
-  const auto diags = run_lint(program, options);
-  ASSERT_FALSE(diags.empty());
-  EXPECT_EQ(diags.back().severity, Severity::kError);
-  EXPECT_NE(diags.back().message.find("entry point"), std::string::npos);
-}
-
-TEST(BranchTarget, CleanProgram) {
-  EXPECT_TRUE(run_pass("branch-target", kCleanProgram).empty());
-}
-
-// --- pass: static-mem -------------------------------------------------------
-
-TEST(StaticMem, FlagsMisalignedAndWildConstantAddresses) {
-  const auto diags = run_pass("static-mem", R"(
-  .text
-main:
-  li   t0, 0x100001
-  ld   t1, 0(t0)
-  sd   t1, -4096(zero)
-  out  t1
-  halt
-)");
-  ASSERT_EQ(diags.size(), 2u);
-  EXPECT_EQ(diags[0].severity, Severity::kError);
-  EXPECT_NE(diags[0].message.find("misaligned"), std::string::npos);
-  EXPECT_EQ(diags[1].severity, Severity::kError);
-  EXPECT_NE(diags[1].message.find("below the program image"),
-            std::string::npos);
-}
-
-TEST(StaticMem, FlagsTextSegmentAccess) {
-  const auto diags = run_pass("static-mem", R"(
-  .text
-main:
-  li   t0, 0x1000
-  ld   t1, 0(t0)
-  out  t1
-  halt
-)");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].severity, Severity::kWarning);
-  EXPECT_NE(diags[0].message.find("text segment"), std::string::npos);
-}
-
-TEST(StaticMem, CleanDataAccessAndUnknownAddressesStaySilent) {
-  // `la`-based access to the data segment is constant and legal; an
-  // address that changes across a loop merges to non-constant and is
-  // never reported.
-  EXPECT_TRUE(run_pass("static-mem", R"(
-  .text
-main:
-  la   s0, table
-  li   t0, 4
-loop:
-  ld   t1, 0(s0)
-  out  t1
-  addi s0, s0, 8
-  addi t0, t0, -1
-  bnez t0, loop
-  halt
-  .data
-  .align 8
-table: .dword 1, 2, 3, 4
-)").empty());
-}
-
-// --- pass: dead-store -------------------------------------------------------
-
-TEST(DeadStore, FlagsOverwrittenAndNeverReadDefs) {
-  const auto diags = run_pass("dead-store", R"(
-  .text
-main:
-  li   t0, 1
-  li   t0, 2
-  li   t1, 9
-  out  t0
-  halt
-)");
-  // t0's first write is overwritten; t1 is never read before HALT.
-  ASSERT_EQ(diags.size(), 2u);
-  EXPECT_EQ(diags[0].pc, Addr{0x1000});
-  EXPECT_NE(diags[0].message.find("t0"), std::string::npos);
-  EXPECT_NE(diags[1].message.find("t1"), std::string::npos);
-}
-
-TEST(DeadStore, RetKeepsEverythingLiveAndJumpLinkDiscardIsFine) {
-  // Values computed before `ret` may be read by the unknown caller —
-  // never dead. `j` (jal x0) deliberately discards its link register.
-  EXPECT_TRUE(run_pass("dead-store", R"(
-  .text
-main:
-  call helper
-  out  a0
-  halt
-helper:
-  li   a0, 3
-  li   a1, 4
-  ret
-)").empty());
-  EXPECT_TRUE(run_pass("dead-store", kCleanProgram).empty());
-}
-
-TEST(DeadStore, ValuesEscapingThroughIndirectCallAreNotDead) {
-  // An indirect call (jalr with a live link register) reaches a callee the
-  // CFG cannot see — only the fall-through edge exists — so values set up
-  // before it (the a0 argument here) may be read by the callee and must
-  // not be flagged. This used to warn: the all-live boundary only applied
-  // to blocks *ending* in an indirect jump, and a call block falls
-  // through instead.
-  EXPECT_TRUE(run_pass("dead-store", R"(
-  .text
-main:
-  li   t0, 4116
-  li   a0, 7
-  jalr ra, t0
-  out  a1
-  halt
-helper:
-  add  a1, a0, a0
-  ret
-)").empty());
-}
-
-// --- pass: no-exit-loop -----------------------------------------------------
-
-TEST(NoExitLoop, FlagsSelfLoopAndMultiBlockCycle) {
-  const auto self_loop = run_pass("no-exit-loop", R"(
-  .text
-main:
-  j    main
-)");
-  ASSERT_EQ(self_loop.size(), 1u);
-  EXPECT_EQ(self_loop[0].severity, Severity::kWarning);
-
-  const auto two_blocks = run_pass("no-exit-loop", R"(
-  .text
-main:
-  addi t0, t0, 1
-  j    other
-other:
-  addi t0, t0, -1
-  j    main
-)");
-  ASSERT_EQ(two_blocks.size(), 1u);
-  EXPECT_NE(two_blocks[0].message.find("2 basic block"), std::string::npos);
-}
-
-TEST(NoExitLoop, LoopWithExitOrHaltIsClean) {
-  EXPECT_TRUE(run_pass("no-exit-loop", kCleanProgram).empty());
-  // A forever-loop containing HALT can leave: not flagged.
-  EXPECT_TRUE(run_pass("no-exit-loop", R"(
-  .text
-main:
-  li   t0, 1
-  beqz t0, main
-  halt
-)").empty());
-}
-
-// --- registry / driver ------------------------------------------------------
-
-TEST(Registry, HasAllSixPassesAndLookupWorks) {
-  ASSERT_EQ(all_passes().size(), 6u);
-  for (const PassInfo& pass : all_passes()) {
-    EXPECT_EQ(find_pass(pass.name), &pass);
-    EXPECT_FALSE(pass.description.empty());
-  }
-  EXPECT_EQ(find_pass("no-such-pass"), nullptr);
-}
-
-TEST(Registry, RunLintSortsByPcAndFiltersSeverity) {
-  const isa::Program program = assemble_or_die(R"(
-  .text
-main:
-  li   t0, 1
-  beq  t0, t0, 0x0
-  add  t1, t2, t2
-  out  t1
-  halt
-)");
-  const auto diags = run_lint(program);
-  ASSERT_GE(diags.size(), 2u);
-  EXPECT_TRUE(std::is_sorted(diags.begin(), diags.end(),
-                             [](const Diagnostic& a, const Diagnostic& b) {
-                               return a.pc < b.pc;
-                             }));
-  LintOptions errors_only;
-  errors_only.min_severity = Severity::kError;
-  for (const Diagnostic& d : run_lint(program, errors_only)) {
-    EXPECT_EQ(d.severity, Severity::kError);
-  }
-}
-
-TEST(Registry, PassSelectionRunsOnlyNamedPasses) {
-  LintOptions options;
-  options.passes = {"dead-store"};
-  const auto diags = run_lint(assemble_or_die(R"(
-  .text
-main:
-  add  t1, t0, t0
-  li   t1, 2
-  out  t1
-  halt
-)"), options);
-  EXPECT_EQ(count_pass(diags, "use-before-def"), 0u);
-  EXPECT_EQ(count_pass(diags, "dead-store"), 1u);
-}
-
-// --- diagnostics plumbing ---------------------------------------------------
-
-TEST(Diagnostics, SeverityNamesAndCounts) {
-  EXPECT_EQ(severity_name(Severity::kNote), "note");
-  EXPECT_EQ(severity_name(Severity::kWarning), "warning");
-  EXPECT_EQ(severity_name(Severity::kError), "error");
-  const std::vector<Diagnostic> diags = {
-      {Severity::kError, 0x1000, "p", "m"},
-      {Severity::kWarning, 0x1004, "p", "m"},
-      {Severity::kError, 0x1008, "p", "m"},
-  };
-  EXPECT_EQ(count_severity(diags, Severity::kError), 2u);
-  EXPECT_EQ(count_severity(diags, Severity::kWarning), 1u);
-  EXPECT_EQ(count_severity(diags, Severity::kNote), 0u);
-}
-
-TEST(Diagnostics, TextAndJsonRendering) {
-  const std::vector<Diagnostic> diags = {
-      {Severity::kError, 0x1004, "branch-target", "beq target \"wild\""},
-  };
-  const std::string text =
-      render_diagnostics(diags, DiagFormat::kText, "prog.srv");
-  EXPECT_NE(text.find("prog.srv:0x1004: error: [branch-target]"),
-            std::string::npos);
-  EXPECT_NE(text.find("1 error(s), 0 warning(s), 0 note(s)"),
-            std::string::npos);
-
-  const std::string json =
-      render_diagnostics(diags, DiagFormat::kJson, "prog.srv");
-  EXPECT_NE(json.find("\"severity\": \"error\""), std::string::npos);
-  EXPECT_NE(json.find("\"pc\": 4100"), std::string::npos);
-  EXPECT_NE(json.find("\"pass\": \"branch-target\""), std::string::npos);
-  // Quotes inside messages are escaped.
-  EXPECT_NE(json.find("beq target \\\"wild\\\""), std::string::npos);
-  EXPECT_NE(json.find("\"errors\": 1"), std::string::npos);
-
-  // Empty batch renders a valid empty array and zero counts.
-  const std::string empty =
-      render_diagnostics({}, DiagFormat::kJson, "clean.srv");
-  EXPECT_NE(empty.find("\"diagnostics\": []"), std::string::npos);
-  EXPECT_NE(empty.find("\"errors\": 0"), std::string::npos);
-}
-
-TEST(Diagnostics, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
 }  // namespace

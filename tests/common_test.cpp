@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/bitutil.h"
+#include "common/diag.h"
 #include "common/error.h"
 #include "common/flags.h"
 #include "common/json.h"
@@ -619,6 +620,12 @@ TEST(Json, RejectsPathologicalNesting) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(json::parse_json(deep).ok());
+}
+
+TEST(Json, EscapeQuotesBackslashesAndControlChars) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
 }  // namespace

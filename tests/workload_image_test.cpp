@@ -100,10 +100,6 @@ const Row kTable[] = {
     {"m88ksim", 0x5eed5eed, 8, 68, 880, 0xafdde4cbcbd231ba},
     {"m88ksim", 0x1, 0, 65, 880, 0x5eb274a3f006d52b},
     {"m88ksim", 0x1, 8, 68, 880, 0x0c153ba83543e8e6},
-    {"matmul", 0x5eed5eed, 0, 45, 6144, 0x044f816fd4005dc7},
-    {"matmul", 0x5eed5eed, 8, 48, 6144, 0xb6b0f011a406abea},
-    {"matmul", 0x1, 0, 45, 6144, 0x52b4f562764b0c9b},
-    {"matmul", 0x1, 8, 48, 6144, 0x612de48ecb2e123e},
     {"mem_stream", 0x5eed5eed, 0, 25, 262144, 0x6684648df92472b4},
     {"mem_stream", 0x5eed5eed, 8, 28, 262144, 0x3d0e7e4cbcb7b879},
     {"mem_stream", 0x1, 0, 25, 262144, 0x6684648df92472b4},
