@@ -39,8 +39,6 @@
 // flag is unknown or its value is malformed or out of range.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -51,7 +49,6 @@
 #include "common/diag.h"
 #include "common/flags.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "isa/assembler.h"
 #include "sim/campaign.h"
 
@@ -59,8 +56,6 @@ using namespace reese;
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr const char* kTool = "avf_validate";
 
 struct ProgramReport {
   std::string name;
@@ -99,38 +94,18 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_avf.json";
   std::vector<std::string> program_paths;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "avf_validate: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(int_flag_value(kTool, arg, next_value()));
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas =
-          static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
-                                          1'000'000));
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = double_flag_value(kTool, arg, next_value(), 0.0, 1.0,
-                                    /*exclude_lo=*/true);
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(int_flag_value(kTool, arg, next_value(), 0));
-    } else if (std::strcmp(arg, "--min-rho") == 0) {
-      min_rho = double_flag_value(kTool, arg, next_value(), -1.0, 1.0);
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = next_value();
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "avf_validate: unknown argument %s\n", arg);
-      return 2;
-    } else {
-      program_paths.push_back(arg);
-    }
+  Flags flags("avf_validate");
+  flags.toggle("--quick", &quick);
+  flags.jobs("--jobs", &spec.jobs);
+  flags.integer("--replicas", &spec.replicas, 1, 1'000'000);
+  flags.number("--rate", &spec.rate, 0.0, 1.0, /*exclude_lo=*/true);
+  flags.integer("--seed", &spec.seed);
+  flags.number("--min-rho", &min_rho, -1.0, 1.0);
+  flags.text("--out", &out_path);
+  flags.operands(&program_paths);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
   // Default programs are opened under the source tree.
   const fs::path base = program_paths.empty() ? REESE_SOURCE_DIR : "";

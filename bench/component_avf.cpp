@@ -54,7 +54,6 @@
 #include "common/diag.h"
 #include "common/flags.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "isa/assembler.h"
 #include "sim/campaign.h"
 
@@ -62,8 +61,6 @@ using namespace reese;
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr const char* kTool = "component_avf";
 
 struct SiteRow {
   std::string label;
@@ -158,39 +155,18 @@ int main(int argc, char** argv) {
   bool skip_xval = false;
   std::string out_path = "BENCH_cavf.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "component_avf: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(int_flag_value(kTool, arg, next_value()));
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas =
-          static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
-                                          1'000'000));
-    } else if (std::strcmp(arg, "--instructions") == 0) {
-      spec.instructions =
-          static_cast<u64>(int_flag_value(kTool, arg, next_value(), 1));
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = double_flag_value(kTool, arg, next_value(), 0.0, 1.0,
-                                    /*exclude_lo=*/true);
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(int_flag_value(kTool, arg, next_value(), 0));
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = next_value();
-    } else if (std::strcmp(arg, "--skip-xval") == 0) {
-      skip_xval = true;
-    } else {
-      std::fprintf(stderr, "component_avf: unknown argument %s\n", arg);
-      return 2;
-    }
+  Flags flags("component_avf");
+  flags.toggle("--quick", &quick);
+  flags.jobs("--jobs", &spec.jobs);
+  flags.integer("--replicas", &spec.replicas, 1, 1'000'000);
+  flags.integer("--instructions", &spec.instructions, 1);
+  flags.number("--rate", &spec.rate, 0.0, 1.0, /*exclude_lo=*/true);
+  flags.integer("--seed", &spec.seed);
+  flags.text("--out", &out_path);
+  flags.toggle("--skip-xval", &skip_xval);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
   // This bench resolves its own quick mode: its default replica count
   // differs from CampaignSpec's. --replicas is never 0.

@@ -8,16 +8,23 @@
 // workload *shape*, not of one lucky dataset.
 #include <cmath>
 #include <cstdio>
+#include <string>
 
+#include "common/flags.h"
 #include "sim/experiment.h"
+#include "sim/grid.h"
 #include "sim/simulator.h"
 
 using namespace reese;
 
 int main(int argc, char** argv) {
   sim::ExperimentSpec spec;
-  spec.jobs = sim::parse_jobs_flag(argc, argv);
-  spec.checkpoint = sim::parse_checkpoint_flags(argc, argv);
+  Flags flags("ext_seed_sensitivity");
+  sim::declare_grid_flags(&flags, &spec);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
   spec.title = "E2: Figure 2 grid across 5 workload-data seeds";
   spec.base = core::starting_config();
   spec.models = {sim::Model::kBaseline, sim::Model::kReese,

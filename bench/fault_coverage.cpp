@@ -34,60 +34,29 @@
 // REESE variant escaped a fault, or the baseline "detected" one); 2 when a
 // flag is unknown or its value is malformed or out of range.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "sim/campaign.h"
 
 using namespace reese;
 
-namespace {
-constexpr const char* kTool = "fault_coverage";
-}  // namespace
-
 int main(int argc, char** argv) {
   sim::CampaignSpec spec;
   std::string out_path = "BENCH_fault.json";
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "fault_coverage: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      spec.quick = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(int_flag_value(kTool, arg, next_value()));
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas =
-          static_cast<u32>(int_flag_value(kTool, arg, next_value(), 1,
-                                          1'000'000));
-    } else if (std::strcmp(arg, "--instructions") == 0) {
-      spec.instructions =
-          static_cast<u64>(int_flag_value(kTool, arg, next_value(), 1));
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = double_flag_value(kTool, arg, next_value(), 0.0, 1.0,
-                                    /*exclude_lo=*/true);
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(int_flag_value(kTool, arg, next_value(), 0));
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = next_value();
-    } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
-      spec.checkpoint.dir = next_value();
-    } else if (std::strcmp(arg, "--resume-from") == 0) {
-      spec.checkpoint.dir = next_value();
-      spec.checkpoint.resume = true;
-    } else {
-      std::fprintf(stderr, "fault_coverage: unknown argument %s\n", arg);
-      return 2;
-    }
+  Flags flags("fault_coverage");
+  flags.toggle("--quick", &spec.quick);
+  flags.jobs("--jobs", &spec.jobs);
+  flags.integer("--replicas", &spec.replicas, 1, 1'000'000);
+  flags.integer("--instructions", &spec.instructions, 1);
+  flags.number("--rate", &spec.rate, 0.0, 1.0, /*exclude_lo=*/true);
+  flags.integer("--seed", &spec.seed);
+  flags.text("--out", &out_path);
+  flags.text("--checkpoint-dir", &spec.checkpoint.dir);
+  flags.text("--resume-from", &spec.checkpoint.dir, &spec.checkpoint.resume);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
 
   std::printf("A5: fault-injection coverage (single-bit flips on "

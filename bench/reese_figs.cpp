@@ -22,8 +22,10 @@
 #include <vector>
 
 #include "common/diag.h"
+#include "common/flags.h"
 #include "common/strutil.h"
 #include "sim/experiment.h"
+#include "sim/grid.h"
 
 using namespace reese;
 
@@ -260,20 +262,16 @@ std::string report_json(const std::vector<Grid>& grids, const Results& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const u32 jobs = sim::parse_jobs_flag(argc, argv);
-  const sim::CheckpointOptions checkpoint =
-      sim::parse_checkpoint_flags(argc, argv);
-
   std::string figure_name = "all";
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const bool figure_flag = std::strcmp(argv[i], "--figure") == 0;
-    if (!figure_flag && std::strcmp(argv[i], "--out") != 0) continue;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "reese_figs: %s needs a value\n", argv[i]);
-      return 2;
-    }
-    (figure_flag ? figure_name : out_path) = argv[++i];
+  sim::GridSpec options;
+  Flags flags("reese_figs");
+  flags.text("--figure", &figure_name);
+  flags.text("--out", &out_path);
+  sim::declare_grid_flags(&flags, &options);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
 
   std::vector<const Figure*> chosen;
@@ -293,8 +291,8 @@ int main(int argc, char** argv) {
 
   std::vector<Grid> grids = grid_table();
   for (Grid& grid : grids) {
-    grid.spec.jobs = jobs;
-    grid.spec.checkpoint = checkpoint;
+    grid.spec.jobs = options.jobs;
+    grid.spec.checkpoint = options.checkpoint;
   }
   Results results(grids.size());
   std::vector<double> wall(grids.size(), 0.0);

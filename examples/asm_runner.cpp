@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "core/pipeline.h"
@@ -26,16 +28,31 @@
 using namespace reese;
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
+  bool trace = false;
+  bool run_pipeline = true;
+  bool use_reese = false;
+  bool pipetrace = false;
+  u64 max_instructions = 10'000'000;
+  usize tracecap = 48;
+  std::vector<std::string> paths;
+  Flags flags("asm_runner");
+  flags.binary("-reese", &use_reese);
+  flags.binary("-trace", &trace);
+  flags.binary("-pipeline", &run_pipeline);
+  flags.binary("-pipetrace", &pipetrace);
+  flags.integer("-instr", &max_instructions);
+  flags.integer("-tracecap", &tracecap);
+  flags.operands(&paths);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  if (flags.positional().empty()) {
-    std::fprintf(stderr, "usage: asm_runner [-reese 0|1] [-trace 0|1] file.s\n");
+  if (paths.size() != 1) {
+    std::fprintf(stderr,
+                 "usage: asm_runner [-reese 0|1] [-trace 0|1] file.s\n");
     return 2;
   }
-  const char* path = flags.positional()[0].c_str();
+  const char* path = paths[0].c_str();
 
   std::ifstream file(path);
   if (!file) {
@@ -55,9 +72,6 @@ int main(int argc, char** argv) {
   std::printf("assembled %zu instructions, %zu data bytes, entry 0x%llx\n",
               program.code.size(), program.data.size(),
               static_cast<unsigned long long>(program.entry));
-
-  const bool trace = flags.get_bool("trace", false);
-  const u64 max_instructions = flags.get_u64("instr", 10'000'000);
 
   isa::Iss iss(program);
   // Traced steps count against the -instr budget, so the ISS and the
@@ -93,19 +107,19 @@ int main(int argc, char** argv) {
                  path);
   }
 
-  if (flags.get_bool("pipeline", true)) {
+  if (run_pipeline) {
     core::CoreConfig config = core::starting_config();
-    if (flags.get_bool("reese", false)) config = core::with_reese(config, 2);
+    if (use_reese) config = core::with_reese(config, 2);
     core::Pipeline pipeline(program, config);
     // -pipetrace 1: collect the last N instruction lifecycles and print a
     // SimpleScalar-pipeview-style timeline after the run.
-    core::Tracer tracer(static_cast<usize>(flags.get_u64("tracecap", 48)));
-    if (flags.get_bool("pipetrace", false)) pipeline.set_tracer(&tracer);
+    core::Tracer tracer(tracecap);
+    if (pipetrace) pipeline.set_tracer(&tracer);
     const core::StopReason stop =
         pipeline.run(max_instructions, 64 * max_instructions);
     std::printf("\npipeline (%s):\n%s", config.summary().c_str(),
                 pipeline.report().c_str());
-    if (flags.get_bool("pipetrace", false)) {
+    if (pipetrace) {
       std::printf("\npipeline timeline (last %zu instructions; DS=dispatch "
                   "IS=issue WB=writeback RI=r-issue RC=compare CT=commit):\n%s",
                   tracer.rows().size(), tracer.to_string().c_str());

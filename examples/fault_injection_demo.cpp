@@ -5,6 +5,7 @@
 //
 // Also runs the same campaign on the baseline to show every fault escaping.
 #include <cstdio>
+#include <string>
 
 #include "common/flags.h"
 #include "faults/injector.h"
@@ -14,19 +15,17 @@
 using namespace reese;
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
+  std::string workload_name = "gcc";
+  double rate = 1e-3;
+  u64 budget = 200'000;
+  Flags flags("fault_injection_demo");
+  flags.text("-workload", &workload_name);
+  flags.number("-rate", &rate, 0.0, 1.0, /*exclude_lo=*/true);
+  flags.integer("-instr", &budget);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  const std::string workload_name = flags.get_string("workload", "gcc");
-  const double rate = flags.get_double("rate", 1e-3);
-  if (!(rate > 0.0 && rate <= 1.0)) {
-    std::fprintf(stderr, "flag -rate: must be in (0, 1], got %s\n",
-                 flags.get_string("rate", "").c_str());
-    return 2;
-  }
-  const u64 budget = flags.get_u64("instr", 200'000);
 
   for (const bool use_reese : {true, false}) {
     auto workload = workloads::make_workload(workload_name, {});

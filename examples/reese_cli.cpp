@@ -7,22 +7,22 @@
 //   -config FILE       read flags from a config file (command line wins)
 //   -workload NAME     workload to run (default gcc; see -list)
 //   -list              list available workloads and exit
-//   -instr N           committed-instruction budget (default 300000)
+//   -instr N           committed-instruction budget (default 1M, or
+//                      $REESE_SIM_INSTR)
 //   -reese 0|1         enable REESE (default 0 = baseline)
-//   -spare_alus N      extra integer ALUs for the REESE model
-//   -spare_mults N     extra integer mult/div units
+//   -spare_alus N      extra integer ALUs for the REESE model (0..4096)
+//   -spare_mults N     extra integer mult/div units (0..4096)
 //   -ruu N -lsq N      window sizes
 //   -width N           fetch/decode/issue/commit width
 //   -ports N           memory ports
 //   -rqueue N          R-stream Queue entries
 //                      (-ruu takes 2..4096, -lsq/-width/-ports/-rqueue
-//                      1..4096; out of range exits 2 naming the flag)
+//                      1..4096)
 //   -kreexec N         re-execute 1 of every N instructions
 //   -early 0|1         early release (default 1)
 //   -minsep N          enforced minimum P->R separation
 //   -pred NAME         gshare (default), or taken|nottaken to predict every
-//                      conditional branch one direction; anything else
-//                      exits 2 naming the flag
+//                      conditional branch one direction
 //   -seed N            workload data seed
 //   -fault_rate F      inject faults at rate F per instruction, F in
 //                      [0, 1] (0: off)
@@ -32,11 +32,13 @@
 //   --trace-sample N   with --trace-out: trace every Nth instruction only
 //                      (default 1 = all; keeps long runs tractable)
 //
-// The workloads loop forever, so a run that stops before its -instr budget
+// Flags follow common/flags.h: -name and --name are the same flag, and an
+// unknown flag or a value out of its range exits 2 naming the flag. The
+// workloads loop forever, so a run that stops before its -instr budget
 // (the cycle limit, HALT or a bad PC) prints why to stderr and exits 1.
 #include <cstdio>
-#include <cstring>
 #include <optional>
+#include <string>
 
 #include "common/flags.h"
 #include "core/trace.h"
@@ -46,58 +48,58 @@
 
 using namespace reese;
 
-namespace {
-
-bool pick_predictor(const std::string& name, branch::PredictorKind* out) {
-  using branch::PredictorKind;
-  for (PredictorKind kind : {PredictorKind::kGshare, PredictorKind::kTaken,
-                             PredictorKind::kNotTaken}) {
-    if (name == branch::predictor_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Upper bound of every core geometry flag: keeps the u32 cast from
-/// wrapping and the per-slot allocations bounded.
-constexpr u64 kMaxGeometry = 4096;
-
-/// Read geometry flag `name` into `*value` (whose current value is the
-/// default), accepting [min, kMaxGeometry]. Out of range: a message naming
-/// the flag, and false.
-bool read_geometry(const FlagSet& flags, const char* name, u64 min,
-                   u32* value) {
-  const u64 read = flags.get_u64(name, *value);
-  if (read < min || read > kMaxGeometry) {
-    std::fprintf(stderr, "flag -%s: must be in [%llu, %llu], got %llu\n",
-                 name, static_cast<unsigned long long>(min),
-                 static_cast<unsigned long long>(kMaxGeometry),
-                 static_cast<unsigned long long>(read));
-    return false;
-  }
-  *value = static_cast<u32>(read);
-  return true;
-}
-
-}  // namespace
+/// Upper bound of every core geometry flag, spare units included: keeps
+/// the per-slot allocations bounded and the unit counts from wrapping.
+constexpr i64 kMaxGeometry = 4096;
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
+  core::CoreConfig config = core::starting_config();
+  core::ReeseConfig reese = config.reese;  // applied with -reese 1
+  u32 width = config.issue_width;
+  u32 spare_alus = 0;
+  u32 spare_mults = 0;
+  bool use_reese = false;
+  bool list = false;
+  std::string config_path;
+  std::string workload_name = "gcc";
+  std::string pred = branch::predictor_kind_name(config.predictor);
+  workloads::WorkloadOptions options;
+  faults::InjectorConfig fault_config;
+  u64 instructions = sim::default_instruction_budget();
+  std::string trace_path;
+  u64 trace_sample = 1;
+
+  Flags flags("reese_cli");
+  flags.text("-config", &config_path);
+  flags.text("-workload", &workload_name);
+  flags.toggle("-list", &list);
+  flags.integer("-instr", &instructions);
+  flags.binary("-reese", &use_reese);
+  flags.integer("-spare_alus", &spare_alus, 0, kMaxGeometry);
+  flags.integer("-spare_mults", &spare_mults, 0, kMaxGeometry);
+  flags.integer("-ruu", &config.ruu_size, 2, kMaxGeometry);
+  flags.integer("-lsq", &config.lsq_size, 1, kMaxGeometry);
+  flags.integer("-width", &width, 1, kMaxGeometry);
+  flags.integer("-ports", &config.mem_port_count, 1, kMaxGeometry);
+  flags.integer("-rqueue", &reese.rqueue_size, 1, kMaxGeometry);
+  flags.integer("-kreexec", &reese.reexec_interval);
+  flags.binary("-early", &reese.early_release);
+  flags.integer("-minsep", &reese.min_separation);
+  flags.choice("-pred", &pred, {"gshare", "taken", "nottaken"});
+  flags.integer("-seed", &options.seed);
+  flags.number("-fault_rate", &fault_config.rate, 0.0, 1.0);
+  flags.text("--trace-out", &trace_path);
+  flags.integer("--trace-sample", &trace_sample);
+  std::string error = flags.parse(argc, argv);
+  if (error.empty() && !config_path.empty()) {
+    error = flags.parse_file(config_path);
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  if (flags.has("config")) {
-    if (auto loaded = flags.parse_file(flags.get_string("config", ""));
-        !loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.error().to_string().c_str());
-      return 2;
-    }
-  }
 
-  if (flags.get_bool("list", false)) {
+  if (list) {
     std::printf("available workloads:\n");
     for (const std::string& name : workloads::all_workload_names()) {
       std::printf("  %s\n", name.c_str());
@@ -105,56 +107,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  core::CoreConfig config = core::starting_config();
-  u32 width = config.issue_width;
-  if (!read_geometry(flags, "ruu", 2, &config.ruu_size) ||
-      !read_geometry(flags, "lsq", 1, &config.lsq_size) ||
-      !read_geometry(flags, "width", 1, &width) ||
-      !read_geometry(flags, "ports", 1, &config.mem_port_count)) {
-    return 2;
-  }
   config.fetch_width = config.decode_width = width;
   config.issue_width = config.commit_width = width;
-  if (flags.has("pred")) {
-    const std::string pred = flags.get_string("pred", "gshare");
-    if (!pick_predictor(pred, &config.predictor)) {
-      std::fprintf(stderr,
-                   "flag -pred: must be gshare, taken or nottaken, got %s\n",
-                   pred.c_str());
-      return 2;
-    }
+  for (branch::PredictorKind kind :
+       {branch::PredictorKind::kGshare, branch::PredictorKind::kTaken,
+        branch::PredictorKind::kNotTaken}) {
+    if (pred == branch::predictor_kind_name(kind)) config.predictor = kind;
   }
-  if (flags.get_bool("reese", false)) {
-    config = core::with_reese(
-        config, static_cast<u32>(flags.get_u64("spare_alus", 0)),
-        static_cast<u32>(flags.get_u64("spare_mults", 0)));
-    if (!read_geometry(flags, "rqueue", 1, &config.reese.rqueue_size)) {
-      return 2;
-    }
-    config.reese.reexec_interval =
-        static_cast<u32>(flags.get_u64("kreexec", 1));
-    config.reese.early_release = flags.get_bool("early", true);
-    config.reese.min_separation =
-        static_cast<u32>(flags.get_u64("minsep", 0));
+  if (use_reese) {
+    config.reese = reese;
+    config = core::with_reese(config, spare_alus, spare_mults);
   }
 
-  workloads::WorkloadOptions options;
-  options.seed = flags.get_u64("seed", 0x5EED5EED);
-  auto workload =
-      workloads::make_workload(flags.get_string("workload", "gcc"), options);
+  auto workload = workloads::make_workload(workload_name, options);
   if (!workload.ok()) {
     std::fprintf(stderr, "%s (try -list)\n",
                  workload.error().to_string().c_str());
     return 2;
   }
 
-  faults::InjectorConfig fault_config;
-  fault_config.rate = flags.get_double("fault_rate", 0.0);
-  if (!(fault_config.rate >= 0.0 && fault_config.rate <= 1.0)) {
-    std::fprintf(stderr, "flag -fault_rate: must be in [0, 1], got %s\n",
-                 flags.get_string("fault_rate", "").c_str());
-    return 2;
-  }
   faults::Injector injector(fault_config);
 
   sim::Simulator simulator(std::move(workload).value(), config);
@@ -162,7 +133,6 @@ int main(int argc, char** argv) {
     simulator.pipeline().set_fault_hook(&injector);
   }
 
-  const std::string trace_path = flags.get_string("trace-out", "");
   std::FILE* trace_file = nullptr;
   std::optional<core::Tracer> tracer;
   if (!trace_path.empty()) {
@@ -171,7 +141,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());
       return 2;
     }
-    tracer.emplace(0, trace_file, flags.get_u64("trace-sample", 1));
+    tracer.emplace(0, trace_file, trace_sample);
     simulator.pipeline().set_tracer(&*tracer);
   }
 
@@ -179,8 +149,7 @@ int main(int argc, char** argv) {
               simulator.workload().mimics.c_str());
   std::printf("config:   %s\n\n", config.summary().c_str());
 
-  const sim::SimResult result =
-      simulator.run(flags.get_u64("instr", sim::default_instruction_budget()));
+  const sim::SimResult result = simulator.run(instructions);
 
   std::printf("%s", simulator.pipeline().report().c_str());
   if (fault_config.rate > 0.0) {

@@ -8,6 +8,7 @@
 // the overhead curve, marking the first configuration within 1% of the
 // baseline.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/flags.h"
@@ -30,20 +31,20 @@ double run_ipc(const std::string& name, const core::CoreConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
+  u32 max_alus = 6;
+  u64 budget = sim::default_instruction_budget();
+  std::string workload_name;  // empty: all six
+  Flags flags("spares_explorer");
+  flags.integer("-max_alus", &max_alus);
+  flags.integer("-instr", &budget);
+  flags.text("-workload", &workload_name);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  const u32 max_alus = static_cast<u32>(flags.get_u64("max_alus", 6));
-  const u64 budget = flags.get_u64("instr", sim::default_instruction_budget());
-
-  std::vector<std::string> names;
-  if (flags.has("workload")) {
-    names.push_back(flags.get_string("workload", "gcc"));
-  } else {
-    names = workloads::spec_like_names();
-  }
+  const std::vector<std::string> names =
+      workload_name.empty() ? workloads::spec_like_names()
+                            : std::vector<std::string>{workload_name};
 
   for (const std::string& name : names) {
     const double baseline = run_ipc(name, core::starting_config(), budget);

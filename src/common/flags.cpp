@@ -1,155 +1,168 @@
 #include "common/flags.h"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include <algorithm>
+#include <cassert>
 #include <fstream>
-#include <sstream>
 
 #include "common/strutil.h"
+#include "common/thread_pool.h"
 
 namespace reese {
 
-Result<bool> FlagSet::parse(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.size() < 2 || token[0] != '-') {
-      positional_.push_back(token);
-      continue;
-    }
-    usize name_start = (token[1] == '-') ? 2 : 1;
-    std::string body = token.substr(name_start);
-
-    // "-name:value" or "--name=value" forms.
-    for (char sep : {':', '='}) {
-      const usize pos = body.find(sep);
-      if (pos != std::string::npos) {
-        values_[body.substr(0, pos)] = body.substr(pos + 1);
-        body.clear();
-        break;
-      }
-    }
-    if (body.empty()) continue;
-
-    // "-name value" form; a bare trailing "-name" is treated as boolean true.
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
-      values_[body] = argv[i + 1];
-      ++i;
-    } else {
-      values_[body] = "true";
-    }
-  }
-  return true;
+void Flags::declare(const char* name, bool takes_value,
+                    std::function<std::string(const std::string&)> set) {
+  Flag flag{name, "", takes_value, false, std::move(set)};
+  flag.key = flag.name.substr(flag.name.find_first_not_of('-'));
+  assert(std::none_of(flags_.begin(), flags_.end(),
+                      [&](const Flag& f) { return f.key == flag.key; }));
+  flags_.push_back(std::move(flag));
 }
 
-Result<bool> FlagSet::parse_file(const std::string& path) {
+void Flags::declare_integer(const char* name, i64 lo, i64 hi,
+                            std::function<void(i64)> store) {
+  const bool any = lo == std::numeric_limits<i64>::min() &&
+                   hi == std::numeric_limits<i64>::max();
+  const std::string expected =
+      any ? "an integer"
+          : format("an integer in [%lld, %lld]", static_cast<long long>(lo),
+                   static_cast<long long>(hi));
+  declare(name, true, [=, store = std::move(store)](const std::string& v) {
+    i64 parsed = 0;
+    if (!parse_int(v, &parsed) || parsed < lo || parsed > hi) return expected;
+    store(parsed);
+    return std::string();
+  });
+}
+
+void Flags::number(const char* name, double* out, double lo, double hi,
+                   bool exclude_lo) {
+  const std::string expected =
+      format("a number in %c%g, %g]", exclude_lo ? '(' : '[', lo, hi);
+  declare(name, true, [=](const std::string& v) {
+    double parsed = 0.0;
+    if (!parse_double(v, &parsed) || parsed < lo || parsed > hi ||
+        (exclude_lo && parsed == lo)) {
+      return expected;
+    }
+    *out = parsed;
+    return std::string();
+  });
+}
+
+void Flags::text(const char* name, std::string* out, bool* given) {
+  declare(name, true, [=](const std::string& v) {
+    *out = v;
+    if (given != nullptr) *given = true;
+    return std::string();
+  });
+}
+
+void Flags::choice(const char* name, std::string* out,
+                   std::vector<std::string> choices) {
+  std::string expected;  // "gshare, taken or nottaken"
+  for (usize i = 0; i < choices.size(); ++i) {
+    if (i > 0) expected += i + 1 == choices.size() ? " or " : ", ";
+    expected += choices[i];
+  }
+  declare(name, true, [=, choices = std::move(choices)](const std::string& v) {
+    if (std::find(choices.begin(), choices.end(), v) == choices.end()) {
+      return expected;
+    }
+    *out = v;
+    return std::string();
+  });
+}
+
+void Flags::repeated(const char* name, std::vector<std::string>* out) {
+  declare(name, true, [=](const std::string& v) {
+    out->push_back(v);
+    return std::string();
+  });
+}
+
+void Flags::binary(const char* name, bool* out) {
+  declare(name, true, [=](const std::string& v) {
+    if (v != "0" && v != "1") return std::string("0 or 1");
+    *out = v == "1";
+    return std::string();
+  });
+}
+
+void Flags::toggle(const char* name, bool* out) {
+  declare(name, false, [=](const std::string&) {
+    *out = true;
+    return std::string();
+  });
+}
+
+void Flags::jobs(const char* name, u32* out) {
+  declare_integer(name, std::numeric_limits<i64>::min(),
+                  std::numeric_limits<i64>::max(),
+                  [=, flag = std::string(name)](i64 value) {
+                    *out = sanitize_job_count(value, flag.c_str());
+                  });
+}
+
+std::string Flags::parse(int argc, const char* const* argv) {
+  return apply(std::vector<std::string>(argv + std::min(argc, 1), argv + argc),
+               /*from_file=*/false);
+}
+
+std::string Flags::parse_file(const std::string& path) {
   std::ifstream file(path);
-  if (!file) return errorf("cannot open config file '%s'", path.c_str());
+  if (!file) return tool_ + ": cannot open config file " + path;
   std::vector<std::string> tokens;
-  std::string line;
-  while (std::getline(file, line)) {
-    const usize comment = line.find('#');
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    for (std::string_view token : split_whitespace(line)) {
+  for (std::string line; std::getline(file, line);) {
+    for (std::string_view token :
+         split_whitespace(std::string_view(line).substr(0, line.find('#')))) {
       tokens.emplace_back(token);
     }
   }
-  // Reuse the argv parser; command-line values win over file values.
-  FlagSet from_file;
-  std::vector<const char*> argv = {"config"};
-  for (const std::string& token : tokens) argv.push_back(token.c_str());
-  if (auto parsed = from_file.parse(static_cast<int>(argv.size()),
-                                    argv.data());
-      !parsed.ok()) {
-    return parsed.error();
-  }
-  for (const auto& [name, value] : from_file.values()) {
-    values_.emplace(name, value);  // emplace: does not overwrite existing
-  }
-  for (const std::string& positional : from_file.positional()) {
-    positional_.push_back(positional);
-  }
-  return true;
+  return apply(tokens, /*from_file=*/true);
 }
 
-bool FlagSet::has(const std::string& name) const {
-  return values_.count(name) != 0;
-}
-
-std::string FlagSet::get_string(const std::string& name,
-                                const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
-}
-
-i64 FlagSet::get_i64(const std::string& name, i64 def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  i64 out = 0;
-  if (!parse_int(it->second, &out)) {
-    std::fprintf(stderr, "flag -%s: '%s' is not an integer\n", name.c_str(),
-                 it->second.c_str());
-    std::exit(2);
+std::string Flags::apply(const std::vector<std::string>& tokens,
+                         bool from_file) {
+  std::string first_error;
+  const auto fail = [&](const std::string& message) {
+    if (first_error.empty()) first_error = tool_ + ": " + message;
+  };
+  for (usize i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    const bool is_flag = token.size() > 1 && token[0] == '-';
+    const usize start = is_flag && token[1] == '-' ? 2 : 1;
+    const usize equals = token.find('=');
+    const std::string key = is_flag ? token.substr(start, equals - start) : "";
+    const auto flag = std::find_if(flags_.begin(), flags_.end(), [&](auto& f) {
+      return is_flag && f.key == key;
+    });
+    if (flag == flags_.end()) {
+      if (!is_flag && operands_ != nullptr) {
+        operands_->push_back(token);
+      } else {
+        fail("unknown argument " + token);
+      }
+      continue;
+    }
+    std::string value;
+    if (equals != std::string::npos) {
+      value = token.substr(equals + 1);
+    } else if (flag->takes_value && i + 1 < tokens.size()) {
+      value = tokens[++i];
+    }
+    if (!flag->takes_value && equals != std::string::npos) {
+      fail(flag->name + " takes no value, got " + value);
+    } else if (flag->takes_value && value.empty()) {
+      fail(flag->name + " needs a value");
+    } else if (!from_file || !flag->given) {  // the command line wins
+      if (!from_file) flag->given = true;
+      const std::string expected = flag->set(value);
+      if (!expected.empty()) {
+        fail(flag->name + " must be " + expected + ", got " + value);
+      }
+    }
   }
-  return out;
-}
-
-u64 FlagSet::get_u64(const std::string& name, u64 def) const {
-  const i64 v = get_i64(name, static_cast<i64>(def));
-  if (v < 0) {
-    std::fprintf(stderr, "flag -%s: must be non-negative\n", name.c_str());
-    std::exit(2);
-  }
-  return static_cast<u64>(v);
-}
-
-double FlagSet::get_double(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  double v = 0.0;
-  if (!parse_double(it->second, &v)) {
-    std::fprintf(stderr, "flag -%s: '%s' is not a number\n", name.c_str(),
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-bool FlagSet::get_bool(const std::string& name, bool def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const std::string v = to_lower(it->second);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
-i64 int_flag_value(const char* tool, const char* flag, const char* value,
-                   i64 lo, i64 hi) {
-  i64 parsed = 0;
-  if (parse_int(value, &parsed) && parsed >= lo && parsed <= hi) {
-    return parsed;
-  }
-  if (lo == INT64_MIN && hi == INT64_MAX) {
-    std::fprintf(stderr, "%s: %s must be an integer, got %s\n", tool, flag,
-                 value);
-  } else {
-    std::fprintf(stderr, "%s: %s must be an integer in [%lld, %lld], got %s\n",
-                 tool, flag, static_cast<long long>(lo),
-                 static_cast<long long>(hi), value);
-  }
-  std::exit(2);
-}
-
-double double_flag_value(const char* tool, const char* flag,
-                         const char* value, double lo, double hi,
-                         bool exclude_lo) {
-  double parsed = 0.0;
-  if (parse_double(value, &parsed) &&
-      (exclude_lo ? parsed > lo : parsed >= lo) && parsed <= hi) {
-    return parsed;
-  }
-  std::fprintf(stderr, "%s: %s must be a number in %c%g, %g], got %s\n", tool,
-               flag, exclude_lo ? '(' : '[', lo, hi, value);
-  std::exit(2);
+  return first_error;
 }
 
 }  // namespace reese

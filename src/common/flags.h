@@ -1,67 +1,105 @@
-// Tiny command-line flag parser used by the example CLI and the bench
-// harnesses. Supports "-name value" and "-name:value" in the SimpleScalar
-// style, plus "--name=value" and "-name=value". The free functions below
-// check one numeric value for CLIs that walk argv themselves.
+// Command-line flags. Each program declares every flag it takes once: its
+// spelling, the variable it sets, and the range or choices of its value.
+// One parse then applies one rule to every CLI:
+//
+//  * "-name" and "--name" are the same flag; "-name=VALUE" and
+//    "--name=VALUE" give the value inline.
+//  * A flag that takes a value takes the next token, whatever it is, so
+//    "-fault_rate -0.5" works. With nothing after it, or an empty value:
+//    "TOOL: FLAG needs a value". A switch takes no value.
+//  * A bad value: "TOOL: FLAG must be ..., got VALUE", naming the range or
+//    the choices. A flag given twice keeps its last value.
+//  * An undeclared flag, or an operand given to a program that declares
+//    none: "TOOL: unknown argument ARG".
+//
+// parse never exits: it applies every token it can and returns the first
+// message, which the program prints before it exits 2.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <functional>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "common/error.h"
 #include "common/types.h"
 
 namespace reese {
 
-class FlagSet {
+class Flags {
  public:
-  /// Parse argv. Never fails. A token that does not start with '-' (or is
-  /// a lone "-") is a positional argument. A "-name" or "--name" without
-  /// ':' or '=' takes the next token as its value unless that token starts
-  /// with '-'; otherwise, or at the end of argv, its value is "true". So a
-  /// bare boolean flag placed before an operand swallows the operand
-  /// ("-verbose prog.s" sets verbose to "prog.s"), and a negative number
-  /// must be written "-name=-5". Write booleans as "-name=1" or put them
-  /// after the operands.
-  Result<bool> parse(int argc, const char* const* argv);
+  /// `tool` starts every message: "reese_cli: -ruu must be ...".
+  explicit Flags(std::string tool) : tool_(std::move(tool)) {}
 
-  /// Parse a SimpleScalar-style config file: whitespace-separated
-  /// "-flag value" tokens, '#' comments, blank lines. Values already set
-  /// (e.g. from the command line) take precedence over file values.
-  Result<bool> parse_file(const std::string& path);
+  // Declarations. `name` is the flag's spelling, dashes included ("-ruu",
+  // "--jobs"); messages use it, and either spelling matches it. A variable
+  // keeps its value unless its flag is given. tools/doc_check.py finds the
+  // declarations as calls on a variable named `flags`.
 
-  bool has(const std::string& name) const;
+  /// An integer in [lo, hi] (parse_int syntax: decimal, 0x or 0b). The
+  /// range never exceeds what T holds.
+  template <typename T>
+  void integer(const char* name, T* out,
+               i64 lo = std::numeric_limits<i64>::min(),
+               i64 hi = std::numeric_limits<i64>::max()) {
+    static_assert(std::is_integral_v<T>);
+    constexpr T kLowest = std::numeric_limits<T>::min();
+    constexpr T kHighest = std::numeric_limits<T>::max();
+    if (std::cmp_less(lo, kLowest)) lo = static_cast<i64>(kLowest);
+    if (std::cmp_greater(hi, kHighest)) hi = static_cast<i64>(kHighest);
+    declare_integer(name, lo, hi, [out](i64 value) {
+      *out = static_cast<T>(value);
+    });
+  }
+  /// A finite number in [lo, hi], or (lo, hi] with `exclude_lo`.
+  void number(const char* name, double* out, double lo, double hi,
+              bool exclude_lo = false);
+  /// Any non-empty text. `*given`, when passed, becomes true once the flag
+  /// is given.
+  void text(const char* name, std::string* out, bool* given = nullptr);
+  /// One of `choices`.
+  void choice(const char* name, std::string* out,
+              std::vector<std::string> choices);
+  /// Non-empty text, appended each time the flag is given.
+  void repeated(const char* name, std::vector<std::string>* out);
+  /// 0 or 1.
+  void binary(const char* name, bool* out);
+  /// A switch: no value; sets `*out` to true.
+  void toggle(const char* name, bool* out);
+  /// A worker count: any integer; one outside [1, kMaxJobRequest] warns
+  /// and means auto (sanitize_job_count).
+  void jobs(const char* name, u32* out);
+  /// Operands (tokens that are not flags) are appended to `*out`. Without
+  /// this declaration an operand is an unknown argument.
+  void operands(std::vector<std::string>* out) { operands_ = out; }
 
-  /// Typed getters with defaults. get_i64/get_u64 abort the program with a
-  /// clear message on malformed numbers (a CLI usage error, not a bug).
-  std::string get_string(const std::string& name, const std::string& def) const;
-  i64 get_i64(const std::string& name, i64 def) const;
-  u64 get_u64(const std::string& name, u64 def) const;
-  double get_double(const std::string& name, double def) const;
-  bool get_bool(const std::string& name, bool def) const;
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// All "-name value" pairs seen, for echoing configuration in reports.
-  const std::map<std::string, std::string>& values() const { return values_; }
+  /// Apply argv[1] .. argv[argc - 1]. Empty on success, else the message.
+  std::string parse(int argc, const char* const* argv);
+  /// Apply a config file: whitespace-separated tokens, '#' comments. A
+  /// flag already given to parse keeps its command-line value.
+  std::string parse_file(const std::string& path);
 
  private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
+  struct Flag {
+    std::string name;  ///< spelling, dashes included
+    std::string key;   ///< name without its dashes
+    bool takes_value;
+    bool given;  ///< given on the command line
+    /// Sets the variable from a value; for a bad one, returns what it must
+    /// be ("an integer in [1, 4096]") and sets nothing.
+    std::function<std::string(const std::string&)> set;
+  };
+
+  void declare(const char* name, bool takes_value,
+               std::function<std::string(const std::string&)> set);
+  void declare_integer(const char* name, i64 lo, i64 hi,
+                       std::function<void(i64)> store);
+  std::string apply(const std::vector<std::string>& tokens, bool from_file);
+
+  std::string tool_;
+  std::vector<Flag> flags_;
+  std::vector<std::string>* operands_ = nullptr;
 };
-
-/// `value`, given to command-line flag `flag` of program `tool`, as an
-/// integer in [lo, hi] (parse_int syntax: decimal, 0x or 0b). Anything else
-/// is a usage error: one stderr line naming the tool and the flag, then
-/// exit 2. A value read as its numeric prefix would run something else.
-i64 int_flag_value(const char* tool, const char* flag, const char* value,
-                   i64 lo = INT64_MIN, i64 hi = INT64_MAX);
-
-/// As int_flag_value, for a finite number in [lo, hi]; with `exclude_lo`
-/// the range is (lo, hi].
-double double_flag_value(const char* tool, const char* flag,
-                         const char* value, double lo, double hi,
-                         bool exclude_lo = false);
 
 }  // namespace reese

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -43,83 +44,24 @@ u32 sanitize_job_count(i64 requested, const char* flag) {
   return 0;
 }
 
-ThreadPool::ThreadPool(u32 workers) {
-  const u32 resolved = resolve_job_count(workers);
-  threads_.reserve(resolved - 1);
-  for (u32 i = 0; i + 1 < resolved; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  wake_cv_.notify_all();
-  for (std::thread& thread : threads_) thread.join();
-}
-
-void ThreadPool::parallel_for(usize count,
-                              const std::function<void(usize)>& fn) {
-  if (count == 0) return;
-  if (threads_.empty()) {
-    // Single-worker pool: plain sequential loop, no synchronization.
+void parallel_for(u32 workers, usize count,
+                  const std::function<void(usize)>& fn) {
+  const usize threads = std::min<usize>(workers, count);
+  if (threads <= 1) {
     for (usize i = 0; i < count; ++i) fn(i);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = &fn;
-    next_.store(0, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
-    total_ = count;
-    ++generation_;
-  }
-  wake_cv_.notify_all();
+  std::atomic<usize> next{0};
+  const auto run_share = [&] {
+    for (usize i = next.fetch_add(1, std::memory_order_relaxed); i < count;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
+  };
+  std::vector<std::jthread> pool;  // joined on return, and on unwinding
+  pool.reserve(threads - 1);
+  for (usize t = 1; t < threads; ++t) pool.emplace_back(run_share);
   run_share();  // the calling thread is worker 0
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] {
-    return done_.load(std::memory_order_acquire) == total_ && active_ == 0;
-  });
-  fn_ = nullptr;
-}
-
-void ThreadPool::run_share() {
-  const std::function<void(usize)>& fn = *fn_;
-  const usize total = total_;
-  while (true) {
-    const usize index = next_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= total) return;
-    fn(index);
-    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
-      done_cv_.notify_one();
-    }
-  }
-}
-
-void ThreadPool::worker_loop() {
-  u64 seen_generation = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_cv_.wait(lock, [&] {
-        return stop_ || generation_ != seen_generation;
-      });
-      if (stop_) return;
-      seen_generation = generation_;
-      // The caller may have run the whole batch and cleared fn_ before
-      // this worker woke; there is nothing left to share.
-      if (fn_ == nullptr) continue;
-      ++active_;
-    }
-    run_share();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-    }
-    done_cv_.notify_one();
-  }
 }
 
 TaskQueue::TaskQueue(u32 workers, usize capacity) : capacity_(capacity) {

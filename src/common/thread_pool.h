@@ -1,11 +1,12 @@
-// A small fixed-size thread pool with an index-claiming parallel_for.
+// Worker threads: a one-shot parallel_for for the grid runner, and a
+// bounded task queue for the simulation service.
 //
-// Built for the experiment grid runner: a batch of independent, similarly
-// sized jobs (one simulation per (workload, model, seed) cell) is fanned
-// across hardware threads. Work distribution is dynamic — every worker
-// (including the calling thread) claims the next unstarted index from one
-// atomic counter, so a worker that finishes early immediately steals from
-// the remaining tail instead of idling behind a static partition.
+// parallel_for fans a batch of independent, similarly sized jobs (one
+// simulation per (workload, model, seed) cell) across threads. Work
+// distribution is dynamic: every worker (including the calling thread)
+// claims the next unstarted index from one atomic counter, so a worker
+// that finishes early immediately takes from the remaining tail instead of
+// idling behind a static partition.
 //
 // Determinism contract: parallel_for imposes no ordering on job execution,
 // so jobs must not share mutable state; each writes only its own result
@@ -13,7 +14,6 @@
 // loop regardless of worker count (see tests/experiment_parallel_test.cpp).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -44,46 +44,18 @@ u32 resolve_job_count(u32 requested);
 /// becomes 0 (auto, i.e. hardware concurrency via resolve_job_count).
 u32 sanitize_job_count(i64 requested, const char* flag = "--jobs");
 
-class ThreadPool {
- public:
-  /// `workers` is the total parallelism including the calling thread, so
-  /// the pool spawns `workers - 1` threads; 1 means "run everything inline"
-  /// (no threads at all). 0 resolves via resolve_job_count.
-  explicit ThreadPool(u32 workers = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total parallelism (spawned threads + the calling thread).
-  u32 worker_count() const { return static_cast<u32>(threads_.size()) + 1; }
-
-  /// Run fn(0) .. fn(count - 1), each exactly once, across the pool and the
-  /// calling thread; returns when all have finished. Not reentrant and not
-  /// thread-safe — one batch at a time, driven from the owning thread.
-  void parallel_for(usize count, const std::function<void(usize)>& fn);
-
- private:
-  void run_share();
-  void worker_loop();
-
-  std::vector<std::thread> threads_;
-
-  std::mutex mutex_;
-  std::condition_variable wake_cv_;   ///< signals workers: new batch / stop
-  std::condition_variable done_cv_;   ///< signals the caller: batch drained
-  const std::function<void(usize)>* fn_ = nullptr;
-  std::atomic<usize> next_{0};
-  std::atomic<usize> done_{0};
-  usize total_ = 0;
-  u64 generation_ = 0;  ///< bumped per batch so workers wake exactly once
-  u32 active_ = 0;      ///< pool workers currently inside run_share
-  bool stop_ = false;
-};
+/// Run fn(0) .. fn(count - 1), each exactly once, and return when all have
+/// finished. `workers` counts the calling thread. One worker (or one
+/// index) runs every index inline on the calling thread, in index order,
+/// and starts no thread; more start min(workers, count) - 1 threads, which
+/// claim indices from one atomic counter alongside the caller and are
+/// joined before the call returns.
+void parallel_for(u32 workers, usize count,
+                  const std::function<void(usize)>& fn);
 
 /// A bounded FIFO task queue drained by a fixed set of worker threads —
-/// the long-lived sibling of ThreadPool's one-batch parallel_for, built
-/// for reesed's job manager (sim/service.h): jobs arrive one at a time
+/// the long-lived sibling of the one-batch parallel_for, built for
+/// reesed's job manager (sim/service.h): jobs arrive one at a time
 /// over HTTP and must be admitted or refused immediately.
 ///
 /// Admission control is the point: try_enqueue refuses (returns false)
@@ -95,7 +67,7 @@ class ThreadPool {
 class TaskQueue {
  public:
   /// Spawns `workers` dedicated threads (resolved via resolve_job_count;
-  /// unlike ThreadPool the calling thread is NOT a worker — it stays free
+  /// unlike parallel_for's, the calling thread is NOT a worker — it stays free
   /// to accept connections). `capacity` bounds the *waiting* queue;
   /// running tasks do not count against it.
   TaskQueue(u32 workers, usize capacity);

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/snapshot.h"
-#include "common/strutil.h"
 
 namespace reese::sim {
 
@@ -20,27 +17,6 @@ bool file_exists(const std::string& path) {
   if (file == nullptr) return false;
   std::fclose(file);
   return true;
-}
-
-/// Reads the value of "--flag VALUE" or "--flag=VALUE" at argv[i]; returns
-/// nullptr when argv[i] is not `flag`. A missing or empty value exits 2.
-const char* flag_value(int argc, char** argv, int* i, const char* flag) {
-  const char* arg = argv[*i];
-  const usize flag_len = std::strlen(flag);
-  if (std::strncmp(arg, flag, flag_len) != 0) return nullptr;
-  const char* value = nullptr;
-  if (arg[flag_len] == '=') {
-    value = arg + flag_len + 1;
-  } else if (arg[flag_len] != '\0') {
-    return nullptr;
-  } else if (*i + 1 < argc) {
-    value = argv[++*i];
-  }
-  if (value == nullptr || *value == '\0') {
-    std::fprintf(stderr, "reese: %s needs a value\n", flag);
-    std::exit(2);
-  }
-  return value;
 }
 
 }  // namespace
@@ -94,31 +70,6 @@ SnapshotLoad load_snapshot(Simulator* simulator, const std::string& path,
   if (!reader.ok()) return fail(reader.error());
   if (!reader.at_end()) return fail("snapshot has trailing payload bytes");
   return SnapshotLoad::kRestored;
-}
-
-CheckpointOptions parse_checkpoint_flags(int argc, char** argv) {
-  CheckpointOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (const char* value = flag_value(argc, argv, &i, "--checkpoint-dir")) {
-      options.dir = value;
-    } else if (const char* value =
-                   flag_value(argc, argv, &i, "--checkpoint-interval")) {
-      i64 parsed = 0;
-      if (!parse_int(value, &parsed) || parsed < 0) {
-        std::fprintf(stderr,
-                     "reese: --checkpoint-interval needs a non-negative "
-                     "instruction count, got '%s'\n",
-                     value);
-        std::exit(2);
-      }
-      options.interval = static_cast<u64>(parsed);
-    } else if (const char* value =
-                   flag_value(argc, argv, &i, "--resume-from")) {
-      options.dir = value;
-      options.resume = true;
-    }
-  }
-  return options;
 }
 
 SimResult run_with_checkpoints(Simulator* simulator, u64 instructions,

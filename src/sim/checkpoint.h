@@ -67,14 +67,6 @@ struct CheckpointOptions {
   bool resume = false;  ///< pick up existing snapshots/done records in dir
 };
 
-/// Scan argv for "--checkpoint-dir PATH", "--checkpoint-interval N" and
-/// "--resume-from PATH" ("--flag=value" also accepted) and return the
-/// policy for GridSpec::checkpoint. --resume-from implies the directory and
-/// resume=true. A missing value or an interval that is not a non-negative
-/// integer prints a message and exits 2. Unrelated arguments are left for
-/// the caller.
-CheckpointOptions parse_checkpoint_flags(int argc, char** argv);
-
 /// Resumable Simulator::run of a workload built from `seed`. When `resume`
 /// and `path` holds this cell's snapshot (same workload, configuration,
 /// `seed` and `interval`; the budget may grow), restores it first. A

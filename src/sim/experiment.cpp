@@ -5,13 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/diag.h"
-#include "common/flags.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "sim/simulator.h"
 
 namespace reese::sim {
@@ -221,24 +218,6 @@ void maybe_write_csv(const ExperimentResult& result) {
 }
 
 }  // namespace
-
-u32 parse_jobs_flag(int argc, char** argv) {
-  u32 jobs = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-jobs") == 0) {
-      if (i + 1 < argc) value = argv[i + 1];
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      value = arg + 7;
-    }
-    if (value == nullptr) continue;
-    // A non-integer exits 2. sanitize_job_count turns 0/negative/absurd
-    // requests into 0 (auto = hardware concurrency) with a warning.
-    jobs = sanitize_job_count(int_flag_value("jobs", "--jobs", value));
-  }
-  return jobs;
-}
 
 ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
   ExperimentSpec spec = spec_in;

@@ -117,10 +117,4 @@ struct ExperimentResult {
 /// "<slugified title>.csv".
 ExperimentResult run_experiment(const ExperimentSpec& spec);
 
-/// Scan a bench binary's argv for "--jobs N" / "--jobs=N" / "-jobs N" and
-/// return the value for GridSpec::jobs (0, auto, when absent). A value
-/// that is not an integer exits 2; an integer outside [1, kMaxJobRequest]
-/// warns and means auto. Unrelated arguments are left for the caller.
-u32 parse_jobs_flag(int argc, char** argv);
-
 }  // namespace reese::sim

@@ -1,12 +1,12 @@
 #include "sim/grid.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <mutex>
 
+#include "common/flags.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
@@ -83,12 +83,17 @@ GridOutcome run_cells(const char* kind, const GridSpec& spec, usize count,
     }
   };
 
-  const usize workers = std::min<usize>(resolve_job_count(spec.jobs),
-                                        std::max<usize>(count, 1));
-  ThreadPool pool(static_cast<u32>(workers));
-  pool.parallel_for(count, run_one);
+  parallel_for(resolve_job_count(spec.jobs), count, run_one);
   outcome.cancelled = cancelled.load(std::memory_order_relaxed);
   return outcome;
+}
+
+void declare_grid_flags(Flags* flags, GridSpec* spec) {
+  flags->jobs("--jobs", &spec->jobs);
+  flags->text("--checkpoint-dir", &spec->checkpoint.dir);
+  flags->integer("--checkpoint-interval", &spec->checkpoint.interval);
+  flags->text("--resume-from", &spec->checkpoint.dir,
+              &spec->checkpoint.resume);
 }
 
 void save_done_record(const std::string& path, u64 identity,

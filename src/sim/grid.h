@@ -19,6 +19,7 @@
 #include "sim/checkpoint.h"
 
 namespace reese {
+class Flags;
 class SnapshotReader;
 class SnapshotWriter;
 }  // namespace reese
@@ -97,6 +98,11 @@ using CellFn = std::function<u64(usize index, std::string* error)>;
 /// cell that failed (or of the checkpoint directory).
 GridOutcome run_cells(const char* kind, const GridSpec& spec, usize count,
                       const CellFn& cell);
+
+/// Declare the flags a figure bench's grids share: --jobs N (GridSpec::jobs)
+/// and the checkpoint policy, --checkpoint-dir D, --checkpoint-interval N
+/// and --resume-from D (which sets the directory and resumes).
+void declare_grid_flags(Flags* flags, GridSpec* spec);
 
 /// Write the done-record `path` (atomic temp+rename): one DONE section
 /// holding `identity`, then what `put_payload` appends. A failed write

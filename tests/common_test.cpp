@@ -4,9 +4,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bitutil.h"
 #include "common/diag.h"
@@ -370,47 +374,84 @@ TEST(StrUtil, ToLower) {
 
 // --- flags -----------------------------------------------------------------------
 
+/// Parse `args` (argv without the program name) against `flags`.
+std::string parse_args(Flags* flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags->parse(static_cast<int>(args.size()), args.data());
+}
+
 TEST(Flags, ParseSpaceSeparated) {
-  const char* argv[] = {"prog", "-ruu", "32", "-name", "li"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(5, argv).ok());
-  EXPECT_EQ(flags.get_i64("ruu", 0), 32);
-  EXPECT_EQ(flags.get_string("name", ""), "li");
-  EXPECT_FALSE(flags.has("missing"));
-  EXPECT_EQ(flags.get_i64("missing", 7), 7);
+  i64 ruu = 0;
+  i64 missing = 7;
+  std::string name;
+  Flags flags("prog");
+  flags.integer("-ruu", &ruu);
+  flags.integer("-missing", &missing);
+  flags.text("-name", &name);
+  ASSERT_EQ(parse_args(&flags, {"-ruu", "32", "-name", "li"}), "");
+  EXPECT_EQ(ruu, 32);
+  EXPECT_EQ(name, "li");
+  EXPECT_EQ(missing, 7) << "a flag not given keeps its default";
 }
 
 TEST(Flags, ParseColonAndEquals) {
-  const char* argv[] = {"prog", "-ruu:64", "--lsq=16"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(3, argv).ok());
-  EXPECT_EQ(flags.get_i64("ruu", 0), 64);
-  EXPECT_EQ(flags.get_i64("lsq", 0), 16);
+  // "-name=VALUE" and "--name=VALUE" give a value inline; the
+  // SimpleScalar "-name:value" form is not a flag this program declares.
+  i64 ruu = 0;
+  i64 lsq = 0;
+  Flags flags("prog");
+  flags.integer("-ruu", &ruu);
+  flags.integer("-lsq", &lsq);
+  ASSERT_EQ(parse_args(&flags, {"-ruu=64", "--lsq=16"}), "");
+  EXPECT_EQ(ruu, 64);
+  EXPECT_EQ(lsq, 16);
+  EXPECT_EQ(parse_args(&flags, {"-ruu:32"}), "prog: unknown argument -ruu:32");
+  EXPECT_EQ(ruu, 64);
 }
 
 TEST(Flags, BareFlagIsTrue) {
-  const char* argv[] = {"prog", "-verbose"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(2, argv).ok());
-  EXPECT_TRUE(flags.get_bool("verbose", false));
+  // A switch takes no value; a flag that takes one needs it.
+  bool verbose = false;
+  i64 ruu = 0;
+  Flags flags("prog");
+  flags.toggle("-verbose", &verbose);
+  flags.integer("-ruu", &ruu);
+  ASSERT_EQ(parse_args(&flags, {"-verbose"}), "");
+  EXPECT_TRUE(verbose);
+  EXPECT_EQ(parse_args(&flags, {"-ruu"}), "prog: -ruu needs a value");
+  EXPECT_EQ(parse_args(&flags, {"-verbose=1"}),
+            "prog: -verbose takes no value, got 1");
 }
 
 TEST(Flags, BoolValues) {
-  const char* argv[] = {"prog", "-a", "true", "-b", "0", "-c", "on"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(7, argv).ok());
-  EXPECT_TRUE(flags.get_bool("a", false));
-  EXPECT_FALSE(flags.get_bool("b", true));
-  EXPECT_TRUE(flags.get_bool("c", false));
+  // A 0|1 flag takes exactly 0 or 1.
+  bool a = false;
+  bool b = true;
+  Flags flags("prog");
+  flags.binary("-a", &a);
+  flags.binary("-b", &b);
+  ASSERT_EQ(parse_args(&flags, {"-a", "1", "-b", "0"}), "");
+  EXPECT_TRUE(a);
+  EXPECT_FALSE(b);
+  for (const char* value : {"true", "on", "yes", "2", "01"}) {
+    EXPECT_EQ(parse_args(&flags, {"-b", value}),
+              std::string("prog: -b must be 0 or 1, got ") + value);
+    EXPECT_FALSE(b) << value;
+  }
 }
 
 TEST(Flags, Positional) {
-  const char* argv[] = {"prog", "file.s", "-x", "1", "other"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(5, argv).ok());
-  ASSERT_EQ(flags.positional().size(), 2u);
-  EXPECT_EQ(flags.positional()[0], "file.s");
-  EXPECT_EQ(flags.positional()[1], "other");
+  std::vector<std::string> operands;
+  i64 x = 0;
+  Flags flags("prog");
+  flags.integer("-x", &x);
+  flags.operands(&operands);
+  ASSERT_EQ(parse_args(&flags, {"file.s", "-x", "1", "other", "-"}), "");
+  EXPECT_EQ(operands, (std::vector<std::string>{"file.s", "other", "-"}));
+  EXPECT_EQ(x, 1);
+
+  Flags none("prog");
+  EXPECT_EQ(parse_args(&none, {"file.s"}), "prog: unknown argument file.s");
 }
 
 TEST(Flags, ParseFileMergesWithCommandLinePriority) {
@@ -420,25 +461,214 @@ TEST(Flags, ParseFileMergesWithCommandLinePriority) {
   fputs("# comment line\n-ruu 64   -lsq 32\n-workload li # trailing\n", f);
   fclose(f);
 
-  const char* argv[] = {"prog", "-ruu", "16"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(3, argv).ok());
-  ASSERT_TRUE(flags.parse_file(path).ok());
-  EXPECT_EQ(flags.get_i64("ruu", 0), 16) << "command line must win";
-  EXPECT_EQ(flags.get_i64("lsq", 0), 32);
-  EXPECT_EQ(flags.get_string("workload", ""), "li");
+  i64 ruu = 0;
+  i64 lsq = 0;
+  std::string workload;
+  Flags flags("prog");
+  flags.integer("-ruu", &ruu);
+  flags.integer("-lsq", &lsq);
+  flags.text("-workload", &workload);
+  ASSERT_EQ(parse_args(&flags, {"-ruu", "16"}), "");
+  ASSERT_EQ(flags.parse_file(path), "");
+  EXPECT_EQ(ruu, 16) << "command line must win";
+  EXPECT_EQ(lsq, 32);
+  EXPECT_EQ(workload, "li");
 }
 
 TEST(Flags, ParseFileMissing) {
-  FlagSet flags;
-  EXPECT_FALSE(flags.parse_file("/nonexistent/definitely.cfg").ok());
+  Flags flags("prog");
+  EXPECT_EQ(flags.parse_file("/nonexistent/definitely.cfg"),
+            "prog: cannot open config file /nonexistent/definitely.cfg");
 }
 
 TEST(Flags, DoubleParsing) {
-  const char* argv[] = {"prog", "-rate", "0.25"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(3, argv).ok());
-  EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 0.25);
+  double rate = 0.0;
+  double rho = 0.0;
+  Flags flags("prog");
+  flags.number("-rate", &rate, 0.0, 1.0, /*exclude_lo=*/true);
+  flags.number("--min-rho", &rho, -1.0, 1.0);
+  ASSERT_EQ(parse_args(&flags, {"-rate", "0.25", "-min-rho", "-0.5"}), "");
+  EXPECT_DOUBLE_EQ(rate, 0.25);
+  EXPECT_DOUBLE_EQ(rho, -0.5) << "a value may start with '-'";
+  EXPECT_EQ(parse_args(&flags, {"--rate", "0"}),
+            "prog: -rate must be a number in (0, 1], got 0");
+  EXPECT_EQ(parse_args(&flags, {"-rate=5e-3x"}),
+            "prog: -rate must be a number in (0, 1], got 5e-3x");
+  EXPECT_DOUBLE_EQ(rate, 0.25);
+}
+
+TEST(Flags, IntegerRangeNeverWiderThanItsVariable) {
+  u32 spares = 0;
+  u16 port = 0;
+  u64 seed = 0;
+  Flags flags("prog");
+  flags.integer("-spare_alus", &spares);
+  flags.integer("--port", &port, 1);
+  flags.integer("--seed", &seed);
+  EXPECT_EQ(parse_args(&flags, {"-spare_alus", "4294967297"}),
+            "prog: -spare_alus must be an integer in [0, 4294967295], got "
+            "4294967297");
+  EXPECT_EQ(parse_args(&flags, {"--port", "65536"}),
+            "prog: --port must be an integer in [1, 65535], got 65536");
+  EXPECT_EQ(parse_args(&flags, {"--seed", "-1"}),
+            "prog: --seed must be an integer in [0, 9223372036854775807], "
+            "got -1");
+  ASSERT_EQ(parse_args(&flags, {"-spare_alus", "0x10", "--port=8642"}), "");
+  EXPECT_EQ(spares, 16u);
+  EXPECT_EQ(port, 8642u);
+  EXPECT_EQ(seed, 0u);
+}
+
+TEST(Flags, UnknownFlagsAndChoices) {
+  std::string pred = "gshare";
+  std::vector<std::string> tokens;
+  Flags flags("prog");
+  flags.choice("-pred", &pred, {"gshare", "taken", "nottaken"});
+  flags.repeated("--auth-token", &tokens);
+  EXPECT_EQ(parse_args(&flags, {"-pred", "bimodal"}),
+            "prog: -pred must be gshare, taken or nottaken, got bimodal");
+  EXPECT_EQ(parse_args(&flags, {"--resume-form", "ckpt"}),
+            "prog: unknown argument --resume-form");
+  // The first message is returned; every other token is still applied.
+  EXPECT_EQ(parse_args(&flags, {"-bogus", "--pred=taken", "--auth-token",
+                                "a", "-auth-token", "b", "-pred"}),
+            "prog: unknown argument -bogus");
+  EXPECT_EQ(pred, "taken");
+  EXPECT_EQ(tokens, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(parse_args(&flags, {"--auth-token="}),
+            "prog: --auth-token needs a value");
+}
+
+/// Every kind of flag, each bound to one slot of HostileVars, so a
+/// successful parse can be checked against the declared ranges.
+struct HostileVars {
+  i64 ruu = 16;
+  u32 spares = 0;
+  u16 port = 8642;
+  double rate = 0.5;
+  std::string out;
+  std::string pred = "gshare";
+  std::vector<std::string> tokens;
+  bool reese = false;
+  bool quick = false;
+  std::vector<std::string> operands;
+};
+
+void declare_hostile(Flags* flags, HostileVars* vars, bool operands) {
+  flags->integer("-ruu", &vars->ruu, 2, 4096);
+  flags->integer("-spare_alus", &vars->spares);
+  flags->integer("--port", &vars->port, 1);
+  flags->number("--rate", &vars->rate, 0.0, 1.0, /*exclude_lo=*/true);
+  flags->text("--out", &vars->out);
+  flags->choice("-pred", &vars->pred, {"gshare", "taken", "nottaken"});
+  flags->repeated("--auth-token", &vars->tokens);
+  flags->binary("-reese", &vars->reese);
+  flags->toggle("--quick", &vars->quick);
+  if (operands) flags->operands(&vars->operands);
+}
+
+/// "[token][token]...", each cut to 40 bytes, for a failure message.
+std::string describe(const std::vector<std::string>& argv) {
+  std::string shown;
+  for (const std::string& token : argv) {
+    shown += "[" + token.substr(0, 40) + "]";
+  }
+  return shown;
+}
+
+/// A parse either succeeds, leaving every variable in its declared range,
+/// or returns one message naming the tool. True when it succeeded.
+bool expect_parse_outcome(const std::string& error, const HostileVars& vars,
+                          const std::vector<std::string>& argv) {
+  // gtest builds a streamed message only when the expectation fails.
+  if (!error.empty()) {
+    EXPECT_EQ(error.rfind("prog: ", 0), 0u) << describe(argv);
+    return false;
+  }
+  EXPECT_TRUE(vars.ruu >= 2 && vars.ruu <= 4096) << describe(argv);
+  EXPECT_GE(vars.port, 1u) << describe(argv);
+  EXPECT_TRUE(vars.rate > 0.0 && vars.rate <= 1.0) << describe(argv);
+  EXPECT_TRUE(vars.pred == "gshare" || vars.pred == "taken" ||
+              vars.pred == "nottaken")
+      << describe(argv);
+  for (const std::string& token : vars.tokens) EXPECT_FALSE(token.empty());
+  return true;
+}
+
+TEST(Flags, SurvivesSeededHostileArgv) {
+  // Documented command lines, mutated by dropping, duplicating and
+  // swapping tokens and by splicing in hostile ones. Each mutant goes
+  // through parse (with operands allowed and refused) and, written to a
+  // file, through parse_file.
+  const std::vector<std::vector<std::string>> seeds = {
+      {"-workload", "li", "-reese", "1", "-spare_alus", "2", "-ruu", "32"},
+      {"--out", "report.json", "--quick", "--rate", "5e-3", "--port", "0x10"},
+      {"-pipetrace", "1", "-ruu=64", "fib.s"},
+      {"--rate=0.25", "gcd.srv", "-pred", "taken", "--auth-token", "a",
+       "--auth-token=b"},
+      {"stats", "--port", "8642", "--quick", "-reese=0"},
+  };
+  const std::vector<std::string> hostile = {
+      "=", "-", "--", "", "18446744073709551616", "-0.5", std::string(4096, 'x'),
+      "--" + std::string(4096, 'r'), "-ruu=" + std::string(4096, '9'),
+      "\xff\xfe\x80", "-\xc3\xa9", "--port=\xe2\x82\xac", "-ruu=", "--=",
+      "-=1", "---ruu", "--quick=1", "-reese", "--auth-token"};
+  SplitMix64 rng(0xF1A95EED);
+  usize accepted = 0;
+  usize refused = 0;
+  const auto tally = [&](bool ok) { ++(ok ? accepted : refused); };
+  for (int round = 0; round < 10'000; ++round) {
+    std::vector<std::string> argv = seeds[rng.next_below(seeds.size())];
+    const u64 mutations = rng.next_range(1, 4);
+    for (u64 m = 0; m < mutations; ++m) {
+      const usize at = rng.next_below(argv.size() + 1);
+      switch (rng.next_below(4)) {
+        case 0:  // drop
+          if (at < argv.size()) argv.erase(argv.begin() + at);
+          break;
+        case 1:  // duplicate
+          if (at < argv.size()) argv.insert(argv.begin() + at, argv[at]);
+          break;
+        case 2:  // swap
+          if (argv.size() >= 2) {
+            const usize other = rng.next_below(argv.size());
+            std::swap(argv[rng.next_below(argv.size())], argv[other]);
+          }
+          break;
+        default:  // splice
+          argv.insert(argv.begin() + at,
+                      hostile[rng.next_below(hostile.size())]);
+      }
+    }
+    std::vector<const char*> args = {"prog"};
+    for (const std::string& token : argv) args.push_back(token.c_str());
+    for (const bool operands : {true, false}) {
+      HostileVars vars;
+      Flags flags("prog");
+      declare_hostile(&flags, &vars, operands);
+      tally(expect_parse_outcome(
+          flags.parse(static_cast<int>(args.size()), args.data()), vars,
+          argv));
+    }
+    // A fresh file per mutant: rewriting one file in place costs a flush
+    // per round on ext4.
+    const std::string config =
+        format("%sreese_hostile_flags_%d.cfg", ::testing::TempDir().c_str(),
+               round);
+    {
+      std::ofstream file(config);
+      for (const std::string& token : argv) file << token << '\n';
+    }
+    HostileVars vars;
+    Flags flags("prog");
+    declare_hostile(&flags, &vars, rng.next_bool(0.5));
+    tally(expect_parse_outcome(flags.parse_file(config), vars, argv));
+    std::remove(config.c_str());
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Both outcomes are common, so neither path goes untested.
+  EXPECT_GT(accepted, 3'000u);
+  EXPECT_GT(refused, 3'000u);
 }
 
 // --- error -----------------------------------------------------------------------

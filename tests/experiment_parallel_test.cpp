@@ -6,7 +6,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -82,39 +85,36 @@ TEST(ExperimentParallelTest, CellsRecordPlausibleOutcomes) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4u);
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(257);
   for (auto& hit : hits) hit = 0;
-  pool.parallel_for(hits.size(), [&](usize i) { ++hits[i]; });
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  parallel_for(4, hits.size(), [&](usize i) {
+    ++hits[i];
+    std::lock_guard<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
+  });
   for (usize i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
+  EXPECT_LE(threads.size(), 4u);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  for (int batch = 0; batch < 5; ++batch) {
-    std::atomic<usize> sum{0};
-    pool.parallel_for(100, [&](usize i) { sum += i; });
-    EXPECT_EQ(sum.load(), 4950u);
-  }
-}
-
-TEST(ThreadPoolTest, SingleWorkerRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.worker_count(), 1u);
+TEST(ParallelForTest, SingleWorkerRunsInline) {
   const auto caller = std::this_thread::get_id();
-  std::vector<std::thread::id> seen(8);
-  pool.parallel_for(seen.size(),
-                    [&](usize i) { seen[i] = std::this_thread::get_id(); });
+  std::vector<usize> order;
+  std::vector<std::thread::id> seen;
+  parallel_for(1, 8, [&](usize i) {
+    order.push_back(i);
+    seen.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<usize>{0, 1, 2, 3, 4, 5, 6, 7}));
   for (const auto& id : seen) EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPoolTest, ZeroCountIsANoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](usize) { FAIL() << "must not be called"; });
+TEST(ParallelForTest, ZeroCountIsANoop) {
+  parallel_for(2, 0, [](usize) { FAIL() << "must not be called"; });
 }
 
 TEST(ResolveJobCountTest, PositiveRequestWins) {

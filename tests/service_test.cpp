@@ -759,10 +759,10 @@ Daemon start_reesed(const char* env = nullptr) {
   return daemon;
 }
 
-/// Run a reese_client command line; capture stdout and the exit status.
-int run_client(int port, const std::string& args, std::string* output) {
-  const std::string command = format(
-      "%s --port %d %s", REESE_CLIENT_BIN, port, args.c_str());
+/// Run reese_client with `args` as given; capture stdout and the exit
+/// status.
+int run_client_args(const std::string& args, std::string* output) {
+  const std::string command = format("%s %s", REESE_CLIENT_BIN, args.c_str());
   FILE* stream = popen(command.c_str(), "r");
   if (stream == nullptr) return -1;
   output->clear();
@@ -773,6 +773,12 @@ int run_client(int port, const std::string& args, std::string* output) {
   }
   const int status = pclose(stream);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Run a reese_client command line against `port`; capture stdout and the
+/// exit status.
+int run_client(int port, const std::string& args, std::string* output) {
+  return run_client_args(format("--port %d %s", port, args.c_str()), output);
 }
 
 /// Run reesed with `args` on an ephemeral port, output discarded; the exit
@@ -832,6 +838,52 @@ TEST(ReesedBinary, RejectsMalformedNumericFlags) {
   for (const auto& [flag, value] : cases) {
     EXPECT_EQ(reesed_exit_status({flag, value}), 2) << flag << " " << value;
   }
+}
+
+TEST(ReesedBinary, ABadFlagIsOneConfigEventInTheLogFileInEitherOrder) {
+  const std::string dir = testing::TempDir();
+  const std::vector<std::vector<std::string>> orders = {
+      {"--port", "abc", "--log-file", dir + "/reesed_bad_port_first.log"},
+      {"--log-file", dir + "/reesed_bad_port_last.log", "--port", "abc"},
+  };
+  for (const std::vector<std::string>& args : orders) {
+    const std::string& path = args[0] == "--log-file" ? args[1] : args[3];
+    std::remove(path.c_str());
+    EXPECT_EQ(reesed_exit_status(args), 2) << path;
+    std::ifstream file(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(file, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 1u) << path;
+    EXPECT_NE(lines[0].find("\"level\": \"error\", \"kind\": \"config\""),
+              std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[0].find("--port must be an integer"), std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[0].find("got abc"), std::string::npos) << lines[0];
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ReesedBinary, ClientTakesFlagsAfterTheCommand) {
+  Daemon daemon = start_reesed();
+  ASSERT_GT(daemon.pid, 0);
+  ASSERT_GT(daemon.port, 0) << "could not parse the listening port";
+
+  std::string output;
+  EXPECT_EQ(run_client_args(format("stats --port %d", daemon.port), &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("\"submitted\""), std::string::npos) << output;
+  // An operand the command does not take, and an undeclared flag.
+  EXPECT_EQ(run_client(daemon.port, "stats extra", &output), 2);
+  EXPECT_EQ(run_client(daemon.port, "stats --prot 1", &output), 2);
+
+  ASSERT_EQ(kill(daemon.pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(daemon.pid, &status, 0), daemon.pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  if (daemon.stdout_stream != nullptr) fclose(daemon.stdout_stream);
 }
 
 TEST(ReesedBinary, ClientDrivesExperimentAndCampaignThenSigtermDrains) {

@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flags.h"
 #include "common/snapshot.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
+#include "sim/grid.h"
 #include "workloads/workload.h"
 
 namespace reese::sim {
@@ -338,28 +340,35 @@ TEST(SnapshotTest, CampaignRecordFromAnotherConfigIsRerun) {
 }
 
 TEST(SnapshotTest, CheckpointFlagsRejectBadValues) {
-  const auto parse = [](std::vector<std::string> args) {
+  // The grid flags refuse a missing value or an interval that is not a
+  // non-negative integer, and the message names the flag.
+  const auto parse = [](std::vector<const char*> args, GridSpec* spec) {
     args.insert(args.begin(), "bench");
-    std::vector<char*> argv;
-    for (std::string& arg : args) argv.push_back(arg.data());
-    return parse_checkpoint_flags(static_cast<int>(argv.size()), argv.data());
+    Flags flags("bench");
+    declare_grid_flags(&flags, spec);
+    return flags.parse(static_cast<int>(args.size()), args.data());
   };
   for (const char* bad : {"1e7", "abc", "-5", ""}) {
-    EXPECT_EXIT(parse({"--checkpoint-interval", bad}),
-                ::testing::ExitedWithCode(2), "--checkpoint-interval")
+    GridSpec spec;
+    EXPECT_NE(parse({"--checkpoint-interval", bad}, &spec)
+                  .find("bench: --checkpoint-interval "),
+              std::string::npos)
         << bad;
   }
   for (const char* flag :
        {"--checkpoint-interval", "--checkpoint-dir", "--resume-from"}) {
-    EXPECT_EXIT(parse({flag}), ::testing::ExitedWithCode(2), "needs a value")
-        << flag;
+    GridSpec spec;
+    EXPECT_EQ(parse({flag}, &spec), std::string("bench: ") + flag +
+                                        " needs a value");
   }
 
-  const CheckpointOptions options =
-      parse({"--checkpoint-interval=10000000", "--resume-from", "ckpt"});
-  EXPECT_EQ(options.interval, 10'000'000u);
-  EXPECT_EQ(options.dir, "ckpt");
-  EXPECT_TRUE(options.resume);
+  GridSpec spec;
+  ASSERT_EQ(parse({"--checkpoint-interval=10000000", "--resume-from", "ckpt"},
+                  &spec),
+            "");
+  EXPECT_EQ(spec.checkpoint.interval, 10'000'000u);
+  EXPECT_EQ(spec.checkpoint.dir, "ckpt");
+  EXPECT_TRUE(spec.checkpoint.resume);
 }
 
 TEST(SnapshotTest, CorruptSnapshotIsRejected) {

@@ -3,15 +3,17 @@
 
 Six checks, all gating in CI (.github/workflows/ci.yml "docs" job):
 
-1. Flag coverage — every `--flag` string literal that a binary under
-   bench/ or tools/ actually parses must be mentioned in README.md or
-   EXPERIMENTS.md. Removing a flag's documentation (or documenting a flag
-   that was renamed in code only) fails the build.
+1. Flag coverage — every `--flag` that a binary under bench/ or tools/
+   declares (a flags.KIND("--flag", ...) call in common/flags.h style,
+   in bench/, tools/ or a src/ helper such as sim::declare_grid_flags)
+   must be mentioned in README.md or EXPERIMENTS.md. Removing a flag's
+   documentation (or documenting a flag that was renamed in code only)
+   fails the build.
 
 2. Flag existence — every flag-table row (`| `--name ...`) in README.md
    or EXPERIMENTS.md must name a flag that some .cpp under bench/, tools/,
-   examples/ or src/ parses: a "--name" literal or a FlagSet
-   get_*("name", ...) call. A row left behind by a deleted flag fails.
+   examples/ or src/ declares, with one dash or two ("-name" and "--name"
+   are the same flag). A row left behind by a deleted flag fails.
 
 3. Schema coverage — every report schema literal ("reese-*-vN") a bench
    emits must be mentioned in README.md or EXPERIMENTS.md, so a new or
@@ -42,12 +44,11 @@ import re
 import sys
 
 
-# A flag "counts" when the source compares or documents it as an argument:
-# string literals like "--jobs" / "--jobs=..." in bench/*.cpp, tools/*.cpp.
-FLAG_LITERAL = re.compile(r'"(--[a-z][a-z0-9-]*)=?"')
-
-# A FlagSet getter reading a flag, e.g. flags.get_string("trace-out", "").
-FLAGSET_GETTER = re.compile(r'\bget_[a-z0-9]+\(\s*"([a-z][a-z0-9-]*)"')
+# A flag "counts" when a program declares it (common/flags.h), e.g.
+# flags.integer("--replicas", ...) or flags->jobs("--jobs", ...).
+FLAG_DECLARATION = re.compile(
+    r'\bflags(?:\.|->)(?:integer|number|text|choice|repeated|binary|toggle|'
+    r'jobs)\(\s*"(-{1,2}[a-z][a-z0-9_-]*)"')
 
 # A flag-table row in the docs: | `--name ARG` | default | meaning |
 FLAG_TABLE_ROW = re.compile(r"^\| `(--[a-z][a-z0-9-]*)", re.MULTILINE)
@@ -91,52 +92,44 @@ PATH_TOKEN = (r"(?<![\w/.*{{-])(?:\./)?"
 HAS_EXTENSION = re.compile(r"\.(?:\w+|\*)$")
 
 
-def collect_flags(repo_root):
-    """Map flag -> sorted list of source files that parse it."""
+def collect_declared_flags(repo_root, subdirs):
+    """Map each flag that a .cpp under `subdirs` declares, spelled as
+    declared, to the sorted list of those sources."""
     flags = {}
-    for subdir in ("bench", "tools"):
-        directory = os.path.join(repo_root, subdir)
-        if not os.path.isdir(directory):
-            continue
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".cpp"):
-                continue
-            path = os.path.join(directory, name)
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            for flag in FLAG_LITERAL.findall(text):
-                flags.setdefault(flag, set()).add(os.path.join(subdir, name))
+    for subdir in subdirs:
+        for root, _dirs, names in os.walk(os.path.join(repo_root, subdir)):
+            for name in sorted(names):
+                if not name.endswith(".cpp"):
+                    continue
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+                for flag in FLAG_DECLARATION.findall(text):
+                    flags.setdefault(flag, set()).add(
+                        os.path.relpath(path, repo_root))
     return {flag: sorted(sources) for flag, sources in flags.items()}
 
 
-def collect_parsed_flags(repo_root):
-    """Every flag that some .cpp under bench/, tools/, examples/ or src/
-    parses, as a "--name" literal or a FlagSet get_*("name", ...) call."""
-    parsed = set()
-    for subdir in ("bench", "tools", "examples", "src"):
-        for root, _dirs, names in os.walk(os.path.join(repo_root, subdir)):
-            for name in names:
-                if not name.endswith(".cpp"):
-                    continue
-                with open(os.path.join(root, name), encoding="utf-8") as handle:
-                    text = handle.read()
-                parsed.update(FLAG_LITERAL.findall(text))
-                parsed.update("--" + flag
-                              for flag in FLAGSET_GETTER.findall(text))
-    return parsed
+def collect_flags(repo_root):
+    """Map every --flag that bench/ and tools/ binaries take (their own
+    declarations and src/ helpers') to the sources that declare it."""
+    return {flag: sources for flag, sources in collect_declared_flags(
+                repo_root, ("bench", "tools", "src")).items()
+            if flag.startswith("--")}
 
 
 def check_flag_rows(repo_root):
-    parsed = collect_parsed_flags(repo_root)
+    declared = {flag.lstrip("-") for flag in collect_declared_flags(
+        repo_root, ("bench", "tools", "examples", "src"))}
     errors = []
     for name in FLAG_DOCS:
         with open(os.path.join(repo_root, name), encoding="utf-8") as handle:
             text = handle.read()
         for flag in FLAG_TABLE_ROW.findall(text):
-            if flag not in parsed:
+            if flag.lstrip("-") not in declared:
                 errors.append(
                     f"{name}: flag-table row {flag} names a flag that no .cpp "
-                    f"under bench/, tools/, examples/ or src/ parses")
+                    f"under bench/, tools/, examples/ or src/ declares")
     return errors
 
 
@@ -168,7 +161,7 @@ def check_flag_coverage(repo_root):
     for flag, sources in sorted(collect_flags(repo_root).items()):
         if flag not in documented:
             errors.append(
-                f"flag {flag} (parsed by {', '.join(sources)}) is not "
+                f"flag {flag} (declared by {', '.join(sources)}) is not "
                 f"documented in README.md or EXPERIMENTS.md")
     for schema, sources in sorted(collect_schemas(repo_root).items()):
         if schema not in documented:
@@ -287,7 +280,7 @@ def main():
     if errors:
         print(f"doc_check: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("doc_check: ok (flags documented and parsed, links resolve, "
+    print("doc_check: ok (flags documented and declared, links resolve, "
           "bench binaries and source paths exist)")
     return 0
 

@@ -10,6 +10,8 @@
 //   --token TOK             send "Authorization: Bearer TOK" on every
 //                           request (daemons started with --auth-token)
 //
+// Flags may also follow the command ("reese_client stats --port 9000").
+//
 //   stats                           GET /v1/stats
 //   submit-experiment SPEC.json     POST /v1/experiments; prints the job id
 //   submit-campaign SPEC.json       POST /v1/campaigns; prints the job id
@@ -25,17 +27,16 @@
 // state "done", 3 for "timeout" and 4 for "failed". `result` on a job that
 // timed out surfaces the server's 408, on a failed job its 500 with the
 // failure; a job pruned by the daemon's retention window answers 404 like
-// any unknown id. A --port value that is not an integer
-// in its range exits 2.
+// any unknown id. An unknown flag, a --port value that is not an integer
+// in its range, and an operand the command does not take exit 2.
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/http.h"
@@ -45,8 +46,8 @@ using namespace reese;
 
 namespace {
 
-bool read_spec(const char* path, std::string* out) {
-  if (std::strcmp(path, "-") == 0) {
+bool read_spec(const std::string& path, std::string* out) {
+  if (path == "-") {
     std::ostringstream buffer;
     buffer << std::cin.rdbuf();
     *out = buffer.str();
@@ -54,7 +55,7 @@ bool read_spec(const char* path, std::string* out) {
   }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "reese_client: cannot read %s\n", path);
+    std::fprintf(stderr, "reese_client: cannot read %s\n", path.c_str());
     return false;
   }
   std::ostringstream buffer;
@@ -91,38 +92,53 @@ void print_body(const http::Response& response) {
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   u16 port = 8642;
-  http::RequestOptions options;
-
-  int i = 1;
-  for (; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "reese_client: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--host") == 0) {
-      host = next_value();
-    } else if (std::strcmp(arg, "--port") == 0) {
-      port = static_cast<u16>(
-          int_flag_value("reese_client", arg, next_value(), 1, 65535));
-    } else if (std::strcmp(arg, "--token") == 0) {
-      options.headers.push_back(
-          {"Authorization", std::string("Bearer ") + next_value()});
-    } else {
-      break;  // first non-flag argument is the command
-    }
+  std::string token;
+  bool csv = false;
+  std::vector<std::string> operands;
+  Flags flags("reese_client");
+  flags.text("--host", &host);
+  flags.integer("--port", &port, 1);
+  flags.text("--token", &token);
+  flags.toggle("--csv", &csv);
+  flags.operands(&operands);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
-  if (i >= argc) {
+  if (operands.empty()) {
     std::fprintf(stderr,
                  "usage: reese_client [--host ADDR] [--port N] [--token TOK] "
                  "stats|metrics|submit-experiment|submit-campaign|progress|"
-                 "wait|result ...\n");
+                 "wait|result ...\n"
+                 "       (flags may also follow the command)\n");
     return 2;
   }
-  const std::string command = argv[i++];
+  http::RequestOptions options;
+  if (!token.empty()) {
+    options.headers.push_back({"Authorization", "Bearer " + token});
+  }
+  const std::string& command = operands[0];
+  const bool submit =
+      command == "submit-experiment" || command == "submit-campaign";
+  const bool job =
+      command == "progress" || command == "wait" || command == "result";
+  if (!submit && !job && command != "stats" && command != "metrics") {
+    std::fprintf(stderr, "reese_client: unknown command %s\n",
+                 command.c_str());
+    return 2;
+  }
+  // submit-* and the job commands take one operand, stats and metrics none.
+  const usize takes = submit || job ? 2 : 1;
+  if (operands.size() < takes) {
+    std::fprintf(stderr, "reese_client: %s needs %s\n", command.c_str(),
+                 submit ? "a spec file (or -)" : "a job id");
+    return 2;
+  }
+  if (operands.size() > takes) {
+    std::fprintf(stderr, "reese_client: unknown argument %s\n",
+                 operands[takes].c_str());
+    return 2;
+  }
 
   if (command == "stats" || command == "metrics") {
     const std::string path = command == "stats" ? "/v1/stats" : "/v1/metrics";
@@ -133,14 +149,9 @@ int main(int argc, char** argv) {
     return response.status == 200 ? 0 : 1;
   }
 
-  if (command == "submit-experiment" || command == "submit-campaign") {
-    if (i >= argc) {
-      std::fprintf(stderr, "reese_client: %s needs a spec file (or -)\n",
-                   command.c_str());
-      return 2;
-    }
+  if (submit) {
     std::string spec;
-    if (!read_spec(argv[i], &spec)) return 1;
+    if (!read_spec(operands[1], &spec)) return 1;
     const std::string path = command == "submit-experiment"
                                  ? "/v1/experiments"
                                  : "/v1/campaigns";
@@ -157,60 +168,48 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "progress" || command == "wait" || command == "result") {
-    if (i >= argc) {
-      std::fprintf(stderr, "reese_client: %s needs a job id\n",
-                   command.c_str());
-      return 2;
-    }
-    const std::string id = argv[i++];
+  const std::string& id = operands[1];
 
-    if (command == "progress") {
-      const http::Response response = http::request(
-          host, port, "GET", "/v1/jobs/" + id + "/progress", "", options);
-      if (response.status == 0) return fail_transport(response);
-      print_body(response);
-      return response.status == 200 ? 0 : 1;
-    }
-
-    if (command == "wait") {
-      for (;;) {
-        const http::Response response =
-            http::request(host, port, "GET", "/v1/jobs/" + id, "", options);
-        if (response.status == 0) return fail_transport(response);
-        if (response.status != 200) {
-          std::fprintf(stderr, "reese_client: status %d: %s",
-                       response.status, response.body.c_str());
-          return 1;
-        }
-        const std::string state = response_field(response.body, "state");
-        if (state != "queued" && state != "running") {
-          std::printf("%s\n", state.c_str());
-          if (state == "done") return 0;
-          if (state == "timeout") return 3;
-          return state == "failed" ? 4 : 1;
-        }
-        ::usleep(50 * 1000);
-      }
-    }
-
-    // result
-    std::string path = "/v1/jobs/" + id + "/result";
-    if (i < argc && std::strcmp(argv[i], "--csv") == 0) {
-      path += "?format=csv";
-    }
-    const http::Response response =
-        http::request(host, port, "GET", path, "", options);
+  if (command == "progress") {
+    const http::Response response = http::request(
+        host, port, "GET", "/v1/jobs/" + id + "/progress", "", options);
     if (response.status == 0) return fail_transport(response);
-    if (response.status != 200) {
-      std::fprintf(stderr, "reese_client: status %d: %s", response.status,
-                   response.body.c_str());
-      return 1;
-    }
     print_body(response);
-    return 0;
+    return response.status == 200 ? 0 : 1;
   }
 
-  std::fprintf(stderr, "reese_client: unknown command %s\n", command.c_str());
-  return 2;
+  if (command == "wait") {
+    for (;;) {
+      const http::Response response =
+          http::request(host, port, "GET", "/v1/jobs/" + id, "", options);
+      if (response.status == 0) return fail_transport(response);
+      if (response.status != 200) {
+        std::fprintf(stderr, "reese_client: status %d: %s",
+                     response.status, response.body.c_str());
+        return 1;
+      }
+      const std::string state = response_field(response.body, "state");
+      if (state != "queued" && state != "running") {
+        std::printf("%s\n", state.c_str());
+        if (state == "done") return 0;
+        if (state == "timeout") return 3;
+        return state == "failed" ? 4 : 1;
+      }
+      ::usleep(50 * 1000);
+    }
+  }
+
+  // result
+  std::string path = "/v1/jobs/" + id + "/result";
+  if (csv) path += "?format=csv";
+  const http::Response response =
+      http::request(host, port, "GET", path, "", options);
+  if (response.status == 0) return fail_transport(response);
+  if (response.status != 200) {
+    std::fprintf(stderr, "reese_client: status %d: %s", response.status,
+                 response.body.c_str());
+    return 1;
+  }
+  print_body(response);
+  return 0;
 }

@@ -39,7 +39,8 @@
 //   --log-file PATH        append structured JSON-lines events to PATH
 //                          instead of stderr (DESIGN.md §17)
 //
-// An integer flag whose value is not an integer in its range exits 2;
+// Flags follow common/flags.h. An unknown argument, or a value that is
+// malformed or out of its range, is one "config" error event and exit 2;
 // --workers and --grid-jobs take any integer and fall back to hardware
 // concurrency outside [1, 1024] (sanitize_job_count).
 //
@@ -52,12 +53,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
+#include "common/flags.h"
 #include "common/http.h"
 #include "common/log.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "sim/service.h"
 
 using namespace reese;
@@ -77,86 +78,36 @@ void handle_signal(int) {
   std::exit(2);
 }
 
-/// `value` as an integer in [lo, hi]; anything else exits 2 naming `flag`.
-i64 int_flag(const char* flag, const char* value, i64 lo = INT64_MIN,
-             i64 hi = INT64_MAX) {
-  i64 parsed = 0;
-  if (!parse_int(value, &parsed)) {
-    config_error(format("%s must be an integer, got %s", flag, value));
-  }
-  if (parsed < lo || parsed > hi) {
-    config_error(format("%s must be in [%lld, %lld], got %s", flag,
-                        static_cast<long long>(lo), static_cast<long long>(hi),
-                        value));
-  }
-  return parsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The log sink applies before any other flag is parsed, so a bad
-  // --port on the same command line already lands in the right place
-  // (a pre-scan: flag order must not matter).
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--log-file") == 0 &&
-        !log::global().open_file(argv[i + 1])) {
-      // open_file leaves the sink on stderr, so this event is visible.
-      config_error(format("cannot open log file %s", argv[i + 1]));
-    }
-  }
-
   std::string host = "127.0.0.1";
   u16 port = 8642;
+  std::string log_file;
   sim::ServiceConfig config;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        config_error(format("%s needs a value", arg));
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--host") == 0) {
-      host = next_value();
-    } else if (std::strcmp(arg, "--port") == 0) {
-      port = static_cast<u16>(int_flag(arg, next_value(), 0, 65535));
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      config.workers = sanitize_job_count(int_flag(arg, next_value()), arg);
-    } else if (std::strcmp(arg, "--queue-capacity") == 0) {
-      config.queue_capacity =
-          static_cast<u32>(int_flag(arg, next_value(), 1, UINT32_MAX));
-    } else if (std::strcmp(arg, "--grid-jobs") == 0) {
-      config.grid_jobs = sanitize_job_count(int_flag(arg, next_value()), arg);
-    } else if (std::strcmp(arg, "--max-instructions") == 0) {
-      config.max_instructions =
-          static_cast<u64>(int_flag(arg, next_value(), 1));
-    } else if (std::strcmp(arg, "--max-cells") == 0) {
-      config.max_cells =
-          static_cast<u64>(int_flag(arg, next_value(), 1, UINT32_MAX));
-    } else if (std::strcmp(arg, "--timeout-s") == 0) {
-      // Every spec that omits "timeout_s" gets this value, so one the
-      // service would refuse must fail here, not as a 400 on each submit.
-      const char* value = next_value();
-      double timeout_s = 0.0;
-      if (!parse_double(value, &timeout_s) || timeout_s < 0.0 ||
-          timeout_s > config.max_timeout_s) {
-        config_error(format("--timeout-s must be a number in [0, %g], got %s",
-                            config.max_timeout_s, value));
-      }
-      config.default_timeout_s = timeout_s;
-    } else if (std::strcmp(arg, "--auth-token") == 0) {
-      config.auth_tokens.push_back(next_value());
-    } else if (std::strcmp(arg, "--retain-jobs") == 0) {
-      config.max_retained_jobs =
-          static_cast<usize>(int_flag(arg, next_value(), 1));
-    } else if (std::strcmp(arg, "--log-file") == 0) {
-      next_value();  // applied by the pre-scan above
-    } else {
-      config_error(format("unknown argument %s", arg));
-    }
+  Flags flags("reesed");
+  flags.text("--host", &host);
+  flags.integer("--port", &port);
+  flags.jobs("--workers", &config.workers);
+  flags.integer("--queue-capacity", &config.queue_capacity, 1);
+  flags.jobs("--grid-jobs", &config.grid_jobs);
+  flags.integer("--max-instructions", &config.max_instructions, 1);
+  flags.integer("--max-cells", &config.max_cells, 1, UINT32_MAX);
+  // Every spec that omits "timeout_s" gets this value, so one the service
+  // would refuse must fail here, not as a 400 on each submit.
+  flags.number("--timeout-s", &config.default_timeout_s, 0.0,
+               config.max_timeout_s);
+  flags.repeated("--auth-token", &config.auth_tokens);
+  flags.integer("--retain-jobs", &config.max_retained_jobs, 1);
+  flags.text("--log-file", &log_file);
+  const std::string error = flags.parse(argc, argv);
+  // The log sink applies before the parse error is reported, so the error
+  // lands in the sink wherever --log-file stands on the command line.
+  if (!log_file.empty() && !log::global().open_file(log_file)) {
+    // open_file leaves the sink on stderr, so this event is visible.
+    config_error(format("cannot open log file %s", log_file.c_str()));
   }
+  if (!error.empty()) config_error(error);
 
   sim::SimulationService service(config);
   http::Server server(

@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/vuln.h"
 #include "common/flags.h"
@@ -35,20 +37,21 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
+  std::string format = "text";
+  usize top = 0;
+  std::vector<std::string> paths;
+  Flags flags("srv-vuln");
+  flags.choice("--format", &format, {"text", "json"});
+  flags.integer("--top", &top);
+  flags.operands(&paths);
+  if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return usage();
   }
-  if (flags.positional().empty()) return usage();
-
-  const std::string format = flags.get_string("format", "text");
-  if (format != "text" && format != "json") return usage();
-  const i64 top = flags.get_i64("top", 0);
-  if (top < 0) return usage();
+  if (paths.empty()) return usage();
 
   bool failed = false;
-  for (const std::string& path : flags.positional()) {
+  for (const std::string& path : paths) {
     std::ifstream file(path);
     if (!file) {
       std::fprintf(stderr, "srv-vuln: cannot open %s\n", path.c_str());
@@ -69,7 +72,7 @@ int main(int argc, char** argv) {
         analysis::analyze_vulnerability(assembled.value());
     const std::string rendered =
         format == "json" ? report.json(path)
-                         : report.table(path, static_cast<usize>(top));
+                         : report.table(path, top);
     std::fputs(rendered.c_str(), stdout);
   }
   return failed ? 1 : 0;
