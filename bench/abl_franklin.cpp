@@ -8,6 +8,7 @@
 // spare ALUs, on the starting configuration and a 2x window.
 #include <cstdio>
 
+#include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "workloads/workload.h"
 
@@ -54,14 +55,7 @@ int main() {
               "vs baseline)\n");
   report("starting config", core::starting_config(), budget);
 
-  core::CoreConfig big = core::starting_config();
-  big.ruu_size = 32;
-  big.lsq_size = 16;
-  report("RUU=32, LSQ=16", big, budget);
-
-  core::CoreConfig huge = core::starting_config();
-  huge.ruu_size = 64;
-  huge.lsq_size = 32;
-  report("RUU=64, LSQ=32", huge, budget);
+  report("RUU=32, LSQ=16", sim::with_ruu(core::starting_config(), 32), budget);
+  report("RUU=64, LSQ=32", sim::with_ruu(core::starting_config(), 64), budget);
   return 0;
 }

@@ -4,11 +4,12 @@
 //                   [--out PATH] [--checkpoint-dir D]
 //                   [--checkpoint-interval N] [--resume-from D]
 //
-// Eight (workload x model) grids make up the six figures: figures 2-5 are
-// one grid each, Figure 6 is the summary of those four, and Figure 7 is
-// four larger machines. Every grid a chosen figure needs is simulated
-// once, at $REESE_SIM_INSTR instructions per cell (default 1M). Figure
-// tables go to stdout, one line per finished grid to stderr. --out writes
+// Eight (workload x model) grids, sim::figure_grids(), make up the six
+// figures: figures 2-5 are one grid each, Figure 6 is the summary of
+// those four, and Figure 7 is four larger machines. Every grid a chosen
+// figure needs is simulated once, at $REESE_SIM_INSTR instructions per
+// cell (default 1M). Figure tables go to stdout, one line per finished
+// grid to stderr. --out writes
 // the simulated grids as a "reese-overnight-v1" report for
 // tools/bench_diff.py; the `overnight` CMake target runs --figure all at
 // the paper's 100M instructions per cell with resumable checkpoints.
@@ -31,91 +32,9 @@ using namespace reese;
 
 namespace {
 
-struct Grid {
-  const char* key;    ///< report name ("fig2" ... "fig7_ruu256_fus")
-  const char* label;  ///< its row in the Figure 6 or Figure 7 summary
-  sim::ExperimentSpec spec;
-};
-
-sim::ExperimentSpec grid_spec(const char* title, const core::CoreConfig& base,
-                              std::vector<sim::Model> models = {}) {
-  sim::ExperimentSpec spec;
-  spec.title = title;
-  spec.base = base;
-  spec.models = std::move(models);
-  return spec;
-}
-
-// The LSQ is always half the RUU.
-core::CoreConfig with_ruu(core::CoreConfig config, u32 ruu) {
-  config.ruu_size = ruu;
-  config.lsq_size = ruu / 2;
-  return config;
-}
-
-core::CoreConfig with_more_fus(core::CoreConfig config) {
-  config.int_alu_count = 8;
-  config.int_mult_count = 4;
-  config.mem_port_count = 4;
-  return config;
-}
-
-std::vector<Grid> grid_table() {
-  using sim::Model;
-  // Figure 2, the Table 1 starting configuration. The paper: baseline IPC
-  // stays below 2, REESE costs 11-16%, spare integer ALUs close most of
-  // the gap and the spare multiplier adds little.
-  const core::CoreConfig fig2 = core::starting_config();
-  // Figure 3 doubles the RUU and LSQ, separating window capacity from
-  // REESE's own cost.
-  const core::CoreConfig fig3 = with_ruu(fig2, 32);
-  // Figure 4 doubles the datapath width, to show that pipeline bandwidth
-  // limits neither model.
-  core::CoreConfig fig4 = fig3;
-  fig4.fetch_width = 16;
-  fig4.decode_width = 16;
-  fig4.issue_width = 16;
-  fig4.commit_width = 16;
-  fig4.ifq_size = 32;
-  // Figure 5 doubles the memory ports, which "significantly improved the
-  // performance of REESE". The paper drops the +2ALU+1Mult bar here
-  // because it matched +2ALU.
-  core::CoreConfig fig5 = fig4;
-  fig5.mem_port_count = 4;
-  // Figure 7 grows the window on the Figure 4 datapath, with and without
-  // extra functional units: the RUU alone leaves the gap near 15%, the
-  // extra units shrink it to about 1.5%.
-  const std::vector<Model> fig7 = {Model::kBaseline, Model::kReese,
-                                   Model::kReese2Alu};
-  return {
-      {"fig2", "None",
-       grid_spec("Figure 2: initial comparison between REESE and baseline "
-                 "(starting configuration)",
-                 fig2)},
-      {"fig3", "RUU,LSQ 2X",
-       grid_spec("Figure 3: REESE vs baseline with RUU=32, LSQ=16", fig3)},
-      {"fig4", "Ex.Q 2X",
-       grid_spec("Figure 4: IPC for 16-wide datapath (RUU=32, LSQ=16)", fig4)},
-      {"fig5", "MemPorts",
-       grid_spec("Figure 5: IPC for additional memory ports (4 ports)", fig5,
-                 {Model::kBaseline, Model::kReese, Model::kReese1Alu,
-                  Model::kReese2Alu})},
-      {"fig7_ruu64", "RUU=64",
-       grid_spec("Figure 7: RUU=64", with_ruu(fig4, 64), fig7)},
-      {"fig7_ruu64_fus", "RUU=64+FUs",
-       grid_spec("Figure 7: RUU=64 + extra FUs",
-                 with_more_fus(with_ruu(fig4, 64)), fig7)},
-      {"fig7_ruu256", "RUU=256",
-       grid_spec("Figure 7: RUU=256", with_ruu(fig4, 256), fig7)},
-      {"fig7_ruu256_fus", "RUU=256+FUs",
-       grid_spec("Figure 7: RUU=256 + extra FUs",
-                 with_more_fus(with_ruu(fig4, 256)), fig7)},
-  };
-}
-
 struct Figure {
   const char* name;
-  std::vector<usize> grids;  ///< indices into grid_table()
+  std::vector<usize> grids;  ///< indices into sim::figure_grids()
   /// Set for the summary figures (6, 7), which print one row per grid;
   /// figures 2-5 print their one grid's full table.
   const char* summary_title;
@@ -146,7 +65,8 @@ int model_index(const sim::ExperimentResult& result, sim::Model model) {
 /// Figures 6 and 7: each grid's average IPC per model and its REESE gap.
 /// The columns are the first grid's models; a grid without one of them
 /// prints "-".
-std::string summary_table(const Figure& figure, const std::vector<Grid>& grids,
+std::string summary_table(const Figure& figure,
+                          const std::vector<sim::FigureGrid>& grids,
                           const Results& results) {
   const std::vector<sim::Model>& columns =
       results[figure.grids[0]]->spec.models;
@@ -182,8 +102,8 @@ std::string averages_json(const sim::ExperimentResult& r) {
                    [&](usize m) { return format("%.6f", r.average(m)); });
 }
 
-std::string grid_json(const Grid& grid, const sim::ExperimentResult& r,
-                      double wall_seconds) {
+std::string grid_json(const sim::FigureGrid& grid,
+                      const sim::ExperimentResult& r, double wall_seconds) {
   const usize models = r.spec.models.size();
   std::string out = "    {\n";
   out += format("      \"name\": \"%s\",\n", grid.key);
@@ -222,9 +142,9 @@ std::string grid_json(const Grid& grid, const sim::ExperimentResult& r,
 
 /// The "reese-overnight-v1" report: every simulated grid, plus the Figure
 /// 6 summary rows when that figure was chosen.
-std::string report_json(const std::vector<Grid>& grids, const Results& results,
-                        const std::vector<double>& wall,
-                        const Figure* fig6) {
+std::string report_json(const std::vector<sim::FigureGrid>& grids,
+                        const Results& results,
+                        const std::vector<double>& wall, const Figure* fig6) {
   double total_wall = 0.0;
   std::string figures_json;
   for (usize g = 0; g < grids.size(); ++g) {
@@ -289,8 +209,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<Grid> grids = grid_table();
-  for (Grid& grid : grids) {
+  std::vector<sim::FigureGrid> grids = sim::figure_grids();
+  for (sim::FigureGrid& grid : grids) {
     grid.spec.jobs = options.jobs;
     grid.spec.checkpoint = options.checkpoint;
   }

@@ -42,6 +42,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
+  if (!workload_name.empty()) {
+    if (const auto workload = workloads::make_workload(workload_name);
+        !workload.ok()) {
+      std::fprintf(stderr, "%s\n", workload.error().to_string().c_str());
+      return 2;
+    }
+  }
   const std::vector<std::string> names =
       workload_name.empty() ? workloads::spec_like_names()
                             : std::vector<std::string>{workload_name};

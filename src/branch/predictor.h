@@ -49,7 +49,7 @@ inline bool counter_taken(u8 counter) { return counter >= 2; }
 class GsharePredictor {
  public:
   /// `history_bits` is also log2(table size).
-  explicit GsharePredictor(unsigned history_bits = 12);
+  explicit GsharePredictor(unsigned history_bits);
   BranchPrediction predict(Addr pc) {
     const u64 used_history = ghr_;
     const bool taken = counter_taken(table_[index_of(pc, used_history)]);
@@ -108,7 +108,7 @@ const char* predictor_kind_name(PredictorKind kind);
 /// Branch target buffer: tagged, set-associative, LRU.
 class Btb {
  public:
-  Btb(usize entries = 512, u32 associativity = 4);
+  Btb(usize entries, u32 associativity);
 
   /// Target for `pc` if present; a hit refreshes the entry's LRU stamp.
   bool lookup(Addr pc, Addr* target) const;
@@ -153,7 +153,7 @@ class Btb {
 /// here was an integer divide on the fetch path.
 class ReturnAddressStack {
  public:
-  explicit ReturnAddressStack(usize depth = 16) : stack_(depth, 0),
+  explicit ReturnAddressStack(usize depth) : stack_(depth, 0),
                                                   depth_(depth) {
     assert(depth >= 1);
   }

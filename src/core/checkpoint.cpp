@@ -54,8 +54,7 @@ void load_arch(SnapshotReader* reader, isa::ArchState* state) {
 
 bool Pipeline::quiescent() const {
   return ifq_.empty() && ruu_count_ == 0 && lsq_count_ == 0 && !spec_mode_ &&
-         rqueue_.empty() && r_inflight_ == 0 && p_events_.empty() &&
-         r_events_.empty() && r_release_at_.empty();
+         rqueue_.empty() && p_events_.empty() && r_events_.empty();
 }
 
 bool Pipeline::drain_to_barrier(Cycle limit) {

@@ -3,6 +3,10 @@
 // Defaults reproduce Table 1 of the paper — the "starting configuration":
 // fetch queue 16, 8-wide pipeline stages, RUU 16, LSQ 8, 4 integer ALUs +
 // 1 integer mult/div, mirrored FP units, 2 memory ports, gshare.
+//
+// The paper fixes one machine and varies only its widths, window, units,
+// predictor and the REESE mechanisms, so only those are settable. Every
+// other parameter of the Table 1 machine is a named constant below.
 #pragma once
 
 #include <string>
@@ -11,7 +15,40 @@
 #include "common/types.h"
 #include "mem/hierarchy.h"
 
+namespace reese {
+class SnapshotWriter;
+}  // namespace reese
+
 namespace reese::core {
+
+// Operation latencies (cycles until result; SimpleScalar defaults).
+inline constexpr u32 kIntMulLatency = 3;    // pipelined
+inline constexpr u32 kIntDivLatency = 20;   // unpipelined
+inline constexpr u32 kFpAddLatency = 2;     // pipelined
+inline constexpr u32 kFpMulLatency = 4;     // pipelined
+inline constexpr u32 kFpDivLatency = 12;    // unpipelined
+inline constexpr u32 kFpSqrtLatency = 24;   // unpipelined
+
+/// Extra fetch-redirect bubble after a mispredicted branch resolves.
+inline constexpr u32 kMispredictPenalty = 2;
+
+/// Return-address stack entries.
+inline constexpr u32 kRasDepth = 16;
+
+/// When R-queue occupancy reaches this percentage, R-stream instructions
+/// get issue priority over P-stream ones (the paper's counter-based
+/// "must schedule R" rule; avoids livelock from a full queue).
+inline constexpr u32 kPriorityWatermarkPct = 75;
+
+/// Cycles an R-stream operation occupies its (pipelined) functional unit:
+/// the re-execution result is staged through the unit's output latch into
+/// the comparator, so the unit accepts a new operation every
+/// `kRFuOccupancy` cycles. 1 would be the same as the P stream.
+inline constexpr u32 kRFuOccupancy = 2;
+
+/// Cycles fetch freezes when a P/R comparison mismatch is detected
+/// (models the pipeline + R-queue flush and refetch of §4.3).
+inline constexpr u32 kErrorRecoveryPenalty = 24;
 
 /// Which time-redundancy scheme the core runs.
 enum class RedundancyScheme : u8 {
@@ -29,8 +66,7 @@ enum class RedundancyScheme : u8 {
 };
 
 /// Redundancy knobs. `scheme` selects the scheme; the others tune REESE
-/// (Franklin reads only the R-stream resource rules and the recovery
-/// penalty).
+/// (Franklin reads none of them).
 struct ReeseConfig {
   RedundancyScheme scheme = RedundancyScheme::kNone;
 
@@ -44,26 +80,6 @@ struct ReeseConfig {
   /// has executed and compared.
   bool early_release = true;
 
-  /// When R-queue occupancy reaches this percentage, R-stream instructions
-  /// get issue priority over P-stream ones (the paper's counter-based
-  /// "must schedule R" rule; avoids livelock from a full queue).
-  u32 priority_watermark_pct = 75;
-
-  /// R-stream instructions re-enter the pipeline through the scheduler
-  /// (§5.1) and occupy scheduler-window (RUU) capacity while in flight.
-  /// Ablatable to isolate the structural cost from FU contention.
-  bool window_sharing = false;
-
-  /// Cycles an R instruction holds its window slot past execution
-  /// (writeback + compare stages).
-  u32 compare_stage_cycles = 1;
-
-  /// Cycles an R-stream operation occupies its (pipelined) functional unit:
-  /// the re-execution result is staged through the unit's output latch into
-  /// the comparator, so the unit accepts a new operation every
-  /// `r_fu_occupancy` cycles. 1 = same as P stream.
-  u32 r_fu_occupancy = 2;
-
   /// Re-execute one out of every `reexec_interval` instructions (§7 future
   /// work). 1 = full duplication (the paper's REESE). k>1 trades coverage
   /// for speed; non-selected instructions flow through the queue untested.
@@ -75,10 +91,6 @@ struct ReeseConfig {
   /// enforcement, the paper's configuration — the queue traversal delay
   /// provides natural separation, measured by stats.separation.
   u32 min_separation = 0;
-
-  /// Cycles fetch freezes when a P/R comparison mismatch is detected
-  /// (models the pipeline + R-queue flush and refetch of §4.3).
-  u32 error_recovery_penalty = 24;
 };
 
 struct CoreConfig {
@@ -99,28 +111,23 @@ struct CoreConfig {
   u32 fp_mult_count = 1;
   u32 mem_port_count = 2;
 
-  // Operation latencies (cycles until result; SimpleScalar defaults).
-  u32 int_mul_latency = 3;    // pipelined
-  u32 int_div_latency = 20;   // unpipelined
-  u32 fp_add_latency = 2;     // pipelined
-  u32 fp_mul_latency = 4;     // pipelined
-  u32 fp_div_latency = 12;    // unpipelined
-  u32 fp_sqrt_latency = 24;   // unpipelined
-
-  /// Extra fetch-redirect bubble after a mispredicted branch resolves.
-  u32 mispredict_penalty = 2;
-
   branch::PredictorKind predictor = branch::PredictorKind::kGshare;
-  u32 gshare_history_bits = 12;
-  u32 btb_entries = 512;
-  u32 btb_associativity = 4;
-  u32 ras_depth = 16;
+  // Predictor geometry of the Table 1 machine.
+  static constexpr u32 gshare_history_bits = 12;
+  static constexpr u32 btb_entries = 512;
+  static constexpr u32 btb_associativity = 4;
 
-  mem::HierarchyConfig memory;
+  /// Table 1's memory hierarchy (mem/hierarchy.h).
+  static inline const mem::HierarchyConfig memory{};
+
   ReeseConfig reese;
 
   /// One-line description for reports.
   std::string summary() const;
+
+  /// Write every settable value, the bytes a cell's identity hashes
+  /// (sim/checkpoint.h).
+  void save(SnapshotWriter* writer) const;
 };
 
 // --- canned configurations used by the experiment harness -------------------

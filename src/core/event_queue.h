@@ -1,19 +1,18 @@
 // Calendar (ring-buffer) event queue for the pipeline's writeback events.
 //
 // The pipeline schedules every event a bounded number of cycles into the
-// future (the worst case is a TLB walk + L1 + L2 + DRAM chain, well under
-// 256 cycles), and drains events for exactly one cycle value per call, in
-// strictly increasing cycle order. A `std::map<Cycle, vector>` models that
-// fine but pays a red-black-tree allocation + rebalance per simulated
-// event; this queue instead indexes a fixed power-of-two array of slots by
-// `cycle & mask`, so schedule/drain are O(1) with no per-event allocation
-// once the slot vectors have warmed up. Events beyond the horizon (none in
-// practice; kept for safety against future latency configs) spill into a
-// small ordered map.
+// future, and drains events for exactly one cycle value per call, in
+// strictly increasing cycle order. The bound is fixed by the Table 1
+// machine's constants (core/config.h): its longest event, a D-TLB walk
+// plus an L1, L2 and DRAM miss, is 104 cycles, under the 256-cycle
+// horizon. A `std::map<Cycle, vector>` models that fine but pays a
+// red-black-tree allocation + rebalance per simulated event; this queue
+// instead indexes a fixed power-of-two array of slots by `cycle & mask`,
+// so schedule/drain are O(1) with no per-event allocation once the slot
+// vectors have warmed up.
 #pragma once
 
 #include <cassert>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -25,35 +24,30 @@ template <typename T>
 class CalendarQueue {
  public:
   /// `horizon` must be a power of two and exceed the longest schedule
-  /// distance the caller ever uses (asserted in debug builds via the slot
-  /// tag check below).
+  /// distance the caller ever uses (asserted in debug builds).
   explicit CalendarQueue(usize horizon = 256) : mask_(horizon - 1) {
     assert((horizon & mask_) == 0 && horizon >= 2);
     slots_.resize(horizon);
   }
 
-  bool empty() const { return pending_ == 0 && overflow_.empty(); }
-  usize pending() const { return pending_ + overflow_.size(); }
+  bool empty() const { return pending_ == 0; }
 
   /// Schedule `value` for cycle `when`. The caller drains cycle `now`
   /// before scheduling (the pipeline evaluates writeback before issue), so
-  /// events must land strictly in the future or they would never drain.
-  void schedule(Cycle when, Cycle now, T value) {
-    assert(when > now);
-    if (when - now <= mask_) {
-      Slot& slot = slots_[when & mask_];
-      if (slot.when != when) {
-        // A stale tag always comes with a drained (empty) item list: the
-        // caller drains every cycle, so a slot is reused only after its
-        // previous occupant's cycle has passed.
-        assert(slot.items.empty());
-        slot.when = when;
-      }
-      slot.items.push_back(std::move(value));
-      ++pending_;
-    } else {
-      overflow_[when].push_back(std::move(value));
+  /// events must land strictly in the future or they would never drain,
+  /// and within the horizon.
+  void schedule(Cycle when, [[maybe_unused]] Cycle now, T value) {
+    assert(when > now && when - now <= mask_);
+    Slot& slot = slots_[when & mask_];
+    if (slot.when != when) {
+      // A stale tag always comes with a drained (empty) item list: the
+      // caller drains every cycle, so a slot is reused only after its
+      // previous occupant's cycle has passed.
+      assert(slot.items.empty());
+      slot.when = when;
     }
+    slot.items.push_back(std::move(value));
+    ++pending_;
   }
 
   /// Move out everything scheduled for exactly `now`. Must be called for
@@ -67,16 +61,6 @@ class CalendarQueue {
       due.swap(slot.items);
       slot.items = std::move(spare_);  // hand the slot a warm vector back
       slot.items.clear();
-    }
-    if (!overflow_.empty() && overflow_.begin()->first <= now) {
-      auto it = overflow_.begin();
-      assert(it->first == now && "overflow event skipped a drain cycle");
-      if (due.empty()) {
-        due = std::move(it->second);
-      } else {
-        due.insert(due.end(), it->second.begin(), it->second.end());
-      }
-      overflow_.erase(it);
     }
     return due;
   }
@@ -94,7 +78,6 @@ class CalendarQueue {
   };
 
   std::vector<Slot> slots_;
-  std::map<Cycle, std::vector<T>> overflow_;
   std::vector<T> spare_;
   usize mask_;
   usize pending_ = 0;

@@ -77,8 +77,8 @@ void Pipeline::franklin_second_completion(u32 slot_index) {
   if (mismatch) {
     ++stats_.errors_detected;
     trace(TraceKind::kError, entry);
-    fetch_stall_until_ = std::max(
-        fetch_stall_until_, now_ + config_.reese.error_recovery_penalty);
+    fetch_stall_until_ =
+        std::max(fetch_stall_until_, now_ + kErrorRecoveryPenalty);
   }
   if (entry.fault != 0) {
     // The comparison is where the fault ends: caught, or escaping to commit.

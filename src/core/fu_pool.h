@@ -34,31 +34,28 @@ struct OpTiming {
                            ///< unpipelined ops)
 };
 
-/// Map an exec class to its unit + latencies under `config`. kLoad returns
-/// the port requirements only — cache latency is added by the caller.
-/// kStore/kNone map to a 1-cycle IntALU-free completion (see pipeline.cpp).
-/// Inline: evaluated per issue attempt, several times per simulated
-/// instruction.
-inline OpTiming op_timing(isa::ExecClass exec_class,
-                          const CoreConfig& config) {
+/// Map an exec class to its unit + latencies (config.h's constants). kLoad
+/// returns the port requirements only — cache latency is added by the
+/// caller. kStore/kNone map to a 1-cycle IntALU-free completion (see
+/// pipeline.cpp). Inline: evaluated per issue attempt, several times per
+/// simulated instruction.
+inline OpTiming op_timing(isa::ExecClass exec_class) {
   using isa::ExecClass;
   switch (exec_class) {
     case ExecClass::kIntAlu:
       return {FuKind::kIntAlu, 1, 1};
     case ExecClass::kIntMul:
-      return {FuKind::kIntMult, config.int_mul_latency, 1};
+      return {FuKind::kIntMult, kIntMulLatency, 1};
     case ExecClass::kIntDiv:
-      return {FuKind::kIntMult, config.int_div_latency,
-              config.int_div_latency};
+      return {FuKind::kIntMult, kIntDivLatency, kIntDivLatency};
     case ExecClass::kFpAdd:
-      return {FuKind::kFpAlu, config.fp_add_latency, 1};
+      return {FuKind::kFpAlu, kFpAddLatency, 1};
     case ExecClass::kFpMul:
-      return {FuKind::kFpMult, config.fp_mul_latency, 1};
+      return {FuKind::kFpMult, kFpMulLatency, 1};
     case ExecClass::kFpDiv:
-      return {FuKind::kFpMult, config.fp_div_latency, config.fp_div_latency};
+      return {FuKind::kFpMult, kFpDivLatency, kFpDivLatency};
     case ExecClass::kFpSqrt:
-      return {FuKind::kFpMult, config.fp_sqrt_latency,
-              config.fp_sqrt_latency};
+      return {FuKind::kFpMult, kFpSqrtLatency, kFpSqrtLatency};
     case ExecClass::kLoad:
       return {FuKind::kMemPort, 1, 1};  // + cache latency, added by caller
     case ExecClass::kStore:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/snapshot.h"
 #include "common/strutil.h"
 
 namespace reese::core {
@@ -35,6 +36,18 @@ std::string CoreConfig::summary() const {
   return s;
 }
 
+void CoreConfig::save(SnapshotWriter* writer) const {
+  for (const u32 value :
+       {fetch_width, decode_width, issue_width, commit_width, ifq_size,
+        ruu_size, lsq_size, int_alu_count, int_mult_count, fp_alu_count,
+        fp_mult_count, mem_port_count, static_cast<u32>(predictor),
+        static_cast<u32>(reese.scheme), reese.rqueue_size,
+        u32{reese.early_release}, reese.reexec_interval,
+        reese.min_separation}) {
+    writer->put_u32(value);
+  }
+}
+
 CoreConfig starting_config() { return CoreConfig{}; }
 
 CoreConfig with_reese(CoreConfig base, u32 spare_alus, u32 spare_mults) {
@@ -60,18 +73,17 @@ usize cv_key(u8 reg, bool fp) { return fp ? isa::kIntRegCount + reg : reg; }
 Pipeline::Pipeline(const isa::Program& program, const CoreConfig& config)
     : program_(program),
       config_(config),
-      hierarchy_(std::make_unique<mem::Hierarchy>(config.memory)),
+      hierarchy_(std::make_unique<mem::Hierarchy>(CoreConfig::memory)),
       fu_pool_(config),
-      gshare_(config.gshare_history_bits),
-      btb_(config.btb_entries, config.btb_associativity),
-      ras_(config.ras_depth),
+      gshare_(CoreConfig::gshare_history_bits),
+      btb_(CoreConfig::btb_entries, CoreConfig::btb_associativity),
+      ras_(kRasDepth),
       rqueue_(config.reese.rqueue_size) {
   assert(config_.ruu_size >= 2 && config_.lsq_size >= 1);
   // occupancy_pct >= watermark  <=>  100*size >= watermark*capacity
   //                             <=>  size >= ceil(watermark*capacity/100).
   rpriority_min_count_ = static_cast<u32>(
-      (u64{config_.reese.priority_watermark_pct} * rqueue_.capacity() + 99) /
-      100);
+      (u64{kPriorityWatermarkPct} * rqueue_.capacity() + 99) / 100);
   ruu_.resize(config_.ruu_size);
   if (franklin_mode()) franklin_copies_.resize(config_.ruu_size);
   ready_.assign(std::max<u32>(1, (config_.ruu_size + 63) / 64), 0);
@@ -173,18 +185,10 @@ void Pipeline::check_invariants() const {
            "LSQ tickets are not contiguous from the head");
   }
 
-  u32 r_executing = 0;
   for (usize index = 0; index < rqueue_.size(); ++index) {
-    const REntry& entry = rqueue_.at(index);
-    assert(entry.id == rqueue_.at(0).id + index &&
+    assert(rqueue_.at(index).id == rqueue_.at(0).id + index &&
            "R-queue ids are not FIFO-consecutive");
-    r_executing += entry.issued && !entry.completed ? 1 : 0;
   }
-  // Only window sharing charges R executions to the window; each pending
-  // release returns one slot.
-  const usize r_window = config_.reese.window_sharing ? r_executing : 0;
-  assert(r_inflight_ == r_window + r_release_at_.pending() &&
-         "r_inflight_ disagrees with the R executions and pending releases");
 
   u64 classified = 0;
   for (u64 count : stats_.cycle_classes) classified += count;
@@ -252,8 +256,9 @@ void Pipeline::stage_fetch() {
 
   // One I-cache access covers this cycle's fetch block.
   const u32 latency = hierarchy_->inst_access(fetch_pc_);
-  if (latency > config_.memory.il1.hit_latency) {
-    fetch_stall_until_ = now_ + (latency - config_.memory.il1.hit_latency);
+  const u32 hit_latency = CoreConfig::memory.il1.hit_latency;
+  if (latency > hit_latency) {
+    fetch_stall_until_ = now_ + (latency - hit_latency);
     ++stats_.icache_stall_cycles;
     return;
   }
@@ -361,7 +366,7 @@ void Pipeline::stage_dispatch() {
   while (dispatched_count < config_.decode_width && !ifq_.empty()) {
     const FetchedInst& fetched = ifq_.front();
 
-    if (ruu_full()) {
+    if (ruu_count_ >= config_.ruu_size) {
       ++stats_.ruu_full_stalls;
       break;
     }
@@ -555,7 +560,7 @@ void Pipeline::try_issue_slot(u32 slot_index, u32* budget) {
   } else if (exec_class == ExecClass::kNone) {
     complete_at = now_ + 1;
   } else {
-    const OpTiming timing = op_timing(exec_class, config_);
+    const OpTiming timing = op_timing(exec_class);
     if (!fu_pool_.try_acquire(timing.fu, now_, timing.issue_latency)) return;
     complete_at = now_ + timing.result_latency;
   }
@@ -583,20 +588,8 @@ void Pipeline::schedule_r_event(Cycle when, u64 entry_id) {
 
 void Pipeline::stage_writeback() {
   // The empty() guards skip the whole take/recycle dance on quiet queues —
-  // the R-side queues never hold anything outside REESE mode, and even
-  // p_events_ is empty on stall-heavy cycles.
-
-  // Recycle scheduler-window slots whose R instructions have cleared the
-  // compare stage this cycle.
-  if (!r_release_at_.empty()) {
-    std::vector<u32> releases = r_release_at_.take(now_);
-    for (u32 count : releases) {
-      assert(r_inflight_ >= count);
-      r_inflight_ -= count;
-    }
-    r_release_at_.recycle(std::move(releases));
-  }
-
+  // r_events_ never holds anything outside REESE mode, and even p_events_
+  // is empty on stall-heavy cycles.
   if (!p_events_.empty()) {
     // Moved out of the queue: recovery during completion may not touch the
     // list again, but keep iteration robust against future modification.
@@ -703,7 +696,7 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
   // Redirect fetch after the recovery bubble.
   fetch_pc_ = branch.actual_next;
   fetch_stall_until_ =
-      std::max(fetch_stall_until_, now_ + 1 + config_.mispredict_penalty);
+      std::max(fetch_stall_until_, now_ + 1 + kMispredictPenalty);
 }
 
 // ---------------------------------------------------------------------------

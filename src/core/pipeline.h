@@ -72,14 +72,13 @@ class Pipeline {
   /// Advance exactly one cycle.
   void cycle();
 
-  /// Assert the structural invariants that every cycle must leave intact:
-  /// ruu_count_ counts the valid RUU entries, the ready list holds exactly
-  /// the valid, unissued, incomplete, operand-ready slots, LSQ tickets run
-  /// contiguously from the head's, R-queue ids are FIFO-consecutive, the R
-  /// window-slot count matches the R executions in flight plus the pending
-  /// releases, and the cycle classes sum to the cycle count. cycle() runs
-  /// it after every cycle when NDEBUG is unset; with NDEBUG set it checks
-  /// nothing.
+  /// Assert the five structural invariants that every cycle must leave
+  /// intact: ruu_count_ counts the valid RUU entries, the ready list holds
+  /// exactly the valid, unissued, incomplete, operand-ready slots, LSQ
+  /// tickets run contiguously from the head's, R-queue ids are
+  /// FIFO-consecutive, and the cycle classes sum to the cycle count.
+  /// cycle() runs it after every cycle when NDEBUG is unset; with NDEBUG
+  /// set it checks nothing.
   void check_invariants() const;
 
   // --- checkpoint/restore (checkpoint.cpp) --------------------------------
@@ -345,7 +344,7 @@ class Pipeline {
   /// and re-access the D-cache at `mem_addr` (a poisoned line read there
   /// resolves under `pc`, as SDC only when `architectural`); stores take a
   /// memory port; single-cycle ALU classes hold their unit for
-  /// r_fu_occupancy cycles. Returns the completion cycle, or 0 when the
+  /// kRFuOccupancy cycles. Returns the completion cycle, or 0 when the
   /// unit is busy.
   Cycle acquire_redundant_unit(const isa::Instruction& inst, Addr pc,
                                Addr mem_addr, bool architectural);
@@ -431,14 +430,6 @@ class Pipeline {
   /// Attempt P-stream issue of one ready RUU slot; decrements `*budget`
   /// on success.
   void try_issue_slot(u32 slot_index, u32* budget);
-  /// R-stream instructions re-enter the pipeline through the scheduler
-  /// (§5.1: they "proceed through the SimpleScalar pipeline"), so while in
-  /// flight they occupy scheduler window (RUU) capacity alongside P-stream
-  /// entries. P dispatch and R issue both respect the combined limit.
-  bool ruu_full() const {
-    const u32 shared = config_.reese.window_sharing ? r_inflight_ : 0;
-    return ruu_count_ + shared >= config_.ruu_size;
-  }
   /// Free the RUU head slot (entry must be at the head).
   void free_ruu_head();
 
@@ -542,11 +533,8 @@ class Pipeline {
   u64 r_issue_next_id_ = 1;  ///< first R-queue id not yet issued/skipped;
                              ///< the settled prefix before it is never
                              ///< rescanned (ids are FIFO-consecutive)
-  u32 rpriority_min_count_ = 0;  ///< priority_watermark_pct as an entry
+  u32 rpriority_min_count_ = 0;  ///< kPriorityWatermarkPct as an entry
                                  ///< count (one compare per cycle)
-  u32 r_inflight_ = 0;      ///< R instructions currently occupying
-                            ///< scheduler-window capacity
-  CalendarQueue<u32> r_release_at_;  ///< deferred r_inflight_ releases
 
   // Run control.
   Cycle now_ = 0;

@@ -114,15 +114,6 @@ void Pipeline::reese_issue(u32* budget) {
       break;  // §2: enforce a minimum P->R separation when configured
     }
 
-    // An R instruction needs a scheduler-window slot while it executes.
-    // The head R instruction may always proceed (the comparator stage has
-    // a dedicated staging latch), which guarantees forward progress when
-    // the window is packed with P entries and the R-queue is full.
-    if (config_.reese.window_sharing &&
-        ruu_count_ + r_inflight_ >= config_.ruu_size && r_inflight_ > 0) {
-      break;
-    }
-
     const Cycle complete_at =
         acquire_redundant_unit(entry.inst, entry.pc, entry.mem_addr, true);
     if (complete_at == 0) break;
@@ -130,7 +121,6 @@ void Pipeline::reese_issue(u32* budget) {
     entry.issued = true;
     r_issue_next_id_ += entry.id == r_issue_next_id_ ? 1 : 0;
     trace(TraceKind::kRIssue, entry);
-    if (config_.reese.window_sharing) ++r_inflight_;
     stats_.separation.add(now_ - entry.p_issue_cycle);
     schedule_r_event(complete_at, entry.id);
     ++stats_.issued_r;
@@ -158,12 +148,11 @@ Cycle Pipeline::acquire_redundant_unit(const isa::Instruction& inst, Addr pc,
     return fu_pool_.try_acquire(FuKind::kMemPort, now_, 1) ? now_ + 1 : 0;
   }
   if (exec_class == ExecClass::kNone) return now_ + 1;
-  OpTiming timing = op_timing(exec_class, config_);
+  OpTiming timing = op_timing(exec_class);
   // The comparator staging cost applies to the single-cycle ALU paths;
   // long-latency units already have output buffering.
   if (timing.fu == FuKind::kIntAlu || timing.fu == FuKind::kFpAlu) {
-    timing.issue_latency = std::max(
-        timing.issue_latency, std::max<u32>(1, config_.reese.r_fu_occupancy));
+    timing.issue_latency = std::max(timing.issue_latency, kRFuOccupancy);
   }
   if (!fu_pool_.try_acquire(timing.fu, now_, timing.issue_latency)) return 0;
   return now_ + timing.result_latency;
@@ -222,11 +211,6 @@ void Pipeline::reese_complete(u64 entry_id) {
       entry.p_next, entry.p_result, entry.r_base_value, entry.r_flip);
   entry.completed = true;
   trace(TraceKind::kRComplete, entry);
-  // The R instruction holds its scheduler-window slot through the
-  // writeback and comparison stages before it is recycled.
-  if (config_.reese.window_sharing) {
-    r_release_at_.schedule(now_ + config_.reese.compare_stage_cycles, now_, 1u);
-  }
   ++stats_.committed_r;
   ++stats_.comparisons;
 }
@@ -250,13 +234,13 @@ void Pipeline::reese_commit() {
     }
 
     if (entry.mismatch) {
-      // Soft error detected. The model charges error_recovery_penalty as a
+      // Soft error detected. The model charges kErrorRecoveryPenalty as a
       // fetch freeze: nothing is flushed or refetched, because
       // architectural state is never actually corrupted (see DESIGN.md).
       ++stats_.errors_detected;
       trace(TraceKind::kError, entry);
-      fetch_stall_until_ = std::max(
-          fetch_stall_until_, now_ + config_.reese.error_recovery_penalty);
+      fetch_stall_until_ =
+          std::max(fetch_stall_until_, now_ + kErrorRecoveryPenalty);
     }
 
     if (entry.fault != 0) {

@@ -23,14 +23,11 @@ bool file_exists(const std::string& path) {
 
 u64 cell_identity(const std::string& workload, const core::CoreConfig& config,
                   std::initializer_list<u64> values) {
-  const std::string summary = config.summary();
-  u64 hash = snapshot_fnv1a(reinterpret_cast<const u8*>(workload.data()),
-                            workload.size());
-  hash = snapshot_fnv1a(reinterpret_cast<const u8*>(summary.data()),
-                        summary.size(), hash);
   SnapshotWriter bytes;
+  bytes.put_string(workload);
+  config.save(&bytes);
   for (u64 value : values) bytes.put_u64(value);
-  return snapshot_fnv1a(bytes.bytes().data(), bytes.bytes().size(), hash);
+  return snapshot_fnv1a(bytes.bytes().data(), bytes.bytes().size());
 }
 
 bool save_snapshot(Simulator* simulator, const std::string& path,

@@ -33,11 +33,11 @@ namespace reese::sim {
 /// files with any other version.
 inline constexpr u32 kSnapshotFormatVersion = 3;
 
-/// A cell's identity: a hash of the workload name and the configuration
-/// summary, chained with `values`, every other value that decides the
-/// cell's result. A mid-cell snapshot binds {workload seed, interval}
-/// (run_with_checkpoints); a grid runner's done-record binds more
-/// (sim/grid.h).
+/// A cell's identity: a hash of the workload name, every settable
+/// configuration value (CoreConfig::save) and `values`, every other value
+/// that decides the cell's result. A mid-cell snapshot binds {workload
+/// seed, interval} (run_with_checkpoints); a grid runner's done-record
+/// binds more (sim/grid.h).
 u64 cell_identity(const std::string& workload, const core::CoreConfig& config,
                   std::initializer_list<u64> values);
 

@@ -63,6 +63,89 @@ core::CoreConfig apply_model(core::CoreConfig base, Model model) {
   return base;
 }
 
+core::CoreConfig with_ruu(core::CoreConfig config, u32 ruu) {
+  config.ruu_size = ruu;
+  config.lsq_size = ruu / 2;
+  return config;
+}
+
+core::CoreConfig with_wide_datapath(core::CoreConfig config) {
+  config.fetch_width = 16;
+  config.decode_width = 16;
+  config.issue_width = 16;
+  config.commit_width = 16;
+  config.ifq_size = 32;
+  return config;
+}
+
+core::CoreConfig with_more_fus(core::CoreConfig config) {
+  config.int_alu_count = 8;
+  config.int_mult_count = 4;
+  config.mem_port_count = 4;
+  return config;
+}
+
+namespace {
+
+ExperimentSpec figure_spec(const char* title, const core::CoreConfig& base,
+                           std::vector<Model> models = {}) {
+  ExperimentSpec spec;
+  spec.title = title;
+  spec.base = base;
+  spec.models = std::move(models);
+  return spec;
+}
+
+}  // namespace
+
+std::vector<FigureGrid> figure_grids() {
+  // Figure 2, the Table 1 starting configuration. The paper: baseline IPC
+  // stays below 2, REESE costs 11-16%, spare integer ALUs close most of
+  // the gap and the spare multiplier adds little.
+  const core::CoreConfig fig2 = core::starting_config();
+  // Figure 3 doubles the RUU and LSQ, separating window capacity from
+  // REESE's own cost.
+  const core::CoreConfig fig3 = with_ruu(fig2, 32);
+  // Figure 4 doubles the datapath width, to show that pipeline bandwidth
+  // limits neither model.
+  const core::CoreConfig fig4 = with_wide_datapath(fig3);
+  // Figure 5 doubles the memory ports, which "significantly improved the
+  // performance of REESE". The paper drops the +2ALU+1Mult bar here
+  // because it matched +2ALU.
+  core::CoreConfig fig5 = fig4;
+  fig5.mem_port_count = 4;
+  // Figure 7 grows the window on the Figure 4 datapath, with and without
+  // extra functional units: the RUU alone leaves the gap near 15%, the
+  // extra units shrink it to about 1.5%.
+  const std::vector<Model> fig7 = {Model::kBaseline, Model::kReese,
+                                   Model::kReese2Alu};
+  return {
+      {"fig2", "None",
+       figure_spec("Figure 2: initial comparison between REESE and baseline "
+                   "(starting configuration)",
+                   fig2)},
+      {"fig3", "RUU,LSQ 2X",
+       figure_spec("Figure 3: REESE vs baseline with RUU=32, LSQ=16", fig3)},
+      {"fig4", "Ex.Q 2X",
+       figure_spec("Figure 4: IPC for 16-wide datapath (RUU=32, LSQ=16)",
+                   fig4)},
+      {"fig5", "MemPorts",
+       figure_spec("Figure 5: IPC for additional memory ports (4 ports)", fig5,
+                   {Model::kBaseline, Model::kReese, Model::kReese1Alu,
+                    Model::kReese2Alu})},
+      {"fig7_ruu64", "RUU=64",
+       figure_spec("Figure 7: RUU=64", with_ruu(fig4, 64), fig7)},
+      {"fig7_ruu64_fus", "RUU=64+FUs",
+       figure_spec("Figure 7: RUU=64 + extra FUs",
+                   with_more_fus(with_ruu(fig4, 64)), fig7)},
+      {"fig7_ruu256", "RUU=256",
+       figure_spec("Figure 7: RUU=256", with_ruu(fig4, 256), fig7)},
+      {"fig7_ruu256_fus", "RUU=256+FUs",
+       figure_spec("Figure 7: RUU=256 + extra FUs",
+                   with_more_fus(with_ruu(fig4, 256)), fig7)},
+  };
+}
+
 double ExperimentResult::average(usize model_index) const {
   if (ipc.empty()) return 0.0;
   double sum = 0.0;

@@ -48,6 +48,20 @@ const std::vector<Model>& standard_models();
 /// Apply a model to a figure's base (baseline) configuration.
 core::CoreConfig apply_model(core::CoreConfig base, Model model);
 
+// --- the paper's hardware variations -----------------------------------------
+
+/// `config` with an RUU of `ruu` entries and an LSQ of half that, the rule
+/// every grown window in the paper follows.
+core::CoreConfig with_ruu(core::CoreConfig config, u32 ruu);
+
+/// `config` on Figure 4's doubled datapath: 16-wide fetch, decode, issue
+/// and commit, and a 32-entry fetch queue.
+core::CoreConfig with_wide_datapath(core::CoreConfig config);
+
+/// `config` with Figure 7's extra units: 8 integer ALUs, 4 integer
+/// multiplier/dividers and 4 memory ports.
+core::CoreConfig with_more_fus(core::CoreConfig config);
+
 struct ExperimentSpec : GridSpec {
   std::string title;                    ///< e.g. "Figure 2: ..."
   core::CoreConfig base;                ///< baseline hardware for this figure
@@ -108,6 +122,21 @@ struct ExperimentResult {
   /// jobs-invariant, so two runs of the same spec serialize identically.
   std::string json() const;
 };
+
+/// One (workload x model) grid of the paper's figures.
+struct FigureGrid {
+  const char* key;    ///< report name ("fig2" ... "fig7_ruu256_fus")
+  const char* label;  ///< its row in the Figure 6 or Figure 7 summary
+  ExperimentSpec spec;
+};
+
+/// The eight grids behind Figures 2-7, in figure order: figures 2-5 one
+/// grid each (Figure 6 summarises those four), then Figure 7's four
+/// machines. Each configuration is built from the one before it: fig 3 =
+/// fig 2 + RUU 32, fig 4 = fig 3 + the wide datapath, fig 5 = fig 4 + 4
+/// memory ports, fig 7 = fig 4 + RUU 64 or 256, with or without the extra
+/// units.
+std::vector<FigureGrid> figure_grids();
 
 /// Run the grid. Independent (workload, model, seed) cells are fanned
 /// across run_cells' workers (GridSpec::jobs); every cell owns its

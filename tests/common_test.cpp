@@ -2,6 +2,7 @@
 // helpers, flags and errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -850,6 +851,94 @@ TEST(Json, RejectsPathologicalNesting) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(json::parse_json(deep).ok());
+}
+
+/// Deepest nesting level of `value`, the root at 0.
+int nesting_depth(const json::Value& value) {
+  int deepest = 0;
+  for (const json::Value& element : value.array) {
+    deepest = std::max(deepest, 1 + nesting_depth(element));
+  }
+  for (const auto& member : value.object) {
+    deepest = std::max(deepest, 1 + nesting_depth(member.second));
+  }
+  return deepest;
+}
+
+/// The document's first 80 bytes, escaped, for a failure message.
+std::string describe(const std::string& document) {
+  return json_escape(document.substr(0, 80));
+}
+
+TEST(Json, SurvivesSeededHostileInput) {
+  // The spec bodies of README's reesed quickstart, mutated by dropping,
+  // duplicating and swapping bytes, by splicing in hostile ones, by
+  // truncation, and by nesting the whole document around the 64-level
+  // cap. Every mutant parses within the cap or returns one message.
+  const std::vector<std::string> seeds = {
+      "{\"workloads\": [\"gcc\"], \"models\": [\"baseline\", \"reese\"],\n"
+      "      \"instructions\": 20000, \"seed\": 42}\n",
+      "{\"workloads\": [\"gcc\"], \"replicas\": 4, \"instructions\": 20000}\n",
+  };
+  const std::vector<std::string> hostile = {
+      std::string(4096, 'x'), "\"" + std::string(4096, 'y') + "\"", "1e999",
+      "-0", "18446744073709551616", "-9223372036854775809", "0.", "1e",
+      std::string(1, '\0'), std::string("\"\0\"", 3), "\xff\xfe\x80",
+      "\xc3\xa9", "\\u00e9", "\\u12", "\\", "\"", "{", "}", "[", "]", ",",
+      ":", "null", "tru", " \t\r\n"};
+  SplitMix64 rng(0x75015EED);
+  usize accepted = 0;
+  usize refused = 0;
+  for (int round = 0; round < 10'000; ++round) {
+    std::string doc = seeds[rng.next_below(seeds.size())];
+    const u64 mutations = rng.next_range(1, 2);
+    for (u64 m = 0; m < mutations; ++m) {
+      const usize at = rng.next_below(doc.size() + 1);
+      switch (rng.next_below(6)) {
+        case 0:  // drop
+          if (at < doc.size()) doc.erase(at, 1);
+          break;
+        case 1:  // duplicate
+          if (at < doc.size()) doc.insert(at, 1, doc[at]);
+          break;
+        case 2:  // swap
+          if (at < doc.size()) {
+            std::swap(doc[at], doc[rng.next_below(doc.size())]);
+          }
+          break;
+        case 3:  // truncate
+          doc.resize(at);
+          break;
+        case 4: {  // nest, around the cap
+          const usize levels = rng.next_range(60, 66);
+          const bool objects = rng.next_bool(0.5);
+          std::string open;
+          std::string close;
+          for (usize level = 0; level < levels; ++level) {
+            open += objects ? "{\"a\": " : "[";
+            close += objects ? "}" : "]";
+          }
+          doc = open + doc + close;
+          break;
+        }
+        default:  // splice
+          doc.insert(at, hostile[rng.next_below(hostile.size())]);
+      }
+    }
+    const Result<json::Value> parsed = json::parse_json(doc);
+    if (parsed.ok()) {
+      ++accepted;
+      EXPECT_LE(nesting_depth(parsed.value()), 64) << describe(doc);
+    } else {
+      ++refused;
+      EXPECT_EQ(parsed.error().message.rfind("json: ", 0), 0u)
+          << describe(doc);
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Both outcomes are common, so neither path goes untested.
+  EXPECT_GT(accepted, 2'500u);
+  EXPECT_GT(refused, 2'500u);
 }
 
 TEST(Json, EscapeQuotesBackslashesAndControlChars) {

@@ -207,12 +207,12 @@ TEST(FaultPipeline, ErrorRecoveryPenaltyCharged) {
   faults::InjectorConfig config;
   config.rate = 5e-3;  // heavy fault pressure
   faults::Injector injector(config);
-  core::CoreConfig reese_config = core::with_reese(core::starting_config());
-  reese_config.reese.error_recovery_penalty = 50;
-  core::Pipeline faulty(faulty_workload.program, reese_config);
+  core::Pipeline faulty(faulty_workload.program,
+                        core::with_reese(core::starting_config()));
   faulty.set_fault_hook(&injector);
   faulty.run(20'000, 4'000'000);
 
+  // Every detection freezes fetch for core::kErrorRecoveryPenalty cycles.
   EXPECT_GT(injector.detected(), 50u);
   EXPECT_LT(faulty.stats().ipc(), clean.stats().ipc());
 }

@@ -57,21 +57,14 @@ TEST(FuPool, UtilizationMath) {
 }
 
 TEST(OpTiming, TableValues) {
-  const CoreConfig config = starting_config();
-  EXPECT_EQ(op_timing(isa::ExecClass::kIntAlu, config).result_latency, 1u);
-  EXPECT_EQ(op_timing(isa::ExecClass::kIntMul, config).result_latency, 3u);
-  EXPECT_EQ(op_timing(isa::ExecClass::kIntMul, config).issue_latency, 1u);
-  EXPECT_EQ(op_timing(isa::ExecClass::kIntDiv, config).result_latency, 20u);
-  EXPECT_EQ(op_timing(isa::ExecClass::kIntDiv, config).issue_latency, 20u);
-  EXPECT_EQ(op_timing(isa::ExecClass::kFpAdd, config).fu, FuKind::kFpAlu);
-  EXPECT_EQ(op_timing(isa::ExecClass::kFpSqrt, config).result_latency, 24u);
-  EXPECT_EQ(op_timing(isa::ExecClass::kLoad, config).fu, FuKind::kMemPort);
-}
-
-TEST(OpTiming, RespectsConfigOverrides) {
-  CoreConfig config = starting_config();
-  config.int_mul_latency = 7;
-  EXPECT_EQ(op_timing(isa::ExecClass::kIntMul, config).result_latency, 7u);
+  EXPECT_EQ(op_timing(isa::ExecClass::kIntAlu).result_latency, 1u);
+  EXPECT_EQ(op_timing(isa::ExecClass::kIntMul).result_latency, 3u);
+  EXPECT_EQ(op_timing(isa::ExecClass::kIntMul).issue_latency, 1u);
+  EXPECT_EQ(op_timing(isa::ExecClass::kIntDiv).result_latency, 20u);
+  EXPECT_EQ(op_timing(isa::ExecClass::kIntDiv).issue_latency, 20u);
+  EXPECT_EQ(op_timing(isa::ExecClass::kFpAdd).fu, FuKind::kFpAlu);
+  EXPECT_EQ(op_timing(isa::ExecClass::kFpSqrt).result_latency, 24u);
+  EXPECT_EQ(op_timing(isa::ExecClass::kLoad).fu, FuKind::kMemPort);
 }
 
 TEST(FuPool, KindNames) {

@@ -224,28 +224,11 @@ loop:
   EXPECT_EQ(pipeline.stats().comparisons, pipeline.stats().committed);
 }
 
-TEST(ReeseInvariants, WindowSharingAblationChangesTiming) {
-  const workloads::Workload w_off = load("li");
-  core::CoreConfig off = core::with_reese(core::starting_config());
-  off.reese.window_sharing = false;
-  core::Pipeline pipeline_off(w_off.program, off);
-  pipeline_off.run(30'000, 4'000'000);
-
-  const workloads::Workload w_on = load("li");
-  core::CoreConfig on = core::with_reese(core::starting_config());
-  on.reese.window_sharing = true;
-  core::Pipeline pipeline_on(w_on.program, on);
-  pipeline_on.run(30'000, 4'000'000);
-
-  // Sharing the window can only hurt (or equal).
-  EXPECT_LE(pipeline_on.stats().ipc(), pipeline_off.stats().ipc() * 1.001);
-}
-
 // Deadlock-freedom property: every pathological shape of tiny resources
 // must still make forward progress to the commit target.
 struct TinyConfig {
   u32 ruu, lsq, rqueue, ports, alus, width;
-  bool early, window;
+  bool early;
 };
 
 class DeadlockFreedomTest : public ::testing::TestWithParam<TinyConfig> {};
@@ -262,7 +245,6 @@ TEST_P(DeadlockFreedomTest, MakesProgress) {
   config.issue_width = config.commit_width = tiny.width;
   config.reese.rqueue_size = tiny.rqueue;
   config.reese.early_release = tiny.early;
-  config.reese.window_sharing = tiny.window;
   core::Pipeline pipeline(workload.program, config);
   EXPECT_EQ(pipeline.run(3'000, 3'000'000), core::StopReason::kCommitTarget)
       << "ruu=" << tiny.ruu << " lsq=" << tiny.lsq
@@ -271,15 +253,14 @@ TEST_P(DeadlockFreedomTest, MakesProgress) {
 
 INSTANTIATE_TEST_SUITE_P(
     TinyShapes, DeadlockFreedomTest,
-    ::testing::Values(TinyConfig{2, 1, 1, 1, 1, 1, true, true},
-                      TinyConfig{2, 1, 1, 1, 1, 1, false, true},
-                      TinyConfig{2, 1, 1, 1, 1, 1, true, false},
-                      TinyConfig{4, 2, 2, 1, 1, 2, false, false},
-                      TinyConfig{4, 2, 2, 1, 1, 2, true, true},
-                      TinyConfig{3, 1, 4, 1, 2, 4, true, true},
-                      TinyConfig{16, 8, 1, 1, 4, 8, true, true},
-                      TinyConfig{16, 8, 1, 2, 4, 8, false, true},
-                      TinyConfig{2, 2, 32, 2, 4, 8, true, true}));
+    ::testing::Values(TinyConfig{2, 1, 1, 1, 1, 1, true},
+                      TinyConfig{2, 1, 1, 1, 1, 1, false},
+                      TinyConfig{4, 2, 2, 1, 1, 2, false},
+                      TinyConfig{4, 2, 2, 1, 1, 2, true},
+                      TinyConfig{3, 1, 4, 1, 2, 4, true},
+                      TinyConfig{16, 8, 1, 1, 4, 8, true},
+                      TinyConfig{16, 8, 1, 2, 4, 8, false},
+                      TinyConfig{2, 2, 32, 2, 4, 8, true}));
 
 }  // namespace
 }  // namespace reese

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -455,6 +456,82 @@ TEST(SnapshotTest, MissingSnapshotIsRejected) {
             SnapshotLoad::kFailed);
   EXPECT_FALSE(error.empty());
 }
+
+/// One settable CoreConfig value, moved off the REESE starting
+/// configuration.
+struct SettableChange {
+  const char* name;
+  void (*apply)(core::CoreConfig* config);
+};
+
+void PrintTo(const SettableChange& change, std::ostream* out) {
+  *out << change.name;
+}
+
+class ConfigIdentityTest : public ::testing::TestWithParam<SettableChange> {};
+
+TEST_P(ConfigIdentityTest, ChangesTheCellIdentity) {
+  // A record answers only for the cell that wrote it (sim/grid.h), so a
+  // configuration that differs in any one settable value is another cell.
+  const core::CoreConfig base = core::with_reese(core::starting_config());
+  core::CoreConfig changed = base;
+  GetParam().apply(&changed);
+  EXPECT_NE(cell_identity("gcc", changed, {0x5EED, 0}),
+            cell_identity("gcc", base, {0x5EED, 0}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EverySettableValue, ConfigIdentityTest,
+    ::testing::Values(
+        SettableChange{"fetch_width",
+                       [](core::CoreConfig* c) { c->fetch_width = 4; }},
+        SettableChange{"decode_width",
+                       [](core::CoreConfig* c) { c->decode_width = 4; }},
+        SettableChange{"issue_width",
+                       [](core::CoreConfig* c) { c->issue_width = 4; }},
+        SettableChange{"commit_width",
+                       [](core::CoreConfig* c) { c->commit_width = 4; }},
+        SettableChange{"ifq_size",
+                       [](core::CoreConfig* c) { c->ifq_size = 32; }},
+        SettableChange{"ruu_size",
+                       [](core::CoreConfig* c) { c->ruu_size = 32; }},
+        SettableChange{"lsq_size",
+                       [](core::CoreConfig* c) { c->lsq_size = 16; }},
+        SettableChange{"int_alu_count",
+                       [](core::CoreConfig* c) { c->int_alu_count = 6; }},
+        SettableChange{"int_mult_count",
+                       [](core::CoreConfig* c) { c->int_mult_count = 2; }},
+        SettableChange{"fp_alu_count",
+                       [](core::CoreConfig* c) { c->fp_alu_count = 2; }},
+        SettableChange{"fp_mult_count",
+                       [](core::CoreConfig* c) { c->fp_mult_count = 2; }},
+        SettableChange{"mem_port_count",
+                       [](core::CoreConfig* c) { c->mem_port_count = 4; }},
+        SettableChange{"predictor",
+                       [](core::CoreConfig* c) {
+                         c->predictor = branch::PredictorKind::kTaken;
+                       }},
+        SettableChange{"scheme",
+                       [](core::CoreConfig* c) {
+                         c->reese.scheme = core::RedundancyScheme::kFranklin;
+                       }},
+        SettableChange{"rqueue_size",
+                       [](core::CoreConfig* c) { c->reese.rqueue_size = 16; }},
+        SettableChange{"early_release",
+                       [](core::CoreConfig* c) {
+                         c->reese.early_release = false;
+                       }},
+        SettableChange{"reexec_interval",
+                       [](core::CoreConfig* c) {
+                         c->reese.reexec_interval = 2;
+                       }},
+        SettableChange{"min_separation",
+                       [](core::CoreConfig* c) {
+                         c->reese.min_separation = 8;
+                       }}),
+    [](const ::testing::TestParamInfo<SettableChange>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace reese::sim

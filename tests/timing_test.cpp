@@ -1,7 +1,7 @@
 // Exact-ish timing tests: the pipeline's cycle counts must scale with
-// operation latencies the way the configuration says. Each test measures
-// the marginal cost (slope) of growing a kernel, which cancels fixed
-// startup costs (cold caches, pipeline fill).
+// operation latencies the way core/config.h's constants say. Each test
+// measures the marginal cost (slope) of growing a kernel, which cancels
+// fixed startup costs (cold caches, pipeline fill).
 #include <gtest/gtest.h>
 
 #include "common/strutil.h"
@@ -48,18 +48,8 @@ TEST(Timing, DependentMulChainMatchesMulLatency) {
   // 4 dependent muls at latency 3: ~12 cycles per iteration.
   std::string body;
   for (int i = 0; i < 4; ++i) body += "  mul t0, t0, t1\n";
-  core::CoreConfig config = core::starting_config();
-  const double cycles = slope(body, config);
-  EXPECT_NEAR(cycles, 4.0 * config.int_mul_latency, 2.0);
-}
-
-TEST(Timing, MulLatencyConfigRespected) {
-  std::string body;
-  for (int i = 0; i < 4; ++i) body += "  mul t0, t0, t1\n";
-  core::CoreConfig slow = core::starting_config();
-  slow.int_mul_latency = 9;
-  const double cycles = slope(body, slow);
-  EXPECT_NEAR(cycles, 36.0, 3.0);
+  const double cycles = slope(body, core::starting_config());
+  EXPECT_NEAR(cycles, 4.0 * core::kIntMulLatency, 2.0);
 }
 
 TEST(Timing, DivChainMatchesDivLatency) {
@@ -97,44 +87,38 @@ TEST(Timing, ForwardedLoadIsFast) {
 
 TEST(Timing, CacheHitLatencyVisible) {
   // A genuinely loop-carried load: the next load's address depends on the
-  // loaded value, so the L1 hit latency is on the critical path.
-  const std::string body =
+  // loaded value, so the L1 hit latency is on the critical path. A second
+  // link of the chain per iteration adds one hit and its two ALU ops.
+  const std::string link =
       "  ld   t1, 0(t3)\n"
       "  andi t0, t1, 0\n"   // always 0, but depends on the load
       "  add  t3, gp, t0\n"; // next address depends on t0
-  core::CoreConfig config = core::starting_config();
-  const double two_cycle = slope(body, config);
-  config.memory.dl1.hit_latency = 6;
-  const double six_cycle = slope(body, config);
-  EXPECT_GT(six_cycle, two_cycle + 3.0);
-  EXPECT_NEAR(six_cycle - two_cycle, 4.0, 1.5);  // latency delta
+  const double one_link = slope(link, core::starting_config());
+  const double two_links = slope(link + link, core::starting_config());
+  const double hit_latency = core::CoreConfig::memory.dl1.hit_latency;
+  EXPECT_NEAR(two_links - one_link, hit_latency + 2.0, 0.5);
 }
 
 TEST(Timing, MispredictPenaltyScales) {
-  // A branch that alternates unpredictably? Use a data-driven branch from
-  // a pattern that gshare learns perfectly vs a config with a huge
-  // mispredict penalty on a static-nottaken predictor (every taken branch
-  // mispredicts: the loop back-edge).
-  core::CoreConfig fast = core::starting_config();
-  fast.predictor = branch::PredictorKind::kNotTaken;
-  fast.mispredict_penalty = 1;
-  core::CoreConfig slow = fast;
-  slow.mispredict_penalty = 21;
+  // Static predictors pin the loop back-edge: not-taken mispredicts it
+  // every iteration, taken never does. Each misprediction costs the
+  // redirect bubble of one cycle plus core::kMispredictPenalty, and three
+  // more while the right path refills fetch, dispatch and issue.
+  core::CoreConfig predicted = core::starting_config();
+  predicted.predictor = branch::PredictorKind::kTaken;
+  core::CoreConfig mispredicted = predicted;
+  mispredicted.predictor = branch::PredictorKind::kNotTaken;
   const std::string body = "  addi t0, t0, 1\n";
-  const double fast_cycles = slope(body, fast);
-  const double slow_cycles = slope(body, slow);
-  // Every iteration mispredicts the back-edge; the marginal cost must grow
-  // by ~the penalty delta.
-  EXPECT_NEAR(slow_cycles - fast_cycles, 20.0, 3.0);
+  const double cost = slope(body, mispredicted) - slope(body, predicted);
+  EXPECT_NEAR(cost, 1.0 + core::kMispredictPenalty + 3.0, 0.5);
 }
 
 TEST(Timing, UnpipelinedDivBlocksSecondDiv) {
   // Two independent divs, one divider: serialized by issue latency.
   const std::string body =
       "  div t2, t0, t1\n  div t3, t0, t1\n  addi t0, t0, 1\n";
-  core::CoreConfig config = core::starting_config();
-  const double cycles = slope(body, config);
-  EXPECT_GT(cycles, 2.0 * config.int_div_latency - 6.0);
+  const double cycles = slope(body, core::starting_config());
+  EXPECT_GT(cycles, 2.0 * core::kIntDivLatency - 6.0);
 }
 
 TEST(Timing, ReeseAddsNoLatencyOnIdleMachine) {

@@ -17,6 +17,7 @@
 #include "common/snapshot.h"
 #include "common/strutil.h"
 #include "core/pipeline.h"
+#include "sim/experiment.h"
 #include "workloads/workload.h"
 
 namespace reese {
@@ -46,13 +47,11 @@ struct Row {
   u64 stats_hash;
 };
 
+// The Figure 4 datapath at each RUU size, built as sim::figure_grids()
+// builds Figures 4 and 7.
 core::CoreConfig row_config(u32 ruu, Scheme scheme) {
-  core::CoreConfig config = core::starting_config();
-  config.fetch_width = config.decode_width = 16;
-  config.issue_width = config.commit_width = 16;
-  config.ifq_size = 32;
-  config.ruu_size = ruu;
-  config.lsq_size = ruu / 2;
+  core::CoreConfig config =
+      sim::with_ruu(sim::with_wide_datapath(core::starting_config()), ruu);
   if (scheme != kBaseline) config = core::with_reese(config);
   if (scheme == kFranklin) {
     config.reese.scheme = core::RedundancyScheme::kFranklin;
