@@ -5,9 +5,10 @@
 // fetch and cycles until every in-flight structure is empty, so the state
 // that needs to persist collapses to the architectural machine (registers,
 // memory, PC), the history structures (predictor, BTB, RAS, cache/TLB tags,
-// FU next-free cycles), the monotonic id/sequence counters, and the stats.
-// Nothing transient — RUU entries, LSQ, fetch queue, event queues, spec
-// overlay, create-vector — is serialized; a freshly constructed pipeline is
+// FU next-free cycles), the sequence counter, the LSQ ticket, the 1-of-k
+// re-execution counter, and the stats. Nothing transient — the fetch queue,
+// RUU, LSQ and R-stream Queue rings, event queues, spec overlay,
+// create-vector — is serialized; a freshly constructed pipeline is
 // already in the drained configuration for all of it. (The per-slot RUU
 // `gen` counters restart at zero after a restore; they only ever compare
 // against refs recorded in the same run segment, and every pre-snapshot ref
@@ -53,7 +54,7 @@ void load_arch(SnapshotReader* reader, isa::ArchState* state) {
 }  // namespace
 
 bool Pipeline::quiescent() const {
-  return ifq_.empty() && ruu_count_ == 0 && lsq_count_ == 0 && !spec_mode_ &&
+  return ifq_.empty() && ruu_.empty() && lsq_.empty() && !spec_mode_ &&
          rqueue_.empty() && p_events_.empty() && r_events_.empty();
 }
 
@@ -99,9 +100,7 @@ void Pipeline::save_state(SnapshotWriter* writer) const {
   fu_pool_.save(writer);
 
   writer->put_section(kTagReese);
-  rqueue_.save(writer);
   writer->put_u64(reexec_counter_);
-  writer->put_u64(r_issue_next_id_);
 
   writer->put_section(kTagStats);
   stats_.save(writer);
@@ -138,9 +137,7 @@ void Pipeline::load_state(SnapshotReader* reader) {
   fu_pool_.load(reader);
 
   if (!reader->expect_section(kTagReese)) return;
-  rqueue_.load(reader);
   reexec_counter_ = reader->get_u64();
-  r_issue_next_id_ = reader->get_u64();
 
   if (!reader->expect_section(kTagStats)) return;
   stats_.load(reader);

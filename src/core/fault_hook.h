@@ -62,15 +62,6 @@ inline const char* fault_site_name(FaultSite site) {
 ///               no detection: silent data corruption.
 enum class FaultOutcome : u8 { kMasked, kDetected, kSdc };
 
-inline const char* fault_outcome_name(FaultOutcome outcome) {
-  switch (outcome) {
-    case FaultOutcome::kMasked:   return "masked";
-    case FaultOutcome::kDetected: return "detected";
-    case FaultOutcome::kSdc:      return "sdc";
-  }
-  return "?";
-}
-
 /// One fault handed to the pipeline. A nonzero `id` names it; id 0 means no
 /// fault. All randomness stays in the hook (which slot, field and bit), so
 /// the pipeline is deterministic and the hook testable.

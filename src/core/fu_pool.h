@@ -83,15 +83,6 @@ class FuPool {
     return false;
   }
 
-  /// True if a unit of `kind` could be claimed at `now` (no side effects).
-  /// Used to check multi-resource operations before claiming anything.
-  bool can_acquire(FuKind kind, Cycle now) const {
-    for (Cycle next_free : next_free_[static_cast<usize>(kind)]) {
-      if (next_free <= now) return true;
-    }
-    return false;
-  }
-
   u32 unit_count(FuKind kind) const {
     return static_cast<u32>(next_free_[static_cast<usize>(kind)].size());
   }

@@ -78,16 +78,17 @@ Pipeline::Pipeline(const isa::Program& program, const CoreConfig& config)
       gshare_(CoreConfig::gshare_history_bits),
       btb_(CoreConfig::btb_entries, CoreConfig::btb_associativity),
       ras_(kRasDepth),
+      ifq_(config.ifq_size),
+      ruu_(config.ruu_size),
+      lsq_(config.lsq_size),
       rqueue_(config.reese.rqueue_size) {
   assert(config_.ruu_size >= 2 && config_.lsq_size >= 1);
   // occupancy_pct >= watermark  <=>  100*size >= watermark*capacity
   //                             <=>  size >= ceil(watermark*capacity/100).
   rpriority_min_count_ = static_cast<u32>(
       (u64{kPriorityWatermarkPct} * rqueue_.capacity() + 99) / 100);
-  ruu_.resize(config_.ruu_size);
   if (franklin_mode()) franklin_copies_.resize(config_.ruu_size);
   ready_.assign(std::max<u32>(1, (config_.ruu_size + 63) / 64), 0);
-  lsq_.resize(config_.lsq_size);
   cv_.assign(kCvSize, RuuRef{});
   spec_cv_.assign(kCvSize, RuuRef{});
 
@@ -96,7 +97,6 @@ Pipeline::Pipeline(const isa::Program& program, const CoreConfig& config)
   front_state_.set_x(isa::kSpReg, isa::kDefaultStackTop);
   front_state_.set_x(isa::kGpReg, program_.data_base);
   fetch_pc_ = program_.entry;
-  ifq_.init(config_.ifq_size);
   code_ = program_.code.data();
   code_base_ = program_.code_base;
   code_count_ = program_.code.size();
@@ -152,8 +152,8 @@ void Pipeline::cycle() {
   }
   ++stats_.cycle_classes[static_cast<usize>(cls)];
 
-  stats_.ruu_occupancy.add(static_cast<double>(ruu_count_));
-  stats_.lsq_occupancy.add(static_cast<double>(lsq_count_));
+  stats_.ruu_occupancy.add(static_cast<double>(ruu_.size()));
+  stats_.lsq_occupancy.add(static_cast<double>(lsq_.size()));
   stats_.ifq_occupancy.add(static_cast<double>(ifq_.size()));
   if (config_.reese.scheme != RedundancyScheme::kNone) {
     stats_.rqueue_occupancy.add(static_cast<double>(rqueue_.size()));
@@ -177,17 +177,21 @@ void Pipeline::check_invariants() const {
     const bool listed = ((ready_[index / 64] >> (index % 64)) & 1) != 0;
     assert(ready == listed && "ready list disagrees with an RUU slot");
   }
-  assert(valid == ruu_count_ && "ruu_count_ is not the valid entry count");
+  assert(valid == ruu_.size() && "the RUU size is not the valid entry count");
 
-  for (u32 position = 0; position < lsq_count_; ++position) {
-    const RuuEntry& entry = ruu_[lsq_[lsq_index_at(position)]];
+  for (u32 position = 0; position < lsq_.size(); ++position) {
+    const RuuEntry& entry = ruu_[lsq_.at(position)];
     assert(entry.valid && entry.lsq_ticket == lsq_ticket_head_ + position &&
            "LSQ tickets are not contiguous from the head");
   }
 
-  for (usize index = 0; index < rqueue_.size(); ++index) {
-    assert(rqueue_.at(index).id == rqueue_.at(0).id + index &&
-           "R-queue ids are not FIFO-consecutive");
+  assert(r_issue_cursor_ <= rqueue_.size() &&
+         "the R issue cursor is past the R-queue tail");
+  for (u32 position = 0; position < r_issue_cursor_; ++position) {
+    const REntry& entry = rqueue_.at(position);
+    assert((entry.issued || !entry.needs_reexec) &&
+           "an R-queue entry before the issue cursor is neither issued nor "
+           "skipped");
   }
 
   u64 classified = 0;
@@ -249,7 +253,7 @@ void Pipeline::stage_fetch() {
     ++stats_.icache_stall_cycles;
     return;
   }
-  if (ifq_.size() >= config_.ifq_size) {
+  if (ifq_.full()) {
     ++stats_.ifq_full_stall_cycles;
     return;
   }
@@ -264,22 +268,21 @@ void Pipeline::stage_fetch() {
   }
 
   for (u32 fetched_count = 0;
-       fetched_count < config_.fetch_width && ifq_.size() < config_.ifq_size;
+       fetched_count < config_.fetch_width && !ifq_.full();
        ++fetched_count) {
     // Fill the ring slot in place; the slot is recycled, so every field a
     // later stage reads unconditionally is (re)written here.
-    FetchedInst& fetched = ifq_.emplace_back();
+    FetchedInst& fetched = ifq_.push_back();
     fetched.pc = fetch_pc_;
     fetched.predicted_next = fetch_pc_ + 4;
     fetched.predicted_taken = false;
     fetched.pred_meta = 0;
-    fetched.is_pad = false;
     if (const isa::Instruction* decoded = decoded_at(fetch_pc_)) {
       fetched.inst = *decoded;
     } else {
-      // Wrong-path fetch beyond the text segment: fabricate a bubble.
-      fetched.inst = isa::Instruction{};  // NOP
-      fetched.is_pad = true;
+      // Fetch beyond the text segment: fabricate a bubble (a NOP).
+      // Dispatch stops the machine if the true path gets here.
+      fetched.inst = isa::Instruction{};
     }
 
     const bool is_control = isa::is_control(fetched.inst.op);
@@ -366,18 +369,18 @@ void Pipeline::stage_dispatch() {
   while (dispatched_count < config_.decode_width && !ifq_.empty()) {
     const FetchedInst& fetched = ifq_.front();
 
-    if (ruu_count_ >= config_.ruu_size) {
+    if (ruu_.full()) {
       ++stats_.ruu_full_stalls;
       break;
     }
     const bool is_mem = isa::is_mem(fetched.inst.op);
-    if (is_mem && lsq_count_ == config_.lsq_size) {
+    if (is_mem && lsq_.full()) {
       ++stats_.lsq_full_stalls;
       break;
     }
 
     if (!spec_mode_) {
-      if (fetched.is_pad || decoded_at(fetched.pc) == nullptr) {
+      if (decoded_at(fetched.pc) == nullptr) {
         // The true path left the text segment: a program bug, not a
         // misprediction. Stop the machine.
         bad_pc_ = true;
@@ -388,9 +391,8 @@ void Pipeline::stage_dispatch() {
     }
 
     // Allocate the RUU slot at the tail.
-    const u32 slot_index = ruu_index_at(ruu_count_);
-    ++ruu_count_;
-    RuuEntry& entry = ruu_[slot_index];
+    const u32 slot_index = ruu_.slot_at(ruu_.size());
+    RuuEntry& entry = ruu_.push_back();
     entry.reset_for_dispatch(entry.gen + 1);
     entry.inst = fetched.inst;
     entry.pc = fetched.pc;
@@ -409,9 +411,8 @@ void Pipeline::stage_dispatch() {
     execute_at_dispatch(&entry);
 
     if (is_mem) {
-      entry.lsq_ticket = lsq_ticket_head_ + lsq_count_;
-      lsq_[lsq_index_at(lsq_count_)] = slot_index;
-      ++lsq_count_;
+      entry.lsq_ticket = lsq_ticket_head_ + lsq_.size();
+      lsq_.push_back() = slot_index;
     }
     link_dependencies(&entry, slot_index);
     // Ready at dispatch → straight into the issue scan; otherwise the
@@ -460,15 +461,11 @@ Pipeline::LoadPlan Pipeline::plan_load(u32 ruu_slot) {
   // ran once per blocked-load re-evaluation, every cycle).
   const u32 position_of_load =
       static_cast<u32>(load.lsq_ticket - lsq_ticket_head_);
-  assert(position_of_load < lsq_count_ &&
-         lsq_[lsq_index_at(position_of_load)] == ruu_slot &&
-         "load missing from LSQ");
+  assert(position_of_load < lsq_.size() &&
+         lsq_.at(position_of_load) == ruu_slot && "load missing from LSQ");
 
-  u32 index = lsq_index_at(position_of_load);
-  for (u32 position = position_of_load; position > 0; --position) {
-    index = (index == 0 ? config_.lsq_size : index) - 1;
-    const u32 store_slot = lsq_[index];
-    const RuuEntry& store = ruu_[store_slot];
+  for (u32 position = position_of_load; position > 0;) {
+    const RuuEntry& store = ruu_[lsq_.at(--position)];
     if (!store.is_store()) continue;
     if (!store.dep_ready[0]) return LoadPlan::kBlocked;  // address unknown
     const Addr store_begin = store.mem_addr;
@@ -503,8 +500,8 @@ void Pipeline::stage_issue() {
   // clears bits of slots already visited (wakeups happen at writeback), so
   // reading each word as the scan reaches it sees this cycle's snapshot.
   const u32 words = static_cast<u32>(ready_.size());
-  const u32 head_word = ruu_head_ / 64;
-  const u64 below_head = (u64{1} << (ruu_head_ % 64)) - 1;
+  const u32 head_word = ruu_.head() / 64;
+  const u64 below_head = (u64{1} << (ruu_.head() % 64)) - 1;
   u32 word = head_word;
   for (u32 step = 0; step <= words && budget > 0; ++step) {
     u64 bits = ready_[word];
@@ -582,8 +579,8 @@ void Pipeline::schedule_p_event(Cycle when, RuuRef ref) {
   p_events_.schedule(when, now_, ref);
 }
 
-void Pipeline::schedule_r_event(Cycle when, u64 entry_id) {
-  r_events_.schedule(when, now_, entry_id);
+void Pipeline::schedule_r_event(Cycle when, u32 slot_index) {
+  r_events_.schedule(when, now_, slot_index);
 }
 
 void Pipeline::stage_writeback() {
@@ -606,9 +603,9 @@ void Pipeline::stage_writeback() {
   }
 
   if (!r_events_.empty()) {
-    std::vector<u64> ids = r_events_.take(now_);
-    for (u64 id : ids) reese_complete(id);
-    r_events_.recycle(std::move(ids));
+    std::vector<u32> slots = r_events_.take(now_);
+    for (u32 slot_index : slots) reese_complete(slot_index);
+    r_events_.recycle(std::move(slots));
   }
 }
 
@@ -661,16 +658,15 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
   const RuuEntry& branch = ruu_[branch_slot];
 
   // Squash everything younger than the branch (all of it is spec).
-  while (ruu_count_ > 0) {
-    const u32 tail_slot = ruu_index_at(ruu_count_ - 1);
+  while (!ruu_.empty()) {
+    const u32 tail_slot = ruu_.slot_at(ruu_.size() - 1);
     if (tail_slot == branch_slot) break;
     RuuEntry& victim = ruu_[tail_slot];
     assert(victim.valid && victim.spec);
     trace(TraceKind::kSquash, victim);
     if (isa::is_mem(victim.inst.op)) {
-      assert(lsq_count_ > 0);
-      assert(lsq_[lsq_index_at(lsq_count_ - 1)] == tail_slot);
-      --lsq_count_;
+      assert(!lsq_.empty() && lsq_.at(lsq_.size() - 1) == tail_slot);
+      lsq_.pop_back();
     }
     if (victim.fault != 0) {
       // The corrupted entry dies with the wrong path: masked by squash.
@@ -680,7 +676,7 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
     ++victim.gen;
     victim.consumers.clear();
     clear_ready(tail_slot);
-    --ruu_count_;
+    ruu_.pop_back();
   }
 
   ifq_.clear();
@@ -704,25 +700,22 @@ void Pipeline::recover_from_mispredict(u32 branch_slot) {
 // ---------------------------------------------------------------------------
 
 void Pipeline::free_ruu_head() {
-  assert(ruu_count_ > 0);
-  RuuEntry& head = ruu_[ruu_head_];
-  assert(head.valid);
+  RuuEntry& head = ruu_.front();
+  assert(!ruu_.empty() && head.valid);
   if (isa::is_mem(head.inst.op)) {
-    assert(lsq_count_ > 0 && lsq_[lsq_head_] == ruu_head_);
-    if (++lsq_head_ == config_.lsq_size) lsq_head_ = 0;
-    --lsq_count_;
+    assert(!lsq_.empty() && lsq_.front() == ruu_.head());
+    lsq_.pop_front();
     ++lsq_ticket_head_;
   }
   head.valid = false;
   ++head.gen;
   head.consumers.clear();
-  clear_ready(ruu_head_);
-  ruu_head_ = ruu_next(ruu_head_);
-  --ruu_count_;
+  clear_ready(ruu_.head());
+  ruu_.pop_front();
 }
 
 bool Pipeline::commit_head_baseline() {
-  RuuEntry& head = ruu_[ruu_head_];
+  RuuEntry& head = ruu_.front();
   if (!head.completed) return false;
   assert(!head.spec && "speculative instruction reached the RUU head");
 
@@ -769,7 +762,7 @@ void Pipeline::stage_commit() {
   // entries only complete after their duplicate execution compared).
   // Stats are updated once per commit group, not per instruction.
   u32 group = 0;
-  while (group < config_.commit_width && ruu_count_ > 0) {
+  while (group < config_.commit_width && !ruu_.empty()) {
     if (!commit_head_baseline()) break;
     ++group;
     if (halted_) break;

@@ -35,7 +35,7 @@
 #include "core/event_queue.h"
 #include "core/fault_hook.h"
 #include "core/fu_pool.h"
-#include "core/rstream.h"
+#include "core/ring.h"
 #include "core/spec_overlay.h"
 #include "core/stats.h"
 #include "core/trace.h"
@@ -73,10 +73,11 @@ class Pipeline {
   void cycle();
 
   /// Assert the five structural invariants that every cycle must leave
-  /// intact: ruu_count_ counts the valid RUU entries, the ready list holds
-  /// exactly the valid, unissued, incomplete, operand-ready slots, LSQ
-  /// tickets run contiguously from the head's, R-queue ids are
-  /// FIFO-consecutive, and the cycle classes sum to the cycle count.
+  /// intact: the RUU ring's size counts the valid RUU entries, the ready
+  /// list holds exactly the valid, unissued, incomplete, operand-ready
+  /// slots, LSQ tickets run contiguously from the head's, every R-queue
+  /// entry before the issue cursor is issued or skipped, and the cycle
+  /// classes sum to the cycle count.
   /// cycle() runs it after every cycle when NDEBUG is unset; with NDEBUG
   /// set it checks nothing.
   void check_invariants() const;
@@ -97,8 +98,8 @@ class Pipeline {
   bool drain_to_barrier(Cycle limit = 1'000'000);
 
   /// Serialize the complete simulation state (architectural state, memory
-  /// image, predictor/BTB/RAS, cache/TLB tags, FU pool, R-queue id state,
-  /// stats). Requires quiescent().
+  /// image, predictor/BTB/RAS, cache/TLB tags, FU pool, the 1-of-k
+  /// re-execution counter, stats). Requires quiescent().
   void save_state(SnapshotWriter* writer) const;
 
   /// Restore save_state() output into this pipeline. The pipeline must be
@@ -143,7 +144,6 @@ class Pipeline {
     bool predicted_taken = false;
     u64 pred_meta = 0;
     branch::ReturnAddressStack::Checkpoint ras_checkpoint{};
-    bool is_pad = false;  ///< fabricated NOP for an out-of-text fetch PC
   };
 
   /// Handle to an RUU slot that survives slot reuse.
@@ -229,43 +229,45 @@ class Pipeline {
     }
   };
 
-  /// Fixed-capacity FIFO for the fetch queue. The previous std::vector IFQ
-  /// paid an O(n) element shift per dispatched instruction
-  /// (`erase(begin())`); this ring pops the head in O(1) and never
-  /// reallocates after construction. Ring indices wrap by compare, not by
-  /// `%` — the capacity is not a power of two, so modulo is a hardware
-  /// divide on the hottest per-instruction paths.
-  class FetchRing {
-   public:
-    void init(u32 capacity) {
-      ring_.resize(capacity);
-      capacity_ = capacity;
-    }
-    bool empty() const { return count_ == 0; }
-    usize size() const { return count_; }
-    FetchedInst& front() { return ring_[head_]; }
-    /// Claim the tail slot for in-place filling (avoids copying the
-    /// ~100-byte FetchedInst twice per fetched instruction).
-    FetchedInst& emplace_back() {
-      u32 tail = head_ + count_;
-      if (tail >= capacity_) tail -= capacity_;
-      ++count_;
-      return ring_[tail];
-    }
-    void pop_front() {
-      if (++head_ == capacity_) head_ = 0;
-      --count_;
-    }
-    void clear() {
-      head_ = 0;
-      count_ = 0;
-    }
+  /// An R-stream Queue entry (§4.3 of the paper): a completed P-stream
+  /// instruction carrying its operand values and result, so its R-stream
+  /// re-execution has no data or control dependencies. Entries issue to
+  /// spare functional-unit capacity in FIFO order, are compared against
+  /// their stored P result when the re-execution completes, and commit
+  /// from the head in program order.
+  struct REntry {
+    isa::Instruction inst;
+    Addr pc = 0;
+    InstSeq seq = 0;
 
-   private:
-    std::vector<FetchedInst> ring_;
-    u32 head_ = 0;
-    u32 count_ = 0;
-    u32 capacity_ = 0;
+    // Captured P-stream execution context.
+    u64 rs1_value = 0;
+    u64 rs2_value = 0;
+    u64 p_result = 0;     ///< P result (stored copy the comparator reads);
+                          ///< fault injection may flip a bit of this copy
+    u64 r_base_value = 0; ///< loads: the value the R-stream reload returns
+                          ///< (see DESIGN.md on timing/function decoupling)
+    Addr mem_addr = 0;    ///< P effective address for loads/stores
+    Addr p_next = 0;      ///< P next-PC
+    Cycle p_issue_cycle = 0;
+    Cycle p_complete_cycle = 0;
+
+    // Fault injection (DESIGN.md §10, §16): the id of the fault this entry
+    // carries (0 = none), reported once at commit. `r_flip` is XORed into
+    // the R result (a result flip on the R side).
+    u64 fault = 0;
+    u64 r_flip = 0;
+
+    // R-stream progress, grouped so the flags share one word.
+    bool needs_reexec = true;  ///< false for 1-of-k skipped instructions
+    bool issued = false;
+    bool completed = false;    ///< re-executed and compared
+    bool mismatch = false;
+    /// The fault corrupted the checker's own redundant state (operand
+    /// copies, the reexec flag): the architectural value is still correct,
+    /// so an escape is masked (possibly with coverage loss) rather than
+    /// SDC, and a mismatch is a false-positive detection.
+    bool fault_checker_only = false;
   };
 
   // --- per-stage helpers (pipeline.cpp) -----------------------------------
@@ -328,9 +330,9 @@ class Pipeline {
   /// `budget` is the remaining issue bandwidth this cycle.
   void reese_issue(u32* budget);
 
-  /// An R-stream execution finished: re-run the computation, compare with
-  /// the stored P result, flag mismatches.
-  void reese_complete(u64 entry_id);
+  /// The R-stream execution of R-queue slot `slot_index` finished: re-run
+  /// the computation, compare with the stored P result, flag mismatches.
+  void reese_complete(u32 slot_index);
 
   /// Final in-order commit from the R-queue head.
   void reese_commit();
@@ -368,21 +370,28 @@ class Pipeline {
   void strike_lsq(const Strike& strike);
   void strike_predictor(const Strike& strike);
   void strike_btb(const Strike& strike);
-  void strike_dcache(const Strike& strike);
-  void strike_dtlb(const Strike& strike);
+  /// Poison a line of struck_cache() (kDCache, kDTlb).
+  void strike_cache(const Strike& strike);
   /// The one place a fault ends: report fault `id` to the hook.
   void resolve_fault(u64 id, FaultOutcome outcome, Addr pc) {
     fault_hook_->on_resolved(id, outcome, pc, now_);
   }
-  /// After a data_access(), resolve the poison strikes whose lines the
-  /// D-L1/D-TLB saw read (attributed to `pc`) or cleared. `architectural`
-  /// is false for wrong-path accesses (a squashed consumer masks the upset).
+  /// After a data_access(), resolve the poison strikes whose lines
+  /// struck_cache() saw read (attributed to `pc`) or cleared.
+  /// `architectural` is false for wrong-path accesses (a squashed consumer
+  /// masks the upset).
   void drain_mem_site_events(Addr pc, bool architectural);
   /// True when the active site poisons memory structures — gates the
   /// drain calls after the four data-access points.
   bool mem_site_armed() const {
     return fault_site_ == FaultSite::kDCache ||
            fault_site_ == FaultSite::kDTlb;
+  }
+  /// The cache a memory-site campaign poisons: the D-L1, or the D-TLB,
+  /// which is a cache of page translations.
+  mem::Cache& struck_cache() {
+    return fault_site_ == FaultSite::kDCache ? hierarchy_->dl1()
+                                             : hierarchy_->dtlb();
   }
 
   // --- Franklin scheme (franklin.cpp) --------------------------------------
@@ -401,25 +410,8 @@ class Pipeline {
 
   // --- small utilities -----------------------------------------------------
 
-  RuuEntry& slot(u32 index) { return ruu_[index]; }
   bool ref_alive(const RuuRef& ref) const {
     return ruu_[ref.slot].valid && ruu_[ref.slot].gen == ref.gen;
-  }
-  // Ring arithmetic by compare-and-subtract: the ring sizes are config
-  // values (not powers of two), so `%` would be an integer divide on paths
-  // run several times per simulated instruction.
-  u32 ruu_index_at(u32 position) const {  // position 0 == head
-    u32 index = ruu_head_ + position;
-    if (index >= config_.ruu_size) index -= config_.ruu_size;
-    return index;
-  }
-  u32 ruu_next(u32 index) const {
-    return ++index == config_.ruu_size ? 0 : index;
-  }
-  u32 lsq_index_at(u32 position) const {  // position 0 == head
-    u32 index = lsq_head_ + position;
-    if (index >= config_.lsq_size) index -= config_.lsq_size;
-    return index;
   }
   void mark_ready(u32 slot_index) {
     ready_[slot_index / 64] |= u64{1} << (slot_index % 64);
@@ -434,7 +426,7 @@ class Pipeline {
   void free_ruu_head();
 
   void schedule_p_event(Cycle when, RuuRef ref);
-  void schedule_r_event(Cycle when, u64 entry_id);
+  void schedule_r_event(Cycle when, u32 slot_index);
 
   void enter_spec_mode();
 
@@ -465,7 +457,7 @@ class Pipeline {
   Addr fetch_pc_;
   Cycle fetch_stall_until_ = 0;
   bool drain_fetch_stall_ = false;  ///< drain_to_barrier() suppresses fetch
-  FetchRing ifq_;  ///< FIFO, front = oldest
+  Ring<FetchedInst> ifq_;
 
   // Decoded-text fast path: the program's instructions are pre-decoded at
   // load; fetch reads them through this cached pointer/bounds pair instead
@@ -481,10 +473,9 @@ class Pipeline {
     return code_ + (offset >> 2);
   }
 
-  // RUU ring buffer.
-  std::vector<RuuEntry> ruu_;
-  u32 ruu_head_ = 0;
-  u32 ruu_count_ = 0;
+  /// The RUU. Its size counts the valid entries; RuuRef, the ready list,
+  /// the LSQ and the P events name entries by physical slot.
+  Ring<RuuEntry> ruu_;
 
   /// Franklin's comparator copy of an RUU slot's first execution. It lives
   /// beside the RUU, one per slot, and only a Franklin pipeline allocates
@@ -496,10 +487,9 @@ class Pipeline {
   };
   std::vector<FranklinCopy> franklin_copies_;
 
-  // LSQ: ring of RUU slot indices in program order.
-  std::vector<u32> lsq_;
-  u32 lsq_head_ = 0;
-  u32 lsq_count_ = 0;
+  /// The LSQ: the RUU slots of the in-flight memory operations, in
+  /// program order.
+  Ring<u32> lsq_;
   /// Absolute ticket of the LSQ head entry; RuuEntry::lsq_ticket minus this
   /// is the entry's current LSQ position (see plan_load).
   u64 lsq_ticket_head_ = 0;
@@ -525,14 +515,15 @@ class Pipeline {
   // Writeback event queues (calendar queues indexed by cycle delta; see
   // event_queue.h for why these are not std::map).
   CalendarQueue<RuuRef> p_events_;
-  CalendarQueue<u64> r_events_;
+  CalendarQueue<u32> r_events_;  ///< R-queue slots
 
   // REESE.
-  RStreamQueue rqueue_;
+  Ring<REntry> rqueue_;
   u64 reexec_counter_ = 0;  ///< rotates over reexec_interval
-  u64 r_issue_next_id_ = 1;  ///< first R-queue id not yet issued/skipped;
-                             ///< the settled prefix before it is never
-                             ///< rescanned (ids are FIFO-consecutive)
+  /// Position of the first R-queue entry not yet issued or skipped; the
+  /// settled prefix before it is never rescanned. Each commit pop moves
+  /// every position down by one.
+  u32 r_issue_cursor_ = 0;
   u32 rpriority_min_count_ = 0;  ///< kPriorityWatermarkPct as an entry
                                  ///< count (one compare per cycle)
 
@@ -558,7 +549,7 @@ class Pipeline {
   void trace(TraceKind kind, const RuuEntry& entry) {
     if (tracer_ == nullptr) return;
     tracer_->record(TraceEvent{kind, now_, entry.seq,
-                               static_cast<u32>(&entry - ruu_.data()),
+                               static_cast<u32>(&entry - &ruu_[0]),
                                entry.pc, entry.inst, entry.spec});
   }
   void trace(TraceKind kind, const REntry& entry) {

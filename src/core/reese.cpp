@@ -22,9 +22,8 @@ bool Pipeline::reese_priority() const {
 void Pipeline::reese_release() {
   u32 released = 0;
   u32 position = 0;
-  while (released < config_.commit_width && position < ruu_count_) {
-    const u32 slot_index = ruu_index_at(position);
-    RuuEntry& entry = ruu_[slot_index];
+  while (released < config_.commit_width && position < ruu_.size()) {
+    RuuEntry& entry = ruu_.at(position);
     if (entry.released) {
       ++position;
       continue;
@@ -36,7 +35,8 @@ void Pipeline::reese_release() {
       break;
     }
 
-    REntry& redundant = rqueue_.push_slot();
+    // The recycled slot gets every field the R stream reads.
+    REntry& redundant = rqueue_.push_back();
     redundant.inst = entry.inst;
     redundant.pc = entry.pc;
     redundant.seq = entry.seq;
@@ -48,7 +48,11 @@ void Pipeline::reese_release() {
     redundant.p_next = entry.actual_next;
     redundant.p_issue_cycle = entry.issue_cycle;
     redundant.p_complete_cycle = entry.complete_cycle;
-    redundant.holds_ruu_slot = !config_.reese.early_release;
+    redundant.issued = false;
+    redundant.completed = false;
+    redundant.mismatch = false;
+    redundant.fault_checker_only = false;
+    redundant.r_flip = 0;
 
     // Partial re-execution (§7 future work): re-execute 1 of every k. The
     // counter rotates in [0, k) so the common k=1 case never divides.
@@ -95,17 +99,14 @@ void Pipeline::reese_issue(u32* budget) {
   // or not selected for re-execution, stop at the first entry that cannot
   // issue this cycle. `issued` and `needs_reexec` never revert while an
   // entry is queued, so the settled head prefix only grows until popped;
-  // r_issue_next_id_ remembers the first candidate so the scan does not
+  // r_issue_cursor_ remembers the first candidate so the scan does not
   // re-skip the prefix every cycle.
-  const usize queue_size = rqueue_.size();
-  if (queue_size == 0) return;
-  const u64 front_id = rqueue_.front().id;
-  if (r_issue_next_id_ < front_id) r_issue_next_id_ = front_id;
-  for (usize index = static_cast<usize>(r_issue_next_id_ - front_id);
-       index < queue_size && *budget > 0; ++index) {
-    REntry& entry = rqueue_.at(index);
+  for (u32 position = r_issue_cursor_;
+       position < rqueue_.size() && *budget > 0; ++position) {
+    const u32 slot_index = rqueue_.slot_at(position);
+    REntry& entry = rqueue_[slot_index];
     if (!entry.needs_reexec || entry.issued) {
-      r_issue_next_id_ += entry.id == r_issue_next_id_ ? 1 : 0;
+      r_issue_cursor_ += position == r_issue_cursor_ ? 1 : 0;
       continue;
     }
 
@@ -119,10 +120,10 @@ void Pipeline::reese_issue(u32* budget) {
     if (complete_at == 0) break;
 
     entry.issued = true;
-    r_issue_next_id_ += entry.id == r_issue_next_id_ ? 1 : 0;
+    r_issue_cursor_ += position == r_issue_cursor_ ? 1 : 0;
     trace(TraceKind::kRIssue, entry);
     stats_.separation.add(now_ - entry.p_issue_cycle);
-    schedule_r_event(complete_at, entry.id);
+    schedule_r_event(complete_at, slot_index);
     ++stats_.issued_r;
     --*budget;
   }
@@ -202,8 +203,10 @@ bool Pipeline::recompute_and_compare(const isa::Instruction& inst, Addr pc,
   return ((r_value ^ p_result) | aux_diff) != 0;
 }
 
-void Pipeline::reese_complete(u64 entry_id) {
-  REntry& entry = rqueue_.by_id(entry_id);
+void Pipeline::reese_complete(u32 slot_index) {
+  // An issued entry waits for its comparison before it can commit, so the
+  // slot still holds it.
+  REntry& entry = rqueue_[slot_index];
   assert(entry.issued && !entry.completed);
 
   entry.mismatch = recompute_and_compare(
@@ -256,10 +259,12 @@ void Pipeline::reese_commit() {
     }
 
     skipped += entry.needs_reexec ? 0 : 1;
-    if (entry.holds_ruu_slot) free_ruu_head();
+    // Without early release the P instruction still holds its RUU slot.
+    if (!config_.reese.early_release) free_ruu_head();
     if (entry.inst.op == Opcode::kHalt) halted_ = true;
     trace(TraceKind::kCommit, entry);
     rqueue_.pop_front();
+    if (r_issue_cursor_ > 0) --r_issue_cursor_;
     ++group;
     if (halted_) break;
   }

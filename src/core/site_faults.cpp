@@ -4,7 +4,8 @@
 // pipeline polls it once per cycle and, on a strike, corrupts the named
 // microarchitectural structure: an RUU entry's stored result, an R-stream
 // Queue slot (REESE's own checker state), an LSQ effective address,
-// predictor/BTB bits, or a D-L1/D-TLB line via the poison model in mem/.
+// predictor/BTB bits, or a D-L1/D-TLB line via the poison model of
+// mem::Cache (the D-TLB is a cache of page translations).
 // The struck entry carries the strike's id (a poisoned line's id waits in
 // mem_poison_pending_) until the corrupted state dies; there the id
 // resolves, exactly once, through resolve_fault with one masked/detected/
@@ -39,8 +40,8 @@ void Pipeline::poll_site_fault() {
     case FaultSite::kLsq:       strike_lsq(strike); break;
     case FaultSite::kPredictor: strike_predictor(strike); break;
     case FaultSite::kBtb:       strike_btb(strike); break;
-    case FaultSite::kDCache:    strike_dcache(strike); break;
-    case FaultSite::kDTlb:      strike_dtlb(strike); break;
+    case FaultSite::kDCache:
+    case FaultSite::kDTlb:      strike_cache(strike); break;
   }
 }
 
@@ -69,14 +70,15 @@ void Pipeline::strike_ruu(const Strike& strike) {
 
 void Pipeline::strike_rqueue(const Strike& strike) {
   // The headline experiment: the fault lands in REESE's own checker. The
-  // strike picks a physical queue slot; hitting an empty one is masked (the
-  // queue's vulnerability scales with its occupancy).
-  const usize index = static_cast<usize>(strike.cell % rqueue_.capacity());
-  if (index >= rqueue_.size()) {
+  // strike picks one of the queue's entries by position from the head;
+  // hitting an empty one is masked (the queue's vulnerability scales with
+  // its occupancy).
+  const u32 position = static_cast<u32>(strike.cell % rqueue_.capacity());
+  if (position >= rqueue_.size()) {
     resolve_fault(strike.id, FaultOutcome::kMasked, 0);
     return;
   }
-  REntry& entry = rqueue_.at(index);
+  REntry& entry = rqueue_.at(position);
   if (entry.fault != 0) {
     resolve_fault(strike.id, FaultOutcome::kMasked, entry.pc);
     return;
@@ -117,11 +119,11 @@ void Pipeline::strike_rqueue(const Strike& strike) {
 
 void Pipeline::strike_lsq(const Strike& strike) {
   const u32 position = static_cast<u32>(strike.cell % config_.lsq_size);
-  if (position >= lsq_count_) {
+  if (position >= lsq_.size()) {
     resolve_fault(strike.id, FaultOutcome::kMasked, 0);
     return;
   }
-  RuuEntry& entry = ruu_[lsq_[lsq_index_at(position)]];
+  RuuEntry& entry = ruu_[lsq_.at(position)];
   assert(entry.valid && (entry.is_load() || entry.is_store()));
   if (entry.released || entry.fault != 0) {
     resolve_fault(strike.id, FaultOutcome::kMasked, entry.pc);
@@ -152,16 +154,8 @@ void Pipeline::strike_btb(const Strike& strike) {
   resolve_fault(strike.id, FaultOutcome::kMasked, 0);
 }
 
-void Pipeline::strike_dcache(const Strike& strike) {
-  if (!hierarchy_->dl1().poison_random_line(strike.cell)) {
-    resolve_fault(strike.id, FaultOutcome::kMasked, 0);
-    return;
-  }
-  mem_poison_pending_.push_back(strike.id);
-}
-
-void Pipeline::strike_dtlb(const Strike& strike) {
-  if (!hierarchy_->dtlb().poison_random_entry(strike.cell)) {
+void Pipeline::strike_cache(const Strike& strike) {
+  if (!struck_cache().poison_random_line(strike.cell)) {
     resolve_fault(strike.id, FaultOutcome::kMasked, 0);
     return;
   }
@@ -169,15 +163,9 @@ void Pipeline::strike_dtlb(const Strike& strike) {
 }
 
 void Pipeline::drain_mem_site_events(Addr pc, bool architectural) {
-  u32 consumed = 0;
-  u32 cleared = 0;
-  if (fault_site_ == FaultSite::kDCache) {
-    consumed = hierarchy_->dl1().take_poison_consumed();
-    cleared = hierarchy_->dl1().take_poison_cleared();
-  } else {
-    consumed = hierarchy_->dtlb().take_poison_consumed();
-    cleared = hierarchy_->dtlb().take_poison_cleared();
-  }
+  mem::Cache& cache = struck_cache();
+  const u32 consumed = cache.take_poison_consumed();
+  const u32 cleared = cache.take_poison_cleared();
   if (consumed == 0 && cleared == 0) return;
 
   // A poisoned line holds one strike, and each strike resolves on the

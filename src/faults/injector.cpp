@@ -49,9 +49,6 @@ u64 Injector::add_record(const FaultRecord& record) {
 }
 
 core::Strike Injector::on_site_cycle(Cycle now) {
-  if (config_.max_faults != 0 && records_.size() >= config_.max_faults) {
-    return {};
-  }
   if (config_.rate <= 0.0 || !rng_.next_bool(config_.rate)) return {};
   // All randomness stays here so the pipeline's strike handling is a pure
   // function of the strike — campaigns are bit-identical for any --jobs
@@ -89,10 +86,6 @@ core::Strike Injector::on_instruction(InstSeq seq, Cycle now, Addr pc,
     if (def_window->record_index != OpenWindow::kNone) {
       close_window(def_window);
     }
-  }
-
-  if (config_.max_faults != 0 && records_.size() >= config_.max_faults) {
-    return {};
   }
 
   bool inject = false;

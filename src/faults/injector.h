@@ -69,9 +69,6 @@ struct InjectorConfig {
   FaultTarget target = FaultTarget::kEither;
   u64 seed = 0xFA17;
 
-  /// Cap on total injections (0 = unlimited).
-  u64 max_faults = 0;
-
   /// Which microarchitectural structure to strike (DESIGN.md §16). The
   /// default, kResult, keeps the classic result-flipping model above; any
   /// other value switches the injector into site mode: `rate` becomes a

@@ -23,7 +23,6 @@ void CacheConfig::validate() const {
     die("size must be a multiple of line_bytes * associativity");
   }
   if (!is_pow2(set_count())) die("set count must be a power of two");
-  if (hit_latency == 0) die("hit latency must be >= 1");
 }
 
 Cache::Cache(const CacheConfig& config, MemoryLevel* next)

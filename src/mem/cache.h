@@ -26,7 +26,8 @@ struct CacheConfig {
   u64 size_bytes = 32 * 1024;
   u32 line_bytes = 32;
   u32 associativity = 2;
-  u32 hit_latency = 1;        ///< cycles for a hit (includes lookup)
+  u32 hit_latency = 1;        ///< cycles for a hit (includes lookup; a
+                              ///< TLB's hit is free)
 
   u64 set_count() const { return size_bytes / (u64{line_bytes} * associativity); }
   /// Validates power-of-two geometry; aborts with a message on bad configs
@@ -102,11 +103,12 @@ class Cache final : public MemoryLevel {
   void load(SnapshotReader* reader);
 
   // --- component-site fault campaigns (DESIGN.md §16) ----------------------
-  // A poisoned line models a particle strike in the data array: function and
-  // timing are decoupled here, so the corruption cannot change a loaded
-  // value — instead the pipeline observes *when* the poisoned line is next
-  // read (the corrupt data is consumed → potential SDC) versus overwritten
-  // or evicted (masked) and classifies the strike accordingly.
+  // A poisoned line models a particle strike in the data array (in a TLB,
+  // a corrupted translation): function and timing are decoupled here, so
+  // the corruption cannot change a loaded value — instead the pipeline
+  // observes *when* the poisoned line is next read (the corrupt data is
+  // consumed → potential SDC) versus overwritten or evicted (masked) and
+  // classifies the strike accordingly.
 
   /// Poison the line selected by `cell` (reduced modulo the line count).
   /// Returns false if that way is invalid or already poisoned — nothing to

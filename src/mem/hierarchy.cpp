@@ -7,25 +7,30 @@ namespace reese::mem {
 
 Hierarchy::Hierarchy(const HierarchyConfig& config) {
   dram_ = std::make_unique<FlatMemoryLevel>(config.memory_latency);
+  page_walk_ =
+      std::make_unique<FlatMemoryLevel>(config.page_walk_latency, "walk");
   ul2_ = std::make_unique<Cache>(config.ul2, dram_.get());
   il1_ = std::make_unique<Cache>(config.il1, ul2_.get());
   dl1_ = std::make_unique<Cache>(config.dl1, ul2_.get());
-  itlb_ = std::make_unique<Tlb>(config.itlb);
-  dtlb_ = std::make_unique<Tlb>(config.dtlb);
+  itlb_ = std::make_unique<Cache>(config.itlb, page_walk_.get());
+  dtlb_ = std::make_unique<Cache>(config.dtlb, page_walk_.get());
 }
 
+// A translation is only ever read: a TLB hit consumes a poisoned entry,
+// and a TLB line is never dirty.
 u32 Hierarchy::inst_access(Addr pc) {
   const u32 latency = il1_->access(pc, /*is_write=*/false);
-  return latency + itlb_->access(pc);
+  return latency + itlb_->access(pc, /*is_write=*/false);
 }
 
 u32 Hierarchy::data_access(Addr addr, bool is_write) {
   const u32 latency = dl1_->access(addr, is_write);
-  return latency + dtlb_->access(addr);
+  return latency + dtlb_->access(addr, /*is_write=*/false);
 }
 
 void Hierarchy::save(SnapshotWriter* writer) const {
   dram_->save(writer);
+  page_walk_->save(writer);
   ul2_->save(writer);
   il1_->save(writer);
   dl1_->save(writer);
@@ -35,6 +40,7 @@ void Hierarchy::save(SnapshotWriter* writer) const {
 
 void Hierarchy::load(SnapshotReader* reader) {
   dram_->load(reader);
+  page_walk_->load(reader);
   ul2_->load(reader);
   il1_->load(reader);
   dl1_->load(reader);

@@ -5,13 +5,18 @@
 //   L1 I: 32 KB, 2-way, 2-cycle hit        L1 D: 32 KB, 2-way, 2-cycle hit
 //   L2  : 512 KB, 4-way, 12-cycle hit (shared by I and D)
 //   DRAM: fixed 60-cycle access
+//   TLBs: 64 (I) and 128 (D) entries, 4-way, free hit, 30-cycle page walk
+//
+// A TLB is a Cache of page translations: a 4 KiB line is one page, a hit
+// costs nothing, and a miss pays a page walk that one flat level shared by
+// both TLBs models. The machine is flat physically-addressed, so like the
+// caches the TLBs are timing-only.
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "mem/cache.h"
-#include "mem/tlb.h"
 
 namespace reese::mem {
 
@@ -31,14 +36,23 @@ struct HierarchyConfig {
                   .line_bytes = 64,
                   .associativity = 4,
                   .hit_latency = 12};
-  TlbConfig itlb{.name = "itlb", .entries = 64};
-  TlbConfig dtlb{.name = "dtlb", .entries = 128};
+  CacheConfig itlb{.name = "itlb",
+                   .size_bytes = 64 * 4096,
+                   .line_bytes = 4096,
+                   .associativity = 4,
+                   .hit_latency = 0};
+  CacheConfig dtlb{.name = "dtlb",
+                   .size_bytes = 128 * 4096,
+                   .line_bytes = 4096,
+                   .associativity = 4,
+                   .hit_latency = 0};
   u32 memory_latency = 60;
+  u32 page_walk_latency = 30;
 };
 
-/// Owns the cache/TLB objects and answers "how many cycles does this access
-/// take". TLB miss latency is additive (walk overlaps nothing), matching
-/// sim-outorder's treatment.
+/// Owns the caches and TLBs and answers "how many cycles does this access
+/// take". TLB miss latency is additive (the walk overlaps nothing),
+/// matching sim-outorder's treatment.
 class Hierarchy {
  public:
   explicit Hierarchy(const HierarchyConfig& config);
@@ -55,10 +69,7 @@ class Hierarchy {
   const Cache& il1() const { return *il1_; }
   const Cache& dl1() const { return *dl1_; }
   const Cache& ul2() const { return *ul2_; }
-  Tlb& itlb() { return *itlb_; }
-  Tlb& dtlb() { return *dtlb_; }
-
-  u64 dram_accesses() const { return dram_->accesses(); }
+  Cache& dtlb() { return *dtlb_; }
 
   /// Checkpoint serialization of every level's tag/stat state.
   void save(SnapshotWriter* writer) const;
@@ -69,11 +80,12 @@ class Hierarchy {
 
  private:
   std::unique_ptr<FlatMemoryLevel> dram_;
+  std::unique_ptr<FlatMemoryLevel> page_walk_;
   std::unique_ptr<Cache> ul2_;
   std::unique_ptr<Cache> il1_;
   std::unique_ptr<Cache> dl1_;
-  std::unique_ptr<Tlb> itlb_;
-  std::unique_ptr<Tlb> dtlb_;
+  std::unique_ptr<Cache> itlb_;
+  std::unique_ptr<Cache> dtlb_;
 };
 
 }  // namespace reese::mem

@@ -31,7 +31,7 @@ namespace reese::sim {
 
 /// Bumped whenever the snapshot payload layout changes; readers reject
 /// files with any other version.
-inline constexpr u32 kSnapshotFormatVersion = 3;
+inline constexpr u32 kSnapshotFormatVersion = 4;
 
 /// A cell's identity: a hash of the workload name, every settable
 /// configuration value (CoreConfig::save) and `values`, every other value

@@ -119,7 +119,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Geometry{1024, 32, 1}, Geometry{1024, 32, 2},
                       Geometry{4096, 64, 4}, Geometry{8192, 32, 8},
                       Geometry{2048, 16, 2}, Geometry{32768, 32, 2},
-                      Geometry{16384, 64, 1}, Geometry{4096, 128, 4}),
+                      Geometry{16384, 64, 1}, Geometry{4096, 128, 4},
+                      // The I- and D-TLB: 64 and 128 4 KiB pages, 4-way.
+                      Geometry{64 * 4096, 4096, 4},
+                      Geometry{128 * 4096, 4096, 4}),
     [](const ::testing::TestParamInfo<Geometry>& info) {
       return std::to_string(info.param.size_bytes) + "B_" +
              std::to_string(info.param.line_bytes) + "line_" +

@@ -1,55 +1,63 @@
-// Unit tests for the core's supporting structures: the R-stream Queue
-// container and the speculative data-memory overlay.
+// Unit tests for the core's supporting structures: the Ring behind the
+// fetch queue, RUU, LSQ and R-stream Queue, and the speculative
+// data-memory overlay.
 #include <gtest/gtest.h>
 
-#include "core/rstream.h"
+#include "core/ring.h"
 #include "core/spec_overlay.h"
 
 namespace reese::core {
 namespace {
 
-// --- RStreamQueue ----------------------------------------------------------
+// --- Ring --------------------------------------------------------------------
 
-TEST(RStreamQueue, FifoOrder) {
-  RStreamQueue queue(4);
-  for (u64 i = 0; i < 3; ++i) queue.push_slot().seq = 100 + i;
-  EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.front().seq, 100u);
-  queue.pop_front();
-  EXPECT_EQ(queue.front().seq, 101u);
+TEST(Ring, FifoOrder) {
+  Ring<u64> ring(4);
+  for (u64 i = 0; i < 3; ++i) ring.push_back() = 100 + i;
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.front(), 100u);
+  ring.pop_front();
+  EXPECT_EQ(ring.front(), 101u);
 }
 
-TEST(RStreamQueue, FullAndEmpty) {
-  RStreamQueue queue(2);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(queue.full());
-  queue.push_slot();
-  queue.push_slot();
-  EXPECT_TRUE(queue.full());
-  EXPECT_EQ(queue.capacity(), 2u);
-  queue.pop_front();
-  EXPECT_FALSE(queue.full());
+TEST(Ring, FullAndEmpty) {
+  Ring<u64> ring(2);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_FALSE(ring.full());
+  ring.push_back();
+  ring.push_back();
+  EXPECT_TRUE(ring.full());
+  EXPECT_EQ(ring.capacity(), 2u);
+  ring.pop_front();
+  EXPECT_FALSE(ring.full());
 }
 
-TEST(RStreamQueue, StableIdsSurvivePops) {
-  RStreamQueue queue(8);
-  const u64 id_a = queue.push_slot().id;
-  const u64 id_b = queue.push_slot().id;
-  const u64 id_c = queue.push_slot().id;
-  EXPECT_LT(id_a, id_b);
-  queue.by_id(id_b).p_result = 42;
-  queue.pop_front();  // remove a
-  EXPECT_EQ(queue.by_id(id_b).p_result, 42u);
-  EXPECT_EQ(queue.by_id(id_c).p_result, 0u);
-}
-
-TEST(RStreamQueue, IndexAccessIsProgramOrder) {
-  RStreamQueue queue(8);
-  for (u64 i = 0; i < 5; ++i) queue.push_slot().seq = i;
-  queue.pop_front();
-  for (usize i = 0; i < queue.size(); ++i) {
-    EXPECT_EQ(queue.at(i).seq, i + 1);
+TEST(Ring, SlotsSurvivePopsAndWrap) {
+  // A physical slot names the same element from its push to its pop, even
+  // as the head wraps past the end of the array (capacity 3, not a power
+  // of two).
+  Ring<u64> ring(3);
+  for (u64 round = 0; round < 5; ++round) {
+    const u32 slot = ring.slot_at(ring.size());
+    ring.push_back() = 40 + round;
+    ring.push_back() = 50 + round;
+    EXPECT_EQ(ring[slot], 40 + round);
+    ring.pop_front();
+    EXPECT_EQ(ring[ring.head()], 50 + round);
+    ring.pop_front();
   }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, IndexAccessIsProgramOrder) {
+  Ring<u64> ring(5);
+  for (u64 i = 0; i < 5; ++i) ring.push_back() = i;
+  ring.pop_front();
+  ring.pop_front();
+  ring.push_back() = 5;  // wraps into slot 0
+  ring.pop_back();       // a squash takes the youngest back
+  ring.push_back() = 5;
+  for (u32 i = 0; i < ring.size(); ++i) EXPECT_EQ(ring.at(i), i + 2u);
 }
 
 // --- SpecOverlay -------------------------------------------------------------

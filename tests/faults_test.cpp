@@ -53,18 +53,6 @@ TEST(Injector, RateProducesApproximateCount) {
   EXPECT_NEAR(static_cast<double>(injector.injected()), 1000.0, 150.0);
 }
 
-TEST(Injector, MaxFaultsCap) {
-  faults::InjectorConfig config;
-  config.rate = 1.0;
-  config.max_faults = 7;
-  faults::Injector injector(config);
-  isa::Instruction nop;
-  for (InstSeq seq = 1; seq <= 100; ++seq) {
-    injector.on_instruction(seq, seq, 0x1000, nop);
-  }
-  EXPECT_EQ(injector.injected(), 7u);
-}
-
 TEST(Injector, TargetSelection) {
   isa::Instruction nop;
   faults::InjectorConfig p_config;

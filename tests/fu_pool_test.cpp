@@ -36,15 +36,6 @@ TEST(FuPool, UnpipelinedBlocksForIssueLatency) {
   EXPECT_TRUE(pool.try_acquire(FuKind::kIntMult, 20, 1));
 }
 
-TEST(FuPool, CanAcquireHasNoSideEffects) {
-  FuPool pool(starting_config());
-  EXPECT_TRUE(pool.can_acquire(FuKind::kIntMult, 0));
-  EXPECT_TRUE(pool.can_acquire(FuKind::kIntMult, 0));
-  EXPECT_EQ(pool.ops_issued(FuKind::kIntMult), 0u);
-  pool.try_acquire(FuKind::kIntMult, 0, 5);
-  EXPECT_FALSE(pool.can_acquire(FuKind::kIntMult, 2));
-}
-
 TEST(FuPool, UtilizationMath) {
   FuPool pool(starting_config());
   // 8 ALU ops over 4 cycles on 4 units: 8 / (4*4) = 50%.

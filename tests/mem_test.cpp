@@ -7,7 +7,6 @@
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/main_memory.h"
-#include "mem/tlb.h"
 
 namespace reese::mem {
 namespace {
@@ -204,24 +203,28 @@ TEST(Cache, LruThrashingAlwaysMisses) {
 }
 
 // --- TLB ------------------------------------------------------------------------
+// A TLB is a Cache of page translations behind a flat page-walk level.
 
 TEST(Tlb, MissThenHit) {
-  Tlb tlb(TlbConfig{});
-  EXPECT_EQ(tlb.access(0x1000), 30u);
-  EXPECT_EQ(tlb.access(0x1FFF), 0u);  // same page
-  EXPECT_EQ(tlb.access(0x2000), 30u);  // next page
+  const HierarchyConfig config;
+  FlatMemoryLevel walk(config.page_walk_latency);
+  Cache tlb(config.dtlb, &walk);
+  EXPECT_EQ(tlb.access(0x1000, false), 30u);
+  EXPECT_EQ(tlb.access(0x1FFF, false), 0u);  // same page
+  EXPECT_EQ(tlb.access(0x2000, false), 30u);  // next page
   EXPECT_EQ(tlb.stats().misses, 2u);
   EXPECT_EQ(tlb.stats().accesses, 3u);
 }
 
 TEST(Tlb, CapacityEviction) {
-  TlbConfig config;
-  config.entries = 4;
-  config.associativity = 4;  // one set
-  Tlb tlb(config);
-  for (Addr p = 0; p < 5; ++p) tlb.access(p << 12);
+  const HierarchyConfig config;
+  FlatMemoryLevel walk(config.page_walk_latency);
+  Cache tlb(config.dtlb, &walk);
+  // Five pages one set-count apart share a set of the 4-way TLB.
+  const Addr stride = config.dtlb.set_count() * config.dtlb.line_bytes;
+  for (Addr p = 0; p < 5; ++p) tlb.access(p * stride, false);
   // Page 0 was LRU; it must miss again.
-  EXPECT_EQ(tlb.access(0), 30u);
+  EXPECT_EQ(tlb.access(0, false), 30u);
 }
 
 // --- Hierarchy --------------------------------------------------------------------
@@ -231,7 +234,7 @@ TEST(Hierarchy, L1MissGoesToL2) {
   Hierarchy hierarchy(config);
   const u32 cold = hierarchy.data_access(0x100000, false);
   // dl1 hit(2) + ul2 hit(12) + dram(60) + the D-TLB miss
-  EXPECT_EQ(cold, 2u + 12u + 60u + config.dtlb.miss_latency);
+  EXPECT_EQ(cold, 2u + 12u + 60u + config.page_walk_latency);
   EXPECT_EQ(hierarchy.data_access(0x100000, false), 2u);
   // The next 32-byte L1 line shares the 64-byte L2 line and the page.
   EXPECT_EQ(hierarchy.data_access(0x100020, false), 2u + 12u);
@@ -251,7 +254,7 @@ TEST(Hierarchy, TlbChargesAdditively) {
   HierarchyConfig config;
   Hierarchy hierarchy(config);
   const u32 first = hierarchy.data_access(0x100000, false);
-  EXPECT_EQ(first, 2u + 12u + 60u + config.dtlb.miss_latency);
+  EXPECT_EQ(first, 2u + 12u + 60u + config.page_walk_latency);
 }
 
 TEST(Hierarchy, ReportMentionsAllLevels) {

@@ -4,6 +4,8 @@
 // deadlock-freedom across pathological configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/pipeline.h"
 #include "isa/assembler.h"
 #include "isa/iss.h"
@@ -230,6 +232,14 @@ struct TinyConfig {
   u32 ruu, lsq, rqueue, ports, alus, width;
   bool early;
 };
+
+// Names each shape by its fields, so the test ids read the same in every
+// build instead of dumping the struct's bytes (padding included).
+void PrintTo(const TinyConfig& tiny, std::ostream* os) {
+  *os << "ruu" << tiny.ruu << "_lsq" << tiny.lsq << "_rq" << tiny.rqueue
+      << "_ports" << tiny.ports << "_alus" << tiny.alus << "_width"
+      << tiny.width << (tiny.early ? "_early" : "_late");
+}
 
 class DeadlockFreedomTest : public ::testing::TestWithParam<TinyConfig> {};
 

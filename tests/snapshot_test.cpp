@@ -3,10 +3,11 @@
 // SimResult, same serialized end state — and the experiment/campaign
 // runners must resume a partially-checkpointed grid to the exact matrix an
 // uninterrupted run produces. Damaged inputs (corrupt, truncated, wrong
-// format version) must be rejected with a clean error, and a snapshot of
-// another cell must not be restored.
+// format version, seeded payload mutants) must be rejected with a clean
+// error, and a snapshot of another cell must not be restored.
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/flags.h"
+#include "common/rng.h"
 #include "common/snapshot.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
@@ -455,6 +457,122 @@ TEST(SnapshotTest, MissingSnapshotIsRejected) {
                           snapshot_identity(sim.get(), 1, 0), &error),
             SnapshotLoad::kFailed);
   EXPECT_FALSE(error.empty());
+}
+
+std::vector<u8> read_file(const std::string& path) {
+  std::vector<u8> bytes(fs::file_size(path));
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr);
+  if (file == nullptr) return {};
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
+  std::fclose(file);
+  return bytes;
+}
+
+TEST(SnapshotTest, SurvivesSeededHostileInput) {
+  // A drained REESE gcc snapshot far enough in that the memory, TLB,
+  // cache, predictor and stats sections all hold data. Its payload is
+  // mutated by dropping, duplicating and swapping bytes and by splicing in
+  // hostile ones, then re-sealed with a correct size and checksum, so every
+  // mutant gets past the container checks into Pipeline::load_state. Each
+  // restores, is another cell's, or fails with a message. A load reads,
+  // checks and parses the whole 269 KB payload, most of it the cache and
+  // predictor arrays, so 10^3 mutants keep the test to seconds in the
+  // ASan+UBSan Debug build.
+  const std::string path = temp_path("hostile.snap");
+  auto original = make_sim("gcc", 0xF022);
+  original->run(200'000);
+  const u64 identity = snapshot_identity(original.get(), 0xF022, 0);
+  std::string error;
+  ASSERT_TRUE(save_snapshot(original.get(), path, identity, &error)) << error;
+  const std::vector<u8> file = read_file(path);
+  constexpr usize kHeaderBytes = 20;  // magic, version, payload size
+  constexpr usize kTrailerBytes = 8;  // FNV-1a
+  ASSERT_GT(file.size(), kHeaderBytes + kTrailerBytes);
+  const std::vector<u8> payload(file.begin() + kHeaderBytes,
+                                file.end() - kTrailerBytes);
+
+  // Mutate near a section boundary half the time, so the small sections
+  // behind the memory image see as many mutants as the image does.
+  std::vector<usize> sections;
+  for (usize at = 0; at + 4 <= payload.size(); ++at) {
+    if (payload[at] == 'T' && payload[at + 1] == 'C' &&
+        payload[at + 2] == 'E' && payload[at + 3] == 'S') {
+      sections.push_back(at);  // the little-endian "SECT" mark
+    }
+  }
+  ASSERT_GE(sections.size(), 9u);
+  const std::vector<std::vector<u8>> hostile = {
+      std::vector<u8>(8, 0xFF), std::vector<u8>(8, 0x00),
+      {0x00, 0x00, 0x00, 0x80}, {'T', 'C', 'E', 'S'},
+      {0x01}, {0xFF, 0xFF, 0xFF, 0x7F}, std::vector<u8>(4096, 0xA5)};
+
+  const workloads::Workload& workload = original->workload();
+  SplitMix64 rng(0x5A4F5EED);
+  usize restored = 0;
+  usize other_cell = 0;
+  usize failed = 0;
+  for (int round = 0; round < 1'000; ++round) {
+    std::vector<u8> mutant = payload;
+    std::string ops;
+    const u64 mutations = rng.next_range(1, 2);
+    for (u64 m = 0; m < mutations; ++m) {
+      usize at = 0;
+      if (rng.next_bool(0.5)) {
+        const usize mark = sections[rng.next_below(sections.size())];
+        at = std::min(mutant.size(), mark + rng.next_below(64));
+      } else {
+        at = rng.next_below(mutant.size() + 1);
+      }
+      ops += " @" + std::to_string(at);
+      switch (rng.next_below(4)) {
+        case 0:  // drop
+          if (at < mutant.size()) mutant.erase(mutant.begin() + at);
+          ops += " drop";
+          break;
+        case 1:  // duplicate
+          if (at < mutant.size()) {
+            mutant.insert(mutant.begin() + at, mutant[at]);
+          }
+          ops += " duplicate";
+          break;
+        case 2:  // swap
+          if (at < mutant.size()) {
+            const usize with = rng.next_below(mutant.size());
+            std::swap(mutant[at], mutant[with]);
+            ops += " swap with " + std::to_string(with);
+          }
+          break;
+        default: {  // splice
+          const usize pick = rng.next_below(hostile.size());
+          mutant.insert(mutant.begin() + at, hostile[pick].begin(),
+                        hostile[pick].end());
+          ops += " splice " + std::to_string(pick);
+        }
+      }
+    }
+    SnapshotWriter sealed;
+    sealed.put_bytes(mutant.data(), mutant.size());
+    ASSERT_TRUE(sealed.write_file(path, kSnapshotFormatVersion, &error))
+        << error;
+
+    Simulator fresh(workload, original->pipeline().config());
+    error.clear();
+    switch (load_snapshot(&fresh, path, identity, &error)) {
+      case SnapshotLoad::kRestored: ++restored; break;
+      case SnapshotLoad::kOtherCell: ++other_cell; break;
+      case SnapshotLoad::kFailed:
+        ++failed;
+        EXPECT_FALSE(error.empty()) << "round " << round << ":" << ops;
+        break;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Every outcome occurs, so none goes untested.
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(other_cell, 0u);
+  EXPECT_GT(failed, 500u);
+  fs::remove(path);
 }
 
 /// One settable CoreConfig value, moved off the REESE starting
