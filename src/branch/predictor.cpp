@@ -28,23 +28,19 @@ GsharePredictor::GsharePredictor(unsigned history_bits)
   assert(history_bits >= 2 && history_bits <= 24);
 }
 
-void GsharePredictor::save_state(SnapshotWriter* writer) const {
-  writer->put_u64(table_.size());
-  for (u8 counter : table_) writer->put_u64(counter);
-  writer->put_u64(ghr_);
+template <class Self, class Io>
+void GsharePredictor::layout(Self& self, Io& io) {
+  io.geometry(self.table_.size(),
+              "gshare table size mismatch (snapshot built with a different "
+              "predictor configuration)");
+  for (auto& counter : self.table_) io.template field_as<u64>(counter);
+  io.field(self.ghr_);
 }
 
-void GsharePredictor::load_state(SnapshotReader* reader) {
-  const u64 size = reader->get_u64();
-  if (!reader->ok()) return;
-  if (size != table_.size()) {
-    reader->fail("gshare table size mismatch (snapshot built with a "
-                 "different predictor configuration)");
-    return;
-  }
-  for (u8& counter : table_) counter = static_cast<u8>(reader->get_u64());
-  ghr_ = reader->get_u64();
+void GsharePredictor::save(SnapshotWriter* writer) const {
+  layout(*this, *writer);
 }
+void GsharePredictor::load(SnapshotReader* reader) { layout(*this, *reader); }
 
 const char* predictor_kind_name(PredictorKind kind) {
   switch (kind) {
@@ -105,54 +101,39 @@ void Btb::update(Addr pc, Addr target) {
   entries_[set_base + victim] = Entry{pc, target, true, tick_};
 }
 
-void Btb::save(SnapshotWriter* writer) const {
-  writer->put_u64(entries_.size());
-  for (const Entry& entry : entries_) {
-    writer->put_u64(entry.pc);
-    writer->put_u64(entry.target);
-    writer->put_bool(entry.valid);
-    writer->put_u64(entry.stamp);
+template <class Self, class Io>
+void Btb::layout(Self& self, Io& io) {
+  io.geometry(self.entries_.size(),
+              "btb geometry mismatch (snapshot built with a different "
+              "configuration)");
+  for (auto& entry : self.entries_) {
+    io.field(entry.pc);
+    io.field(entry.target);
+    io.field(entry.valid);
+    io.field(entry.stamp);
   }
-  writer->put_u64(tick_);
-  writer->put_u64(lookups_);
-  writer->put_u64(hits_);
+  io.field(self.tick_);
+  io.field(self.lookups_);
+  io.field(self.hits_);
 }
 
-void Btb::load(SnapshotReader* reader) {
-  const u64 entry_count = reader->get_u64();
-  if (!reader->ok()) return;
-  if (entry_count != entries_.size()) {
-    reader->fail("btb geometry mismatch (snapshot built with a different "
-                 "configuration)");
-    return;
-  }
-  for (Entry& entry : entries_) {
-    entry.pc = reader->get_u64();
-    entry.target = reader->get_u64();
-    entry.valid = reader->get_bool();
-    entry.stamp = reader->get_u64();
-  }
-  tick_ = reader->get_u64();
-  lookups_ = reader->get_u64();
-  hits_ = reader->get_u64();
+void Btb::save(SnapshotWriter* writer) const { layout(*this, *writer); }
+void Btb::load(SnapshotReader* reader) { layout(*this, *reader); }
+
+template <class Self, class Io>
+void ReturnAddressStack::layout(Self& self, Io& io) {
+  io.geometry(self.stack_.size(),
+              "return-address stack depth mismatch (snapshot built with a "
+              "different configuration)");
+  for (auto& entry : self.stack_) io.field(entry);
+  io.field(self.top_);
 }
 
 void ReturnAddressStack::save(SnapshotWriter* writer) const {
-  writer->put_u64(stack_.size());
-  for (Addr entry : stack_) writer->put_u64(entry);
-  writer->put_u64(top_);
+  layout(*this, *writer);
 }
-
 void ReturnAddressStack::load(SnapshotReader* reader) {
-  const u64 depth = reader->get_u64();
-  if (!reader->ok()) return;
-  if (depth != stack_.size()) {
-    reader->fail("return-address stack depth mismatch (snapshot built with "
-                 "a different configuration)");
-    return;
-  }
-  for (Addr& entry : stack_) entry = reader->get_u64();
-  top_ = static_cast<usize>(reader->get_u64());
+  layout(*this, *reader);
 }
 
 }  // namespace reese::branch

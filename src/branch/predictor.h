@@ -72,8 +72,8 @@ class GsharePredictor {
   u64 history() const { return ghr_; }
 
   /// Checkpoint serialization: the counter table and the global history.
-  void save_state(SnapshotWriter* writer) const;
-  void load_state(SnapshotReader* reader);
+  void save(SnapshotWriter* writer) const;
+  void load(SnapshotReader* reader);
 
   /// Component-site fault campaigns: flip one bit of a 2-bit pattern
   /// counter. Always lands (the table has no valid bits).
@@ -83,6 +83,9 @@ class GsharePredictor {
   }
 
  private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   usize index_of(Addr pc, u64 history) const {
     return static_cast<usize>(((pc >> 2) ^ history) & (table_.size() - 1));
   }
@@ -137,6 +140,10 @@ class Btb {
     bool valid = false;
     u64 stamp = 0;
   };
+
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   mutable std::vector<Entry> entries_;
   usize set_count_;
   u32 associativity_;
@@ -187,6 +194,9 @@ class ReturnAddressStack {
   void load(SnapshotReader* reader);
 
  private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   std::vector<Addr> stack_;
   usize top_ = 0;  ///< index one past the newest entry, wraps
   usize depth_;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "common/strutil.h"
 
@@ -45,16 +46,12 @@ void SnapshotWriter::put_le(u64 value, unsigned bytes) {
   }
 }
 
-void SnapshotWriter::put_f64(double value) {
-  put_u64(std::bit_cast<u64>(value));
-}
-
 void SnapshotWriter::put_bytes(const u8* data, usize size) {
   buf_.insert(buf_.end(), data, data + size);
 }
 
 void SnapshotWriter::put_string(const std::string& value) {
-  put_u32(static_cast<u32>(value.size()));
+  field(static_cast<u32>(value.size()));
   put_bytes(reinterpret_cast<const u8*>(value.data()), value.size());
 }
 
@@ -98,24 +95,25 @@ bool SnapshotWriter::write_file(const std::string& path, u32 version,
 bool SnapshotReader::open_file(const std::string& path, u32 expected_version) {
   ok_ = false;
   pos_ = 0;
+  end_ = 0;
   buf_.clear();
 
-  FILE* fp = std::fopen(path.c_str(), "rb");
+  // One read into the buffer that is parsed: the checksum is verified and
+  // the payload read in place.
+  std::error_code size_error;
+  const std::uintmax_t file_size = std::filesystem::file_size(path, size_error);
+  FILE* fp = size_error ? nullptr : std::fopen(path.c_str(), "rb");
   if (fp == nullptr) {
     error_ = "cannot open snapshot " + path;
     return false;
   }
-  std::vector<u8> file;
-  u8 chunk[1 << 16];
-  usize got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), fp)) > 0) {
-    file.insert(file.end(), chunk, chunk + got);
-  }
+  buf_.resize(file_size);
+  buf_.resize(std::fread(buf_.data(), 1, buf_.size(), fp));
   std::fclose(fp);
 
   const std::string label = "snapshot " + path;
-  const u8* data = file.data();
-  const usize size = file.size();
+  const u8* data = buf_.data();
+  const usize size = buf_.size();
   if (size < kHeaderSize + 8) {
     error_ = label + " is truncated (no header)";
     return false;
@@ -124,10 +122,10 @@ bool SnapshotReader::open_file(const std::string& path, u32 expected_version) {
     error_ = label + " has bad magic (not a REESE snapshot)";
     return false;
   }
-  version_ = static_cast<u32>(read_le(data + 8, 4));
-  if (version_ != expected_version) {
+  const u32 version = static_cast<u32>(read_le(data + 8, 4));
+  if (version != expected_version) {
     error_ = format("%s is format version %u, expected %u", label.c_str(),
-                    version_, expected_version);
+                    version, expected_version);
     return false;
   }
   const u64 payload_size = read_le(data + 12, 8);
@@ -146,7 +144,8 @@ bool SnapshotReader::open_file(const std::string& path, u32 expected_version) {
     return false;
   }
 
-  buf_.assign(data + kHeaderSize, data + kHeaderSize + payload_size);
+  pos_ = kHeaderSize;
+  end_ = kHeaderSize + payload_size;
   ok_ = true;
   error_.clear();
   return true;
@@ -154,7 +153,7 @@ bool SnapshotReader::open_file(const std::string& path, u32 expected_version) {
 
 u64 SnapshotReader::get_le(unsigned bytes) {
   if (!ok_) return 0;
-  if (pos_ + bytes > buf_.size()) {
+  if (pos_ + bytes > end_) {
     fail("snapshot payload over-read (truncated or out-of-sync)");
     return 0;
   }
@@ -163,13 +162,9 @@ u64 SnapshotReader::get_le(unsigned bytes) {
   return value;
 }
 
-u8 SnapshotReader::get_u8() { return static_cast<u8>(get_le(1)); }
-
-double SnapshotReader::get_f64() { return std::bit_cast<double>(get_u64()); }
-
 void SnapshotReader::get_bytes(u8* out, usize size) {
   if (!ok_) return;
-  if (pos_ + size > buf_.size()) {
+  if (size > end_ - pos_) {
     fail("snapshot payload over-read (truncated or out-of-sync)");
     return;
   }
@@ -178,8 +173,8 @@ void SnapshotReader::get_bytes(u8* out, usize size) {
 }
 
 std::string SnapshotReader::get_string() {
-  const u32 size = get_u32();
-  if (!ok_ || pos_ + size > buf_.size()) {
+  const u32 size = static_cast<u32>(get_le(4));
+  if (!ok_ || size > end_ - pos_) {
     fail("snapshot payload over-read (truncated or out-of-sync)");
     return {};
   }
@@ -188,11 +183,16 @@ std::string SnapshotReader::get_string() {
   return value;
 }
 
-bool SnapshotReader::expect_section(u32 tag) {
-  const u32 mark = get_u32();
-  const u32 found = get_u32();
+void SnapshotReader::geometry(u64 expected, const std::string& mismatch) {
+  const u64 stored = get_le(8);
+  if (ok_ && stored != expected) fail(mismatch);
+}
+
+bool SnapshotReader::section(u32 tag) {
+  const u32 mark = static_cast<u32>(get_le(4));
+  const u32 found = static_cast<u32>(get_le(4));
   if (!ok_) return false;
-  if (mark != 0x53454354 || found != tag) {
+  if (mark != SnapshotWriter::kSectionMark || found != tag) {
     fail(format("snapshot section mismatch: expected tag 0x%08x, found "
                 "0x%08x (mark 0x%08x)",
                 tag, found, mark));

@@ -95,47 +95,34 @@ void Histogram::reset() {
   max_ = 0;
 }
 
-void Histogram::save(SnapshotWriter* writer) const {
-  writer->put_u64(bucket_width_);
-  writer->put_u64(buckets_.size());
-  for (u64 bucket : buckets_) writer->put_u64(bucket);
-  writer->put_u64(overflow_);
-  writer->put_u64(count_);
-  writer->put_u64(sum_);
-  writer->put_u64(min_);
-  writer->put_u64(max_);
+template <class Self, class Io>
+void Histogram::layout(Self& self, Io& io) {
+  const std::string mismatch =
+      "histogram geometry mismatch (snapshot built with a different "
+      "configuration)";
+  io.geometry(self.bucket_width_, mismatch);
+  io.geometry(self.buckets_.size(), mismatch);
+  for (auto& bucket : self.buckets_) io.field(bucket);
+  io.field(self.overflow_);
+  io.field(self.count_);
+  io.field(self.sum_);
+  io.field(self.min_);
+  io.field(self.max_);
 }
 
-void Histogram::load(SnapshotReader* reader) {
-  const u64 width = reader->get_u64();
-  const u64 bucket_count = reader->get_u64();
-  if (!reader->ok()) return;
-  if (width != bucket_width_ || bucket_count != buckets_.size()) {
-    reader->fail("histogram geometry mismatch (snapshot built with a "
-                 "different configuration)");
-    return;
-  }
-  for (u64& bucket : buckets_) bucket = reader->get_u64();
-  overflow_ = reader->get_u64();
-  count_ = reader->get_u64();
-  sum_ = reader->get_u64();
-  min_ = reader->get_u64();
-  max_ = reader->get_u64();
+void Histogram::save(SnapshotWriter* writer) const { layout(*this, *writer); }
+void Histogram::load(SnapshotReader* reader) { layout(*this, *reader); }
+
+template <class Self, class Io>
+void RunningStat::layout(Self& self, Io& io) {
+  io.field(self.count_);
+  io.field(self.sum_);
+  io.field(self.min_);
+  io.field(self.max_);
 }
 
-void RunningStat::save(SnapshotWriter* writer) const {
-  writer->put_u64(count_);
-  writer->put_f64(sum_);
-  writer->put_f64(min_);
-  writer->put_f64(max_);
-}
-
-void RunningStat::load(SnapshotReader* reader) {
-  count_ = reader->get_u64();
-  sum_ = reader->get_f64();
-  min_ = reader->get_f64();
-  max_ = reader->get_f64();
-}
+void RunningStat::save(SnapshotWriter* writer) const { layout(*this, *writer); }
+void RunningStat::load(SnapshotReader* reader) { layout(*this, *reader); }
 
 namespace {
 

@@ -90,6 +90,9 @@ class Histogram {
   void load(SnapshotReader* reader);
 
  private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   u64 bucket_width_;
   std::vector<u64> buckets_;
   u64 overflow_ = 0;
@@ -139,6 +142,9 @@ class RunningStat {
   void load(SnapshotReader* reader);
 
  private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   u64 count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

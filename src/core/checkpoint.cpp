@@ -33,24 +33,6 @@ constexpr u32 kTagFu = 0x4655504C;
 constexpr u32 kTagReese = 0x52455345;
 constexpr u32 kTagStats = 0x53544154;
 
-void save_arch(SnapshotWriter* writer, const isa::ArchState& state) {
-  for (u64 reg : state.xregs) writer->put_u64(reg);
-  for (u64 reg : state.fregs) writer->put_u64(reg);
-  writer->put_u64(state.pc);
-  writer->put_bool(state.halted);
-  writer->put_u64(state.out_hash);
-  writer->put_u64(state.out_count);
-}
-
-void load_arch(SnapshotReader* reader, isa::ArchState* state) {
-  for (u64& reg : state->xregs) reg = reader->get_u64();
-  for (u64& reg : state->fregs) reg = reader->get_u64();
-  state->pc = reader->get_u64();
-  state->halted = reader->get_bool();
-  state->out_hash = reader->get_u64();
-  state->out_count = reader->get_u64();
-}
-
 }  // namespace
 
 bool Pipeline::quiescent() const {
@@ -69,78 +51,50 @@ bool Pipeline::drain_to_barrier(Cycle limit) {
   return quiescent();
 }
 
+template <class Self, class Io>
+void Pipeline::layout(Self& self, Io& io) {
+  io.section(kTagArch);
+  isa::ArchState::layout(self.front_state_, io);
+
+  io.section(kTagMemory);
+  io.part(self.memory_);
+
+  io.section(kTagRun);
+  io.field(self.now_);
+  io.field(self.next_seq_);
+  io.field(self.fetch_pc_);
+  io.field(self.fetch_stall_until_);
+  io.field(self.halted_);
+  io.field(self.bad_pc_);
+  io.field(self.fetch_done_);
+  io.field(self.lsq_ticket_head_);
+
+  io.section(kTagBranch);
+  io.part(self.gshare_);
+  io.part(self.btb_);
+  io.part(self.ras_);
+
+  io.section(kTagHier);
+  io.part(*self.hierarchy_);
+
+  io.section(kTagFu);
+  io.part(self.fu_pool_);
+
+  io.section(kTagReese);
+  io.field(self.reexec_counter_);
+
+  io.section(kTagStats);
+  io.part(self.stats_);
+}
+
 void Pipeline::save_state(SnapshotWriter* writer) const {
   assert(quiescent() && "pipeline must be drained before save_state");
-
-  writer->put_section(kTagArch);
-  save_arch(writer, front_state_);
-
-  writer->put_section(kTagMemory);
-  memory_.save(writer);
-
-  writer->put_section(kTagRun);
-  writer->put_u64(now_);
-  writer->put_u64(next_seq_);
-  writer->put_u64(fetch_pc_);
-  writer->put_u64(fetch_stall_until_);
-  writer->put_bool(halted_);
-  writer->put_bool(bad_pc_);
-  writer->put_bool(fetch_done_);
-  writer->put_u64(lsq_ticket_head_);
-
-  writer->put_section(kTagBranch);
-  gshare_.save_state(writer);
-  btb_.save(writer);
-  ras_.save(writer);
-
-  writer->put_section(kTagHier);
-  hierarchy_->save(writer);
-
-  writer->put_section(kTagFu);
-  fu_pool_.save(writer);
-
-  writer->put_section(kTagReese);
-  writer->put_u64(reexec_counter_);
-
-  writer->put_section(kTagStats);
-  stats_.save(writer);
+  layout(*this, *writer);
 }
 
 void Pipeline::load_state(SnapshotReader* reader) {
   assert(quiescent() && "load_state target must be freshly constructed");
-
-  if (!reader->expect_section(kTagArch)) return;
-  load_arch(reader, &front_state_);
-
-  if (!reader->expect_section(kTagMemory)) return;
-  memory_.load(reader);
-
-  if (!reader->expect_section(kTagRun)) return;
-  now_ = reader->get_u64();
-  next_seq_ = reader->get_u64();
-  fetch_pc_ = reader->get_u64();
-  fetch_stall_until_ = reader->get_u64();
-  halted_ = reader->get_bool();
-  bad_pc_ = reader->get_bool();
-  fetch_done_ = reader->get_bool();
-  lsq_ticket_head_ = reader->get_u64();
-
-  if (!reader->expect_section(kTagBranch)) return;
-  gshare_.load_state(reader);
-  btb_.load(reader);
-  ras_.load(reader);
-
-  if (!reader->expect_section(kTagHier)) return;
-  hierarchy_->load(reader);
-
-  if (!reader->expect_section(kTagFu)) return;
-  fu_pool_.load(reader);
-
-  if (!reader->expect_section(kTagReese)) return;
-  reexec_counter_ = reader->get_u64();
-
-  if (!reader->expect_section(kTagStats)) return;
-  stats_.load(reader);
+  layout(*this, *reader);
 }
 
 }  // namespace reese::core

@@ -37,26 +37,18 @@ double FuPool::utilization(FuKind kind, Cycle cycles) const {
                     cycles * next_free_[index].size());
 }
 
-void FuPool::save(SnapshotWriter* writer) const {
+template <class Self, class Io>
+void FuPool::layout(Self& self, Io& io) {
   for (usize kind = 0; kind < kFuKindCount; ++kind) {
-    writer->put_u64(next_free_[kind].size());
-    for (Cycle next_free : next_free_[kind]) writer->put_u64(next_free);
-    writer->put_u64(ops_issued_[kind]);
+    io.geometry(self.next_free_[kind].size(),
+                "functional-unit count mismatch (snapshot built with a "
+                "different configuration)");
+    for (auto& next_free : self.next_free_[kind]) io.field(next_free);
+    io.field(self.ops_issued_[kind]);
   }
 }
 
-void FuPool::load(SnapshotReader* reader) {
-  for (usize kind = 0; kind < kFuKindCount; ++kind) {
-    const u64 unit_count = reader->get_u64();
-    if (!reader->ok()) return;
-    if (unit_count != next_free_[kind].size()) {
-      reader->fail("functional-unit count mismatch (snapshot built with a "
-                   "different configuration)");
-      return;
-    }
-    for (Cycle& next_free : next_free_[kind]) next_free = reader->get_u64();
-    ops_issued_[kind] = reader->get_u64();
-  }
-}
+void FuPool::save(SnapshotWriter* writer) const { layout(*this, *writer); }
+void FuPool::load(SnapshotReader* reader) { layout(*this, *reader); }
 
 }  // namespace reese::core

@@ -102,6 +102,9 @@ class FuPool {
   void load(SnapshotReader* reader);
 
  private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   std::array<std::vector<Cycle>, kFuKindCount> next_free_;
   std::array<u64, kFuKindCount> ops_issued_{};
 };

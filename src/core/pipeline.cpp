@@ -44,7 +44,7 @@ void CoreConfig::save(SnapshotWriter* writer) const {
         static_cast<u32>(reese.scheme), reese.rqueue_size,
         u32{reese.early_release}, reese.reexec_interval,
         reese.min_separation}) {
-    writer->put_u32(value);
+    writer->field(value);
   }
 }
 

@@ -134,6 +134,10 @@ class Pipeline {
   std::string report() const;
 
  private:
+  /// The snapshot layout behind save_state/load_state (core/checkpoint.cpp).
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   // --- internal structures ----------------------------------------------
 
   /// A fetched instruction waiting in the fetch queue.

@@ -142,68 +142,30 @@ void export_core_stats(metrics::Registry* registry, const CoreStats& stats,
   }
 }
 
-void CoreStats::save(SnapshotWriter* writer) const {
-  writer->put_u64(cycles);
-  writer->put_u64(fetched);
-  writer->put_u64(dispatched);
-  writer->put_u64(wrongpath_dispatched);
-  writer->put_u64(issued_p);
-  writer->put_u64(issued_r);
-  writer->put_u64(committed);
-  writer->put_u64(committed_r);
-  writer->put_u64(rskipped);
-  writer->put_u64(ifq_full_stall_cycles);
-  writer->put_u64(ruu_full_stalls);
-  writer->put_u64(lsq_full_stalls);
-  writer->put_u64(icache_stall_cycles);
-  writer->put_u64(branches_resolved);
-  writer->put_u64(branch_mispredicts);
-  writer->put_u64(cond_branches_resolved);
-  writer->put_u64(cond_branch_mispredicts);
-  writer->put_u64(rqueue_enqueued);
-  writer->put_u64(rqueue_full_stall_cycles);
-  writer->put_u64(rpriority_cycles);
-  writer->put_u64(comparisons);
-  writer->put_u64(errors_detected);
-  for (u64 count : cycle_classes) writer->put_u64(count);
-  separation.save(writer);
-  issue_per_cycle.save(writer);
-  ruu_occupancy.save(writer);
-  lsq_occupancy.save(writer);
-  ifq_occupancy.save(writer);
-  rqueue_occupancy.save(writer);
+template <class Self, class Io>
+void CoreStats::layout(Self& self, Io& io) {
+  for (auto* counter :
+       {&self.cycles, &self.fetched, &self.dispatched,
+        &self.wrongpath_dispatched, &self.issued_p, &self.issued_r,
+        &self.committed, &self.committed_r, &self.rskipped,
+        &self.ifq_full_stall_cycles, &self.ruu_full_stalls,
+        &self.lsq_full_stalls, &self.icache_stall_cycles,
+        &self.branches_resolved, &self.branch_mispredicts,
+        &self.cond_branches_resolved, &self.cond_branch_mispredicts,
+        &self.rqueue_enqueued, &self.rqueue_full_stall_cycles,
+        &self.rpriority_cycles, &self.comparisons, &self.errors_detected}) {
+    io.field(*counter);
+  }
+  for (auto& count : self.cycle_classes) io.field(count);
+  io.part(self.separation);
+  io.part(self.issue_per_cycle);
+  io.part(self.ruu_occupancy);
+  io.part(self.lsq_occupancy);
+  io.part(self.ifq_occupancy);
+  io.part(self.rqueue_occupancy);
 }
 
-void CoreStats::load(SnapshotReader* reader) {
-  cycles = reader->get_u64();
-  fetched = reader->get_u64();
-  dispatched = reader->get_u64();
-  wrongpath_dispatched = reader->get_u64();
-  issued_p = reader->get_u64();
-  issued_r = reader->get_u64();
-  committed = reader->get_u64();
-  committed_r = reader->get_u64();
-  rskipped = reader->get_u64();
-  ifq_full_stall_cycles = reader->get_u64();
-  ruu_full_stalls = reader->get_u64();
-  lsq_full_stalls = reader->get_u64();
-  icache_stall_cycles = reader->get_u64();
-  branches_resolved = reader->get_u64();
-  branch_mispredicts = reader->get_u64();
-  cond_branches_resolved = reader->get_u64();
-  cond_branch_mispredicts = reader->get_u64();
-  rqueue_enqueued = reader->get_u64();
-  rqueue_full_stall_cycles = reader->get_u64();
-  rpriority_cycles = reader->get_u64();
-  comparisons = reader->get_u64();
-  errors_detected = reader->get_u64();
-  for (u64& count : cycle_classes) count = reader->get_u64();
-  separation.load(reader);
-  issue_per_cycle.load(reader);
-  ruu_occupancy.load(reader);
-  lsq_occupancy.load(reader);
-  ifq_occupancy.load(reader);
-  rqueue_occupancy.load(reader);
-}
+void CoreStats::save(SnapshotWriter* writer) const { layout(*this, *writer); }
+void CoreStats::load(SnapshotReader* reader) { layout(*this, *reader); }
 
 }  // namespace reese::core

@@ -88,6 +88,10 @@ struct CoreStats {
   /// restored run reports stats identical to an uninterrupted one.
   void save(SnapshotWriter* writer) const;
   void load(SnapshotReader* reader);
+
+ private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
 };
 
 /// Export every CoreStats counter/gauge into `registry` under the

@@ -62,6 +62,18 @@ struct ArchState {
     }
     ++out_count;
   }
+
+  /// Snapshot layout (common/snapshot.h): every register, the PC, the halt
+  /// flag and the OUT accumulator.
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io) {
+    for (auto& reg : self.xregs) io.field(reg);
+    for (auto& reg : self.fregs) io.field(reg);
+    io.field(self.pc);
+    io.field(self.halted);
+    io.field(self.out_hash);
+    io.field(self.out_count);
+  }
 };
 
 }  // namespace reese::isa

@@ -1,6 +1,5 @@
 #include "isa/assembler.h"
 
-#include <cassert>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,12 +72,12 @@ struct SourceInst {
   usize expansion = 1; // encoded instruction count
 };
 
-enum class DataKind { kBytes, kSpace, kAlign, kValueList };
+enum class DataKind { kBytes, kSpace, kValueList };
 
 struct DataItem {
   DataKind kind;
   std::vector<u8> bytes;              // kBytes (strings)
-  u64 amount = 0;                     // kSpace / kAlign
+  u64 amount = 0;                     // kSpace (.space, .align padding)
   unsigned value_size = 0;            // kValueList element size
   std::vector<std::string> values;    // kValueList expressions
   int line = 0;
@@ -178,6 +177,11 @@ class Assembler {
     bool in_text = true;
     usize inst_count = 0;  // encoded instructions so far
     u64 data_offset = 0;
+    // The stack grows down from kDefaultStackTop (isa/program.h), so the
+    // data segment must end below it.
+    const u64 data_limit = kDefaultStackTop > options_.data_base
+                               ? kDefaultStackTop - options_.data_base
+                               : 0;
 
     for (usize line_index = 0; line_index < lines.size(); ++line_index) {
       const int line_no = static_cast<int>(line_index) + 1;
@@ -225,6 +229,7 @@ class Assembler {
         DataItem item;
         item.line = line_no;
         item.addr = options_.data_base + data_offset;
+        u64 size = 0;  // bytes this directive adds to the data segment
         if (directive == ".byte" || directive == ".half" ||
             directive == ".word" || directive == ".dword") {
           item.kind = DataKind::kValueList;
@@ -238,26 +243,24 @@ class Assembler {
           if (item.values.empty()) {
             return at(line_no, directive + " needs at least one value");
           }
-          data_offset += item.value_size * item.values.size();
+          size = item.value_size * item.values.size();
         } else if (directive == ".space") {
           i64 n = 0;
           if (!parse_int(rest, &n) || n < 0) {
             return at(line_no, ".space: bad size");
           }
           item.kind = DataKind::kSpace;
-          item.amount = static_cast<u64>(n);
-          data_offset += item.amount;
+          size = static_cast<u64>(n);
         } else if (directive == ".align") {
           i64 n = 0;
           if (!parse_int(rest, &n) || n <= 0 || !is_pow2(static_cast<u64>(n))) {
             return at(line_no, ".align: need a power-of-two argument");
           }
-          item.kind = DataKind::kAlign;
-          item.amount = static_cast<u64>(n);
-          const u64 aligned =
-              (data_offset + item.amount - 1) & ~(item.amount - 1);
-          item.bytes.resize(aligned - data_offset);  // reuse as pad size
-          data_offset = aligned;
+          // Padding to the next multiple of n. data_offset stays within
+          // data_limit and n below 2^63, so the sum cannot wrap.
+          const u64 align = static_cast<u64>(n);
+          item.kind = DataKind::kSpace;
+          size = ((data_offset + align - 1) & ~(align - 1)) - data_offset;
         } else if (directive == ".asciiz" || directive == ".ascii") {
           item.kind = DataKind::kBytes;
           std::string decoded;
@@ -266,10 +269,21 @@ class Assembler {
           }
           item.bytes.assign(decoded.begin(), decoded.end());
           if (directive == ".asciiz") item.bytes.push_back(0);
-          data_offset += item.bytes.size();
+          size = item.bytes.size();
         } else {
           return at(line_no, "unknown directive " + directive);
         }
+        // Checked before pass 2 allocates the image, so a huge .space or
+        // .align is an error rather than an allocation failure.
+        if (size > data_limit - data_offset) {
+          return at(line_no,
+                    format("%s: data segment would run past the stack top "
+                           "0x%llx",
+                           directive.c_str(),
+                           static_cast<unsigned long long>(kDefaultStackTop)));
+        }
+        if (item.kind == DataKind::kSpace) item.amount = size;
+        data_offset += size;
         parsed_.data_items.push_back(std::move(item));
         continue;
       }
@@ -437,14 +451,18 @@ class Assembler {
       } else {
         auto addr = imm_operand(inst, 1);
         if (!addr.ok()) return addr.error();
-        emit_la(rd.value(), addr.value());
+        if (auto r = emit_la(inst, rd.value(), addr.value()); !r.ok()) {
+          return r.error();
+        }
       }
     } else if (m == "la") {
       auto rd = reg_operand(inst, 0, false);
       if (!rd.ok()) return rd.error();
       auto addr = imm_operand(inst, 1);
       if (!addr.ok()) return addr.error();
-      emit_la(rd.value(), addr.value());
+      if (auto r = emit_la(inst, rd.value(), addr.value()); !r.ok()) {
+        return r.error();
+      }
     } else if (m == "mv") {
       auto rd = reg_operand(inst, 0, false);
       auto rs = reg_operand(inst, 1, false);
@@ -549,12 +567,18 @@ class Assembler {
     return true;
   }
 
-  void emit_la(u8 rd, i64 addr) {
+  Result<bool> emit_la(const SourceInst& inst, u8 rd, i64 addr) {
     const i64 lo = sign_extend(static_cast<u64>(addr), kImm14Bits);
-    const i64 hi = (addr - lo) >> 14;
-    assert(fits_signed(hi, kImm19Bits) && "address out of la range");
+    // Unsigned, so a far address wraps and fails the range check below
+    // instead of overflowing.
+    const i64 hi = static_cast<i64>(static_cast<u64>(addr) -
+                                    static_cast<u64>(lo)) >> 14;
+    if (!fits_signed(hi, kImm19Bits)) {
+      return at(inst.line, inst.mnemonic + ": address out of range");
+    }
     emit({Opcode::kLui, rd, 0, 0, hi});
     emit({Opcode::kAddi, rd, rd, 0, lo});
+    return true;
   }
 
   Result<bool> encode_real(const SourceInst& inst, Opcode op) {
@@ -666,8 +690,10 @@ class Assembler {
   }
 
   Result<bool> pass2() {
+    std::vector<int> lines;  // source line of each emitted instruction
     for (const SourceInst& inst : parsed_.insts) {
       if (auto r = encode_source_inst(inst); !r.ok()) return r.error();
+      lines.resize(emitted_.size(), inst.line);
     }
     // Encode to words (also validates immediate ranges).
     program_.code = emitted_;
@@ -675,10 +701,9 @@ class Assembler {
     for (usize i = 0; i < emitted_.size(); ++i) {
       auto word = encode(emitted_[i]);
       if (!word.ok()) {
-        Error e = word.error();
-        e.message = "at instruction " + std::to_string(i) + " (" +
-                    disassemble(emitted_[i]) + "): " + e.message;
-        return e;
+        return at(lines[i], "at instruction " + std::to_string(i) + " (" +
+                                disassemble(emitted_[i]) +
+                                "): " + word.error().message);
       }
       program_.words.push_back(word.value());
     }
@@ -694,9 +719,6 @@ class Assembler {
           break;
         case DataKind::kSpace:
           grow_data(offset + item.amount);
-          break;
-        case DataKind::kAlign:
-          grow_data(offset + item.bytes.size());
           break;
         case DataKind::kValueList: {
           grow_data(offset + item.value_size * item.values.size());

@@ -130,55 +130,39 @@ u32 Cache::access(Addr addr, bool is_write) {
   return access_one_line(first_line, is_write);
 }
 
-void Cache::save(SnapshotWriter* writer) const {
-  writer->put_u64(lines_.size());
-  for (const Line& line : lines_) {
-    writer->put_u64(line.tag);
-    writer->put_bool(line.valid);
-    writer->put_bool(line.dirty);
-    writer->put_u64(line.stamp);
+template <class Self, class Io>
+void Cache::layout(Self& self, Io& io) {
+  io.geometry(self.lines_.size(),
+              "cache '" + self.config_.name +
+                  "' geometry mismatch (snapshot built with a different "
+                  "configuration)");
+  for (auto& line : self.lines_) {
+    io.field(line.tag);
+    io.field(line.valid);
+    io.field(line.dirty);
+    io.field(line.stamp);
   }
-  writer->put_u64(stats_.accesses);
-  writer->put_u64(stats_.hits);
-  writer->put_u64(stats_.misses);
-  writer->put_u64(stats_.read_accesses);
-  writer->put_u64(stats_.write_accesses);
-  writer->put_u64(stats_.evictions);
-  writer->put_u64(stats_.writebacks);
-  writer->put_u64(tick_);
+  io.field(self.stats_.accesses);
+  io.field(self.stats_.hits);
+  io.field(self.stats_.misses);
+  io.field(self.stats_.read_accesses);
+  io.field(self.stats_.write_accesses);
+  io.field(self.stats_.evictions);
+  io.field(self.stats_.writebacks);
+  io.field(self.tick_);
 }
 
-void Cache::load(SnapshotReader* reader) {
-  const u64 line_count = reader->get_u64();
-  if (!reader->ok()) return;
-  if (line_count != lines_.size()) {
-    reader->fail("cache '" + config_.name +
-                 "' geometry mismatch (snapshot built with a different "
-                 "configuration)");
-    return;
-  }
-  for (Line& line : lines_) {
-    line.tag = reader->get_u64();
-    line.valid = reader->get_bool();
-    line.dirty = reader->get_bool();
-    line.stamp = reader->get_u64();
-  }
-  stats_.accesses = reader->get_u64();
-  stats_.hits = reader->get_u64();
-  stats_.misses = reader->get_u64();
-  stats_.read_accesses = reader->get_u64();
-  stats_.write_accesses = reader->get_u64();
-  stats_.evictions = reader->get_u64();
-  stats_.writebacks = reader->get_u64();
-  tick_ = reader->get_u64();
+void Cache::save(SnapshotWriter* writer) const { layout(*this, *writer); }
+void Cache::load(SnapshotReader* reader) { layout(*this, *reader); }
+
+template <class Self, class Io>
+void FlatMemoryLevel::layout(Self& self, Io& io) {
+  io.field(self.accesses_);
 }
 
 void FlatMemoryLevel::save(SnapshotWriter* writer) const {
-  writer->put_u64(accesses_);
+  layout(*this, *writer);
 }
-
-void FlatMemoryLevel::load(SnapshotReader* reader) {
-  accesses_ = reader->get_u64();
-}
+void FlatMemoryLevel::load(SnapshotReader* reader) { layout(*this, *reader); }
 
 }  // namespace reese::mem

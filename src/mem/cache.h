@@ -73,6 +73,9 @@ class FlatMemoryLevel final : public MemoryLevel {
   void load(SnapshotReader* reader);
 
  private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   u32 latency_;
   std::string name_;
   u64 accesses_ = 0;
@@ -141,6 +144,9 @@ class Cache final : public MemoryLevel {
     bool dirty = false;
     u64 stamp = 0;  ///< last-use time (LRU)
   };
+
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
 
   u32 access_one_line(Addr addr, bool is_write);
   usize victim_way(usize set_base);

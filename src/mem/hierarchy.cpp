@@ -28,25 +28,19 @@ u32 Hierarchy::data_access(Addr addr, bool is_write) {
   return latency + dtlb_->access(addr, /*is_write=*/false);
 }
 
-void Hierarchy::save(SnapshotWriter* writer) const {
-  dram_->save(writer);
-  page_walk_->save(writer);
-  ul2_->save(writer);
-  il1_->save(writer);
-  dl1_->save(writer);
-  itlb_->save(writer);
-  dtlb_->save(writer);
+template <class Self, class Io>
+void Hierarchy::layout(Self& self, Io& io) {
+  io.part(*self.dram_);
+  io.part(*self.page_walk_);
+  io.part(*self.ul2_);
+  io.part(*self.il1_);
+  io.part(*self.dl1_);
+  io.part(*self.itlb_);
+  io.part(*self.dtlb_);
 }
 
-void Hierarchy::load(SnapshotReader* reader) {
-  dram_->load(reader);
-  page_walk_->load(reader);
-  ul2_->load(reader);
-  il1_->load(reader);
-  dl1_->load(reader);
-  itlb_->load(reader);
-  dtlb_->load(reader);
-}
+void Hierarchy::save(SnapshotWriter* writer) const { layout(*this, *writer); }
+void Hierarchy::load(SnapshotReader* reader) { layout(*this, *reader); }
 
 std::string Hierarchy::report() const {
   std::string out;

@@ -79,6 +79,9 @@ class Hierarchy {
   std::string report() const;
 
  private:
+  template <class Self, class Io>
+  static void layout(Self& self, Io& io);
+
   std::unique_ptr<FlatMemoryLevel> dram_;
   std::unique_ptr<FlatMemoryLevel> page_walk_;
   std::unique_ptr<Cache> ul2_;

@@ -137,12 +137,12 @@ void MainMemory::save(SnapshotWriter* writer) const {
   for (const auto& [page_index, page] : pages_) indices.push_back(page_index);
   std::sort(indices.begin(), indices.end());
 
-  writer->put_u64(indices.size());
+  writer->field(indices.size());
   for (u64 index : indices) {
-    writer->put_u64(index);
+    writer->field(index);
     writer->put_bytes(pages_.at(index)->data(), kPageSize);
   }
-  writer->put_u64(content_hash());
+  writer->field(content_hash());
 }
 
 void MainMemory::load(SnapshotReader* reader) {

@@ -89,6 +89,8 @@ class MainMemory {
   /// Checkpoint serialization: a sparse page dump (every allocated page,
   /// address-ordered) followed by the content hash, which load() recomputes
   /// and verifies so a corrupted memory image fails loudly at restore time.
+  /// No shared field list (common/snapshot.h): the writer sorts the pages,
+  /// and the reader rebuilds each one and re-hashes the image.
   void save(SnapshotWriter* writer) const;
   void load(SnapshotReader* reader);
 

@@ -30,102 +30,78 @@ void accumulate_stratum(StratumCount* stratum, const faults::FaultRecord& r) {
   }
 }
 
-void put_stratum(SnapshotWriter* writer, const StratumCount& stratum) {
-  writer->put_u64(stratum.injected);
-  writer->put_u64(stratum.detected);
-  writer->put_u64(stratum.undetected);
+template <class Stratum, class Io>
+void stratum_layout(Stratum& stratum, Io& io) {
+  io.field(stratum.injected);
+  io.field(stratum.detected);
+  io.field(stratum.undetected);
 }
 
-void get_stratum(SnapshotReader* reader, StratumCount* stratum) {
-  stratum->injected = reader->get_u64();
-  stratum->detected = reader->get_u64();
-  stratum->undetected = reader->get_u64();
+template <class Stratum, class Io>
+void pc_stratum_layout(Stratum& stratum, Io& io) {
+  stratum_layout(stratum, io);
+  io.field(stratum.ace);
+  io.field(stratum.masked);
+  io.field(stratum.window_pending);
+  io.field(stratum.window_sum);
+}
+
+// The record's two variable-length parts, the latency buckets and the
+// by_pc map, are each a count and then the entries.
+void latency_buckets(const std::vector<u64>& buckets, SnapshotWriter& writer) {
+  writer.field(buckets.size());
+  for (u64 bucket : buckets) writer.field(bucket);
+}
+
+void latency_buckets(std::vector<u64>& buckets, SnapshotReader& reader) {
+  const u64 count = reader.get_u64();
+  if (count > kLatencyBucketCount) {
+    reader.fail("campaign record holds more than 64 latency buckets");
+    return;
+  }
+  buckets.resize(count);
+  for (u64& bucket : buckets) reader.field(bucket);
+}
+
+void pc_strata(const std::map<Addr, PcStratum>& by_pc, SnapshotWriter& writer) {
+  writer.field(by_pc.size());
+  for (const auto& [pc, stratum] : by_pc) {
+    writer.field(pc);
+    pc_stratum_layout(stratum, writer);
+  }
+}
+
+void pc_strata(std::map<Addr, PcStratum>& by_pc, SnapshotReader& reader) {
+  const u64 count = reader.get_u64();
+  for (u64 i = 0; reader.ok() && i < count; ++i) {
+    const Addr pc = reader.get_u64();
+    pc_stratum_layout(by_pc[pc], reader);
+  }
+}
+
+/// A campaign cell's done-record payload.
+template <class Cell, class Io>
+void cell_layout(Cell& cell, Io& io) {
+  for (auto* count :
+       {&cell.injected, &cell.detected, &cell.undetected, &cell.pending,
+        &cell.duplicate_reports, &cell.committed, &cell.cycles, &cell.masked,
+        &cell.sdc, &cell.coverage_loss, &cell.latency_sum,
+        &cell.latency_count, &cell.latency_min, &cell.latency_max,
+        &cell.latency_overflow}) {
+    io.field(*count);
+  }
+  latency_buckets(cell.latency_buckets, io);
+  for (auto& stratum : cell.by_class) stratum_layout(stratum, io);
+  stratum_layout(cell.p_side, io);
+  stratum_layout(cell.r_side, io);
+  pc_strata(cell.by_pc, io);
 }
 
 }  // namespace
 
 void put_campaign_cell(SnapshotWriter* writer, const CampaignCell& cell) {
-  writer->put_u64(cell.injected);
-  writer->put_u64(cell.detected);
-  writer->put_u64(cell.undetected);
-  writer->put_u64(cell.pending);
-  writer->put_u64(cell.duplicate_reports);
-  writer->put_u64(cell.committed);
-  writer->put_u64(cell.cycles);
-  writer->put_u64(cell.masked);
-  writer->put_u64(cell.sdc);
-  writer->put_u64(cell.coverage_loss);
-  writer->put_u64(cell.latency_sum);
-  writer->put_u64(cell.latency_count);
-  writer->put_u64(cell.latency_min);
-  writer->put_u64(cell.latency_max);
-  writer->put_u64(cell.latency_overflow);
-  writer->put_u64(cell.latency_buckets.size());
-  for (u64 bucket : cell.latency_buckets) writer->put_u64(bucket);
-  for (const StratumCount& stratum : cell.by_class) {
-    put_stratum(writer, stratum);
-  }
-  put_stratum(writer, cell.p_side);
-  put_stratum(writer, cell.r_side);
-  writer->put_u64(cell.by_pc.size());
-  for (const auto& [pc, stratum] : cell.by_pc) {
-    writer->put_u64(pc);
-    writer->put_u64(stratum.injected);
-    writer->put_u64(stratum.detected);
-    writer->put_u64(stratum.undetected);
-    writer->put_u64(stratum.ace);
-    writer->put_u64(stratum.masked);
-    writer->put_u64(stratum.window_pending);
-    writer->put_u64(stratum.window_sum);
-  }
+  cell_layout(cell, *writer);
 }
-
-namespace {
-
-bool get_campaign_cell(SnapshotReader* reader, CampaignCell* cell) {
-  CampaignCell loaded;
-  loaded.injected = reader->get_u64();
-  loaded.detected = reader->get_u64();
-  loaded.undetected = reader->get_u64();
-  loaded.pending = reader->get_u64();
-  loaded.duplicate_reports = reader->get_u64();
-  loaded.committed = reader->get_u64();
-  loaded.cycles = reader->get_u64();
-  loaded.masked = reader->get_u64();
-  loaded.sdc = reader->get_u64();
-  loaded.coverage_loss = reader->get_u64();
-  loaded.latency_sum = reader->get_u64();
-  loaded.latency_count = reader->get_u64();
-  loaded.latency_min = reader->get_u64();
-  loaded.latency_max = reader->get_u64();
-  loaded.latency_overflow = reader->get_u64();
-  const u64 bucket_count = reader->get_u64();
-  if (!reader->ok() || bucket_count > kLatencyBucketCount) return false;
-  loaded.latency_buckets.resize(bucket_count);
-  for (u64& bucket : loaded.latency_buckets) bucket = reader->get_u64();
-  for (StratumCount& stratum : loaded.by_class) {
-    get_stratum(reader, &stratum);
-  }
-  get_stratum(reader, &loaded.p_side);
-  get_stratum(reader, &loaded.r_side);
-  const u64 pc_count = reader->get_u64();
-  for (u64 i = 0; reader->ok() && i < pc_count; ++i) {
-    const Addr pc = reader->get_u64();
-    PcStratum& stratum = loaded.by_pc[pc];
-    stratum.injected = reader->get_u64();
-    stratum.detected = reader->get_u64();
-    stratum.undetected = reader->get_u64();
-    stratum.ace = reader->get_u64();
-    stratum.masked = reader->get_u64();
-    stratum.window_pending = reader->get_u64();
-    stratum.window_sum = reader->get_u64();
-  }
-  if (!reader->ok()) return false;
-  *cell = std::move(loaded);
-  return true;
-}
-
-}  // namespace
 
 const char* exec_class_label(usize class_index) {
   static const char* kLabels[kExecClassCount] = {
@@ -569,7 +545,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     if (ckpt.resume && !done_path.empty() &&
         load_done_record(done_path, identity,
                          [&recorded](SnapshotReader* reader) {
-                           return get_campaign_cell(reader, &recorded);
+                           cell_layout(recorded, *reader);
                          })) {
       cell = std::move(recorded);
       return cell.committed;
@@ -725,7 +701,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
 
     if (!done_path.empty()) {
       save_done_record(done_path, identity, [&cell](SnapshotWriter* writer) {
-        put_campaign_cell(writer, cell);
+        cell_layout(cell, *writer);
       });
     }
     return cell.committed;

@@ -26,7 +26,7 @@ u64 cell_identity(const std::string& workload, const core::CoreConfig& config,
   SnapshotWriter bytes;
   bytes.put_string(workload);
   config.save(&bytes);
-  for (u64 value : values) bytes.put_u64(value);
+  for (u64 value : values) bytes.field(value);
   return snapshot_fnv1a(bytes.bytes().data(), bytes.bytes().size());
 }
 
@@ -39,10 +39,10 @@ bool save_snapshot(Simulator* simulator, const std::string& path,
     return false;
   }
   SnapshotWriter writer;
-  writer.put_section(kTagMeta);
-  writer.put_u64(identity);
+  writer.section(kTagMeta);
+  writer.field(identity);
   writer.put_string(simulator->workload().name);
-  writer.put_u64(pipeline.stats().committed);
+  writer.field(pipeline.stats().committed);
   pipeline.save_state(&writer);
   return writer.write_file(path, kSnapshotFormatVersion, error);
 }
@@ -55,7 +55,7 @@ SnapshotLoad load_snapshot(Simulator* simulator, const std::string& path,
     return SnapshotLoad::kFailed;
   };
   if (!reader.open_file(path, kSnapshotFormatVersion) ||
-      !reader.expect_section(kTagMeta)) {
+      !reader.section(kTagMeta)) {
     return fail(reader.error());
   }
   const u64 written_for = reader.get_u64();

@@ -300,6 +300,15 @@ void maybe_write_csv(const ExperimentResult& result) {
   }
 }
 
+/// A finished cell's done-record payload.
+template <class Cell, class Io>
+void cell_layout(Cell& cell, Io& io) {
+  io.template field_as<u32>(cell.stop);
+  io.field(cell.ipc);
+  io.field(cell.cycles);
+  io.field(cell.committed);
+}
+
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
@@ -363,12 +372,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     if (ckpt.resume && !cell_base.empty() &&
         load_done_record(cell_base + ".done", identity,
                          [&recorded](SnapshotReader* reader) {
-                           recorded.stop = static_cast<core::StopReason>(
-                               reader->get_u32());
-                           recorded.ipc = reader->get_f64();
-                           recorded.cycles = reader->get_u64();
-                           recorded.committed = reader->get_u64();
-                           return true;
+                           cell_layout(recorded, *reader);
                          })) {
       cell = recorded;
       return cell.committed;
@@ -403,10 +407,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     if (!cell_base.empty()) {
       save_done_record(cell_base + ".done", identity,
                        [&cell](SnapshotWriter* writer) {
-                         writer->put_u32(static_cast<u32>(cell.stop));
-                         writer->put_f64(cell.ipc);
-                         writer->put_u64(cell.cycles);
-                         writer->put_u64(cell.committed);
+                         cell_layout(cell, *writer);
                        });
       std::remove((cell_base + ".snap").c_str());
     }

@@ -99,8 +99,8 @@ void declare_grid_flags(Flags* flags, GridSpec* spec) {
 void save_done_record(const std::string& path, u64 identity,
                       const std::function<void(SnapshotWriter*)>& put_payload) {
   SnapshotWriter writer;
-  writer.put_section(kDoneRecordTag);
-  writer.put_u64(identity);
+  writer.section(kDoneRecordTag);
+  writer.field(identity);
   put_payload(&writer);
   std::string error;
   if (!writer.write_file(path, kSnapshotFormatVersion, &error)) {
@@ -110,12 +110,13 @@ void save_done_record(const std::string& path, u64 identity,
 
 bool load_done_record(
     const std::string& path, u64 identity,
-    const std::function<bool(SnapshotReader*)>& get_payload) {
+    const std::function<void(SnapshotReader*)>& get_payload) {
   SnapshotReader reader;
   if (!reader.open_file(path, kSnapshotFormatVersion)) return false;
-  if (!reader.expect_section(kDoneRecordTag)) return false;
+  if (!reader.section(kDoneRecordTag)) return false;
   if (reader.get_u64() != identity) return false;
-  return get_payload(&reader) && reader.ok() && reader.at_end();
+  get_payload(&reader);
+  return reader.ok() && reader.at_end();
 }
 
 }  // namespace reese::sim

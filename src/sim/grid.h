@@ -111,12 +111,12 @@ void save_done_record(const std::string& path, u64 identity,
                       const std::function<void(SnapshotWriter*)>& put_payload);
 
 /// Read the done-record `path`. True only when the file is intact, holds a
-/// DONE section written for `identity`, and `get_payload` accepts the rest
-/// and consumes it exactly; `get_payload` should therefore read into a
-/// temporary. Any other file (missing, corrupt, written for another cell or
-/// in an older record format) returns false, and the caller runs the cell
-/// again.
+/// DONE section written for `identity`, and `get_payload` reads the rest
+/// without a reader error and consumes it exactly; `get_payload` should
+/// therefore read into a temporary. Any other file (missing, corrupt,
+/// written for another cell or in an older record format) returns false,
+/// and the caller runs the cell again.
 bool load_done_record(const std::string& path, u64 identity,
-                      const std::function<bool(SnapshotReader*)>& get_payload);
+                      const std::function<void(SnapshotReader*)>& get_payload);
 
 }  // namespace reese::sim

@@ -75,8 +75,8 @@ class ForestBuilder {
 
 Workload make_gcc_like(const WorkloadOptions& options) {
   SplitMix64 rng(options.seed ^ 0x6CC);
-  const usize max_nodes = 768 * options.scale;
-  const usize num_roots = 48 * options.scale;
+  const usize max_nodes = 768;
+  const usize num_roots = 48;
 
   // Nodes table sits at the start of .data.
   const Addr nodes_base = isa::kDefaultDataBase;

@@ -13,7 +13,7 @@
 namespace reese::workloads {
 
 Workload make_li_like(const WorkloadOptions& options) {
-  const u64 pool_cells = 2048 * options.scale;
+  const u64 pool_cells = 2048;
 
   std::string source;
   source += program_shell("kernel", options.iterations);

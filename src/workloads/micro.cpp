@@ -80,7 +80,7 @@ dep_loop:
 }
 
 Workload make_mem_stream(const WorkloadOptions& options) {
-  const u64 bytes = 262144ULL * options.scale;  // 256 KiB: spills L1, fits L2
+  const u64 bytes = 262144;  // 256 KiB: spills L1, fits L2
   std::string source = program_shell("kernel", options.iterations);
   source += format(R"(
 # Streaming read-modify-write over a buffer larger than L1.
@@ -116,7 +116,7 @@ buffer: .space %llu
 
 Workload make_pointer_chase(const WorkloadOptions& options) {
   SplitMix64 rng(options.seed ^ 0xC4A5E);
-  const usize entries = 8192 * options.scale;  // 64 KiB of pointers
+  const usize entries = 8192;  // 64 KiB of pointers
 
   // Random single-cycle permutation (Sattolo's algorithm) so the chase
   // visits every slot before repeating.

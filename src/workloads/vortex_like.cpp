@@ -14,7 +14,7 @@
 namespace reese::workloads {
 
 Workload make_vortex_like(const WorkloadOptions& options) {
-  const u64 record_count = 256 * options.scale;
+  const u64 record_count = 256;
 
   std::string source;
   source += program_shell("kernel", options.iterations);

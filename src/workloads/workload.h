@@ -30,8 +30,6 @@ struct WorkloadOptions {
   u64 seed = 0x5EED5EED;
   /// Outer-loop iterations; 0 = loop forever.
   u64 iterations = 0;
-  /// Scale factor >= 1 enlarging data structures (working-set studies).
-  u32 scale = 1;
 };
 
 struct Workload {

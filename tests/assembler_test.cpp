@@ -1,13 +1,21 @@
 // Assembler tests: syntax, directives, pseudo-instruction expansion
 // (including the li constant-materialization property test), label
 // resolution and error reporting.
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/bitutil.h"
+#include "common/diag.h"
 #include "common/rng.h"
 #include "isa/assembler.h"
 #include "isa/encoding.h"
 #include "isa/iss.h"
+#include "workloads/fuzz.h"
 
 namespace reese::isa {
 namespace {
@@ -300,6 +308,21 @@ TEST(Assembler, ErrorBadString) {
   EXPECT_FALSE(assemble(".data\n.asciiz \"unterminated\n").ok());
 }
 
+TEST(Assembler, ErrorDataPastStackTop) {
+  // The data segment starts at 0x100000 and must end by the stack top,
+  // 0x8000000: one byte more is an error on the line that asks for it,
+  // found before anything is allocated.
+  EXPECT_NE(err(".data\nx: .space 0x7F00001\n").find("line 2: .space: data "
+                                                     "segment would run past "
+                                                     "the stack top"),
+            std::string::npos);
+  EXPECT_NE(err(".data\n.byte 1\n.align 0x4000000000000000\n")
+                .find("line 3: .align"),
+            std::string::npos);
+  EXPECT_NE(err(".data\n.space 0x7EFFFFF\n.word 1\n").find("line 3"),
+            std::string::npos);
+}
+
 TEST(Assembler, CustomBases) {
   AsmOptions options;
   options.code_base = 0x4000;
@@ -318,6 +341,126 @@ TEST(Assembler, WordsMatchDecodedCode) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value(), p.code[i]);
   }
+}
+
+std::string read_source(const std::filesystem::path& path) {
+  std::ifstream file(path);
+  std::stringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// The mutation log and the mutant's first 120 bytes, for a failure message.
+std::string describe(const std::string& ops, const std::string& source) {
+  return ops + ": " + json_escape(source.substr(0, 120));
+}
+
+TEST(Assembler, SurvivesSeededHostileSource) {
+  // The shipped example programs and a few generated ones, cut into
+  // whitespace-separated tokens (a newline is a token of its own) and
+  // mutated by dropping, duplicating and swapping tokens and by splicing in
+  // hostile ones: data directives that run past the stack top, out-of-range
+  // literals, unterminated strings and stray labels. Every mutant assembles
+  // or returns a line-numbered error.
+  const std::filesystem::path examples =
+      std::filesystem::path(REESE_SOURCE_DIR) / "examples";
+  std::vector<std::string> sources;
+  for (const char* name : {"asm/fib.s", "asm/hello_sum.s", "srv/gcd.srv",
+                           "srv/sieve.srv", "srv/sum_array.srv"}) {
+    sources.push_back(read_source(examples / name));
+    ASSERT_FALSE(sources.back().empty()) << name;
+  }
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    workloads::FuzzOptions options;
+    options.seed = seed;
+    options.segments = 12;
+    sources.push_back(workloads::generate_fuzz_source(options));
+  }
+  std::vector<std::vector<std::string>> seeds;
+  for (const std::string& source : sources) {
+    std::vector<std::string> tokens;
+    std::string token;
+    for (const char c : source + "\n") {
+      if (c == ' ' || c == '\t' || c == '\n') {
+        if (!token.empty()) tokens.push_back(token);
+        token.clear();
+        if (c == '\n') tokens.emplace_back("\n");
+      } else {
+        token.push_back(c);
+      }
+    }
+    seeds.push_back(tokens);
+  }
+  const std::vector<std::string> hostile = {
+      "\n.data\n", "\n.text\n", "\n", ",", ":", "label:", "main:",
+      "fib:", "x: y: z:", "\"unterminated", ".asciiz \"abc\\",
+      "\n.space 4611686018427387904\n", "\n.space 9223372036854775807\n",
+      "\n.space 134217728\n", "\n.space -1\n",
+      "\n.align 4611686018427387904\n", "\n.align 3\n", "\n.align 0\n",
+      "\n.dword 18446744073709551616, label+9223372036854775807\n",
+      "\nli t0, 0x7fffffffffffffff\n", "\nli t0, -9223372036854775808\n",
+      "\nli t0, 99999999999999999999999\n", "\nla t0, nowhere+1\n",
+      "\nla t0, 0x7fffffffffffffff\n",
+      "\nld a0, 9223372036854775807(sp)\n", "\nbeq t0, t0, 0x7ffffffc\n",
+      "\nj -4611686018427387904\n", std::string(4096, 'x'), "\xff\xfe\x80",
+      "0x", "-", "+", "(sp)", "t0,", "%hi(x)"};
+  SplitMix64 rng(0xA55E5EED);
+  usize assembled = 0;
+  usize refused = 0;
+  for (int round = 0; round < 4'000; ++round) {
+    std::vector<std::string> tokens = seeds[rng.next_below(seeds.size())];
+    std::string ops;
+    const u64 mutations = rng.next_range(1, 4);
+    for (u64 m = 0; m < mutations; ++m) {
+      const usize at = rng.next_below(tokens.size() + 1);
+      ops += " @" + std::to_string(at);
+      switch (rng.next_below(4)) {
+        case 0:  // drop
+          if (at < tokens.size()) tokens.erase(tokens.begin() + at);
+          ops += " drop";
+          break;
+        case 1:  // duplicate
+          if (at < tokens.size()) {
+            tokens.insert(tokens.begin() + at, tokens[at]);
+          }
+          ops += " duplicate";
+          break;
+        case 2:  // swap
+          if (at < tokens.size()) {
+            const usize with = rng.next_below(tokens.size());
+            std::swap(tokens[at], tokens[with]);
+            ops += " swap with " + std::to_string(with);
+          }
+          break;
+        default: {  // splice
+          const usize pick = rng.next_below(hostile.size());
+          tokens.insert(tokens.begin() + at, hostile[pick]);
+          ops += " splice " + std::to_string(pick);
+        }
+      }
+    }
+    std::string source;
+    for (const std::string& token : tokens) {
+      source += token == "\n" ? token : token + " ";
+    }
+    const Result<Program> result = assemble(source);
+    if (result.ok()) {
+      ++assembled;
+      const Program& program = result.value();
+      EXPECT_EQ(program.words.size(), program.code.size())
+          << describe(ops, source);
+      EXPECT_LE(program.data_base + program.data.size(), kDefaultStackTop)
+          << describe(ops, source);
+    } else {
+      ++refused;
+      EXPECT_GT(result.error().line, 0) << describe(ops, source);
+      EXPECT_FALSE(result.error().message.empty()) << describe(ops, source);
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Both outcomes occur often, so neither path goes untested.
+  EXPECT_GT(assembled, 250u);
+  EXPECT_GT(refused, 2'000u);
 }
 
 }  // namespace

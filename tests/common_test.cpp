@@ -22,6 +22,7 @@
 #include "common/stats.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
+#include "temp_path.h"
 
 namespace reese {
 namespace {
@@ -456,8 +457,8 @@ TEST(Flags, Positional) {
 }
 
 TEST(Flags, ParseFileMergesWithCommandLinePriority) {
-  const char* path = "/tmp/reese_flags_test.cfg";
-  FILE* f = fopen(path, "w");
+  const std::string path = temp_path("flags_test.cfg");
+  FILE* f = fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   fputs("# comment line\n-ruu 64   -lsq 32\n-workload li # trailing\n", f);
   fclose(f);
@@ -471,6 +472,7 @@ TEST(Flags, ParseFileMergesWithCommandLinePriority) {
   flags.text("-workload", &workload);
   ASSERT_EQ(parse_args(&flags, {"-ruu", "16"}), "");
   ASSERT_EQ(flags.parse_file(path), "");
+  std::remove(path.c_str());
   EXPECT_EQ(ruu, 16) << "command line must win";
   EXPECT_EQ(lsq, 32);
   EXPECT_EQ(workload, "li");
@@ -654,8 +656,7 @@ TEST(Flags, SurvivesSeededHostileArgv) {
     // A fresh file per mutant: rewriting one file in place costs a flush
     // per round on ext4.
     const std::string config =
-        format("%sreese_hostile_flags_%d.cfg", ::testing::TempDir().c_str(),
-               round);
+        temp_path(format("hostile_flags_%d.cfg", round));
     {
       std::ofstream file(config);
       for (const std::string& token : argv) file << token << '\n';

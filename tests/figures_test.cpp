@@ -13,6 +13,7 @@
 
 #include "common/json.h"
 #include "common/strutil.h"
+#include "temp_path.h"
 
 namespace reese {
 namespace {
@@ -68,12 +69,13 @@ TEST(ReeseFigs, UnknownFigureExits2NamingTheValidOnes) {
 }
 
 TEST(ReeseFigs, OutReportsEveryGridAndTheFigure6Summary) {
-  const std::string path = ::testing::TempDir() + "reese_figs_report.json";
+  const std::string path = temp_path("figs_report.json");
   std::remove(path.c_str());
   ASSERT_EQ(run_figs("--figure all --out " + path).status, 0);
   std::ifstream file(path);
   std::stringstream text;
   text << file.rdbuf();
+  std::remove(path.c_str());
   const Result<json::Value> parsed = json::parse_json(text.str());
   ASSERT_TRUE(parsed.ok()) << text.str();
   const json::Value& report = parsed.value();

@@ -16,6 +16,7 @@
 #include "faults/injector.h"
 #include "isa/assembler.h"
 #include "sim/campaign.h"
+#include "temp_path.h"
 #include "workloads/workload.h"
 
 namespace reese {
@@ -217,7 +218,7 @@ TEST(Campaign, ReportSerializesToValidJson) {
   EXPECT_NE(json.find("\"wilson_lower\""), std::string::npos);
   EXPECT_NE(json.find("\"by_class\""), std::string::npos);
 
-  const std::string path = testing::TempDir() + "/reese_fault_campaign.json";
+  const std::string path = temp_path("fault_campaign.json");
   ASSERT_TRUE(sim::write_campaign_report(result, path));
   std::FILE* file = std::fopen(path.c_str(), "r");
   ASSERT_NE(file, nullptr);

@@ -37,6 +37,7 @@
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/service.h"
+#include "temp_path.h"
 
 namespace reese {
 namespace {
@@ -841,10 +842,9 @@ TEST(ReesedBinary, RejectsMalformedNumericFlags) {
 }
 
 TEST(ReesedBinary, ABadFlagIsOneConfigEventInTheLogFileInEitherOrder) {
-  const std::string dir = testing::TempDir();
   const std::vector<std::vector<std::string>> orders = {
-      {"--port", "abc", "--log-file", dir + "/reesed_bad_port_first.log"},
-      {"--log-file", dir + "/reesed_bad_port_last.log", "--port", "abc"},
+      {"--port", "abc", "--log-file", temp_path("reesed_bad_port_first.log")},
+      {"--log-file", temp_path("reesed_bad_port_last.log"), "--port", "abc"},
   };
   for (const std::vector<std::string>& args : orders) {
     const std::string& path = args[0] == "--log-file" ? args[1] : args[3];
@@ -894,17 +894,16 @@ TEST(ReesedBinary, ClientDrivesExperimentAndCampaignThenSigtermDrains) {
   std::string output;
   ASSERT_EQ(run_client(daemon.port, "stats", &output), 0) << output;
 
-  const std::string dir = testing::TempDir();
-  const std::string espec_path = dir + "/reese_espec.json";
+  const std::string espec_path = temp_path("espec.json");
   {
     std::ofstream spec(espec_path);
     spec << R"({"workloads": ["gcc"], "models": ["baseline", "reese"],
                 "instructions": 20000, "seed": 42})";
   }
-  ASSERT_EQ(run_client(daemon.port, "submit-experiment " + espec_path,
-                       &output),
-            0)
-      << output;
+  const int submitted =
+      run_client(daemon.port, "submit-experiment " + espec_path, &output);
+  std::remove(espec_path.c_str());
+  ASSERT_EQ(submitted, 0) << output;
   const std::string job_id = std::string(trim(output));
   ASSERT_FALSE(job_id.empty());
 
@@ -923,14 +922,15 @@ TEST(ReesedBinary, ClientDrivesExperimentAndCampaignThenSigtermDrains) {
   direct.jobs = 1;
   EXPECT_EQ(output, sim::run_experiment(direct).csv());
 
-  const std::string cspec_path = dir + "/reese_cspec.json";
+  const std::string cspec_path = temp_path("cspec.json");
   {
     std::ofstream spec(cspec_path);
     spec << R"({"workloads": ["gcc"], "quick": true, "instructions": 5000})";
   }
-  ASSERT_EQ(run_client(daemon.port, "submit-campaign " + cspec_path, &output),
-            0)
-      << output;
+  const int campaign_submitted =
+      run_client(daemon.port, "submit-campaign " + cspec_path, &output);
+  std::remove(cspec_path.c_str());
+  ASSERT_EQ(campaign_submitted, 0) << output;
   const std::string campaign_id = std::string(trim(output));
   ASSERT_EQ(run_client(daemon.port, "wait " + campaign_id, &output), 0);
   ASSERT_EQ(run_client(daemon.port, "result " + campaign_id, &output), 0);
@@ -956,16 +956,17 @@ TEST(ReesedBinary, AJobThatStopsEarlyFailsAndTheDaemonKeepsServing) {
   ASSERT_GT(daemon.pid, 0);
   ASSERT_GT(daemon.port, 0) << "could not parse the listening port";
 
-  const std::string spec_path = testing::TempDir() + "/reese_stopped.json";
+  const std::string spec_path = temp_path("stopped.json");
   {
     std::ofstream spec(spec_path);
     spec << R"({"workloads": ["gcc"], "models": ["baseline"],
                 "instructions": 20000})";
   }
   std::string output;
-  ASSERT_EQ(run_client(daemon.port, "submit-experiment " + spec_path, &output),
-            0)
-      << output;
+  const int submitted =
+      run_client(daemon.port, "submit-experiment " + spec_path, &output);
+  std::remove(spec_path.c_str());
+  ASSERT_EQ(submitted, 0) << output;
   const std::string job_id = std::string(trim(output));
   EXPECT_EQ(run_client(daemon.port, "wait " + job_id, &output), 4);
   EXPECT_EQ(trim(output), "failed");

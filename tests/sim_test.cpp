@@ -1,11 +1,13 @@
 // Simulator wrapper + experiment harness tests.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "isa/iss.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "temp_path.h"
 
 namespace reese::sim {
 namespace {
@@ -131,7 +133,9 @@ TEST(Experiment, CsvFormat) {
 }
 
 TEST(Experiment, CsvFileWrittenWhenEnvSet) {
-  setenv("REESE_CSV_DIR", "/tmp", 1);
+  const std::string dir = temp_path("csv");
+  std::filesystem::create_directory(dir);
+  setenv("REESE_CSV_DIR", dir.c_str(), 1);
   ExperimentSpec spec;
   spec.title = "CSV Probe 42";
   spec.base = core::starting_config();
@@ -140,11 +144,12 @@ TEST(Experiment, CsvFileWrittenWhenEnvSet) {
   spec.instructions = 2'000;
   run_experiment(spec);
   unsetenv("REESE_CSV_DIR");
-  std::ifstream file("/tmp/csv_probe_42.csv");
+  std::ifstream file(dir + "/csv_probe_42.csv");
   ASSERT_TRUE(file.good());
   std::string header;
   std::getline(file, header);
   EXPECT_EQ(header, "workload,model,ipc,ipc_stdev");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Experiment, MultiSeedProducesStdev) {

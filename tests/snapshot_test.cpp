@@ -23,16 +23,13 @@
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/grid.h"
+#include "temp_path.h"
 #include "workloads/workload.h"
 
 namespace reese::sim {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "reese_snapshot_test_" + name;
-}
 
 std::unique_ptr<Simulator> make_sim(const std::string& workload_name,
                                     u64 seed) {
@@ -421,7 +418,7 @@ TEST(SnapshotTest, TruncatedSnapshotIsRejected) {
 TEST(SnapshotTest, VersionMismatchIsRejected) {
   const std::string path = temp_path("version.snap");
   SnapshotWriter writer;
-  writer.put_u64(42);
+  writer.field(u64{42});
   std::string error;
   ASSERT_TRUE(writer.write_file(path, kSnapshotFormatVersion + 1, &error))
       << error;

@@ -32,18 +32,18 @@ struct Row {
 
 u64 image_hash(const isa::Program& program) {
   SnapshotWriter writer;
-  writer.put_u64(program.words.size());
-  for (const u32 word : program.words) writer.put_u32(word);
-  writer.put_u64(program.data.size());
+  writer.field(program.words.size());
+  for (const u32 word : program.words) writer.field(word);
+  writer.field(program.data.size());
   writer.put_bytes(program.data.data(), program.data.size());
-  writer.put_u64(program.symbols.size());
+  writer.field(program.symbols.size());
   for (const auto& [name, address] : program.symbols) {
     writer.put_string(name);
-    writer.put_u64(address);
+    writer.field(address);
   }
-  writer.put_u64(program.code_base);
-  writer.put_u64(program.data_base);
-  writer.put_u64(program.entry);
+  writer.field(program.code_base);
+  writer.field(program.data_base);
+  writer.field(program.entry);
   return snapshot_fnv1a(writer.bytes().data(), writer.bytes().size());
 }
 
