@@ -109,17 +109,16 @@ std::string grid_json(const sim::FigureGrid& grid,
   out += format("      \"name\": \"%s\",\n", grid.key);
   out += format("      \"title\": \"%s\",\n",
                 json_escape(r.spec.title).c_str());
-  const auto quoted = [](const std::string& text) {
-    return "\"" + json_escape(text) + "\"";
-  };
   out += "      \"workloads\": " +
          json_list(r.spec.workloads.size(),
-                   [&](usize w) { return quoted(r.spec.workloads[w]); }) +
+                   [&](usize w) {
+                     return json_quote(r.spec.workloads[w]);
+                   }) +
          ",\n";
   out += "      \"models\": " +
          json_list(models,
                    [&](usize m) {
-                     return quoted(sim::model_slug(r.spec.models[m]));
+                     return json_quote(sim::model_slug(r.spec.models[m]));
                    }) +
          ",\n";
   out += "      \"ipc\": [\n";

@@ -134,6 +134,11 @@ void ReturnAddressStack::save(SnapshotWriter* writer) const {
 }
 void ReturnAddressStack::load(SnapshotReader* reader) {
   layout(*this, *reader);
+  // A top at or past the depth would index past the stack on the next call.
+  if (top_ >= depth_) {
+    reader->fail("return-address stack top out of range (corrupt snapshot)");
+    top_ = 0;
+  }
 }
 
 }  // namespace reese::branch

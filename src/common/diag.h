@@ -11,4 +11,7 @@ namespace reese {
 /// quotes).
 std::string json_escape(std::string_view s);
 
+/// `s` escaped and in double quotes: a JSON string literal.
+std::string json_quote(std::string_view s);
+
 }  // namespace reese

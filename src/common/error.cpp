@@ -6,8 +6,14 @@
 namespace reese {
 
 std::string Error::to_string() const {
-  if (line > 0) return "line " + std::to_string(line) + ": " + message;
-  return message;
+  if (line <= 0) return message;
+  // Appended piece by piece, as json_quote is: g++ 12 at -O3 can warn a
+  // false -Wrestrict inside libstdc++ for a literal plus a temporary string.
+  std::string text = "line ";
+  text += std::to_string(line);
+  text += ": ";
+  text += message;
+  return text;
 }
 
 Error errorf(const char* fmt, ...) {

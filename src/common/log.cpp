@@ -16,10 +16,6 @@ double wall_clock_now() {
       .count();
 }
 
-std::string quoted(std::string_view value) {
-  return "\"" + json_escape(value) + "\"";
-}
-
 }  // namespace
 
 const char* level_name(Level level) {
@@ -32,13 +28,13 @@ const char* level_name(Level level) {
 }
 
 Field field(std::string key, std::string_view value) {
-  return {std::move(key), quoted(value)};
+  return {std::move(key), json_quote(value)};
 }
 Field field(std::string key, const char* value) {
-  return {std::move(key), quoted(value == nullptr ? "" : value)};
+  return {std::move(key), json_quote(value == nullptr ? "" : value)};
 }
 Field field(std::string key, const std::string& value) {
-  return {std::move(key), quoted(value)};
+  return {std::move(key), json_quote(value)};
 }
 Field field(std::string key, u64 value) {
   return {std::move(key),
@@ -105,9 +101,10 @@ void Logger::log(Level level, std::string_view kind, std::string_view message,
   const double ts = clock_ ? clock_() : wall_clock_now();
   std::string line = format("{\"ts\": %.6f, \"level\": \"%s\", ", ts,
                             level_name(level));
-  line += "\"kind\": " + quoted(kind) + ", \"msg\": " + quoted(message);
+  line += "\"kind\": " + json_quote(kind) +
+          ", \"msg\": " + json_quote(message);
   for (const Field& f : fields) {
-    line += ", " + quoted(f.key) + ": " + f.json;
+    line += ", " + json_quote(f.key) + ": " + f.json;
   }
   line += "}\n";
   if (capture_ != nullptr) {

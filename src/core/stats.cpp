@@ -166,6 +166,12 @@ void CoreStats::layout(Self& self, Io& io) {
 }
 
 void CoreStats::save(SnapshotWriter* writer) const { layout(*this, *writer); }
-void CoreStats::load(SnapshotReader* reader) { layout(*this, *reader); }
+void CoreStats::load(SnapshotReader* reader) {
+  layout(*this, *reader);
+  // Pipeline::check_invariants() asserts this sum after every cycle.
+  if (cycle_class_total() != cycles) {
+    reader->fail("cycle classes do not sum to cycles (corrupt snapshot)");
+  }
+}
 
 }  // namespace reese::core

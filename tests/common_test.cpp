@@ -574,7 +574,9 @@ void declare_hostile(Flags* flags, HostileVars* vars, bool operands) {
 std::string describe(const std::vector<std::string>& argv) {
   std::string shown;
   for (const std::string& token : argv) {
-    shown += "[" + token.substr(0, 40) + "]";
+    shown += '[';
+    shown += token.substr(0, 40);
+    shown += ']';
   }
   return shown;
 }

@@ -466,28 +466,90 @@ std::vector<u8> read_file(const std::string& path) {
   return bytes;
 }
 
+constexpr usize kHeaderBytes = 20;  // magic, version, payload size
+constexpr usize kTrailerBytes = 8;  // FNV-1a
+
+/// Save `simulator` drained to `path` and return the file's payload.
+std::vector<u8> saved_payload(Simulator* simulator, const std::string& path,
+                              u64 identity) {
+  std::string error;
+  EXPECT_TRUE(save_snapshot(simulator, path, identity, &error)) << error;
+  const std::vector<u8> file = read_file(path);
+  if (file.size() <= kHeaderBytes + kTrailerBytes) {
+    ADD_FAILURE() << path << " holds no payload";
+    return {};
+  }
+  return std::vector<u8>(file.begin() + kHeaderBytes,
+                         file.end() - kTrailerBytes);
+}
+
+/// Write `payload` to `path` with a correct header, size and checksum, so a
+/// load gets past the container checks into Pipeline::load_state.
+void reseal(const std::vector<u8>& payload, const std::string& path) {
+  SnapshotWriter sealed;
+  sealed.put_bytes(payload.data(), payload.size());
+  std::string error;
+  ASSERT_TRUE(sealed.write_file(path, kSnapshotFormatVersion, &error))
+      << error;
+}
+
+TEST(SnapshotTest, RasTopPastItsDepthFailsToLoad) {
+  // The return-address stack's top is the last field before the hierarchy
+  // section. A restored top at or past the stack's depth would index past
+  // the stack on the next call or return, so it must fail with a message.
+  const std::string path = temp_path("ras_top.snap");
+  auto original = make_sim("gcc", 0xF022);
+  original->run(200'000);
+  const u64 identity = snapshot_identity(original.get(), 0xF022, 0);
+  const std::vector<u8> payload =
+      saved_payload(original.get(), path, identity);
+  // The little-endian "SECT" mark, then the "HIER" tag.
+  const std::vector<u8> hier = {'T', 'C', 'E', 'S', 'R', 'E', 'I', 'H'};
+  const auto mark =
+      std::search(payload.begin(), payload.end(), hier.begin(), hier.end());
+  ASSERT_NE(mark, payload.end());
+  const usize top_at = static_cast<usize>(mark - payload.begin()) - 8;
+
+  for (const u64 top : {u64{0}, u64{core::kRasDepth}, u64{1'000'000}}) {
+    std::vector<u8> mutant = payload;
+    for (usize byte = 0; byte < 8; ++byte) {
+      mutant[top_at + byte] = static_cast<u8>(top >> (8 * byte));
+    }
+    reseal(mutant, path);
+    Simulator fresh(original->workload(), original->pipeline().config());
+    std::string error;
+    const SnapshotLoad load = load_snapshot(&fresh, path, identity, &error);
+    if (top < core::kRasDepth) {
+      EXPECT_EQ(load, SnapshotLoad::kRestored) << "top " << top << ": "
+                                               << error;
+    } else {
+      EXPECT_EQ(load, SnapshotLoad::kFailed) << "top " << top;
+      EXPECT_NE(error.find("return-address stack top"), std::string::npos)
+          << "top " << top << ": " << error;
+    }
+  }
+  fs::remove(path);
+}
+
 TEST(SnapshotTest, SurvivesSeededHostileInput) {
   // A drained REESE gcc snapshot far enough in that the memory, TLB,
   // cache, predictor and stats sections all hold data. Its payload is
   // mutated by dropping, duplicating and swapping bytes and by splicing in
   // hostile ones, then re-sealed with a correct size and checksum, so every
   // mutant gets past the container checks into Pipeline::load_state. Each
-  // restores, is another cell's, or fails with a message. A load reads,
-  // checks and parses the whole 269 KB payload, most of it the cache and
-  // predictor arrays, so 10^3 mutants keep the test to seconds in the
+  // restores, is another cell's, or fails with a message, and each that
+  // restores then runs a bounded number of cycles, so a restored value
+  // that breaks the pipeline shows here and not in a resumed grid. A load
+  // reads, checks and parses the whole 269 KB payload, most of it the cache
+  // and predictor arrays, so 10^3 mutants keep the test to seconds in the
   // ASan+UBSan Debug build.
   const std::string path = temp_path("hostile.snap");
   auto original = make_sim("gcc", 0xF022);
   original->run(200'000);
   const u64 identity = snapshot_identity(original.get(), 0xF022, 0);
-  std::string error;
-  ASSERT_TRUE(save_snapshot(original.get(), path, identity, &error)) << error;
-  const std::vector<u8> file = read_file(path);
-  constexpr usize kHeaderBytes = 20;  // magic, version, payload size
-  constexpr usize kTrailerBytes = 8;  // FNV-1a
-  ASSERT_GT(file.size(), kHeaderBytes + kTrailerBytes);
-  const std::vector<u8> payload(file.begin() + kHeaderBytes,
-                                file.end() - kTrailerBytes);
+  const std::vector<u8> payload =
+      saved_payload(original.get(), path, identity);
+  ASSERT_FALSE(payload.empty());
 
   // Mutate near a section boundary half the time, so the small sections
   // behind the memory image see as many mutants as the image does.
@@ -505,6 +567,7 @@ TEST(SnapshotTest, SurvivesSeededHostileInput) {
       {0x01}, {0xFF, 0xFF, 0xFF, 0x7F}, std::vector<u8>(4096, 0xA5)};
 
   const workloads::Workload& workload = original->workload();
+  constexpr Cycle kCyclesAfterRestore = 2'000;
   SplitMix64 rng(0x5A4F5EED);
   usize restored = 0;
   usize other_cell = 0;
@@ -548,15 +611,15 @@ TEST(SnapshotTest, SurvivesSeededHostileInput) {
         }
       }
     }
-    SnapshotWriter sealed;
-    sealed.put_bytes(mutant.data(), mutant.size());
-    ASSERT_TRUE(sealed.write_file(path, kSnapshotFormatVersion, &error))
-        << error;
+    reseal(mutant, path);
 
     Simulator fresh(workload, original->pipeline().config());
-    error.clear();
+    std::string error;
     switch (load_snapshot(&fresh, path, identity, &error)) {
-      case SnapshotLoad::kRestored: ++restored; break;
+      case SnapshotLoad::kRestored:
+        ++restored;
+        fresh.pipeline().run(~u64{0}, kCyclesAfterRestore);
+        break;
       case SnapshotLoad::kOtherCell: ++other_cell; break;
       case SnapshotLoad::kFailed:
         ++failed;

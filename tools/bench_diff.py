@@ -23,10 +23,13 @@ Auto-detects the report kind:
     `overnight` target. Exits 1 when any figure/model average drops by
     more than --threshold percent.
 
---validate checks a single report's shape against its schema (currently
-reese-overnight-v1) without comparing anything; exits 2 on a malformed
-report. The CI `figures` job uses this to gate the artifact upload on
-well-formedness; the figure numbers themselves are not gated.
+--validate checks a single report's shape against its schema without
+comparing anything; exits 2 on a malformed report. It takes a
+reese-overnight-v1 report (the CI `figures` job uses this to gate the
+artifact upload on well-formedness; the figure numbers themselves are not
+gated) or the reese-perf-v1 BENCH_perf.json that tools/perf_compare.py
+--record writes: one entry per speed claim, each with every run correct
+and a result for every BENCHMARK.json workload.
 
 --markdown PATH appends a GitHub-flavoured markdown rendition of the same
 table to PATH (use $GITHUB_STEP_SUMMARY in CI to surface the diff on the
@@ -34,12 +37,15 @@ workflow run page, or a scratch file to post as a PR comment).
 
 Exits 2 on malformed or mismatched input, or on a report of unknown kind.
 Host throughput is not diffed here: perfbench/run.py (BENCHMARK.json) is
-the throughput benchmark.
+the throughput benchmark, and tools/perf_compare.py pairs its runs.
 """
 
 import argparse
 import json
+import os
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class MarkdownSink:
@@ -90,6 +96,8 @@ def report_kind(report):
         return "cavf"
     if report.get("schema") == "reese-overnight-v1":
         return "overnight"
+    if report.get("schema") == "reese-perf-v1":
+        return "perf"
     return "unknown"
 
 
@@ -142,6 +150,98 @@ def validate_overnight(report):
                             f"number matrix")
         if not isinstance(fig.get("wall_seconds"), (int, float)):
             problems.append(f"{where}: 'wall_seconds' must be a number")
+    return problems
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def validate_perf(report, benchmark=os.path.join(ROOT, "BENCHMARK.json")):
+    """Schema problems of a BENCH_perf.json (tools/perf_compare.py --record).
+
+    Each entry is one speed claim: its protocol, and per workload and seed
+    every metric's parent and change quartiles, median ratio and wins. A
+    claim needs every run correct and every workload `benchmark` names.
+    """
+    entries = report.get("entries")
+    if not isinstance(entries, list) or not entries:
+        return ["'entries' must be a non-empty array"]
+    try:
+        with open(benchmark) as f:
+            workloads = {w["name"] for w in json.load(f)["workloads"]}
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        return [f"cannot read the workloads of {benchmark}: {e!r}"]
+    problems = []
+    for i, entry in enumerate(entries):
+        where = f"entries[{i}]"
+        if not isinstance(entry, dict):
+            problems.append(f"{where} must be an object")
+            continue
+        pairs = entry.get("pairs")
+        checks = [
+            ("pr", isinstance(entry.get("pr"), int) and entry["pr"] > 0,
+             "a positive integer"),
+            ("commit", isinstance(entry.get("commit"), str)
+             and entry["commit"], "a non-empty string"),
+            ("parent", isinstance(entry.get("parent"), str)
+             and entry["parent"], "a non-empty string"),
+            ("host", isinstance(entry.get("host"), dict)
+             and isinstance(entry["host"].get("nproc"), int)
+             and isinstance(entry["host"].get("cpu"), str),
+             "{nproc: integer, cpu: string}"),
+            ("budget", isinstance(entry.get("budget"), dict)
+             and is_number(entry["budget"].get("seconds"))
+             and entry["budget"].get("trace") in (0, 1),
+             "{seconds: number, trace: 0 or 1}"),
+            ("pairs", isinstance(pairs, int) and pairs > 0,
+             "a positive integer"),
+        ]
+        problems += [f"{where}: '{key}' must be {what}"
+                     for key, ok, what in checks if not ok]
+        results = entry.get("results")
+        if not isinstance(results, list) or not results:
+            problems.append(f"{where}: 'results' must be a non-empty array")
+            continue
+        missing = workloads - {r.get("workload") for r in results
+                               if isinstance(r, dict)}
+        if missing:
+            problems.append(f"{where}: no result for {sorted(missing)}")
+        for j, result in enumerate(results):
+            at = f"{where}.results[{j}]"
+            if not isinstance(result, dict) \
+                    or not isinstance(result.get("workload"), str) \
+                    or not isinstance(result.get("seed"), int):
+                problems.append(f"{at} needs a 'workload' and a 'seed'")
+                continue
+            at = f"{where} {result['workload']} seed {result['seed']}"
+            if result.get("all_correct") is not True:
+                problems.append(f"{at}: not every run was correct")
+            metrics = result.get("metrics")
+            if not isinstance(metrics, dict) or not metrics:
+                problems.append(f"{at}: 'metrics' must be a non-empty object")
+                continue
+            for name, m in metrics.items():
+                sides = [m.get(side) if isinstance(m, dict) else None
+                         for side in ("parent", "change")]
+                if not isinstance(m, dict) \
+                        or m.get("better") not in ("higher", "lower") \
+                        or not isinstance(m.get("unit"), str) \
+                        or not all(isinstance(q, dict) and all(
+                            is_number(q.get(k))
+                            for k in ("q1", "median", "q3", "iqr"))
+                            and q["q1"] <= q["median"] <= q["q3"]
+                            for q in sides) \
+                        or not (m.get("ratio_median") is None
+                                or is_number(m["ratio_median"])) \
+                        or not isinstance(m.get("wins"), int) \
+                        or not (isinstance(pairs, int)
+                                and 0 <= m["wins"] <= pairs) \
+                        or m.get("verdict") not in ("gain", "worse", "-"):
+                    problems.append(
+                        f"{at}: metric {name!r} needs unit, better, parent "
+                        f"and change {{q1 <= median <= q3, iqr}}, "
+                        f"ratio_median, wins in [0, pairs] and verdict")
     return problems
 
 
@@ -374,7 +474,8 @@ def main():
     parser.add_argument("after", nargs="?")
     parser.add_argument("--validate", action="store_true",
                         help="schema-check a single report instead of "
-                             "diffing two (currently reese-overnight-v1)")
+                             "diffing two (reese-overnight-v1 or "
+                             "reese-perf-v1)")
     parser.add_argument("--threshold", type=float, default=10.0,
                         help="regression threshold: percent average-IPC "
                              "drop (overnight) or percentage points of "
@@ -392,18 +493,25 @@ def main():
 
     if args.validate:
         kind = report_kind(before)
-        if kind != "overnight":
-            print(f"bench_diff: --validate supports reese-overnight-v1 "
-                  f"reports, got kind {kind}", file=sys.stderr)
+        if kind not in ("overnight", "perf"):
+            print(f"bench_diff: --validate supports reese-overnight-v1 and "
+                  f"reese-perf-v1 reports, got kind {kind}", file=sys.stderr)
             sys.exit(2)
-        problems = validate_overnight(before)
+        problems = (validate_overnight if kind == "overnight"
+                    else validate_perf)(before)
         for problem in problems:
             print(f"bench_diff: {args.before}: {problem}", file=sys.stderr)
         if problems:
             sys.exit(2)
-        print(f"bench_diff: {args.before}: valid reese-overnight-v1 "
-              f"({len(before['figures'])} figures, "
-              f"{before['instructions']} instructions/cell)")
+        if kind == "overnight":
+            print(f"bench_diff: {args.before}: valid reese-overnight-v1 "
+                  f"({len(before['figures'])} figures, "
+                  f"{before['instructions']} instructions/cell)")
+        else:
+            print(f"bench_diff: {args.before}: valid reese-perf-v1 "
+                  f"({len(before['entries'])} entries, "
+                  f"{sum(len(e['results']) for e in before['entries'])} "
+                  f"results)")
         sys.exit(0)
 
     if args.after is None:
@@ -413,7 +521,7 @@ def main():
     after = load(args.after)
 
     kinds = (report_kind(before), report_kind(after))
-    if kinds[0] != kinds[1] or kinds[0] == "unknown":
+    if kinds[0] != kinds[1] or kinds[0] in ("unknown", "perf"):
         print(f"bench_diff: cannot compare report kinds {kinds[0]} vs "
               f"{kinds[1]}", file=sys.stderr)
         sys.exit(2)
